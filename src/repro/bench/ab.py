@@ -30,7 +30,7 @@ import time
 from typing import Callable
 
 from repro.bench.micro import parse_scenario_name
-from repro.bench.reporting import format_table
+from repro.bench.reporting import format_speedup, format_table, speedup
 from repro.genomics.instances import build_instance
 from repro.genomics.queries import query_by_name
 from repro.genomics.schema import genome_mapping
@@ -130,10 +130,8 @@ def run_solve_ab(
         for strategy in STRATEGIES:
             agg[strategy] += best[strategy]["solve"]
         incremental_solve = best["incremental"]["solve"]
-        speedup = (
-            round(best["per-signature"]["solve"] / incremental_solve, 2)
-            if incremental_solve > 0
-            else float("inf")
+        solve_speedup = speedup(
+            best["per-signature"]["solve"], incremental_solve
         )
         results[scenario] = {
             "profile": {
@@ -142,7 +140,7 @@ def run_solve_ab(
                 "suspect_rate": profile.suspect_fraction,
             },
             "strategies": {name: best[name] for name in STRATEGIES},
-            "solve_speedup": speedup,
+            "solve_speedup": solve_speedup,
             "answers": {q: len(a) for q, a in reference_answers.items()},
             "answers_identical": True,
         }
@@ -150,14 +148,11 @@ def run_solve_ab(
             log(
                 f"{scenario:>4}: per-signature "
                 f"{best['per-signature']['solve']:.3f}s  incremental "
-                f"{incremental_solve:.3f}s  speedup {speedup:.2f}x  "
+                f"{incremental_solve:.3f}s  speedup "
+                f"{format_speedup(solve_speedup)}  "
                 f"({time.perf_counter() - started:.1f}s wall)"
             )
-    aggregate = (
-        round(agg["per-signature"] / agg["incremental"], 2)
-        if agg["incremental"] > 0
-        else float("inf")
-    )
+    aggregate = speedup(agg["per-signature"], agg["incremental"])
     return {
         "kind": "repro-solve-ab",
         "repeats": repeats,
@@ -182,7 +177,7 @@ def format_ab_table(payload: dict) -> str:
                 f"{row['profile']['suspect_rate']:.0%}",
                 f"{strategies['per-signature']['solve']:.3f}",
                 f"{strategies['incremental']['solve']:.3f}",
-                f"{row['solve_speedup']:.2f}x",
+                format_speedup(row["solve_speedup"]),
                 "yes" if row["answers_identical"] else "NO",
             ]
         )
@@ -193,7 +188,7 @@ def format_ab_table(payload: dict) -> str:
             "",
             f"{aggregate['per_signature_solve_s']:.3f}",
             f"{aggregate['incremental_solve_s']:.3f}",
-            f"{aggregate['solve_speedup']:.2f}x",
+            format_speedup(aggregate["solve_speedup"]),
             "",
         ]
     )

@@ -55,7 +55,7 @@ import statistics
 import time
 from typing import Callable
 
-from repro.bench.reporting import format_table
+from repro.bench.reporting import format_speedup, format_table, speedup
 from repro.genomics.instances import InstanceProfile, build_instance
 from repro.genomics.queries import query_by_name
 from repro.genomics.schema import genome_mapping
@@ -202,7 +202,7 @@ def _exchange_strategy_series(gav, instance, repeats: int, label: str) -> dict:
         "stages": list(STRATEGY_STAGES),
         "batch": round(batch, 6),
         "tuple": round(tuple_, 6),
-        "speedup": round(tuple_ / batch, 2) if batch > 0 else float("inf"),
+        "speedup": speedup(tuple_, batch),
     }
 
 
@@ -305,11 +305,7 @@ def run_micro_scenario(
     solve_strategies = {
         "incremental": round(incremental_solve, 6),
         "per_signature": round(per_signature_solve, 6),
-        "speedup": (
-            round(per_signature_solve / incremental_solve, 2)
-            if incremental_solve > 0
-            else float("inf")
-        ),
+        "speedup": speedup(per_signature_solve, incremental_solve),
     }
 
     # Incremental stage: a fresh engine + update session per repeat (the
@@ -334,11 +330,7 @@ def run_micro_scenario(
     incremental = {
         "single_delta": single_delta,
         "full_exchange": exchange_medians["total"],
-        "speedup": (
-            round(exchange_medians["total"] / single_delta, 2)
-            if single_delta > 0
-            else float("inf")
-        ),
+        "speedup": speedup(exchange_medians["total"], single_delta),
     }
 
     return {
@@ -452,7 +444,9 @@ def run_micro(
                 parts.append(f"solve {query_s['solve']:.3f}s")
             strategy_s = row.get("exchange_strategy_s")
             if strategy_s is not None:
-                parts.append(f"batch/tuple {strategy_s['speedup']:.2f}x")
+                parts.append(
+                    f"batch/tuple {format_speedup(strategy_s['speedup'])}"
+                )
             log(
                 f"{name:>4}: " + "  ".join(parts)
                 + f"  ({time.perf_counter() - started:.1f}s wall)"
@@ -481,13 +475,15 @@ def format_micro_table(payload: dict) -> str:
                 row["counts"]["groundings"],
                 row["counts"]["suspect_source_facts"],
                 f"{row['exchange_s']['total']:.3f}",
-                f"{exchange_strategies['speedup']:.1f}x"
+                format_speedup(exchange_strategies["speedup"], ".1f")
                 if exchange_strategies else "-",
                 f"{query_s['program_build']:.3f}" if query_s else "-",
                 f"{query_s['solve']:.3f}" if query_s else "-",
-                f"{strategies['speedup']:.1f}x" if strategies else "-",
+                format_speedup(strategies["speedup"], ".1f")
+                if strategies else "-",
                 f"{incremental['single_delta']:.4f}" if incremental else "-",
-                f"{incremental['speedup']:.1f}x" if incremental else "-",
+                format_speedup(incremental["speedup"], ".1f")
+                if incremental else "-",
             ]
         )
     return format_table(
@@ -501,13 +497,14 @@ def format_micro_table(payload: dict) -> str:
 
 def compare_payloads(before: dict, after: dict) -> dict:
     """Per-scenario speedups (before/after, >1 = faster) for the stages
-    the acceptance criteria track."""
-    speedups: dict[str, dict[str, float]] = {}
+    the acceptance criteria track; ``None`` where the after time is zero
+    (both times stay in the compared payloads)."""
+    speedups: dict[str, dict[str, float | None]] = {}
     for name, after_row in after["scenarios"].items():
         before_row = before["scenarios"].get(name)
         if before_row is None:
             continue
-        entry: dict[str, float] = {}
+        entry: dict[str, float | None] = {}
         pairs = [
             ("exchange", before_row["exchange_s"]["total"],
              after_row["exchange_s"]["total"]),
@@ -528,6 +525,6 @@ def compare_payloads(before: dict, after: dict) -> dict:
                 ),
             ])
         for stage, before_s, after_s in pairs:
-            entry[stage] = round(before_s / after_s, 3) if after_s > 0 else float("inf")
+            entry[stage] = speedup(before_s, after_s, 3)
         speedups[name] = entry
     return speedups

@@ -46,6 +46,20 @@ def format_series(
     return f"{name}: {body}"
 
 
+def speedup(base_s: float, new_s: float, digits: int = 2) -> float | None:
+    """``base_s / new_s`` rounded, or ``None`` when ``new_s`` is zero.
+
+    A zero time has no finite ratio and JSON has no infinity, so the
+    artifact records ``null``; callers keep both times beside the ratio.
+    """
+    return round(base_s / new_s, digits) if new_s > 0 else None
+
+
+def format_speedup(value: float | None, spec: str = ".2f") -> str:
+    """Render a :func:`speedup` for a table or log line (``-`` if none)."""
+    return "-" if value is None else f"{value:{spec}}x"
+
+
 def machine_info() -> dict[str, str]:
     """The machine/context header embedded in every JSON artifact.
 
@@ -70,11 +84,15 @@ def write_benchmark_json(
 
     The artifact is ``{"machine_info": ..., **payload}``, serialized with
     sorted keys so repeated runs produce byte-stable diffs (modulo the
-    timing values themselves).
+    timing values themselves).  Strict JSON: a NaN or infinity in the
+    payload raises instead of being written as a bare ``NaN``/``Infinity``.
     """
     path = Path(path)
     document = {"machine_info": machine_info(), **payload}
-    path.write_text(json.dumps(document, indent=indent, sort_keys=True) + "\n")
+    path.write_text(
+        json.dumps(document, indent=indent, sort_keys=True, allow_nan=False)
+        + "\n"
+    )
     return path
 
 

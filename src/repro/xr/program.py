@@ -36,17 +36,20 @@ the value *true*).
 Implementation note: both builders run over the **interned id universe** of
 :class:`~repro.xr.exchange.ExchangeData`.  Focus/safe sets are normalized to
 int sets once (callers holding ids — the segmentary engine — pass
-``focus_ids``/``safe_ids`` directly and skip the conversion); every inner
-loop then tests membership on machine ints and walks the precomputed
-``groundings_by_head``/``occurs_in_body`` adjacency instead of rescanning
-the grounding and violation lists per suspect, which was the measured
-quadratic blowup at high suspect rates.
+``focus_ids``/``safe_ids`` directly and skip the conversion).  A build does
+work in proportion to its focus, the groundings headed there and its
+violations — never to the size of the exchange, since the segmentary
+engine builds one program per cluster family: the caller's id sets are
+used as given (never copied or unioned), the groundings are found by
+walking ``groundings_by_head`` from the focus (:func:`_focus_groundings`),
+and lazily interned atom ids live in dicts keyed by the facts the program
+touches (:class:`_LazyAtoms`), not in arrays over the fact universe.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
 from repro.relational.instance import Fact
@@ -96,26 +99,85 @@ class _Emitter:
             )
 
 
+class _LazyAtoms(dict):
+    """Fact id -> atom id of ``wrap(fact)``, interned on first lookup.
+
+    Holds only the facts a program touches, so its size follows the
+    program, not the fact universe.  Interning happens at first lookup,
+    which keeps atom numbering in rule-emission order.
+    """
+
+    __slots__ = ("_intern", "_facts_by_id", "_wrap")
+
+    def __init__(
+        self,
+        atoms: AtomTable,
+        facts_by_id: list[Fact],
+        wrap: Callable[[Fact], Fact],
+    ):
+        super().__init__()
+        self._intern = atoms.intern
+        self._facts_by_id = facts_by_id
+        self._wrap = wrap
+
+    def __missing__(self, fact_id: int) -> int:
+        atom_id = self[fact_id] = self._intern(
+            self._wrap(self._facts_by_id[fact_id])
+        )
+        return atom_id
+
+
 def _normalize_scope(
     data: ExchangeData,
     focus: set[Fact] | None,
     safe: set[Fact] | None,
-    focus_ids: set[int] | frozenset[int] | None,
-    safe_ids: set[int] | frozenset[int] | None,
-) -> tuple[set[int], set[int]]:
-    """Resolve the focus/safe scope to id sets (interning stray facts)."""
+    focus_ids: AbstractSet[int] | None,
+    safe_ids: AbstractSet[int] | None,
+) -> tuple[AbstractSet[int], AbstractSet[int]]:
+    """Resolve the focus/safe scope to id sets (interning stray facts).
+
+    Id sets passed in are returned as they are: the builders only read
+    them, and a copy would cost the size of the caller's set (the safe
+    set spans nearly the whole exchange).
+    """
     if focus_ids is None:
         if focus is None:
             focus_ids = data.id_set(data.chased)
         else:
             focus_ids = data.id_set(focus)
-    else:
-        focus_ids = set(focus_ids)
     if safe_ids is None:
         safe_ids = data.id_set(safe) if safe else set()
-    else:
-        safe_ids = set(safe_ids)
     return focus_ids, safe_ids
+
+
+def _within(
+    ids: Iterable[int], focus_ids: AbstractSet[int], safe_ids: AbstractSet[int]
+) -> bool:
+    """True iff every id lies in focus or safe (the union is never built)."""
+    for fact_id in ids:
+        if fact_id not in focus_ids and fact_id not in safe_ids:
+            return False
+    return True
+
+
+def _focus_groundings(
+    data: ExchangeData, focus_ids: AbstractSet[int], safe_ids: AbstractSet[int]
+) -> list[int]:
+    """Ascending indexes of the groundings whose head is in focus, not safe.
+
+    Walks ``groundings_by_head`` from the focus, so the cost follows the
+    focus rather than the grounding list.  Ascending order is grounding
+    order, which fixes rule order and atom numbering.
+    """
+    by_head = data.groundings_by_head
+    indexes = [
+        index
+        for head_id in focus_ids
+        if head_id not in safe_ids
+        for index in by_head[head_id]
+    ]
+    indexes.sort()
+    return indexes
 
 
 def _normalize_violations(
@@ -133,8 +195,8 @@ def _emit_query_rules(
     data: ExchangeData,
     remains_atom,
     query_groundings,
-    available_ids: set[int],
-    safe_ids: set[int],
+    focus_ids: AbstractSet[int],
+    safe_ids: AbstractSet[int],
 ) -> None:
     """Shared query-rule emission: ``q ← remains(support set)``."""
     atoms = result.program.atoms
@@ -144,7 +206,9 @@ def _emit_query_rules(
         in_scope = True
         for fact in body_facts:
             fact_id = id_of(fact)
-            if fact_id is None or fact_id not in available_ids:
+            if fact_id is None or (
+                fact_id not in focus_ids and fact_id not in safe_ids
+            ):
                 in_scope = False
                 break
             body_ids.append(fact_id)
@@ -170,7 +234,7 @@ def _emit_query_rules(
 def _suspect_source_ids(
     data: ExchangeData,
     violation_bodies: Iterable[tuple[int, ...]],
-    within_ids: set[int],
+    within_ids: AbstractSet[int],
 ) -> set[int]:
     """Source fact ids inside ``within_ids`` lying in a violation's support
     closure (backward closure walked over the id adjacency)."""
@@ -204,8 +268,8 @@ def build_repair_program(
     focus: set[Fact] | None = None,
     safe: set[Fact] | None = None,
     violations: list[Violation] | None = None,
-    focus_ids: set[int] | frozenset[int] | None = None,
-    safe_ids: set[int] | frozenset[int] | None = None,
+    focus_ids: AbstractSet[int] | None = None,
+    safe_ids: AbstractSet[int] | None = None,
 ) -> XRProgram:
     """Build the repair-guess program (see module docstring).
 
@@ -216,7 +280,6 @@ def build_repair_program(
     """
     focus_ids, safe_ids = _normalize_scope(data, focus, safe, focus_ids, safe_ids)
     scoped_violations = _normalize_violations(data, violations)
-    available = focus_ids | safe_ids
 
     facts_by_id = data.facts_by_id
     source_mask = data.source_id_mask
@@ -227,16 +290,8 @@ def build_repair_program(
     atoms = program.atoms
     emit = _Emitter(program)
 
-    # Lazily interned per-fact atom ids for the "remains" copies (dense
-    # arrays over fact ids; 0 = not yet interned, real atom ids are >= 1).
-    remains_ids = [0] * len(facts_by_id)
-
-    def remains_atom(fact_id: int) -> int:
-        atom_id = remains_ids[fact_id]
-        if not atom_id:
-            atom_id = atoms.intern(remains(facts_by_id[fact_id]))
-            remains_ids[fact_id] = atom_id
-        return atom_id
+    # Lazily interned atom ids of the "remains" copies.
+    remains_atom = _LazyAtoms(atoms, facts_by_id, remains).__getitem__
 
     suspects = _suspect_source_ids(
         data, (body for _v, body in scoped_violations), focus_ids
@@ -253,9 +308,8 @@ def build_repair_program(
             emit((remains_id,))
 
     # --- remains chase layer.
-    for index, head_id in enumerate(grounding_heads):
-        if head_id in safe_ids or head_id not in focus_ids:
-            continue
+    for index in _focus_groundings(data, focus_ids, safe_ids):
+        head_id = grounding_heads[index]
         body_ids = grounding_bodies[index]
         focus_body: list[int] = []
         in_scope = True
@@ -277,7 +331,7 @@ def build_repair_program(
     # --- consistency: no violated egd body may remain entirely.
     relevant_violations: list[tuple[Violation, tuple[int, ...]]] = []
     for violation, body_ids in scoped_violations:
-        if any(fact_id not in available for fact_id in body_ids):
+        if not _within(body_ids, focus_ids, safe_ids):
             continue
         relevant_violations.append((violation, body_ids))
         focus_body = [i for i in body_ids if i not in safe_ids]
@@ -292,17 +346,11 @@ def build_repair_program(
         influence = data.influence_ids_of(suspect) & focus_ids
         suspect_fact = facts_by_id[suspect]
         conflict_id = atoms.intern(Fact(CONFLICT, (suspect_fact,)))
-
-        copy_ids = [0] * len(facts_by_id)
-
-        def copy_atom(fact_id: int) -> int:
-            atom_id = copy_ids[fact_id]
-            if not atom_id:
-                atom_id = atoms.intern(
-                    Fact(WITH_FACT, (facts_by_id[fact_id], suspect_fact))
-                )
-                copy_ids[fact_id] = atom_id
-            return atom_id
+        copy_atom = _LazyAtoms(
+            atoms,
+            facts_by_id,
+            lambda fact, added=suspect_fact: Fact(WITH_FACT, (fact, added)),
+        ).__getitem__
 
         # The added fact itself, and everything still remaining.
         emit((copy_atom(suspect),))
@@ -316,7 +364,7 @@ def build_repair_program(
         for head_id in sorted(influence):
             for index in data.groundings_by_head[head_id]:
                 body_ids = grounding_bodies[index]
-                if any(fact_id not in available for fact_id in body_ids):
+                if not _within(body_ids, focus_ids, safe_ids):
                     continue
                 rule_body: list[int] = []
                 for fact_id in body_ids:
@@ -348,7 +396,7 @@ def build_repair_program(
 
     result = XRProgram(program=program)
     _emit_query_rules(
-        result, emit, data, remains_atom, query_groundings, available, safe_ids
+        result, emit, data, remains_atom, query_groundings, focus_ids, safe_ids
     )
     return result
 
@@ -364,8 +412,8 @@ def build_figure1_program(
     focus: set[Fact] | None = None,
     safe: set[Fact] | None = None,
     violations: list[Violation] | None = None,
-    focus_ids: set[int] | frozenset[int] | None = None,
-    safe_ids: set[int] | frozenset[int] | None = None,
+    focus_ids: AbstractSet[int] | None = None,
+    safe_ids: AbstractSet[int] | None = None,
 ) -> XRProgram:
     """Build the ground Figure 1 program of Theorem 2, literally.
 
@@ -376,7 +424,6 @@ def build_figure1_program(
     """
     focus_ids, safe_ids = _normalize_scope(data, focus, safe, focus_ids, safe_ids)
     scoped_violations = _normalize_violations(data, violations)
-    available = focus_ids | safe_ids
 
     facts_by_id = data.facts_by_id
     source_mask = data.source_id_mask
@@ -387,38 +434,13 @@ def build_figure1_program(
     atoms = program.atoms
     emit = _Emitter(program)
 
-    fact_atoms = [0] * len(facts_by_id)
-    remains_ids = [0] * len(facts_by_id)
-    deleted_ids = [0] * len(facts_by_id)
-    incidental_ids = [0] * len(facts_by_id)
+    def lazy(wrap: Callable[[Fact], Fact]) -> Callable[[int], int]:
+        return _LazyAtoms(atoms, facts_by_id, wrap).__getitem__
 
-    def fact_atom(fact_id: int) -> int:
-        atom_id = fact_atoms[fact_id]
-        if not atom_id:
-            atom_id = atoms.intern(facts_by_id[fact_id])
-            fact_atoms[fact_id] = atom_id
-        return atom_id
-
-    def remains_atom(fact_id: int) -> int:
-        atom_id = remains_ids[fact_id]
-        if not atom_id:
-            atom_id = atoms.intern(remains(facts_by_id[fact_id]))
-            remains_ids[fact_id] = atom_id
-        return atom_id
-
-    def deleted_atom(fact_id: int) -> int:
-        atom_id = deleted_ids[fact_id]
-        if not atom_id:
-            atom_id = atoms.intern(deleted(facts_by_id[fact_id]))
-            deleted_ids[fact_id] = atom_id
-        return atom_id
-
-    def incidental_atom(fact_id: int) -> int:
-        atom_id = incidental_ids[fact_id]
-        if not atom_id:
-            atom_id = atoms.intern(incidental(facts_by_id[fact_id]))
-            incidental_ids[fact_id] = atom_id
-        return atom_id
+    fact_atom = lazy(lambda fact: fact)
+    remains_atom = lazy(remains)
+    deleted_atom = lazy(deleted)
+    incidental_atom = lazy(incidental)
 
     # --- per-fact rules.
     for fact_id in sorted(focus_ids):
@@ -436,11 +458,10 @@ def build_figure1_program(
             emit((remains_id,), (atom,), (deleted_id,))
 
     # --- chase / deletion / remainder rules per tgd grounding.
-    for index, head_id in enumerate(grounding_heads):
-        if head_id in safe_ids or head_id not in focus_ids:
-            continue
+    for index in _focus_groundings(data, focus_ids, safe_ids):
+        head_id = grounding_heads[index]
         body_ids = grounding_bodies[index]
-        if any(fact_id not in available for fact_id in body_ids):
+        if not _within(body_ids, focus_ids, safe_ids):
             continue
         if head_id in body_ids:
             continue  # tautological grounding
@@ -467,7 +488,7 @@ def build_figure1_program(
 
     # --- egd deletion rules.
     for violation, body_ids in scoped_violations:
-        if any(fact_id not in available for fact_id in body_ids):
+        if not _within(body_ids, focus_ids, safe_ids):
             continue
         focus_body = tuple(i for i in body_ids if i not in safe_ids)
         if not focus_body:
@@ -486,7 +507,7 @@ def build_figure1_program(
 
     result = XRProgram(program=program)
     _emit_query_rules(
-        result, emit, data, remains_atom, query_groundings, available, safe_ids
+        result, emit, data, remains_atom, query_groundings, focus_ids, safe_ids
     )
     return result
 
@@ -501,7 +522,7 @@ def build_family_program(
     data: ExchangeData,
     query_groundings: list[tuple[Fact, tuple[Fact, ...]]],
     clusters: Iterable,
-    safe_ids: set[int] | frozenset[int],
+    safe_ids: AbstractSet[int],
     encoding: str = "repair",
     builder=None,
 ) -> XRProgram:
@@ -521,9 +542,14 @@ def build_family_program(
     focus_ids: set[int] = set()
     violations: list[Violation] = []
     for cluster in clusters:
-        focus_ids |= cluster.influence_ids
+        # Filter member by member: ``focus_ids -= safe_ids`` would walk
+        # the whole safe set.
+        focus_ids.update(
+            fact_id
+            for fact_id in cluster.influence_ids
+            if fact_id not in safe_ids
+        )
         violations.extend(cluster.violations)
-    focus_ids -= set(safe_ids)
     if builder is None:
         builder = build_xr_program
     return builder(
@@ -543,8 +569,8 @@ def build_xr_program(
     safe: set[Fact] | None = None,
     violations: list[Violation] | None = None,
     encoding: str = "repair",
-    focus_ids: set[int] | frozenset[int] | None = None,
-    safe_ids: set[int] | frozenset[int] | None = None,
+    focus_ids: AbstractSet[int] | None = None,
+    safe_ids: AbstractSet[int] | None = None,
 ) -> XRProgram:
     """Dispatch to the selected encoding (``"repair"`` or ``"figure1"``)."""
     try:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from typing import Container
 
 from repro.asp.syntax import AtomTable, GroundProgram
 from repro.dependencies.mapping import SchemaMapping
@@ -502,7 +503,9 @@ class SegmentaryEngine:
                 stats.safe_candidates = len(accepted)
                 stats.signatures = len(by_signature)
 
-            safe_facts = set(analysis.safe_chased)
+            # Read, not copied: ``Instance`` membership is O(1), and a copy
+            # would cost the whole safe chase on every query.
+            safe_facts = analysis.safe_chased
 
             # Build every still-undecided signature program first, then
             # solve the whole batch through the executor (the programs are
@@ -789,7 +792,7 @@ class SegmentaryEngine:
         signature: frozenset[int],
         candidates: list[Fact],
         supports_by_candidate: dict[Fact, list[tuple[Fact, ...]]],
-        safe_facts: set[Fact],
+        safe_facts: Container[Fact],
         mode: str,
         stats: QueryPhaseStats,
         build: bool = True,
@@ -873,28 +876,21 @@ class SegmentaryEngine:
                 unresolved=unresolved,
             )
 
-        # Signatures hold *stable* cluster ids (incremental maintenance can
-        # retire/mint ids), so resolution goes through the id lookup rather
-        # than list position.
-        clusters = [analysis.cluster(index) for index in signature]
-        focus_ids: set[int] = set()
-        violations = []
-        for cluster in clusters:
-            focus_ids |= cluster.influence_ids
-            violations.extend(cluster.violations)
-        focus_ids -= analysis.safe_ids
         query_groundings = [
             (candidate, support)
             for candidate in unresolved
             for support in supports_by_candidate[candidate]
         ]
-        xr_program = build_xr_program(
+        # A signature is a one-group family.  Signatures hold *stable*
+        # cluster ids (incremental maintenance can retire/mint ids), so
+        # resolution goes through the id lookup rather than list position.
+        xr_program = build_family_program(
             data,
             query_groundings=query_groundings,
-            violations=violations,
-            encoding=self.encoding,
-            focus_ids=focus_ids,
+            clusters=[analysis.cluster(index) for index in signature],
             safe_ids=analysis.safe_ids,
+            encoding=self.encoding,
+            builder=build_xr_program,
         )
         stats.largest_program_atoms = max(
             stats.largest_program_atoms, xr_program.program.num_atoms
