@@ -14,64 +14,24 @@ inner loops with **batch operators** over tuple rows:
 - constant filters and repeated-variable checks are folded into the index
   build, so they run once per stored fact instead of once per probe.
 
-A small **planner** (:func:`plan_mode`) picks the execution mode per rule:
-
-- ``nested`` — the relations involved are tiny; fall back to the existing
-  compiled nested-loop join (index build would cost more than it saves);
-- ``hash`` — the default batch hash join described above;
-- ``sqlite`` — the relations involved are large enough that pushing the
-  join down into SQLite (via :mod:`repro.storage.sqlite_store`) wins: the
-  instance is mirrored once into an in-memory store and each rule body
-  becomes one SELECT over the ``rel_<name>`` tables.
-
-The chase itself only ever uses ``nested``/``hash`` (its extensions grow
-every round, so a SQLite mirror would be rebuilt per round); the one-shot
-post-chase joins — grounding enumeration and violation detection — use the
-full planner.  Every mode produces the same row *set*; order differences
-are absorbed by the canonical sorting in :mod:`repro.xr.exchange`.
+The hash join is the only execution mode: the semi-naive chase, grounding
+enumeration and violation detection all run every rule or egd body
+through it.  Grounding enumeration tracks the matched body facts through
+the join; violation detection joins values only and instantiates the body
+of the (few) violating rows.  Row order differs from the tuple path's;
+the canonical sorting in :mod:`repro.xr.exchange` absorbs that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.dependencies.egds import EGD
 from repro.dependencies.tgds import TGD, SkolemTerm
 from repro.relational.instance import Fact, Instance
-from repro.relational.queries import Atom, match_atoms, plan_join_order
+from repro.relational.queries import Atom, plan_join_order
 from repro.relational.terms import Const, SkolemValue, Variable, is_constant_value
-
-
-@dataclass(frozen=True)
-class BatchOptions:
-    """Planner thresholds (see :func:`plan_mode`).
-
-    ``nested_threshold`` is the largest *total* extension size (sum over
-    the body's relations) still handled by the nested-loop fallback;
-    ``sqlite_threshold`` is the smallest total extension size at which the
-    one-shot joins are pushed down into SQLite.  Tests force
-    ``sqlite_threshold`` low to exercise the push-down on small instances.
-    """
-
-    nested_threshold: int = 16
-    sqlite_threshold: int = 100_000
-
-
-DEFAULT_OPTIONS = BatchOptions()
-
-
-def plan_mode(
-    instance: Instance, atoms: Sequence[Atom], options: BatchOptions
-) -> str:
-    """Choose ``nested`` / ``hash`` / ``sqlite`` for one body join."""
-    total = sum(len(instance.facts_of(atom.relation)) for atom in atoms)
-    if total <= options.nested_threshold:
-        return "nested"
-    if total >= options.sqlite_threshold:
-        return "sqlite"
-    return "hash"
 
 
 # --------------------------------------------------------------- compilation
@@ -344,17 +304,17 @@ class _BodyPlan:
     variables along that order.
     """
 
-    __slots__ = ("atoms", "steps", "layout", "body_order")
+    __slots__ = ("steps", "layout", "body_order")
 
     def __init__(self, instance: Instance, atoms: Sequence[Atom]) -> None:
         original = list(atoms)
-        self.atoms = list(plan_join_order(instance, original, set()))
+        ordered = list(plan_join_order(instance, original, set()))
         # Recover each planned atom's original position (by object
         # identity — a body may contain equal atoms twice), so provenance
         # tuples in join order can be reordered back to body order.
         join_to_body: list[int] = []
         taken: set[int] = set()
-        for atom in self.atoms:
+        for atom in ordered:
             for index, candidate in enumerate(original):
                 if index not in taken and candidate is atom:
                     taken.add(index)
@@ -365,7 +325,7 @@ class _BodyPlan:
             inverse[body_index] = join_position
         self.body_order = tuple(inverse)
         self.layout: dict[Variable, int] = {}
-        self.steps = [_AtomStep(atom, self.layout) for atom in self.atoms]
+        self.steps = [_AtomStep(atom, self.layout) for atom in ordered]
 
     def rows_hash(self, cache: _IndexCache) -> list[tuple]:
         rows: list[tuple] = [()]
@@ -389,140 +349,6 @@ class _BodyPlan:
             if not rows:
                 return rows
         return rows
-
-    def rows_nested(self, instance: Instance) -> list[tuple]:
-        order = [
-            variable
-            for variable, _slot in sorted(
-                self.layout.items(), key=lambda item: item[1]
-            )
-        ]
-        return [
-            tuple(binding[variable] for variable in order)
-            for binding in match_atoms(instance, self.atoms)
-        ]
-
-    def rows_sqlite(self, mirror: "_SQLiteMirror") -> list[tuple]:
-        return mirror.join_rows(self.atoms, self.layout)
-
-
-class _SQLiteMirror:
-    """A lazy in-memory SQLite copy of one instance for join push-down.
-
-    Built at most once per batch context; each body join becomes a single
-    SELECT over the mirrored ``rel_<name>`` tables with equality
-    conditions for shared variables and encoded-constant filters.  Raises
-    ``TypeError`` for unencodable values (callers fall back to hash mode).
-    """
-
-    __slots__ = ("instance", "_store", "_failed")
-
-    def __init__(self, instance: Instance) -> None:
-        self.instance = instance
-        self._store = None
-        self._failed = False
-
-    def _ensure_store(self):
-        if self._failed:
-            raise TypeError("instance not representable in the SQLite mirror")
-        if self._store is None:
-            from repro.storage.sqlite_store import SQLiteInstanceStore
-
-            store = SQLiteInstanceStore(":memory:")
-            try:
-                store.save(self.instance)
-            except TypeError:
-                self._failed = True
-                store.close()
-                raise
-            self._store = store
-        return self._store
-
-    def join_rows(
-        self, atoms: Sequence[Atom], layout: dict[Variable, int]
-    ) -> list[tuple]:
-        from repro.storage.sqlite_store import decode_value, encode_value
-
-        if any(
-            not self.instance.facts_of(atom.relation) for atom in atoms
-        ):
-            return []
-        store = self._ensure_store()
-        first_seen: dict[Variable, str] = {}
-        conditions: list[str] = []
-        parameters: list[str] = []
-        tables: list[str] = []
-        for index, atom in enumerate(atoms):
-            alias = f"t{index}"
-            tables.append(f'"rel_{atom.relation}" {alias}')
-            for position, term in enumerate(atom.terms):
-                column = f"{alias}.c{position}"
-                if isinstance(term, Variable):
-                    if term in first_seen:
-                        conditions.append(f"{column} = {first_seen[term]}")
-                    else:
-                        first_seen[term] = column
-                elif isinstance(term, Const):
-                    conditions.append(f"{column} = ?")
-                    parameters.append(encode_value(term.value))
-                else:
-                    raise TypeError(f"unexpected body term {term!r}")
-        columns = [
-            column
-            for _variable, column in sorted(
-                first_seen.items(), key=lambda item: layout[item[0]]
-            )
-        ]
-        sql = (
-            f"SELECT {', '.join(columns) if columns else '1'} "
-            f"FROM {', '.join(tables)}"
-        )
-        if conditions:
-            sql += " WHERE " + " AND ".join(conditions)
-        cursor = store.connection.execute(sql, parameters)
-        if not columns:
-            return [() for _row in cursor.fetchall()]
-        return [
-            tuple(decode_value(value) for value in row)
-            for row in cursor.fetchall()
-        ]
-
-
-class _BatchContext:
-    """Shared per-instance state for the one-shot post-chase joins."""
-
-    __slots__ = ("instance", "options", "cache", "mirror", "plan_log")
-
-    def __init__(
-        self,
-        instance: Instance,
-        options: BatchOptions,
-        plan_log: dict[str, str] | None = None,
-    ) -> None:
-        self.instance = instance
-        self.options = options
-        self.cache = _IndexCache(instance)
-        self.mirror = _SQLiteMirror(instance)
-        self.plan_log = plan_log
-
-    def rows(self, label: str, atoms: Sequence[Atom]) -> tuple[_BodyPlan, list[tuple]]:
-        plan = _BodyPlan(self.instance, atoms)
-        mode = plan_mode(self.instance, atoms, self.options)
-        if mode == "sqlite":
-            try:
-                rows = plan.rows_sqlite(self.mirror)
-            except TypeError:
-                # Unencodable value (e.g. a boolean): the mirror cannot
-                # represent this instance; run the hash join instead.
-                mode = "hash"
-                rows = plan.rows_hash(self.cache)
-        elif mode == "nested":
-            rows = plan.rows_nested(self.instance)
-        else:
-            rows = plan.rows_hash(self.cache)
-        if self.plan_log is not None:
-            self.plan_log[label] = mode
-        return plan, rows
 
 
 # -------------------------------------------------------------------- chase
@@ -564,7 +390,6 @@ def batch_chase(
     rules: Sequence[TGD],
     max_rounds: int = 1_000_000,
     stats: dict[str, int] | None = None,
-    options: BatchOptions = DEFAULT_OPTIONS,
 ) -> Instance:
     """Strict-round semi-naive fixpoint, evaluated set-at-a-time.
 
@@ -620,75 +445,37 @@ def batch_chase(
 
 
 def enumerate_groundings_batch(
-    rules: Iterable[TGD],
-    instance: Instance,
-    options: BatchOptions = DEFAULT_OPTIONS,
-    plan_log: dict[str, str] | None = None,
+    rules: Iterable[TGD], instance: Instance
 ) -> Iterator[tuple[TGD, tuple[Fact, ...], Fact]]:
     """Batch equivalent of :func:`repro.chase.gav.enumerate_groundings`.
 
     Same dedup semantics — one grounding per distinct ``(body facts, head
     fact)`` pair per rule, tautological groundings (head in own body)
-    dropped — but each rule body is one planned batch join instead of a
-    per-binding nested loop.  In hash mode the matched body facts come
-    straight from the join's provenance (no re-instantiation by
-    substitution); nested/SQLite rows carry values only, so those modes
-    substitute.  Yield order within a rule follows the join, which is
-    *not* the tuple path's order; callers canonicalize.
+    dropped — but each rule body is one batch hash join instead of a
+    per-binding nested loop.  The matched body facts come straight from
+    the join's provenance (no re-instantiation by substitution).  Yield
+    order within a rule follows the join, which is *not* the tuple path's
+    order; callers canonicalize.
     """
-    context = _BatchContext(instance, options, plan_log)
+    cache = _IndexCache(instance)
     for rule in rules:
-        mode = plan_mode(instance, rule.body, options)
         plan = _BodyPlan(instance, rule.body)
-        tracked: list[tuple[tuple, tuple]] | None = None
-        rows: list[tuple] = []
-        if mode == "sqlite":
-            try:
-                rows = plan.rows_sqlite(context.mirror)
-            except TypeError:
-                mode = "hash"
-        if mode == "nested":
-            rows = plan.rows_nested(instance)
-        elif mode == "hash":
-            tracked = plan.rows_hash_tracked(context.cache)
-        if context.plan_log is not None:
-            context.plan_log[rule.label] = mode
         ground = compile_slot_head(rule, plan.layout)
+        body_of = _tuple_projector(plan.body_order)
         seen: set[tuple[tuple[Fact, ...], Fact]] = set()
-        if tracked is not None:
-            body_of = _tuple_projector(plan.body_order)
-            for values, provenance in tracked:
-                body_facts = body_of(provenance)
-                head_fact = ground(values)
-                if head_fact in body_facts:
-                    continue
-                key = (body_facts, head_fact)
-                if key not in seen:
-                    seen.add(key)
-                    yield rule, body_facts, head_fact
-        else:
-            substituters = tuple(
-                compile_slot_substituter(atom, plan.layout)
-                for atom in rule.body
-            )
-            for row in rows:
-                body_facts = tuple(sub(row) for sub in substituters)
-                head_fact = ground(row)
-                if head_fact in body_facts:
-                    continue
-                key = (body_facts, head_fact)
-                if key not in seen:
-                    seen.add(key)
-                    yield rule, body_facts, head_fact
+        for values, provenance in plan.rows_hash_tracked(cache):
+            body_facts = body_of(provenance)
+            head_fact = ground(values)
+            if head_fact in body_facts:
+                continue
+            key = (body_facts, head_fact)
+            if key not in seen:
+                seen.add(key)
+                yield rule, body_facts, head_fact
 
 
-def find_violations_batch(
-    egds: Sequence[EGD],
-    chased: Instance,
-    options: BatchOptions = DEFAULT_OPTIONS,
-    plan_log: dict[str, str] | None = None,
-) -> list:
-    """All grounded-egd violations, one planned batch join per egd.
+def find_violations_batch(egds: Sequence[EGD], chased: Instance) -> list:
+    """All grounded-egd violations, one batch hash join per egd.
 
     Returns raw :class:`~repro.xr.exchange.Violation` objects including
     both orientations of symmetric egds; callers dedup through
@@ -697,10 +484,11 @@ def find_violations_batch(
     """
     from repro.xr.exchange import Violation
 
-    context = _BatchContext(chased, options, plan_log)
+    cache = _IndexCache(chased)
     violations = []
     for egd in egds:
-        plan, rows = context.rows(egd.label, egd.body)
+        plan = _BodyPlan(chased, egd.body)
+        rows = plan.rows_hash(cache)
         if not rows:
             continue
         substituters = tuple(

@@ -25,6 +25,7 @@ to an unbudgeted build.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -116,8 +117,10 @@ class SolveBudget:
     def __post_init__(self) -> None:
         for knob in ("deadline", "task_timeout"):
             value = getattr(self, knob)
-            if value is not None and value <= 0:
-                raise ValueError(f"{knob} must be positive, got {value}")
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{knob} must be a positive finite number, got {value}"
+                )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 

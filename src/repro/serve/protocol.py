@@ -26,6 +26,7 @@ engine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.incremental import Delta, parse_update_stream
@@ -58,8 +59,11 @@ def _positive_or_none(payload: dict, field: str) -> float | None:
         return None
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ProtocolError(f"{field!r} must be a number, got {value!r}")
-    if value <= 0:
-        raise ProtocolError(f"{field!r} must be positive, got {value!r}")
+    # json.loads accepts NaN and Infinity; neither is a usable budget.
+    if not (math.isfinite(value) and value > 0):
+        raise ProtocolError(
+            f"{field!r} must be a positive finite number, got {value!r}"
+        )
     return float(value)
 
 

@@ -63,10 +63,6 @@ class ExchangeData:
     chased: Instance  # I ∪ J: source facts plus the canonical quasi-solution
     groundings: list[tuple[TGD, tuple[Fact, ...], Fact]]
     violations: list[Violation]
-    # fact -> indexes into `groundings` with the fact in the body (supports
-    # flowing *forward*) and with the fact as the head (supports of the fact).
-    supports_of: dict[Fact, list[int]] = field(default_factory=dict)
-    occurs_in_body_of: dict[Fact, list[int]] = field(default_factory=dict)
     # ----------------------------------------------- interned universe
     # fact -> dense id (0-based) and its inverse.
     fact_ids: dict[Fact, int] = field(default_factory=dict)
@@ -391,9 +387,7 @@ def _build_fact_indexes(data: ExchangeData) -> None:
 
     One pass over the chase, one over the groundings, one over the
     violations; everything downstream (closures, envelopes, program
-    builders) then works on dense ids.  The legacy fact-keyed
-    ``supports_of`` / ``occurs_in_body_of`` views are populated from the
-    same pass for external callers.
+    builders) then works on dense ids.
     """
     intern = data.intern_fact
     # Sorted interning gives fresh builds a canonical id universe (the
@@ -404,22 +398,14 @@ def _build_fact_indexes(data: ExchangeData) -> None:
 
     groundings_by_head = data.groundings_by_head
     occurs_in_body = data.occurs_in_body
-    supports_of = data.supports_of
-    occurs_in_body_of = data.occurs_in_body_of
-    # The fact-keyed views *alias* the id-keyed rows (same list objects),
-    # so the incremental mutators below keep both in sync with one write.
     for index, (_rule, body_facts, head_fact) in enumerate(data.groundings):
         head_id = intern(head_fact)
         body_ids = tuple(dict.fromkeys(intern(f) for f in body_facts))
         data.grounding_bodies.append(body_ids)
         data.grounding_heads.append(head_id)
         groundings_by_head[head_id].append(index)
-        supports_of[head_fact] = groundings_by_head[head_id]
         for body_id in body_ids:
             occurs_in_body[body_id].append(index)
-            occurs_in_body_of[data.facts_by_id[body_id]] = occurs_in_body[
-                body_id
-            ]
 
     violations_by_fact = data.violations_by_fact
     for index, violation in enumerate(data.violations):
@@ -452,8 +438,6 @@ def rebuild_fact_indexes(data: ExchangeData) -> None:
     data.grounding_bodies.clear()
     data.grounding_heads.clear()
     data.violation_bodies.clear()
-    data.supports_of.clear()
-    data.occurs_in_body_of.clear()
     data._influence_cache.clear()
     _build_fact_indexes(data)
 
@@ -523,12 +507,8 @@ def append_grounding(
     data.grounding_bodies.append(body_ids)
     data.grounding_heads.append(head_id)
     data.groundings_by_head[head_id].append(index)
-    data.supports_of[head_fact] = data.groundings_by_head[head_id]
     for body_id in body_ids:
         data.occurs_in_body[body_id].append(index)
-        data.occurs_in_body_of[data.facts_by_id[body_id]] = (
-            data.occurs_in_body[body_id]
-        )
     return head_id, body_ids
 
 

@@ -1,38 +1,36 @@
-"""Tests for the set-at-a-time batch operators (PR 10 tentpole).
+"""Tests for the set-at-a-time batch operators.
 
 Every batch operator is checked against its tuple-at-a-time reference:
 ``batch_chase`` vs ``gav_chase`` (same fixpoint *and* same round/derived
 counters), ``enumerate_groundings_batch`` vs ``enumerate_groundings``
-(same grounding set under every planner mode, including forced SQLite
-push-down), ``find_violations_batch`` vs ``find_violations`` (same
-canonical violation list).  Internal mechanics with observable
-consequences — signature-shared indexes, the SQLite fallback latch —
-get direct tests too.
+(same grounding set), ``find_violations_batch`` vs ``find_violations``
+(same canonical violation list).  The reference cases cover the inputs
+that are easy to get wrong in a hash join: bodies of a handful of facts,
+boolean and skolem values, constants and repeated variables inside body
+atoms, and reduced GLAV mappings whose constants-only egds compare
+skolem values.  Index sharing and incremental index maintenance get
+direct tests too.
 """
 
 import pytest
 
 from repro.chase.batch import (
-    BatchOptions,
     _AtomStep,
     _IndexCache,
     batch_chase,
     enumerate_groundings_batch,
     find_violations_batch,
-    plan_mode,
 )
 from repro.chase.gav import enumerate_groundings, gav_chase
-from repro.parser import parse_dependency
+from repro.parser import parse_dependency, parse_mapping
+from repro.reduction.reduce import reduce_mapping
 from repro.relational import Fact, Instance
 from repro.relational.queries import Atom
-from repro.relational.terms import Variable
-from repro.scenarios.tpch import tpch_mapping, tpch_scenario
+from repro.relational.terms import SkolemValue, Variable
+from repro.scenarios.tpch import tpch_scenario
 from repro.xr.exchange import canonicalize_violations, find_violations
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
-
-FORCE_NESTED = BatchOptions(nested_threshold=10**9)
-FORCE_SQLITE = BatchOptions(nested_threshold=0, sqlite_threshold=1)
 
 
 def f(rel, *args):
@@ -49,6 +47,97 @@ def chain(n=8):
 
 TC_RULES = [rule("E(x,y) -> P(x,y)."), rule("P(x,y), P(y,z) -> P(x,z).")]
 
+#: Body atoms with constants and repeated variables, within and across atoms.
+SHAPE_RULES = TC_RULES + [
+    rule("E(x,x) -> L(x)."),
+    rule("E(x,'b') -> B(x)."),
+    rule("P(x,y), P(y,x) -> S(x,y)."),
+    rule("P(x,'b'), E(x,x), P(x,y) -> T(x,y)."),
+]
+
+SKOLEM_SOURCE = Instance(
+    [
+        f("E", SkolemValue("f", ("a",)), "b"),
+        f("E", "b", SkolemValue("g", (SkolemValue("f", ("a",)), 1))),
+        f("E", SkolemValue("g", (SkolemValue("f", ("a",)), 1)), "c"),
+    ]
+)
+
+#: A GLAV mapping: its reduction carries skolem values into body facts and
+#: a constants-only egd over them.
+GLAV_KEYS = """
+SOURCE R/2. TARGET T/2, U/2.
+R(x, y) -> T(x, z), U(z, y).
+T(x, z), T(x, w) -> z = w.
+U(z, y), U(z, w) -> y = w.
+"""
+GLAV_SOURCE = Instance(
+    [f("R", "a", "b"), f("R", "a", "c"), f("R", "d", "e"), f("R", "g", "e")]
+)
+
+#: name -> (rules, instance they are evaluated over, after the chase).
+GROUNDING_CASES = {
+    # 16 facts or fewer over every body: the smallest joins.
+    "tiny-body": (TC_RULES, chain(2)),
+    "booleans": (
+        TC_RULES,
+        Instance([f("E", True, False), f("E", False, True)]),
+    ),
+    "constants-and-repeats": (
+        SHAPE_RULES,
+        Instance(
+            [
+                f("E", "a", "a"),
+                f("E", "a", "b"),
+                f("E", "b", "a"),
+                f("E", "c", "b"),
+                f("E", 1, 1),
+            ]
+        ),
+    ),
+    "skolem-values": (TC_RULES, SKOLEM_SOURCE),
+    "reduced-glav": (
+        list(reduce_mapping(parse_mapping(GLAV_KEYS)).gav.all_tgds()),
+        GLAV_SOURCE,
+    ),
+}
+
+KEY_MAPPING = """
+SOURCE E/2. TARGET P/2, Q/2.
+E(x, y) -> P(x, y).
+P(x, y), P(x, z) -> y = z.
+P(x, x), Q(x, y) -> y = 'b'.
+Q(x, 'b'), P(x, y) -> x = y.
+"""
+
+#: name -> (mapping text, source instance).
+VIOLATION_CASES = {
+    "tiny-body": (
+        KEY_MAPPING,
+        Instance([f("E", "a", "b"), f("E", "a", "c")]),
+    ),
+    "booleans": (
+        KEY_MAPPING,
+        Instance([f("E", True, False), f("E", True, True)]),
+    ),
+    "constants-and-repeats": (
+        KEY_MAPPING
+        + """
+        E(x, y) -> Q(x, y).
+        """,
+        Instance(
+            [
+                f("E", "a", "a"),
+                f("E", "a", "b"),
+                f("E", "c", "c"),
+                f("E", "c", "d"),
+                f("E", "e", "f"),
+            ]
+        ),
+    ),
+    "skolem-values": (GLAV_KEYS, GLAV_SOURCE),
+}
+
 
 class TestBatchChase:
     def test_matches_gav_chase_facts_and_stats(self):
@@ -61,8 +150,6 @@ class TestBatchChase:
 
     def test_matches_on_tpch_cell(self):
         scenario = tpch_scenario(0.005, 0.4, 3)
-        from repro.reduction.reduce import reduce_mapping
-
         tgds = reduce_mapping(scenario.mapping).gav.st_tgds
         batch_stats: dict[str, int] = {}
         tuple_stats: dict[str, int] = {}
@@ -90,28 +177,11 @@ class TestBatchChase:
             batch_chase(chain(16), TC_RULES, max_rounds=2)
 
 
-class TestPlanner:
-    def test_tiny_bodies_stay_nested(self):
-        instance = Instance([f("R", 1, 2)])
-        assert plan_mode(instance, [Atom("R", (X, Y))], BatchOptions()) == "nested"
-
-    def test_medium_bodies_hash(self):
-        instance = Instance([f("R", i, i) for i in range(50)])
-        assert plan_mode(instance, [Atom("R", (X, Y))], BatchOptions()) == "hash"
-
-    def test_large_bodies_sqlite(self):
-        instance = Instance([f("R", i, i) for i in range(50)])
-        options = BatchOptions(sqlite_threshold=40)
-        assert plan_mode(instance, [Atom("R", (X, Y))], options) == "sqlite"
-
-
 class TestGroundings:
-    def groundings_of(self, rules, instance, **kwargs):
+    def groundings_of(self, rules, instance):
         return {
             (rule.label, body, head)
-            for rule, body, head in enumerate_groundings_batch(
-                rules, instance, **kwargs
-            )
+            for rule, body, head in enumerate_groundings_batch(rules, instance)
         }
 
     def reference_of(self, rules, instance):
@@ -122,41 +192,16 @@ class TestGroundings:
 
     def test_hash_mode_matches_reference(self):
         chased = gav_chase(chain(), TC_RULES)
-        plan_log: dict[str, str] = {}
-        got = self.groundings_of(TC_RULES, chased, plan_log=plan_log)
+        got = self.groundings_of(TC_RULES, chased)
         assert got == self.reference_of(TC_RULES, chased)
-        assert "hash" in plan_log.values()
 
-    def test_nested_mode_matches_reference(self):
-        chased = gav_chase(chain(), TC_RULES)
-        plan_log: dict[str, str] = {}
-        got = self.groundings_of(
-            TC_RULES, chased, options=FORCE_NESTED, plan_log=plan_log
-        )
-        assert got == self.reference_of(TC_RULES, chased)
-        assert set(plan_log.values()) == {"nested"}
-
-    def test_sqlite_mode_matches_reference(self):
-        chased = gav_chase(chain(), TC_RULES)
-        plan_log: dict[str, str] = {}
-        got = self.groundings_of(
-            TC_RULES, chased, options=FORCE_SQLITE, plan_log=plan_log
-        )
-        assert got == self.reference_of(TC_RULES, chased)
-        assert set(plan_log.values()) == {"sqlite"}
-
-    def test_sqlite_falls_back_on_unencodable_values(self):
-        # Booleans have no stable SQLite affinity here; the plan must
-        # degrade to the hash join and still return the right set.
-        instance = gav_chase(
-            Instance([f("E", True, False), f("E", False, True)]), TC_RULES
-        )
-        plan_log: dict[str, str] = {}
-        got = self.groundings_of(
-            TC_RULES, instance, options=FORCE_SQLITE, plan_log=plan_log
-        )
-        assert got == self.reference_of(TC_RULES, instance)
-        assert set(plan_log.values()) == {"hash"}
+    @pytest.mark.parametrize("case", sorted(GROUNDING_CASES))
+    def test_matches_reference(self, case):
+        rules, source = GROUNDING_CASES[case]
+        chased = gav_chase(source, rules)
+        reference = self.reference_of(rules, chased)
+        assert self.groundings_of(rules, chased) == reference
+        assert reference  # every case must exercise some join
 
     def test_tautological_groundings_dropped(self):
         loop = Instance([f("P", 1, 1)])
@@ -166,8 +211,6 @@ class TestGroundings:
 class TestViolations:
     def test_matches_reference_on_tpch(self):
         scenario = tpch_scenario(0.005, 0.5, 1)
-        from repro.reduction.reduce import reduce_mapping
-
         gav = reduce_mapping(scenario.mapping).gav
         chased = gav_chase(scenario.instance, gav.st_tgds)
         batch = canonicalize_violations(
@@ -176,22 +219,17 @@ class TestViolations:
         assert batch == find_violations(gav, chased)
         assert batch  # injection at 50 % must produce violations
 
-    def test_all_modes_agree(self):
-        scenario = tpch_scenario(0.005, 0.5, 1)
-        from repro.reduction.reduce import reduce_mapping
-
-        gav = reduce_mapping(scenario.mapping).gav
-        chased = gav_chase(scenario.instance, gav.st_tgds)
-        results = {}
-        for label, options in (
-            ("nested", FORCE_NESTED),
-            ("hash", BatchOptions()),
-            ("sqlite", FORCE_SQLITE),
-        ):
-            results[label] = canonicalize_violations(
-                find_violations_batch(gav.target_egds, chased, options=options)
-            )
-        assert results["nested"] == results["hash"] == results["sqlite"]
+    @pytest.mark.parametrize("case", sorted(VIOLATION_CASES))
+    def test_matches_reference(self, case):
+        text, source = VIOLATION_CASES[case]
+        gav = reduce_mapping(parse_mapping(text)).gav
+        chased = gav_chase(source, list(gav.all_tgds()))
+        batch = canonicalize_violations(
+            find_violations_batch(gav.target_egds, chased)
+        )
+        reference = find_violations(gav, chased)
+        assert batch == reference
+        assert reference  # every case must contain a violation
 
 
 class TestIndexSharing:

@@ -96,6 +96,12 @@ class TestSolveBudget:
             SolveBudget(task_timeout=-1.0)
         with pytest.raises(ValueError):
             SolveBudget(max_retries=-1)
+        # A NaN or infinite deadline never fires, yet would still leave
+        # the NO_BUDGET fast path.
+        for knob in ("deadline", "task_timeout"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match="finite"):
+                    SolveBudget(**{knob: value})
 
     def test_started_counts_down_the_query_deadline(self):
         clock = SolveBudget(deadline=60.0).started()

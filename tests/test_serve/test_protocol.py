@@ -52,6 +52,11 @@ class TestQueryRequest:
         {"query": "q(x) :- P(x, y).", "deadline": True}, # bool is not a number
         {"query": "q(x) :- P(x, y).", "typo": 1},        # unknown field
         {"query": "oops("},                     # unparsable
+        # json.loads accepts these bare tokens; none is a usable budget.
+        {"query": "q(x) :- P(x, y).", "deadline": float("nan")},
+        {"query": "q(x) :- P(x, y).", "deadline": float("inf")},
+        {"query": "q(x) :- P(x, y).", "task_timeout": float("nan")},
+        {"query": "q(x) :- P(x, y).", "task_timeout": float("inf")},
     ])
     def test_rejects_malformed(self, payload):
         with pytest.raises(ProtocolError):
