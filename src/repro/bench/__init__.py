@@ -5,12 +5,6 @@ from repro.bench.runner import (
     QueryResult,
     run_query_suite,
 )
-from repro.bench.ab import (
-    AB_QUERIES,
-    AB_SCENARIOS,
-    format_ab_table,
-    run_solve_ab,
-)
 from repro.bench.micro import (
     MICRO_QUERIES,
     MICRO_RATES,
@@ -36,10 +30,6 @@ __all__ = [
     "BenchmarkContext",
     "QueryResult",
     "run_query_suite",
-    "AB_QUERIES",
-    "AB_SCENARIOS",
-    "format_ab_table",
-    "run_solve_ab",
     "MICRO_QUERIES",
     "MICRO_RATES",
     "MICRO_SIZES",

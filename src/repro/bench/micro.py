@@ -6,15 +6,11 @@ Three measured stages, per genomics scenario (size × suspect rate):
   chase / grounding enumeration / violation detection / index construction
   (:func:`~repro.xr.exchange.build_exchange_data` stage timings) plus the
   envelope analysis (:func:`~repro.xr.envelope.analyze_envelopes`);
-- **program build** — per-signature program construction in the query
+- **program build** — per-family program construction in the query
   phase (``QueryPhaseStats.build_seconds`` over a fixed query subset,
   caches disabled so construction is actually exercised);
 - **solve** — stable-model solving of the built programs
-  (``QueryPhaseStats.solve_seconds``), measured under **both** solve
-  strategies: the default incremental family path and the legacy
-  per-signature reference path, with the per-strategy medians and their
-  ratio emitted as the ``solve_strategy_s`` series (the PR 8 solve-phase
-  trajectory; ``repro bench --ab solve`` is the focused harness);
+  (``QueryPhaseStats.solve_seconds``);
 - **incremental** — one single-tuple delta (retract + re-insert of a
   suspect source fact, the cluster-touching worst case) applied through
   :class:`~repro.incremental.UpdateSession`, against the full re-exchange
@@ -266,28 +262,6 @@ def run_micro_scenario(
         engine.close()
         query_runs.append(run)
 
-    # Solve-strategy series (PR 8): re-run the query phase under the
-    # legacy per-signature strategy so every BENCH_*.json artifact carries
-    # the per-strategy solve comparison.  The loop above measured the
-    # default (incremental) strategy; answers must agree exactly.
-    legacy_solve_runs: list[float] = []
-    for _ in range(max(1, repeats)):
-        engine = SegmentaryEngine(
-            reduced, instance, cache=False, obs=obs,
-            solve_strategy="per-signature",
-        )
-        engine.data = data
-        engine.analysis = analysis
-        legacy_solve = 0.0
-        for query_name in queries:
-            result, stats = engine.answer_with_stats(query_by_name(query_name))
-            assert len(result) == answers[query_name], (
-                f"solve-strategy answer mismatch on {name}/{query_name}"
-            )
-            legacy_solve += stats.solve_seconds
-        engine.close()
-        legacy_solve_runs.append(legacy_solve)
-
     # Stage labels come from the timing dicts themselves (a hardcoded
     # label tuple silently zeroed any stage the exchange pipeline renamed
     # or added after it was written).
@@ -299,13 +273,6 @@ def run_micro_scenario(
     query_medians = {
         key: _median([run[key] for run in query_runs])
         for key in ("program_build", "solve", "query_total")
-    }
-    incremental_solve = query_medians["solve"]
-    per_signature_solve = _median(legacy_solve_runs)
-    solve_strategies = {
-        "incremental": round(incremental_solve, 6),
-        "per_signature": round(per_signature_solve, 6),
-        "speedup": speedup(per_signature_solve, incremental_solve),
     }
 
     # Incremental stage: a fresh engine + update session per repeat (the
@@ -348,7 +315,6 @@ def run_micro_scenario(
         "exchange_s": exchange_medians,
         "exchange_strategy_s": strategy_series,
         "query_s": query_medians,
-        "solve_strategy_s": solve_strategies,
         "incremental_s": incremental,
         "programs_solved": programs_solved,
         "answers": answers,
@@ -465,7 +431,6 @@ def format_micro_table(payload: dict) -> str:
     rows = []
     for name, row in payload["scenarios"].items():
         incremental = row.get("incremental_s")  # absent in pre-PR7 payloads
-        strategies = row.get("solve_strategy_s")  # absent in pre-PR8 payloads
         exchange_strategies = row.get("exchange_strategy_s")  # pre-PR10
         query_s = row.get("query_s")  # absent on TPC-H rows
         rows.append(
@@ -479,8 +444,6 @@ def format_micro_table(payload: dict) -> str:
                 if exchange_strategies else "-",
                 f"{query_s['program_build']:.3f}" if query_s else "-",
                 f"{query_s['solve']:.3f}" if query_s else "-",
-                format_speedup(strategies["speedup"], ".1f")
-                if strategies else "-",
                 f"{incremental['single_delta']:.4f}" if incremental else "-",
                 format_speedup(incremental["speedup"], ".1f")
                 if incremental else "-",
@@ -488,7 +451,7 @@ def format_micro_table(payload: dict) -> str:
         )
     return format_table(
         ["scenario", "facts", "groundings", "suspects",
-         "exchange[s]", "batch", "build[s]", "solve[s]", "strategy",
+         "exchange[s]", "batch", "build[s]", "solve[s]",
          "1-delta[s]", "incr"],
         rows,
         title=f"micro-benchmark medians over {payload['repeats']} repeat(s)",

@@ -115,7 +115,6 @@ def _command_answer(arguments) -> int:
     else:
         with SegmentaryEngine(
             mapping, instance, jobs=arguments.jobs, budget=budget, obs=obs,
-            solve_strategy=arguments.solve_strategy,
             exchange_strategy=arguments.exchange_strategy,
         ) as engine:
             if updates is not None:
@@ -278,7 +277,6 @@ def _command_serve(arguments) -> int:
         return 2
     config = ServiceConfig(
         jobs=arguments.jobs,
-        solve_strategy=arguments.solve_strategy,
         deadline=arguments.deadline,
         task_timeout=arguments.task_timeout,
         max_retries=arguments.retries,
@@ -351,29 +349,8 @@ def _command_bench(arguments) -> int:
                       f"{below}", file=sys.stderr)
                 return 1
         return 0
-    if arguments.ab:
-        from repro.bench.ab import AB_QUERIES, format_ab_table, run_solve_ab
-
-        scenarios = (
-            arguments.scenarios.split(",") if arguments.scenarios else None
-        )
-        queries = (
-            tuple(arguments.queries.split(",")) if arguments.queries
-            else AB_QUERIES
-        )
-        payload = run_solve_ab(
-            scenarios=scenarios,
-            repeats=arguments.repeats,
-            queries=queries,
-            log=print_flush,
-        )
-        print(format_ab_table(payload))
-        if arguments.json:
-            path = write_benchmark_json(arguments.json, payload)
-            print(f"% artifact written to {path}")
-        return 0
     if not arguments.micro:
-        print("nothing to do: pass --micro or --ab solve (paper-style "
+        print("nothing to do: pass --micro or --serve (paper-style "
               "tables live in benchmarks/, run them with pytest)",
               file=sys.stderr)
         return 2
@@ -440,14 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     answer.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for signature solving "
                         "(segmentary method only; default 1 = in-process)")
-    answer.add_argument("--solve-strategy",
-                        choices=("per-signature", "incremental"),
-                        default="incremental",
-                        help="query-phase solve strategy (segmentary "
-                        "method only): 'incremental' (default) decides "
-                        "each cluster family on one shared solver with "
-                        "learned-clause reuse; 'per-signature' is the "
-                        "legacy one-engine-per-signature reference path")
     answer.add_argument("--exchange-strategy", choices=("batch", "tuple"),
                         default="batch",
                         help="exchange evaluation path: 'batch' (default) "
@@ -461,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of solved (degraded answers)")
     answer.add_argument("--task-timeout", type=float, default=None,
                         metavar="SECONDS",
-                        help="per-signature-program solve budget "
+                        help="per-family-program solve budget "
                         "(segmentary) / whole-solve budget (monolithic)")
     answer.add_argument("--retries", type=int, default=0, metavar="N",
                         help="re-dispatch attempts for tasks whose worker "
@@ -537,11 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for signature solving "
                        "(default 1 = in-process)")
-    serve.add_argument("--solve-strategy",
-                       choices=("per-signature", "incremental"),
-                       default="incremental",
-                       help="query-phase solve strategy (default "
-                       "incremental)")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="per-request wall-clock ceiling; over-deadline "
@@ -549,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "instead of failing")
     serve.add_argument("--task-timeout", type=float, default=None,
                        metavar="SECONDS",
-                       help="per-signature-program solve ceiling")
+                       help="per-family-program solve ceiling")
     serve.add_argument("--retries", type=int, default=0, metavar="N",
                        help="re-dispatch attempts after worker crashes "
                        "(default 0)")
@@ -571,11 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--micro", action="store_true",
                        help="run the exchange/program-build/solve "
                        "micro-benchmark grid")
-    bench.add_argument("--ab", choices=("solve",), metavar="solve",
-                       help="A/B the per-signature vs incremental solve "
-                       "strategies under identical artifacts/budgets "
-                       "(answers cross-checked; default grid M10,M20,"
-                       "L10,L20 over ep2,xr2)")
     bench.add_argument("--scenarios", metavar="S0,M9,...",
                        help="comma-separated scenario names: genomics cells "
                        "(size letter + suspect percent) and/or TPC-H cells "

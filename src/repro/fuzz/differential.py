@@ -24,9 +24,10 @@ configuration and collects *discrepancies*:
 
 Engine matrix for the segmentary engine: SequentialExecutor vs a shared
 ParallelExecutor (``jobs`` ∈ {1, N}), cache cold vs warm vs disabled, and
-the incremental family strategy (the default, exercised by every axis
-above) vs the legacy per-signature strategy (``solve_strategy=
-"per-signature"``, certain and possible), and the exchange evaluation
+the family grouping (the default merges signature groups that share a
+cluster, exercised by every axis above; ``solve_strategy=
+"per-signature"`` makes each group its own family, certain and
+possible), and the exchange evaluation
 strategy (every engine runs on ``config.exchange_strategy``; one extra
 segmentary run forces the opposite of it, so the batch set-at-a-time and
 tuple-at-a-time exchange paths are cross-checked on every scenario).  All
@@ -246,9 +247,9 @@ def run_differential(
                 lambda: crossed.possible_answers(query),
             )
 
-    # The strategy axis: every segmentary run above uses the default
-    # incremental family path; this one forces the legacy per-signature
-    # path, so the two solve strategies are differentially compared on
+    # The grouping axis: every segmentary run above merges signature
+    # groups that share a cluster into one family; this one solves each
+    # group as its own family, so the merge is differentially checked on
     # every scenario (certain and possible).
     with SegmentaryEngine(
         mapping,
@@ -256,17 +257,17 @@ def run_differential(
         cache=False,
         solve_strategy="per-signature",
         exchange_strategy=config.exchange_strategy,
-    ) as legacy:
+    ) as per_signature:
         run(
             "segmentary-per-signature",
             "certain",
-            lambda: legacy.answer(query),
+            lambda: per_signature.answer(query),
         )
         if config.check_possible:
             run(
                 "segmentary-per-signature-possible",
                 "possible",
-                lambda: legacy.possible_answers(query),
+                lambda: per_signature.possible_answers(query),
             )
 
     if config.check_parallel:

@@ -1,7 +1,7 @@
 """Incremental exchange maintenance: delta-chase and live clusters.
 
 The paper's pipeline (chase → groundings → violation clusters → envelope
-→ per-signature solve) localizes inconsistency to violation clusters with
+→ per-family solve) localizes inconsistency to violation clusters with
 bounded support sets — which is exactly what makes *incremental*
 maintenance tractable: only clusters whose support meets a delta can
 change.  This package maintains a materialized

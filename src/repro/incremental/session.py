@@ -51,7 +51,7 @@ from repro.xr.envelope import (
     derivable_ids,
     support_closure_ids,
 )
-from repro.xr.exchange import ExchangeData, violation_key
+from repro.xr.exchange import ExchangeData, check_source_facts, violation_key
 
 from repro.incremental.chase import (
     DeltaChaseReport,
@@ -126,19 +126,20 @@ class UpdateSession:
         self._egd_index = EgdIndex(data.mapping.target_egds)
         self._grounding_keys = {grounding_key(*g) for g in data.groundings}
         self._violation_keys = {violation_key(v) for v in data.violations}
-        self._source_names = frozenset(data.mapping.source.names())
 
     # ------------------------------------------------------------- apply
+
+    def validate(self, deltas) -> None:
+        """Raise ``ValueError`` if any fact of any delta does not fit the
+        source schema; nothing is applied either way."""
+        source = self.data.mapping.source
+        for delta in deltas:
+            check_source_facts(source, Instance(delta.support_facts()))
 
     def apply(self, delta: Delta) -> UpdateReport:
         """Apply one delta; returns the per-layer report."""
         started = time.perf_counter()
-        for fact in delta.inserts | delta.retracts:
-            if fact.relation not in self._source_names:
-                raise ValueError(
-                    f"update mentions non-source relation "
-                    f"{fact.relation!r}: {fact!r}"
-                )
+        self.validate([delta])
         effective = delta.normalized(self.data.source_instance)
         report = UpdateReport(noop=effective.is_noop())
         tracer, metrics = self.obs.tracer, self.obs.metrics
@@ -200,7 +201,9 @@ class UpdateSession:
         return report
 
     def apply_stream(self, deltas) -> list[UpdateReport]:
-        """Apply a list of deltas in order."""
+        """Apply a list of deltas in order, after validating all of them:
+        a stream with one bad step is rejected before any step applies."""
+        self.validate(deltas)
         return [self.apply(delta) for delta in deltas]
 
     # ----------------------------------------------- cluster maintenance

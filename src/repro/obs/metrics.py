@@ -24,7 +24,7 @@ from bisect import bisect_left
 from typing import Any, Iterable
 
 #: Default histogram boundaries, in seconds, chosen for solve times: the
-#: segmentary engine's per-signature programs cluster well under 1s.
+#: segmentary engine's per-family programs cluster well under 1s.
 DEFAULT_TIME_BUCKETS: tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0,
 )

@@ -1,14 +1,14 @@
 """Pluggable solve execution and caching for the segmentary query phase.
 
-The per-signature programs of Section 6.4 are pairwise-independent by
+The per-family programs of Section 6.4 are pairwise-independent by
 cluster independence (Definition 8 / Propositions 5–6), which makes solving
 them an embarrassingly parallel workload.  This package provides:
 
 - :mod:`repro.runtime.executor` — a small executor abstraction over "solve
   this batch of ground programs": :class:`SequentialExecutor` (in-process,
   zero dependencies) and :class:`ParallelExecutor` (a
-  ``ProcessPoolExecutor``-backed fan-out with chunked dispatch and graceful
-  fallback to sequential execution);
+  ``ProcessPoolExecutor``-backed fan-out with per-task dispatch and
+  graceful fallback to sequential execution);
 - :mod:`repro.runtime.cache` — a cross-query result cache for signature
   programs plus a coarser per-cluster decision memo, so a warm engine
   answering repeated or structurally-similar queries skips redundant

@@ -1,12 +1,12 @@
 """Resource governance for the solve path: budgets, deadlines, backoff.
 
 XR-Certain answering is Πp2-hard, so even the segmentary engine's "many
-small hard problems" can contain one signature program whose CDCL search
+small hard problems" can contain one family program whose CDCL search
 blows up.  A :class:`SolveBudget` bounds that risk three ways:
 
 - ``deadline`` — wall-clock seconds for a whole query (the batch of
-  signature solves, measured from the start of the query phase);
-- ``task_timeout`` — wall-clock seconds for any single signature solve;
+  family solves, measured from the start of the query phase);
+- ``task_timeout`` — wall-clock seconds for any single family solve;
 - ``max_retries`` — how many times a *crashed* solve (a worker process
   that died mid-task) is re-dispatched, with exponential backoff.
 

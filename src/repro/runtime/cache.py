@@ -5,7 +5,7 @@ fresh solve would have returned):
 
 **Signature-program cache.**  Keyed by
 ``(signature, encoding, mode, frozenset(query_groundings))`` — the complete
-input of one per-signature program.  A warm engine answering the same query
+input of one signature group.  A warm engine answering the same query
 again (the pattern of ``run_query_suite`` and the Table 3 suite) hits this
 layer and skips program construction *and* solving.
 

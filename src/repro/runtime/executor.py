@@ -1,8 +1,9 @@
 """Solve executors: sequential and process-parallel signature solving.
 
 A :class:`SolveTask` is one self-contained unit of query-phase work — a
-ground program plus the query-atom ids to decide cautiously or bravely,
-and the :class:`~repro.runtime.budget.SolveBudget` governing the solve.
+cluster family's ground program plus the query-atom ids to decide
+cautiously or bravely, and the :class:`~repro.runtime.budget.SolveBudget`
+governing the solve.
 Executors take a batch of tasks and return one :class:`SolveOutcome` per
 task, *in task order*.  Because every solve is a pure function of its task
 (the CDCL search is deterministic), sequential and parallel execution are
@@ -50,20 +51,14 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
-from repro.asp.reasoning import (
-    brave_consequences,
-    cautious_consequences,
-    decide_family,
-)
-from repro.asp.stable import StableModelEngine
+from repro.asp.reasoning import decide_family
 from repro.asp.syntax import GroundProgram, GroundRule
 from repro.obs.metrics import Metrics
-from repro.obs.tracing import Tracer
+from repro.obs.tracing import NOOP_TRACER, Tracer
 from repro.runtime.budget import (
     NO_BUDGET,
     Deadline,
     SolveBudget,
-    SolveBudgetExceeded,
     backoff_delay,
 )
 
@@ -108,20 +103,17 @@ class SolveTask:
     """Decide which of ``query_atom_ids`` hold under ``mode`` in ``program``.
 
     ``mode`` is ``"certain"`` (cautious: true in every stable model) or
-    ``"possible"`` (brave: true in some stable model).  ``budget`` carries
-    the per-task timeout and crash-retry policy; the default
-    :data:`~repro.runtime.budget.NO_BUDGET` changes nothing.  ``trace``
-    asks the worker to record a ``solve.task`` span (with the solver's
-    search statistics as span counters) and ship it back as plain data on
-    the outcome — answer-neutral, off by default.
-
-    ``family`` switches the worker to the incremental family path
-    (:func:`repro.asp.reasoning.decide_family`): all query atoms are
-    decided on one engine with shared learned clauses, and a budget cutoff
-    degrades per-candidate — the outcome then carries the exact verdicts
-    reached before the interrupt plus the ``undecided`` remainder, instead
-    of abandoning the whole batch.  A family is one task precisely so
-    clause reuse survives process-pool dispatch.
+    ``"possible"`` (brave: true in some stable model).  All query atoms
+    are decided on one engine with shared learned clauses
+    (:func:`repro.asp.reasoning.decide_family`); a family is one task
+    precisely so clause reuse survives process-pool dispatch.  ``budget``
+    carries the per-task timeout and crash-retry policy; the default
+    :data:`~repro.runtime.budget.NO_BUDGET` changes nothing.  A budget
+    cutoff degrades per candidate: the outcome carries the exact verdicts
+    reached before the interrupt plus the ``undecided`` remainder.
+    ``trace`` asks the worker to record a ``solve.task`` span (with the
+    solver's search statistics as span counters) and ship it back as
+    plain data on the outcome — answer-neutral, off by default.
     """
 
     program: PackedProgram
@@ -129,7 +121,6 @@ class SolveTask:
     mode: str = "certain"
     budget: SolveBudget = NO_BUDGET
     trace: bool = False
-    family: bool = False
 
 
 @dataclass
@@ -138,19 +129,20 @@ class SolveOutcome:
 
     ``status`` is ``"ok"`` (solved; ``decided is None`` then means the
     program has no stable model), ``"timeout"`` (the task's or batch's
-    deadline passed before the solve finished), or ``"error"`` (the
+    deadline passed before every atom got a verdict), or ``"error"`` (the
     worker died and retries were exhausted).  ``attempts`` counts
     dispatches, so ``attempts - 1`` is the number of retries.  ``span``
     is the worker's serialized ``solve.task`` span tree when the task
     asked for one (``SolveTask.trace``) — the result channel doubles as
     the trace channel, so process-pool solves stay observable.
 
-    Family tasks add per-candidate fields: ``rejected`` mirrors
-    ``decided`` with the atoms proven *not* to hold, and ``undecided``
-    lists atoms the budget cut off before a verdict.  A family timeout
-    with ``decided is not None`` is a *partial* outcome — its decided and
-    rejected verdicts are exact and usable; only ``undecided`` degrades
-    to unknown.  Legacy (per-signature) timeouts keep ``decided=None``.
+    ``rejected`` mirrors ``decided`` with the atoms proven *not* to hold,
+    and ``undecided`` lists atoms the budget cut off before a verdict.  A
+    timeout with ``decided is not None`` is a *partial* outcome — its
+    decided and rejected verdicts are exact and usable; only
+    ``undecided`` degrades to unknown.  Cutoffs outside the solve (a
+    batch deadline that passed before dispatch, a wedged or crashed
+    worker) carry ``decided=None``: nothing was decided.
     """
 
     decided: frozenset[int] | None  # None: no stable model (status "ok")
@@ -172,8 +164,9 @@ def solve_task(task: SolveTask, deadline_at: float | None = None) -> SolveOutcom
 
     ``deadline_at`` is an absolute monotonic batch cutoff shipped by the
     parent; it is intersected with the task's own ``task_timeout``.  When
-    the resulting deadline fires mid-search, the cooperative check raises
-    and the outcome is reported as ``status="timeout"``.
+    the resulting deadline fires mid-search, the outcome is reported as
+    ``status="timeout"`` with the atoms still lacking a verdict in
+    ``undecided``.
 
     With ``task.trace`` set, the solve runs under a process-local tracer
     and the outcome carries the serialized ``solve.task`` span (program
@@ -185,97 +178,42 @@ def solve_task(task: SolveTask, deadline_at: float | None = None) -> SolveOutcom
     deadline = Deadline.tightest(
         timeout=task.budget.task_timeout, at=deadline_at
     )
-    tracer = Tracer() if task.trace else None
-    status = "ok"
-    engine: StableModelEngine | None = None
-    decided: frozenset[int] | None = None
-    rejected: frozenset[int] | None = None
-    undecided: frozenset[int] = frozenset()
-    solve_stats: dict[str, int] | None = None
-
-    def _solve() -> None:
-        nonlocal engine, decided, rejected, undecided, status, solve_stats
-        # Family engines use the compact generator: one engine serves many
-        # candidates, so the leaner encoding and its precomputed reduct
-        # scaffold amortize.  The per-signature path keeps the plain
-        # encoding — it is the reference implementation the differential
-        # fuzzer compares against.
-        engine = StableModelEngine(
-            task.program, deadline=deadline, compact=task.family
+    tracer = Tracer() if task.trace else NOOP_TRACER
+    with tracer.span(
+        "solve.task",
+        mode=task.mode,
+        atoms=task.program.num_atoms,
+        rules=len(task.program.rules),
+        query_atoms=len(task.query_atom_ids),
+    ):
+        # A budget cutoff is caught inside decide_family: the verdicts
+        # reached before it are exact and come back with the remainder.
+        verdicts = decide_family(
+            task.program,
+            task.query_atom_ids,
+            mode="cautious" if task.mode == "certain" else "possible",
+            deadline=deadline,
         )
-        if task.family:
-            verdicts = decide_family(
-                task.program,
-                task.query_atom_ids,
-                mode="cautious" if task.mode == "certain" else "possible",
-                engine=engine,
-                deadline=deadline,
-            )
-            # The family stats superset the solver's own counters with
-            # core_skips / family_models — shipped home as solver_stats.
-            solve_stats = dict(verdicts.stats)
-            if verdicts.no_model:
-                decided = None  # same signal as the per-signature path
-                return
-            decided = verdicts.accepted
-            rejected = verdicts.rejected
-            undecided = verdicts.undecided
-            if undecided:
-                # The budget fired mid-family; the verdicts reached are
-                # exact and ride along — per-candidate degradation.
-                status = "timeout"
-            return
-        reason = (
-            cautious_consequences if task.mode == "certain" else brave_consequences
-        )
-        decided = reason(
-            task.program, task.query_atom_ids, engine=engine, deadline=deadline
-        )
-
-    try:
-        if tracer is None:
-            _solve()
-        else:
-            with tracer.span(
-                "solve.task",
-                mode=task.mode,
-                atoms=task.program.num_atoms,
-                rules=len(task.program.rules),
-                query_atoms=len(task.query_atom_ids),
-            ):
-                _solve()
-    except SolveBudgetExceeded:
-        status = "timeout"
-        decided = rejected = None
-        undecided = frozenset()
     seconds = time.perf_counter() - started
+    status = "timeout" if verdicts.undecided else "ok"
 
     span_payload: dict | None = None
-    if tracer is not None:
-        roots = tracer.finished
-        if roots:
-            root = roots[0]
-            root.tag("status", status)
-            if engine is not None:
-                for key, value in engine.statistics.items():
-                    root.count(key, value)
-            span_payload = root.to_dict()
+    if task.trace:
+        root = tracer.finished[0]
+        root.tag("status", status)
+        for key, value in verdicts.stats.items():
+            root.count(key, value)
+        span_payload = root.to_dict()
 
-    if status != "ok" and decided is None:
-        return SolveOutcome(
-            decided=None, seconds=seconds, status=status, span=span_payload
-        )
-    assert engine is not None
     return SolveOutcome(
-        decided=decided,
+        decided=None if verdicts.no_model else verdicts.accepted,
         seconds=seconds,
-        solver_stats=(
-            dict(engine.statistics) if solve_stats is None else solve_stats
-        ),
+        # The solver's own counters plus core_skips / family_models.
+        solver_stats=dict(verdicts.stats),
         status=status,
         span=span_payload,
-        rejected=rejected,
-        undecided=undecided,
+        rejected=verdicts.rejected,
+        undecided=verdicts.undecided,
     )
 
 
@@ -440,14 +378,10 @@ class ParallelExecutor:
         self,
         jobs: int | None = None,
         min_batch: int = DEFAULT_MIN_BATCH,
-        chunk_size: int | None = None,
         deadline_grace: float = DEFAULT_DEADLINE_GRACE,
     ):
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
         self.min_batch = max(1, min_batch)
-        # Kept for API compatibility; dispatch is per-task since the
-        # budget rework (retry and timeout need task granularity).
-        self.chunk_size = chunk_size
         self.deadline_grace = deadline_grace
         self._dispatch = _DispatchRecord()
         self.metrics: Metrics | None = None
@@ -705,11 +639,9 @@ class ParallelExecutor:
 
 
 def make_executor(
-    jobs: int = 1,
-    min_batch: int = DEFAULT_MIN_BATCH,
-    chunk_size: int | None = None,
+    jobs: int = 1, min_batch: int = DEFAULT_MIN_BATCH
 ) -> SolveExecutor:
     """``jobs <= 1`` → :class:`SequentialExecutor`; else a parallel one."""
     if jobs <= 1:
         return SequentialExecutor()
-    return ParallelExecutor(jobs=jobs, min_batch=min_batch, chunk_size=chunk_size)
+    return ParallelExecutor(jobs=jobs, min_batch=min_batch)

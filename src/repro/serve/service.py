@@ -59,7 +59,6 @@ class ServiceConfig:
     """Serving knobs (every one also a ``repro serve`` CLI flag)."""
 
     jobs: int = 1
-    solve_strategy: str = "incremental"
     # Budget ceiling: per-request budgets are capped by these (a client
     # can tighten its own SLO, never loosen the server's).
     deadline: float | None = None
@@ -110,7 +109,6 @@ class QueryService:
             jobs=self.config.jobs,
             cache=self.cache,
             obs=self.obs,
-            solve_strategy=self.config.solve_strategy,
         )
         self._ceiling = self.config.budget_ceiling()
         self.rwlock = RWLock()
@@ -157,7 +155,12 @@ class QueryService:
     # ------------------------------------------------------------ writes
 
     def update(self, deltas: list[Delta]) -> dict:
-        """Apply delta steps in order under the exclusive lock."""
+        """Apply delta steps in order under the exclusive lock.
+
+        Every step is validated first, before the lock is taken: a
+        stream with one bad step raises ``ValueError`` and applies none.
+        """
+        self.session.validate(deltas)
         with self.rwlock.write_locked():
             reports = [self.session.apply(delta) for delta in deltas]
         self.metrics.inc("serve_updates_total", len(reports))

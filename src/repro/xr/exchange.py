@@ -24,6 +24,7 @@ from repro.dependencies.mapping import SchemaMapping
 from repro.dependencies.tgds import TGD
 from repro.relational.instance import Fact, Instance
 from repro.relational.queries import match_atoms
+from repro.relational.schema import Schema
 from repro.relational.terms import Variable, is_constant_value
 
 
@@ -262,6 +263,25 @@ def find_violations(mapping: SchemaMapping, chased: Instance) -> list[Violation]
 EXCHANGE_STRATEGIES = ("batch", "tuple")
 
 
+def check_source_facts(source: Schema, instance: Instance) -> None:
+    """Raise ``ValueError`` naming a fact of ``instance`` that does not fit
+    the source schema: a relation it does not declare, or another arity."""
+    for name in sorted(instance.relations()):
+        facts = instance.facts_of(name)
+        relation = source.get(name)
+        if relation is None:
+            raise ValueError(
+                f"non-source relation {name!r}: {next(iter(facts))!r}"
+            )
+        for fact in facts:
+            if len(fact.args) != relation.arity:
+                raise ValueError(
+                    f"{fact!r} has {len(fact.args)} argument(s), but "
+                    f"source relation {name} is declared with arity "
+                    f"{relation.arity}"
+                )
+
+
 def build_exchange_data(
     mapping: SchemaMapping,
     source_instance: Instance,
@@ -297,6 +317,7 @@ def build_exchange_data(
             "exchange data requires a gav+(gav, egd) mapping; "
             "run reduce_mapping first"
         )
+    check_source_facts(mapping.source, source_instance)
     if obs is None:
         obs = NOOP_RECORDER
     tracer, metrics = obs.tracer, obs.metrics

@@ -535,7 +535,7 @@ def build_family_program(
     union focus — sound because clusters are pairwise independent
     (Definition 8): restricting a stable model of the union program to
     one member signature's focus yields exactly a stable model of that
-    member's per-signature program, so cautious/brave verdicts of the
+    member's program built alone, so cautious/brave verdicts of the
     query atoms coincide.  All candidates of the family then share one
     solver, and everything it learns transfers across them.
     """

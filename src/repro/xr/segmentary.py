@@ -8,20 +8,23 @@ Query answering in two phases:
 - the **query phase**: ground the (rewritten) query over the quasi-solution
   to obtain candidate answers; accept immediately those with an all-safe
   support set; group the rest by *signature* (the set of violation clusters
-  whose influences meet their supports); decide each group with one small
-  ground disjunctive program — the Figure 1 program restricted to the
-  group's focus, with safe facts represented by *true*.
+  whose influences meet their supports); merge signature groups that share
+  a cluster into *families*, and decide each family with one small ground
+  disjunctive program — the Figure 1 program restricted to the family's
+  focus, with safe facts represented by *true* — on one solver
+  (:func:`~repro.asp.reasoning.decide_family`).
 
 Many small hard problems instead of one large one (Theorem 4).
 
 Because distinct clusters are pairwise-independent (Definition 8 /
-Propositions 5–6), the per-signature programs are too: the query phase
-*builds* all of them first, then dispatches the batch through a pluggable
+Propositions 5–6), the family programs are too: the query phase *builds*
+all of them first, then dispatches the batch through a pluggable
 :mod:`repro.runtime` executor — sequentially by default, or across a
 process pool with ``jobs > 1``.  A cross-query cache
-(:class:`~repro.runtime.SignatureProgramCache`) makes repeated queries
-over a warm engine skip redundant solving entirely.  Parallel and
-sequential execution, cached and uncached, return identical answers.
+(:class:`~repro.runtime.SignatureProgramCache`), keyed per signature,
+makes repeated queries over a warm engine skip redundant solving
+entirely.  Parallel and sequential execution, cached and uncached, return
+identical answers.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Container
 
-from repro.asp.syntax import AtomTable, GroundProgram
 from repro.dependencies.mapping import SchemaMapping
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS
 from repro.obs.recorder import NOOP_RECORDER, Recorder
@@ -48,11 +50,7 @@ from repro.runtime.executor import (
 )
 from repro.xr.envelope import EnvelopeAnalysis, analyze_envelopes
 from repro.xr.exchange import ExchangeData, build_exchange_data
-from repro.xr.program import (
-    XRProgram,
-    build_family_program,
-    build_xr_program,
-)
+from repro.xr.program import build_family_program, build_xr_program
 from repro.xr.queries import answers_from_facts, ground_query
 
 
@@ -99,12 +97,13 @@ class QueryPhaseStats:
     retries: int = 0
     degraded: bool = False
     unknown_candidates: set[tuple] = field(default_factory=set)
-    # Incremental solve-strategy observability: which strategy ran, how
-    # many cluster families were solved, how many candidates those
-    # families covered, level-0 assumption-core skips (candidates decided
-    # without search), and clauses carried across candidates (learned
-    # clauses + loop formulas + steering, summed over family engines).
-    strategy: str = "per-signature"
+    # Family observability: the grouping in force (the engine's
+    # ``solve_strategy``), how many cluster families were solved, how many
+    # candidates those families covered, level-0 assumption-core skips
+    # (candidates decided without search), and clauses carried across
+    # candidates (learned clauses + loop formulas + steering, summed over
+    # family engines).
+    strategy: str = "incremental"
     families_solved: int = 0
     family_candidates: int = 0
     core_skips: int = 0
@@ -140,33 +139,58 @@ class ExchangePhaseStats:
     strategy: str = "batch"
 
 
-# A shared empty program for groups fully decided by the caches.
-_EMPTY_PROGRAM = GroundProgram(AtomTable())
-
-
 @dataclass
 class _SignatureGroup:
     """One signature group's work unit in the query phase."""
 
     key: tuple
     signature: frozenset[int]
-    xr_program: XRProgram
     # Candidate -> decision-memo key, for the candidates the solver decides.
     decision_keys: dict[Fact, frozenset]
-    # Query atoms actually sent to the solver (trivially-certain ones are
-    # accepted up front and excluded from the solve set).
-    solve_atoms: dict[Fact, int]
-    # Group candidates already accepted before solving: program-cache hits,
-    # memo hits, trivially-certain candidates.
+    # Group candidates accepted before solving: program-cache hits and
+    # memo hits.
     accepted_so_far: set[Fact]
-    # Candidates the caches could not decide.  Under the incremental
-    # strategy the per-signature program is *not* built — these ride into
-    # the family program instead, and ``solve_atoms`` is filled in then.
+    # Candidates the caches could not decide; they ride into the family
+    # program, which fills in the two fields below.
     unresolved: list[Fact] = field(default_factory=list)
+    # This group's own trivially-certain candidates (accepted without
+    # search), and the query atoms it sends to the family solver.
+    trivially_certain: set[Fact] = field(default_factory=set)
+    solve_atoms: dict[Fact, int] = field(default_factory=dict)
+
+
+def _merge_by_shared_clusters(
+    groups: list[_SignatureGroup],
+) -> dict[int, list[_SignatureGroup]]:
+    """Groups keyed by family root: two groups share a family when their
+    signatures share a violation cluster, transitively (union-find over
+    cluster ids)."""
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
+
+    for group in groups:
+        ids = sorted(group.signature)
+        for cluster_id in ids:
+            parent.setdefault(cluster_id, cluster_id)
+        anchor = find(ids[0])
+        for cluster_id in ids[1:]:
+            parent[find(cluster_id)] = anchor
+
+    families: dict[int, list[_SignatureGroup]] = {}
+    for group in groups:
+        families.setdefault(find(min(group.signature)), []).append(group)
+    return families
 
 
 class SegmentaryEngine:
-    """XR-Certain query answering with an exchange phase and per-signature
+    """XR-Certain query answering with an exchange phase and per-family
     query programs.
 
     Accepts any ``glav+(wa-glav, egd)`` mapping (reduced internally).  Call
@@ -183,18 +207,18 @@ class SegmentaryEngine:
       or ``False`` to disable caching;
     - ``parallel_threshold``: batches smaller than this solve in-process
       even when ``jobs > 1``;
-    - ``solve_strategy``: ``"incremental"`` (default) merges signature
-      groups into cluster families and decides each family's candidates
-      on one solver with shared learned clauses
-      (:func:`~repro.asp.reasoning.decide_family`); ``"per-signature"``
-      builds and solves a fresh program per signature group (the pre-PR 8
-      behavior).  Both return identical answers; the caches are keyed per
-      signature in both, so entries are shared across strategies.
+    - ``solve_strategy``: how signature groups form families.
+      ``"incremental"`` (default) merges groups whose signatures share a
+      violation cluster; ``"per-signature"`` makes every group its own
+      family.  Either way each family is decided on one solver with
+      shared learned clauses (:func:`~repro.asp.reasoning.decide_family`);
+      answers are identical, and the caches are keyed per signature, so
+      entries are shared across the two groupings.
 
     Resource governance (``budget``, a :class:`~repro.runtime.SolveBudget`)
-    is the one knob that can change *what* is answered: a signature group
-    whose solve exceeds the budget is reported as **unknown** — with
-    ``allow_partial=True`` its candidates are excluded from certain
+    is the one knob that can change *what* is answered: a candidate the
+    budget cuts off before its verdict is reported as **unknown** — with
+    ``allow_partial=True`` such candidates are excluded from certain
     answers (sound under-approximation), conservatively included in
     possible answers (sound over-approximation), and listed in
     ``stats.unknown_candidates``; with ``allow_partial=False`` (the
@@ -418,10 +442,10 @@ class SegmentaryEngine:
     ) -> set[tuple]:
         """The XR-Possible answers: tuples holding in *some* XR-solution.
 
-        Decided with the same per-signature decomposition: by cluster
+        Decided with the same family decomposition: by cluster
         independence (Definition 8), a candidate holds in some XR-solution
         iff it holds in some combination of repairs of its signature's
-        clusters, i.e. iff its signature program answers bravely.
+        clusters, i.e. iff its family program answers bravely.
         """
         answers, _stats = self.answer_with_stats(
             query, mode="possible", allow_partial=allow_partial, budget=budget
@@ -441,9 +465,9 @@ class SegmentaryEngine:
         ``self.last_query_stats``); callers holding it never see it mutate
         under a later query.
 
-        When the engine's budget cuts a signature group off (timeout, or a
-        crashed worker out of retries), ``allow_partial`` decides the
-        behavior: ``True`` degrades gracefully — the group's undecided
+        When the engine's budget cuts a family off (timeout, or a crashed
+        worker out of retries), ``allow_partial`` decides the behavior:
+        ``True`` degrades gracefully — the family's undecided
         candidates are reported in ``stats.unknown_candidates``, excluded
         from certain answers and conservatively included in possible
         answers, and never written to the caches — while ``False`` raises
@@ -460,7 +484,6 @@ class SegmentaryEngine:
             # The serving tier passes one per request so concurrent
             # deadlines never share (or mutate) engine state.
             budget = self.budget
-        incremental = self.solve_strategy == "incremental"
         stats = QueryPhaseStats(
             executor=self.executor.name, strategy=self.solve_strategy
         )
@@ -507,8 +530,8 @@ class SegmentaryEngine:
             # would cost the whole safe chase on every query.
             safe_facts = analysis.safe_chased
 
-            # Build every still-undecided signature program first, then
-            # solve the whole batch through the executor (the programs are
+            # Build every still-undecided family program first, then solve
+            # the whole batch through the executor (the programs are
             # pairwise independent, so any execution order or interleaving
             # is valid).
             pending: list[_SignatureGroup] = []
@@ -531,38 +554,14 @@ class SegmentaryEngine:
                         continue
                     group = self._resolve_group(
                         signature, candidates, supports_by_candidate,
-                        safe_facts, mode, stats, build=not incremental,
+                        safe_facts, mode, stats,
                     )
                     accepted |= group.accepted_so_far
-                    # Trivially-certain candidates are folded in *before*
-                    # any query_atoms guard: even if `_emit_query_rules`'s
-                    # invariant (trivially_certain ⊆ query_atoms) ever
-                    # loosens, they can never be dropped.
-                    accepted |= group.xr_program.trivially_certain
-                    if incremental:
-                        if group.unresolved:
-                            pending.append(group)
-                        else:
-                            self._finalize_group(group, set(), mode)
-                        continue
-                    if group.solve_atoms:
+                    if group.unresolved:
                         pending.append(group)
-                        tasks.append(
-                            SolveTask(
-                                program=PackedProgram.pack(
-                                    group.xr_program.program
-                                ),
-                                query_atom_ids=tuple(
-                                    sorted(group.solve_atoms.values())
-                                ),
-                                mode=mode,
-                                budget=budget,
-                                trace=tracer.enabled,
-                            )
-                        )
                     else:
                         self._finalize_group(group, set(), mode)
-                if incremental and pending:
+                if pending:
                     family_batches, tasks = self._assemble_families(
                         pending, supports_by_candidate, mode, stats,
                         accepted, unknown, clock, allow_partial,
@@ -574,18 +573,11 @@ class SegmentaryEngine:
                 with tracer.span("query.solve"):
                     outcomes = self.executor.run(tasks, deadline=clock)
                     stats.executor = self.executor.last_dispatch
-                    if incremental:
-                        self._handle_family_outcomes(
-                            family_batches, outcomes, mode, stats,
-                            accepted, unknown, allow_partial,
-                            tracer, metrics,
-                        )
-                    else:
-                        self._handle_signature_outcomes(
-                            pending, outcomes, mode, stats,
-                            accepted, unknown, allow_partial,
-                            tracer, metrics,
-                        )
+                    self._handle_family_outcomes(
+                        family_batches, outcomes, mode, stats,
+                        accepted, unknown, allow_partial,
+                        tracer, metrics,
+                    )
 
             if unknown:
                 stats.degraded = True
@@ -607,60 +599,6 @@ class SegmentaryEngine:
         # the other's view afterwards.
         self._last_query_stats = stats.copy()
         return answers_from_facts(accepted), stats
-
-    def _handle_signature_outcomes(
-        self,
-        pending: list[_SignatureGroup],
-        outcomes,
-        mode: str,
-        stats: QueryPhaseStats,
-        accepted: set[Fact],
-        unknown: set[Fact],
-        allow_partial: bool,
-        tracer,
-        metrics,
-    ) -> None:
-        """Fold per-signature solve outcomes into the answer state."""
-        for group, outcome in zip(pending, outcomes):
-            stats.retries += max(0, outcome.attempts - 1)
-            if outcome.span is not None:
-                # Worker span trees ride the result channel home;
-                # reattached here under query.solve with a remote-clock
-                # marker.
-                tracer.attach(outcome.span)
-            if not outcome.ok:
-                # This group's solve was cut off (deadline, per-task
-                # timeout, or a crashed worker out of retries): its
-                # candidates are *unknown*.  Nothing is cached — an
-                # unknown is a budget artifact, not a verdict.
-                if not allow_partial:
-                    raise SolveBudgetExceeded(
-                        f"signature solve {outcome.status}: "
-                        f"{len(group.solve_atoms)} candidate(s) undecided"
-                    )
-                stats.timeouts += 1
-                unknown.update(group.solve_atoms)
-                continue
-            if outcome.decided is None:
-                raise RuntimeError("a signature program has no stable model")
-            stats.programs_solved += 1
-            stats.program_seconds.append(outcome.seconds)
-            stats.solve_seconds += outcome.seconds
-            if metrics.enabled:
-                metrics.histogram(
-                    "solve_seconds", DEFAULT_TIME_BUCKETS
-                ).observe(outcome.seconds)
-            for key, value in outcome.solver_stats.items():
-                stats.solver_stats[key] = (
-                    stats.solver_stats.get(key, 0) + value
-                )
-            newly = {
-                fact
-                for fact, atom_id in group.solve_atoms.items()
-                if atom_id in outcome.decided
-            }
-            accepted |= newly
-            self._finalize_group(group, newly, mode)
 
     def _handle_family_outcomes(
         self,
@@ -776,15 +714,6 @@ class SegmentaryEngine:
         for key, value in stats.solver_stats.items():
             metrics.inc(f"solver_{key}_total", value)
 
-    # Backwards-compatible internal entry point.
-    def _answer(
-        self,
-        query: ConjunctiveQuery | UnionOfConjunctiveQueries,
-        mode: str,
-    ) -> set[tuple]:
-        answers, _stats = self.answer_with_stats(query, mode=mode)
-        return answers
-
     # ------------------------------------------------------------ helpers
 
     def _resolve_group(
@@ -795,23 +724,13 @@ class SegmentaryEngine:
         safe_facts: Container[Fact],
         mode: str,
         stats: QueryPhaseStats,
-        build: bool = True,
     ) -> _SignatureGroup:
-        """Decide a signature group from the caches, or build its program.
+        """Decide what the caches can of a signature group.
 
-        A group answered entirely from the cache comes back with an empty
-        ``solve_atoms`` and its accepted candidates in ``accepted_so_far``;
-        otherwise the built program rides along for the executor batch.
-
-        ``build=False`` (the incremental strategy) stops after the cache
-        probes: undecided candidates come back in ``unresolved`` and no
-        per-signature program is constructed — the family program built
-        later covers them.  Cache keys are identical either way, so warm
-        entries are shared across strategies.
+        Accepted candidates come back in ``accepted_so_far``; the ones the
+        caches could not decide come back in ``unresolved``, for the family
+        program built later (:meth:`_assemble_families`).
         """
-        assert self.analysis is not None and self.data is not None
-        analysis, data = self.analysis, self.data
-
         group_groundings = [
             (candidate, support)
             for candidate in candidates
@@ -826,9 +745,7 @@ class SegmentaryEngine:
                 return _SignatureGroup(
                     key=key,
                     signature=signature,
-                    xr_program=XRProgram(program=_EMPTY_PROGRAM),
                     decision_keys={},
-                    solve_atoms={},
                     accepted_so_far=set(cached),
                 )
             stats.cache_misses += 1
@@ -855,59 +772,10 @@ class SegmentaryEngine:
                 if verdict:
                     group_accept.add(candidate)
 
-        if not unresolved:
-            return _SignatureGroup(
-                key=key,
-                signature=signature,
-                xr_program=XRProgram(program=_EMPTY_PROGRAM),
-                decision_keys={},
-                solve_atoms={},
-                accepted_so_far=group_accept,
-            )
-
-        if not build:
-            return _SignatureGroup(
-                key=key,
-                signature=signature,
-                xr_program=XRProgram(program=_EMPTY_PROGRAM),
-                decision_keys={c: decision_keys[c] for c in unresolved},
-                solve_atoms={},
-                accepted_so_far=group_accept,
-                unresolved=unresolved,
-            )
-
-        query_groundings = [
-            (candidate, support)
-            for candidate in unresolved
-            for support in supports_by_candidate[candidate]
-        ]
-        # A signature is a one-group family.  Signatures hold *stable*
-        # cluster ids (incremental maintenance can retire/mint ids), so
-        # resolution goes through the id lookup rather than list position.
-        xr_program = build_family_program(
-            data,
-            query_groundings=query_groundings,
-            clusters=[analysis.cluster(index) for index in signature],
-            safe_ids=analysis.safe_ids,
-            encoding=self.encoding,
-            builder=build_xr_program,
-        )
-        stats.largest_program_atoms = max(
-            stats.largest_program_atoms, xr_program.program.num_atoms
-        )
-        stats.total_rules += len(xr_program.program)
-
-        solve_atoms = {
-            fact: atom_id
-            for fact, atom_id in xr_program.query_atoms.items()
-            if fact not in xr_program.trivially_certain
-        }
         return _SignatureGroup(
             key=key,
             signature=signature,
-            xr_program=xr_program,
             decision_keys={c: decision_keys[c] for c in unresolved},
-            solve_atoms=solve_atoms,
             accepted_so_far=group_accept,
             unresolved=unresolved,
         )
@@ -922,15 +790,16 @@ class SegmentaryEngine:
         unknown: set[Fact],
         clock,
         allow_partial: bool,
-        trace: bool = False,
-        budget: SolveBudget | None = None,
+        trace: bool,
+        budget: SolveBudget,
     ) -> tuple[list[list[_SignatureGroup]], list[SolveTask]]:
         """Merge pending signature groups into cluster families, one shared
         program (and one :class:`SolveTask`) per family.
 
         Two groups belong to the same family when their signatures share a
-        violation cluster (transitively — union-find over cluster ids).
-        Each family's program is built once over the union focus
+        violation cluster (transitively — union-find over cluster ids);
+        under ``solve_strategy="per-signature"`` every group is its own
+        family.  Each family's program is built once over the union focus
         (:func:`~repro.xr.program.build_family_program`); its members'
         ``solve_atoms`` are filled from the *shared* atom table, and every
         member keeps only its **own** trivially-certain candidates — a
@@ -940,30 +809,11 @@ class SegmentaryEngine:
         """
         assert self.analysis is not None and self.data is not None
         analysis, data = self.analysis, self.data
-        if budget is None:
-            budget = self.budget
 
-        parent: dict[int, int] = {}
-
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:  # path compression
-                parent[x], x = root, parent[x]
-            return root
-
-        for group in pending:
-            ids = sorted(group.signature)
-            for cluster_id in ids:
-                parent.setdefault(cluster_id, cluster_id)
-            anchor = find(ids[0])
-            for cluster_id in ids[1:]:
-                parent[find(cluster_id)] = anchor
-
-        families: dict[int, list[_SignatureGroup]] = {}
-        for group in pending:
-            families.setdefault(find(min(group.signature)), []).append(group)
+        if self.solve_strategy == "per-signature":
+            families = {index: [group] for index, group in enumerate(pending)}
+        else:
+            families = _merge_by_shared_clusters(pending)
 
         family_batches: list[list[_SignatureGroup]] = []
         tasks: list[SolveTask] = []
@@ -988,8 +838,8 @@ class SegmentaryEngine:
                 for candidate in member.unresolved
                 for support in supports_by_candidate[candidate]
             ]
-            # `builder` resolves through this module's globals so both
-            # strategies share one program-builder seam (tests stub it).
+            # `builder` resolves through this module's globals: one
+            # program-builder seam that tests can stub.
             family_program = build_family_program(
                 data,
                 query_groundings=query_groundings,
@@ -1012,10 +862,7 @@ class SegmentaryEngine:
                     if candidate in family_program.trivially_certain
                 }
                 accepted |= member_trivial
-                member.xr_program = XRProgram(
-                    program=_EMPTY_PROGRAM,
-                    trivially_certain=member_trivial,
-                )
+                member.trivially_certain = member_trivial
                 member.solve_atoms = {
                     candidate: family_program.query_atoms[candidate]
                     for candidate in member.unresolved
@@ -1039,7 +886,6 @@ class SegmentaryEngine:
                     mode=mode,
                     budget=budget,
                     trace=trace,
-                    family=True,
                 )
             )
         return family_batches, tasks
@@ -1051,9 +897,7 @@ class SegmentaryEngine:
         if self.cache is None:
             return
         accepted = (
-            group.accepted_so_far
-            | solver_accepted
-            | group.xr_program.trivially_certain
+            group.accepted_so_far | solver_accepted | group.trivially_certain
         )
         for candidate, memo_key in group.decision_keys.items():
             self.cache.store_decision(

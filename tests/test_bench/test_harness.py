@@ -82,7 +82,6 @@ class TestMicroPayloadMetadata:
     def test_tpch_rows_skip_query_stages(self):
         row = self.payload["scenarios"]["tpch-sf0.01-r0"]
         assert "query_s" not in row
-        assert "solve_strategy_s" not in row
         assert "incremental_s" not in row
         assert row["counts"]["injected_facts"] == 0  # ratio 0 cell
 

@@ -81,6 +81,26 @@ class TestUpdateSession:
         with pytest.raises(ValueError, match="non-source relation"):
             session.apply(Delta(inserts=frozenset({f("P", "x", "y")})))
 
+    def test_rejects_wrong_arity(self):
+        engine = fresh_engine(TWO_CLUSTERS)
+        session = engine.update_session()
+        with pytest.raises(ValueError, match=r"R\(7\).*arity 2"):
+            session.apply(Delta(inserts=frozenset({f("R", 7)})))
+        assert f("R", 7) not in engine.instance
+
+    def test_rejected_stream_applies_no_step(self):
+        engine = fresh_engine(TWO_CLUSTERS)
+        session = engine.update_session()
+        stream = [
+            Delta(retracts=frozenset({f("R", "a", "c")})),
+            Delta(inserts=frozenset({f("R", 7)})),
+        ]
+        with pytest.raises(ValueError, match="arity"):
+            session.apply_stream(stream)
+        assert f("R", "a", "c") in engine.instance
+        assert len(engine.analysis.clusters) == 2
+        assert session.stats.deltas_applied == 0
+
     def test_noop_delta_changes_nothing(self):
         engine = fresh_engine(TWO_CLUSTERS)
         session = engine.update_session()

@@ -149,9 +149,12 @@ class TestSolveTaskBudget:
     def test_expired_batch_deadline_times_out(self):
         task = SolveTask(PackedProgram.pack(tiny_program()), (1, 2))
         outcome = solve_task(task, deadline_at=time.monotonic() - 1.0)
+        # The family contract: the cutoff is caught inside the solve, so
+        # the outcome is partial — nothing decided, every atom undecided.
         assert outcome.status == "timeout"
         assert not outcome.ok
-        assert outcome.decided is None
+        assert outcome.decided == frozenset()
+        assert outcome.undecided == frozenset({1, 2})
 
     def test_generous_task_timeout_solves_normally(self):
         task = SolveTask(

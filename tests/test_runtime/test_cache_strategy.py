@@ -1,10 +1,13 @@
-"""Cache interaction with the incremental (family) solve strategy.
+"""Family grouping and its interaction with the caches.
 
-The caches are keyed per *signature* in both strategies — the family
-program is a solving vehicle, never a cache key — so warm entries must be
-shared across strategies, LRU bounds must hold when families write them,
-cluster-keyed invalidation must behave identically, and a family member
-whose verdicts are only partial must never be cached.
+Signature groups that share a violation cluster are merged into one
+family by default; ``solve_strategy="per-signature"`` keeps every group
+its own family.  The caches are keyed per *signature* under both
+groupings — the family program is a solving vehicle, never a cache key —
+so warm entries must be shared across groupings, LRU bounds must hold
+when families write them, cluster-keyed invalidation must behave
+identically, and a family member whose verdicts are only partial must
+never be cached.
 """
 
 from repro.incremental import Delta
@@ -58,6 +61,28 @@ TWO_CONFLICTS = [
 ]
 
 
+class TestFamilyGrouping:
+    # Candidates q('a') (signature {c_a}) and q('d') (signature
+    # {c_a, c_d}): the groups share cluster c_a.
+    QUERY = parse_query("q(z) :- P('a', y), P(z, w).")
+
+    def solve(self, strategy, mode):
+        with SegmentaryEngine(
+            key_mapping(), Instance(TWO_CONFLICTS),
+            cache=False, solve_strategy=strategy,
+        ) as engine:
+            return engine.answer_with_stats(self.QUERY, mode=mode)
+
+    def test_shared_cluster_merges_groups_into_one_family(self):
+        for mode in ("certain", "possible"):
+            merged, merged_stats = self.solve("incremental", mode)
+            split, split_stats = self.solve("per-signature", mode)
+            assert merged_stats.signatures == split_stats.signatures == 2
+            assert merged_stats.families_solved == 1
+            assert split_stats.families_solved == 2
+            assert merged == split == {("a",), ("d",)}
+
+
 class TestCrossStrategySharing:
     def test_per_signature_warms_the_incremental_engine(self):
         cache = SignatureProgramCache()
@@ -65,9 +90,9 @@ class TestCrossStrategySharing:
         with SegmentaryEngine(
             key_mapping(), Instance(CONFLICT_INSTANCE),
             cache=cache, solve_strategy="per-signature",
-        ) as legacy:
-            cold = legacy.answer(query)
-            assert legacy.last_query_stats.programs_solved > 0
+        ) as ungrouped:
+            cold = ungrouped.answer(query)
+            assert ungrouped.last_query_stats.programs_solved > 0
         with SegmentaryEngine(
             key_mapping(), Instance(CONFLICT_INSTANCE),
             cache=cache, solve_strategy="incremental",
@@ -90,9 +115,9 @@ class TestCrossStrategySharing:
         with SegmentaryEngine(
             key_mapping(), Instance(CONFLICT_INSTANCE),
             cache=cache, solve_strategy="per-signature",
-        ) as legacy:
-            answers = legacy.answer(query)
-            stats = legacy.last_query_stats
+        ) as ungrouped:
+            answers = ungrouped.answer(query)
+            stats = ungrouped.last_query_stats
         assert answers == cold
         assert stats.programs_solved == 0
         assert stats.cache_hits > 0
@@ -107,11 +132,11 @@ class TestCrossStrategySharing:
         with SegmentaryEngine(
             key_mapping(), Instance(CONFLICT_INSTANCE),
             cache=cache, solve_strategy="per-signature",
-        ) as legacy:
+        ) as ungrouped:
             # Different predicate name: the program cache misses but the
             # structural decision memo — written by the family run — hits.
-            second = legacy.answer(parse_query("r(x) :- P(x, y)."))
-            stats = legacy.last_query_stats
+            second = ungrouped.answer(parse_query("r(x) :- P(x, y)."))
+            stats = ungrouped.last_query_stats
         assert second == first
         assert stats.programs_solved == 0
         assert stats.memo_hits > 0
@@ -151,7 +176,7 @@ class TestFamilyInvalidation:
         return engine
 
     def reference(self, instance_facts):
-        # Cross-strategy reference: the legacy path on a fresh engine.
+        # Cross-grouping reference: one family per signature, fresh engine.
         with SegmentaryEngine(
             bridge_mapping(), Instance(instance_facts),
             solve_strategy="per-signature", cache=False,

@@ -125,7 +125,7 @@ class TestParallelConcurrentSubmit:
     def test_pooled_batches_serialize_without_corruption(self):
         """Real pool dispatch from many threads: outcomes stay correct
         and each thread sees a pool-side dispatch label for its batch."""
-        executor = ParallelExecutor(jobs=2, min_batch=2, chunk_size=2)
+        executor = ParallelExecutor(jobs=2, min_batch=2)
         try:
 
             def work(_index: int) -> None:
@@ -144,7 +144,7 @@ class TestParallelConcurrentSubmit:
         """Half the threads run pool-sized batches, half run tiny ones;
         the tiny ones must not block behind the pool lock nor corrupt
         the pooled threads' dispatch labels."""
-        executor = ParallelExecutor(jobs=2, min_batch=3, chunk_size=2)
+        executor = ParallelExecutor(jobs=2, min_batch=3)
         small = [
             SolveTask(PackedProgram.pack(chain_program(2)), (1, 2))
         ]

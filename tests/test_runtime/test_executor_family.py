@@ -1,6 +1,6 @@
 """Family solve tasks through the executors.
 
-A ``SolveTask(family=True)`` decides all its query atoms on one engine
+A ``SolveTask`` decides all its query atoms on one engine
 via :func:`repro.asp.reasoning.decide_family`; the outcome carries exact
 accept/reject verdicts plus (after a budget cutoff) the undecided
 remainder.  These tests pin the worker-path semantics — including
@@ -46,8 +46,7 @@ def unsat_program() -> GroundProgram:
 
 def family_task(mode: str = "certain", **kwargs) -> SolveTask:
     return SolveTask(
-        PackedProgram.pack(family_program()), (1, 2, 3, 4), mode,
-        family=True, **kwargs,
+        PackedProgram.pack(family_program()), (1, 2, 3, 4), mode, **kwargs
     )
 
 
@@ -72,11 +71,10 @@ class TestFamilyWorkerPath:
         assert outcome.solver_stats["family_models"] >= 1
         assert "carried_clauses" in outcome.solver_stats
 
-    def test_no_stable_model_mirrors_signature_path(self):
+    def test_no_stable_model_reports_decided_none(self):
         outcome = solve_task(
             SolveTask(
-                PackedProgram.pack(unsat_program()), (1,), "certain",
-                family=True,
+                PackedProgram.pack(unsat_program()), (1,), "certain"
             )
         )
         assert outcome.ok
@@ -87,7 +85,7 @@ class TestFamilyWorkerPath:
 
         # Even a deadline that fires before the first model is a *partial*
         # family outcome (zero verdicts, everything undecided) — never the
-        # legacy decided=None shape, which is reserved for cutoffs outside
+        # decided=None shape, which is reserved for cutoffs outside
         # decide_family (batch deadline, crashes).
         outcome = solve_task(
             family_task("certain"), deadline_at=time.monotonic() - 1.0
@@ -144,8 +142,7 @@ class TestFamilyThroughProcessPool:
             family_task("certain"),
             family_task("possible"),
             SolveTask(
-                PackedProgram.pack(unsat_program()), (1,), "certain",
-                family=True,
+                PackedProgram.pack(unsat_program()), (1,), "certain"
             ),
         ]
         expected = SequentialExecutor().run(tasks)

@@ -202,6 +202,12 @@ class TestRoutes:
         )
         assert status == 400
 
+    def test_update_with_wrong_arity_is_400(self, small_server):
+        host, port, _service = small_server
+        status, body, _ = post(host, port, "/update", {"updates": "+R(7)."})
+        assert status == 400
+        assert "arity 2" in body["error"]
+
 
 DIFFERENTIAL_SEEDS = 10
 

@@ -151,6 +151,35 @@ class TestUpdate:
                 parse_update_request({"updates": "+P('a', 'b')."})
             )
 
+    @staticmethod
+    def state(service):
+        """Everything an applied step would change, as comparable values."""
+        data, analysis = service.engine.data, service.engine.analysis
+        return (
+            set(data.source_instance),
+            set(data.chased),
+            list(data.groundings),
+            list(data.violations),
+            [cluster.index for cluster in analysis.clusters],
+            dict(service.cache._programs),
+            dict(service.cache._decisions),
+        )
+
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            "-R('a', 'c').\n\n+Nope(1).\n",  # bad relation in step 2
+            "-R('a', 'c').\n\n+R(7).\n",  # bad arity in step 2
+        ],
+    )
+    def test_rejected_stream_applies_no_step(self, service, updates):
+        service.query(request("q(x) :- P(x, y)."))  # warm the caches
+        before = self.state(service)
+        with pytest.raises(ValueError):
+            service.update(parse_update_request({"updates": updates}))
+        assert self.state(service) == before
+        assert service.metrics.counter_values().get("serve_updates_total") is None
+
     def test_health_reflects_updates(self, service):
         source_before = service.health()["exchange"]["source_facts"]
         service.update(parse_update_request({"updates": "+R('q', 'q')."}))

@@ -17,10 +17,14 @@ import pytest
 from repro.fuzz.corpus import load_corpus
 from repro.fuzz.differential import run_differential
 from repro.fuzz.generator import DEFAULT_CONFIG, random_scenario
+from repro.parser import parse_mapping, parse_query
 from repro.reduction.reduce import reduce_mapping
+from repro.relational import Fact, Instance
 from repro.scenarios.tpch import tpch_scenario
 from repro.xr.envelope import analyze_envelopes
 from repro.xr.exchange import EXCHANGE_STRATEGIES, build_exchange_data
+from repro.xr.monolithic import MonolithicEngine
+from repro.xr.segmentary import SegmentaryEngine
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -124,3 +128,31 @@ class TestEngineCross:
             for name in report.engines
         )
         assert report.ok, "; ".join(str(d) for d in report.discrepancies)
+
+
+class TestSourceSchemaCheck:
+    MAPPING_TEXT = """
+        SOURCE S/2. TARGET T/2.
+        S(x, y) -> T(x, y).
+        T(x, y), T(x, z) -> y = z.
+    """
+
+    def gav(self):
+        return parse_mapping(self.MAPPING_TEXT)
+
+    def instance(self):
+        return Instance([Fact("S", (1, 2)), Fact("S", (7,))])
+
+    @pytest.mark.parametrize("strategy", EXCHANGE_STRATEGIES)
+    def test_wrong_arity_is_rejected_by_both_strategies(self, strategy):
+        with pytest.raises(ValueError, match=r"S\(7\).*arity 2"):
+            build_exchange_data(self.gav(), self.instance(), strategy=strategy)
+
+    def test_every_engine_rejects_wrong_arity(self):
+        query = parse_query("q(x) :- T(x, y).")
+        for engine in (
+            SegmentaryEngine(self.gav(), self.instance()),
+            MonolithicEngine(self.gav(), self.instance()),
+        ):
+            with pytest.raises(ValueError, match="arity 2"):
+                engine.answer(query)
