@@ -109,7 +109,7 @@ def test_ablation_segmentation_granularity(ctx, report, benchmark):
             violations.extend(cluster.violations)
         focus -= safe
         rewritten = reduced.rewrite(query)
-        groundings = ground_query(rewritten, data.chased)
+        groundings = ground_query(rewritten, data)
         from repro.asp.reasoning import cautious_consequences
         from repro.xr.program import build_repair_program
         from repro.xr.queries import answers_from_facts

@@ -5,11 +5,13 @@ Grounding proceeds in two passes, the standard bottom-up recipe:
 1. **Possible atoms.**  Compute an overapproximation of the atoms that can
    ever be derived, by evaluating the *positive projection* of the program
    (each rule contributes one horn rule per head atom; negation and
-   comparisons are ignored) to a fixpoint with the semi-naive GAV chase.
-2. **Instantiation.**  For every rule, match its positive body against the
-   possible atoms, check the comparisons, keep negative literals only when
-   their atom is possible (impossible atoms are simply false), and emit the
-   ground rule over interned atom ids.
+   comparisons are ignored) to a fixpoint with the batch chase
+   (:func:`~repro.chase.batch.batch_chase`).
+2. **Instantiation.**  For every rule, join its positive body over the
+   possible atoms (one :class:`~repro.chase.batch._BodyPlan` hash join),
+   check the comparisons, keep negative literals only when their atom is
+   possible (impossible atoms are simply false), and emit the ground rule
+   over interned atom ids.
 
 Ground rules whose head intersects their positive body are tautological and
 dropped; duplicate ground rules are deduplicated.
@@ -20,10 +22,9 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule, Rule
-from repro.chase.gav import gav_chase
+from repro.chase.batch import _BodyPlan, _IndexCache, batch_chase
 from repro.dependencies.tgds import TGD
 from repro.relational.instance import Fact, Instance
-from repro.relational.queries import match_atoms
 
 
 def compute_possible_atoms(rules: Sequence[Rule], facts: Instance) -> Instance:
@@ -34,7 +35,7 @@ def compute_possible_atoms(rules: Sequence[Rule], facts: Instance) -> Instance:
             continue
         for head_atom in rule.head:
             horn.append(TGD(rule.body_pos, [head_atom], label=f"possible:{rule.label}"))
-    return gav_chase(facts, horn)
+    return batch_chase(facts, horn)
 
 
 def ground(
@@ -53,6 +54,7 @@ def ground(
     for fact in fact_instance:
         program.add_fact(fact)
 
+    cache = _IndexCache(possible)
     seen: set[GroundRule] = set()
     for rule in rules:
         if not rule.body_pos and rule.head:
@@ -66,7 +68,10 @@ def ground(
                 program.add_rule(ground_rule)
             continue
 
-        for binding in match_atoms(possible, list(rule.body_pos)):
+        plan = _BodyPlan(possible, rule.body_pos)
+        slots = list(plan.layout.items())
+        for row in plan.rows_hash(cache):
+            binding = {variable: row[slot] for variable, slot in slots}
             if not all(comparison.holds(binding) for comparison in rule.comparisons):
                 continue
             body_pos_facts = [atom.substitute(binding) for atom in rule.body_pos]

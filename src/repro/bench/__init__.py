@@ -10,7 +10,7 @@ from repro.bench.micro import (
     MICRO_RATES,
     MICRO_SIZES,
     MICRO_TPCH_CELLS,
-    STRATEGY_STAGES,
+    REFERENCE_STAGES,
     compare_payloads,
     format_micro_table,
     micro_scenario_names,
@@ -34,7 +34,7 @@ __all__ = [
     "MICRO_RATES",
     "MICRO_SIZES",
     "MICRO_TPCH_CELLS",
-    "STRATEGY_STAGES",
+    "REFERENCE_STAGES",
     "compare_payloads",
     "format_micro_table",
     "micro_scenario_names",

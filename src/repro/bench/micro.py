@@ -15,21 +15,22 @@ Three measured stages, per genomics scenario (size × suspect rate):
   suspect source fact, the cluster-touching worst case) applied through
   :class:`~repro.incremental.UpdateSession`, against the full re-exchange
   baseline; the reported ``speedup`` is the PR 7 acceptance number;
-- **exchange strategy** — the exchange phase re-measured under **both**
-  chase strategies (set-at-a-time ``batch`` vs the per-tuple reference),
-  interleaved so scheduler drift hits both alike, with the per-strategy
-  medians over the strategy-dependent stages (chase + groundings +
-  violations) and their ratio emitted as ``exchange_strategy_s`` (the
-  PR 10 acceptance number); the two runs' exchange data is asserted
-  bit-identical before the ratio is reported.
+- **batch vs reference** — the exchange phase re-measured on the
+  production batch operators and on the nested-loop
+  :func:`~repro.chase.gav.reference_exchange_data`, interleaved so
+  scheduler drift hits both alike, with the medians over the stages the
+  two evaluate differently (chase + groundings + violations) and their
+  ratio emitted as ``exchange_vs_reference_s`` (the CI 1.5× floor); the
+  two runs' exchange data is asserted bit-identical before the ratio is
+  reported.
 
 Scenario names are either genomics grid cells (``"M9"``) or TPC-H grid
 cells (``"tpch-sf0.01-r0.2"``, see :mod:`repro.scenarios.tpch`).  TPC-H
-rows carry the exchange and exchange-strategy stages only — the genomics
+rows carry the exchange and batch-vs-reference stages only — the genomics
 query/solve/incremental stages are tied to the genomics query set.  Every
-row embeds a ``meta`` object (scenario family, exchange strategy, and the
-stage labels actually observed in that run) so artifacts stay
-self-describing as stages evolve.
+row embeds a ``meta`` object (scenario family and the stage labels
+actually observed in that run) so artifacts stay self-describing as
+stages evolve.
 
 The paper's practicality claim (§5–§6) rests on the first two stages
 being PTIME-cheap so the NP-hard solving dominates; these benchmarks
@@ -52,6 +53,7 @@ import time
 from typing import Callable
 
 from repro.bench.reporting import format_speedup, format_table, speedup
+from repro.chase.gav import exchange_mismatches, reference_exchange_data
 from repro.genomics.instances import InstanceProfile, build_instance
 from repro.genomics.queries import query_by_name
 from repro.genomics.schema import genome_mapping
@@ -76,7 +78,7 @@ MICRO_RATES: tuple[float, ...] = (0.0, 0.03, 0.09, 0.20)
 MICRO_QUERIES: tuple[str, ...] = ("ep2", "xr2", "xr4")
 
 #: TPC-H cells appended to the default grid: two SF 0.01 cells (clean and
-#: 20 % injected) plus one larger cell so the batch-vs-tuple ratio is
+#: 20 % injected) plus one larger cell so the batch-vs-reference ratio is
 #: measured away from fixed-cost territory.
 MICRO_TPCH_CELLS: tuple[str, ...] = (
     "tpch-sf0.01-r0",
@@ -84,10 +86,11 @@ MICRO_TPCH_CELLS: tuple[str, ...] = (
     "tpch-sf0.03-r0.2",
 )
 
-#: Exchange stages whose cost depends on the chase strategy.  Interning,
-#: fact-index, and envelope construction are shared code on both paths;
-#: the ``exchange_strategy_s`` ratio is computed over these stages only.
-STRATEGY_STAGES: tuple[str, ...] = ("chase", "groundings", "violations")
+#: Exchange stages the batch operators and the nested-loop reference
+#: evaluate differently.  Interning, fact-index, and envelope construction
+#: are shared code; the ``exchange_vs_reference_s`` ratio is computed over
+#: these stages only.
+REFERENCE_STAGES: tuple[str, ...] = ("chase", "groundings", "violations")
 
 
 def micro_scenario_names(
@@ -138,7 +141,6 @@ def _measure_exchange(
     instance,
     repeats: int,
     obs: Recorder | None,
-    strategy: str,
 ) -> tuple[list[dict[str, float]], object, object]:
     """The shared exchange-stage measurement loop (genomics and TPC-H)."""
     exchange_runs: list[dict[str, float]] = []
@@ -147,9 +149,7 @@ def _measure_exchange(
     for _ in range(max(1, repeats)):
         timings: dict[str, float] = {}
         started = time.perf_counter()
-        data = build_exchange_data(
-            gav, instance, timings=timings, obs=obs, strategy=strategy
-        )
+        data = build_exchange_data(gav, instance, timings=timings, obs=obs)
         built_at = time.perf_counter()
         analysis = analyze_envelopes(data)
         done = time.perf_counter()
@@ -161,44 +161,40 @@ def _measure_exchange(
     return exchange_runs, data, analysis
 
 
-def _exchange_strategy_series(gav, instance, repeats: int, label: str) -> dict:
-    """Per-strategy exchange-phase medians and their ratio.
+def _exchange_reference_series(gav, instance, repeats: int, label: str) -> dict:
+    """Batch and reference exchange-phase medians and their ratio.
 
-    Strategies are interleaved within each repeat so clock drift and
+    The two builds are interleaved within each repeat so clock drift and
     scheduler noise hit both alike, and the ratio is taken over the
-    strategy-dependent stages (:data:`STRATEGY_STAGES`) — the shared
-    interning/index/envelope costs would otherwise dilute it on small
-    instances.  The two strategies' exchange data must be bit-identical;
-    a mismatch is a correctness bug, not a benchmark artifact.
+    stages they evaluate differently (:data:`REFERENCE_STAGES`) — the
+    shared interning/index/envelope costs would otherwise dilute it on
+    small instances.  The two exchange builds must be bit-identical; a
+    mismatch is a correctness bug, not a benchmark artifact.
     """
-    per: dict[str, list[float]] = {"batch": [], "tuple": []}
+    builders = {"batch": build_exchange_data, "reference": reference_exchange_data}
+    per: dict[str, list[float]] = {name: [] for name in builders}
     datas: dict[str, object] = {}
-    for strategy in per:  # warm-up, excluded from the medians
-        datas[strategy] = build_exchange_data(gav, instance, strategy=strategy)
+    for name, build in builders.items():  # warm-up, excluded from the medians
+        datas[name] = build(gav, instance)
     # A fragmented/large live heap from earlier stages slows the
     # allocation-heavy batch path disproportionately; start clean.
     gc.collect()
     for _ in range(max(1, repeats)):
-        for strategy in per:
+        for name, build in builders.items():
             timings: dict[str, float] = {}
-            datas[strategy] = build_exchange_data(
-                gav, instance, timings=timings, strategy=strategy
+            datas[name] = build(gav, instance, timings=timings)
+            per[name].append(
+                sum(timings.get(stage, 0.0) for stage in REFERENCE_STAGES)
             )
-            per[strategy].append(
-                sum(timings.get(stage, 0.0) for stage in STRATEGY_STAGES)
-            )
-    batch_data, tuple_data = datas["batch"], datas["tuple"]
-    for field in ("chased", "groundings", "violations", "fact_ids"):
-        assert getattr(batch_data, field) == getattr(tuple_data, field), (
-            f"exchange-strategy {field} mismatch on {label}"
-        )
+    mismatches = exchange_mismatches(datas["batch"], datas["reference"])
+    assert not mismatches, f"batch-vs-reference {mismatches} mismatch on {label}"
     batch = _median(per["batch"])
-    tuple_ = _median(per["tuple"])
+    reference = _median(per["reference"])
     return {
-        "stages": list(STRATEGY_STAGES),
+        "stages": list(REFERENCE_STAGES),
         "batch": round(batch, 6),
-        "tuple": round(tuple_, 6),
-        "speedup": speedup(tuple_, batch),
+        "reference": round(reference, 6),
+        "speedup": speedup(reference, batch),
     }
 
 
@@ -208,7 +204,6 @@ def run_micro_scenario(
     repeats: int = 3,
     queries: tuple[str, ...] = MICRO_QUERIES,
     obs: Recorder | None = None,
-    exchange_strategy: str = "batch",
 ) -> dict:
     """Measure one genomics scenario; returns the per-stage median payload.
 
@@ -223,12 +218,12 @@ def run_micro_scenario(
     instance = build_instance(profile).instance
 
     exchange_runs, data, analysis = _measure_exchange(
-        reduced.gav, instance, repeats, obs, exchange_strategy
+        reduced.gav, instance, repeats, obs
     )
-    # Measure the strategy series while the heap still looks like the
+    # Measure the reference series while the heap still looks like the
     # exchange stage's — the solve/incremental stages below leave enough
     # live garbage to skew an allocation-sensitive comparison.
-    strategy_series = _exchange_strategy_series(
+    reference_series = _exchange_reference_series(
         reduced.gav, instance, repeats, name
     )
     counts = {
@@ -308,12 +303,11 @@ def run_micro_scenario(
         },
         "meta": {
             "scenario_family": "genomics",
-            "exchange_strategy": exchange_strategy,
             "stages": stages,
         },
         "counts": counts,
         "exchange_s": exchange_medians,
-        "exchange_strategy_s": strategy_series,
+        "exchange_vs_reference_s": reference_series,
         "query_s": query_medians,
         "incremental_s": incremental,
         "programs_solved": programs_solved,
@@ -325,12 +319,11 @@ def run_tpch_micro_scenario(
     name: str,
     repeats: int = 3,
     obs: Recorder | None = None,
-    exchange_strategy: str = "batch",
 ) -> dict:
     """Measure one TPC-H grid cell (``"tpch-sf0.01-r0.2"``).
 
-    TPC-H rows carry the exchange stage and the batch-vs-tuple
-    ``exchange_strategy_s`` series; the query/solve/incremental stages
+    TPC-H rows carry the exchange stage and the batch-vs-reference
+    ``exchange_vs_reference_s`` series; the query/solve/incremental stages
     are genomics-specific and absent here (consumers must treat them as
     optional — :func:`format_micro_table` and :func:`compare_payloads`
     do).
@@ -341,7 +334,7 @@ def run_tpch_micro_scenario(
     instance = scenario.instance
 
     exchange_runs, data, analysis = _measure_exchange(
-        reduced.gav, instance, repeats, obs, exchange_strategy
+        reduced.gav, instance, repeats, obs
     )
     stages = _stage_labels(exchange_runs)
     exchange_medians = {
@@ -357,7 +350,6 @@ def run_tpch_micro_scenario(
         },
         "meta": {
             "scenario_family": "tpch",
-            "exchange_strategy": exchange_strategy,
             "stages": stages,
         },
         "counts": {
@@ -370,7 +362,7 @@ def run_tpch_micro_scenario(
             "suspect_source_facts": len(analysis.suspect_source),
         },
         "exchange_s": exchange_medians,
-        "exchange_strategy_s": _exchange_strategy_series(
+        "exchange_vs_reference_s": _exchange_reference_series(
             reduced.gav, instance, repeats, name
         ),
     }
@@ -382,7 +374,6 @@ def run_micro(
     queries: tuple[str, ...] = MICRO_QUERIES,
     log: Callable[[str], None] | None = None,
     obs: Recorder | None = None,
-    exchange_strategy: str = "batch",
 ) -> dict:
     """Run the micro-benchmark grid and return the artifact payload."""
     if scenarios is None:
@@ -393,13 +384,12 @@ def run_micro(
         started = time.perf_counter()
         if name.startswith("tpch-"):
             results[name] = run_tpch_micro_scenario(
-                name, repeats=repeats, obs=obs,
-                exchange_strategy=exchange_strategy,
+                name, repeats=repeats, obs=obs
             )
         else:
             results[name] = run_micro_scenario(
                 name, reduced=reduced, repeats=repeats, queries=queries,
-                obs=obs, exchange_strategy=exchange_strategy,
+                obs=obs,
             )
         if log is not None:
             row = results[name]
@@ -408,10 +398,10 @@ def run_micro(
             if query_s is not None:
                 parts.append(f"program-build {query_s['program_build']:.3f}s")
                 parts.append(f"solve {query_s['solve']:.3f}s")
-            strategy_s = row.get("exchange_strategy_s")
-            if strategy_s is not None:
+            reference_s = row.get("exchange_vs_reference_s")
+            if reference_s is not None:
                 parts.append(
-                    f"batch/tuple {format_speedup(strategy_s['speedup'])}"
+                    f"batch/reference {format_speedup(reference_s['speedup'])}"
                 )
             log(
                 f"{name:>4}: " + "  ".join(parts)
@@ -421,7 +411,6 @@ def run_micro(
         "kind": "repro-micro-benchmark",
         "repeats": repeats,
         "queries": list(queries),
-        "exchange_strategy": exchange_strategy,
         "scenarios": results,
     }
 
@@ -431,7 +420,7 @@ def format_micro_table(payload: dict) -> str:
     rows = []
     for name, row in payload["scenarios"].items():
         incremental = row.get("incremental_s")  # absent in pre-PR7 payloads
-        exchange_strategies = row.get("exchange_strategy_s")  # pre-PR10
+        versus_reference = row.get("exchange_vs_reference_s")
         query_s = row.get("query_s")  # absent on TPC-H rows
         rows.append(
             [
@@ -440,8 +429,8 @@ def format_micro_table(payload: dict) -> str:
                 row["counts"]["groundings"],
                 row["counts"]["suspect_source_facts"],
                 f"{row['exchange_s']['total']:.3f}",
-                format_speedup(exchange_strategies["speedup"], ".1f")
-                if exchange_strategies else "-",
+                format_speedup(versus_reference["speedup"], ".1f")
+                if versus_reference else "-",
                 f"{query_s['program_build']:.3f}" if query_s else "-",
                 f"{query_s['solve']:.3f}" if query_s else "-",
                 f"{incremental['single_delta']:.4f}" if incremental else "-",

@@ -1,29 +1,28 @@
-"""Set-at-a-time batch evaluation for the exchange phase.
+"""Set-at-a-time join evaluation: the one join engine of the pipeline.
 
-The tuple-at-a-time evaluator (:mod:`repro.chase.gav`,
-:mod:`repro.relational.queries`) walks one candidate fact at a time and
-copies a binding dict per successful match.  This module replaces those
-inner loops with **batch operators** over tuple rows:
+The exchange chase, grounding and violation enumeration, the delta-chase
+of :mod:`repro.incremental`, query grounding
+(:func:`repro.xr.queries.ground_query`) and the ASP grounder all join
+through these operators; the nested-loop :mod:`repro.chase.gav` is only
+the test reference they are checked against.
 
 - a binding is a plain ``tuple`` of values laid out by a fixed
-  variable-to-slot assignment compiled per rule (no dicts, no copies);
+  variable-to-slot assignment compiled per body (no dicts, no copies);
 - each join level is a compiled :class:`_AtomStep` probing a multi-column
-  **hash index** over the relation extension — built once per
-  (relation, key-positions) signature, shared across rules, and maintained
-  incrementally as the chase derives new facts;
+  **hash index** over the relation extension, shared across plans by
+  signature and kept exact as the instance changes (:class:`_IndexCache`);
 - constant filters and repeated-variable checks are folded into the index
   build, so they run once per stored fact instead of once per probe.
 
-The hash join is the only execution mode: the semi-naive chase, grounding
-enumeration and violation detection all run every rule or egd body
-through it.  Grounding enumeration tracks the matched body facts through
-the join; violation detection joins values only and instantiates the body
-of the (few) violating rows.  Row order differs from the tuple path's;
-the canonical sorting in :mod:`repro.xr.exchange` absorbs that.
+A :class:`_BodyPlan` joins a whole body; a :class:`_PivotPlan` seeds one
+body atom with given facts (the semi-naive step).  *Tracked* rows carry
+the matched facts along, so groundings and supports need no
+re-instantiation.  Row order follows the join; callers canonicalize.
 """
 
 from __future__ import annotations
 
+import threading
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
@@ -32,6 +31,22 @@ from repro.dependencies.tgds import TGD, SkolemTerm
 from repro.relational.instance import Fact, Instance
 from repro.relational.queries import Atom, plan_join_order
 from repro.relational.terms import Const, SkolemValue, Variable, is_constant_value
+
+#: How many indexes transient (query) plans may keep in one
+#: :class:`_IndexCache` on top of the ones the exchange and delta-chase
+#: plans use; past it the oldest query-introduced index is dropped.
+QUERY_INDEX_LIMIT = 64
+
+
+def check_gav_rules(rules: Sequence[TGD]) -> None:
+    """Raise ``ValueError`` unless every rule is GAV (one head atom, no
+    existential variable)."""
+    for rule in rules:
+        if not rule.is_gav():
+            raise ValueError(
+                f"{rule.label}: gav_chase requires GAV rules "
+                "(single head atom, no existential variables)"
+            )
 
 
 # --------------------------------------------------------------- compilation
@@ -58,8 +73,8 @@ class _AtomStep:
     """One join level of a batch plan, compiled for a fixed slot layout.
 
     ``key_positions``/``key_slots`` pair fact argument positions with the
-    row slots they must equal (bound variables, including a variable bound
-    twice within this atom); ``const_checks`` and ``same_checks`` are
+    row slots they must equal (bound variables, and constants the layout
+    gives a slot of their own); ``const_checks`` and ``same_checks`` are
     folded into the index build; ``new_positions`` are projected into the
     row extension, binding fresh slots in first-occurrence order.
     """
@@ -77,7 +92,7 @@ class _AtomStep:
         "signature",
     )
 
-    def __init__(self, atom: Atom, layout: dict[Variable, int]) -> None:
+    def __init__(self, atom: Atom, layout: dict[Any, int]) -> None:
         self.relation = atom.relation
         key_positions: list[int] = []
         key_slots: list[int] = []
@@ -86,21 +101,20 @@ class _AtomStep:
         new_positions: list[int] = []
         first_here: dict[Variable, int] = {}
         for position, term in enumerate(atom.terms):
-            if isinstance(term, Variable):
-                slot = layout.get(term)
-                if slot is not None:
-                    key_positions.append(position)
-                    key_slots.append(slot)
-                elif term in first_here:
-                    same_checks.append((first_here[term], position))
-                else:
-                    first_here[term] = position
-                    new_positions.append(position)
+            if not isinstance(term, (Variable, Const)):
+                raise TypeError(f"unexpected body term {term!r}")
+            slot = layout.get(term)
+            if slot is not None:
+                key_positions.append(position)
+                key_slots.append(slot)
             elif isinstance(term, Const):
                 const_checks.append((position, term.value))
+            elif term in first_here:
+                same_checks.append((first_here[term], position))
             else:
-                raise TypeError(f"unexpected body term {term!r}")
-        for variable, position in first_here.items():
+                first_here[term] = position
+                new_positions.append(position)
+        for variable in first_here:
             layout[variable] = len(layout)
         self.key_positions = tuple(key_positions)
         self.key_slots = tuple(key_slots)
@@ -136,47 +150,92 @@ class _AtomStep:
 
 
 class _IndexCache:
-    """Hash indexes over one instance, maintained incrementally.
+    """Hash indexes over one instance, kept exact as the instance changes.
 
-    Keyed by step *signature* (relation, key positions, folded filters,
-    projection): plans that join the same relation the same way — e.g.
-    the two self-join atoms of every key egd over one relation — share a
-    single index.  Each index is built exactly once from the extension
-    and then extended fact-by-fact as the chase derives new rows
-    (:meth:`add_fact`).
+    Keyed by step *signature*: plans that join a relation the same way —
+    e.g. the two self-join atoms of a key egd — share one index.  An index
+    maps a key to a bucket ``{fact: extension}``; it is built lazily from
+    the extension and then maintained by :meth:`add_fact` and
+    :meth:`discard_fact`, a discard being one dict deletion, never a
+    bucket scan (a key-less step's one bucket holds the whole relation).
+
+    Readers may build indexes concurrently (queries under the serving
+    tier's read lock): registration runs under a lock, so a signature gets
+    exactly one index.  At most :data:`QUERY_INDEX_LIMIT` indexes only
+    *transient* (query) plans asked for are kept, oldest dropped first.
+    Writers must exclude readers.
     """
 
-    __slots__ = ("instance", "_by_signature", "_by_relation")
+    __slots__ = ("instance", "_by_signature", "_by_relation", "_transient", "_lock")
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
         self._by_signature: dict[tuple, dict] = {}
         self._by_relation: dict[str, list[tuple[_AtomStep, dict]]] = {}
+        self._transient: dict[tuple, None] = {}  # oldest first
+        self._lock = threading.Lock()
 
-    def index_for(self, step: _AtomStep) -> dict[Any, list[tuple]]:
+    def index_for(self, step: _AtomStep, transient: bool = False) -> dict:
         index = self._by_signature.get(step.signature)
-        if index is None:
-            index = {}
-            admit = step.admit
-            for fact in self.instance.facts_of(step.relation):
-                entry = admit(fact)
-                if entry is not None:
-                    index.setdefault(entry[0], []).append((entry[1], fact))
-            self._by_signature[step.signature] = index
-            self._by_relation.setdefault(step.relation, []).append(
-                (step, index)
-            )
+        if index is None or (not transient and step.signature in self._transient):
+            with self._lock:
+                index = self._register(step, transient)
+        return index
+
+    def _register(self, step: _AtomStep, transient: bool) -> dict:
+        signature = step.signature
+        index = self._by_signature.get(signature)
+        if index is not None:
+            if not transient:  # a pinned plan keeps it for good
+                self._transient.pop(signature, None)
+            return index
+        index: dict = {}
+        admit = step.admit
+        for fact in self.instance.facts_of(step.relation):
+            entry = admit(fact)
+            if entry is not None:
+                bucket = index.get(entry[0])
+                if bucket is None:  # no throwaway default dict per fact
+                    index[entry[0]] = {fact: entry[1]}
+                else:
+                    bucket[fact] = entry[1]
+        self._by_relation.setdefault(step.relation, []).append((step, index))
+        self._by_signature[signature] = index
+        if transient:
+            self._transient[signature] = None
+            if len(self._transient) > QUERY_INDEX_LIMIT:
+                oldest = next(iter(self._transient))
+                del self._transient[oldest], self._by_signature[oldest]
+                self._by_relation[oldest[0]] = [
+                    entry
+                    for entry in self._by_relation[oldest[0]]
+                    if entry[0].signature != oldest
+                ]
         return index
 
     def add_fact(self, fact: Fact) -> None:
         for step, index in self._by_relation.get(fact.relation, ()):
             entry = step.admit(fact)
             if entry is not None:
-                index.setdefault(entry[0], []).append((entry[1], fact))
+                bucket = index.get(entry[0])
+                if bucket is None:
+                    index[entry[0]] = {fact: entry[1]}
+                else:
+                    bucket[fact] = entry[1]
+
+    def discard_fact(self, fact: Fact) -> None:
+        """Drop a fact the indexes hold (one added or indexed before)."""
+        for step, index in self._by_relation.get(fact.relation, ()):
+            entry = step.admit(fact)
+            if entry is not None:
+                bucket = index[entry[0]]
+                del bucket[fact]
+                if not bucket:
+                    del index[entry[0]]
 
 
 def _probe(
-    step: _AtomStep, index: dict[Any, list[tuple]], rows: list[tuple]
+    step: _AtomStep, index: dict[Any, dict[Fact, tuple]], rows: list[tuple]
 ) -> list[tuple]:
     key_of_row = step.key_of_row
     out: list[tuple] = []
@@ -185,14 +244,14 @@ def _probe(
     for row in rows:
         bucket = get(key_of_row(row))
         if bucket:
-            for extension, _fact in bucket:
+            for extension in bucket.values():
                 append(row + extension)
     return out
 
 
 def _probe_tracked(
     step: _AtomStep,
-    index: dict[Any, list[tuple]],
+    index: dict[Any, dict[Fact, tuple]],
     rows: list[tuple[tuple, tuple]],
 ) -> list[tuple[tuple, tuple]]:
     """Like :func:`_probe`, but rows are ``(values, provenance facts)``.
@@ -208,7 +267,7 @@ def _probe_tracked(
     for values, facts in rows:
         bucket = get(key_of_row(values))
         if bucket:
-            for extension, fact in bucket:
+            for fact, extension in bucket.items():
                 append((values + extension, facts + (fact,)))
     return out
 
@@ -217,7 +276,7 @@ _VAR, _CONST, _SKOLEM = 0, 1, 2
 
 
 def compile_slot_head(
-    rule: TGD, layout: dict[Variable, int]
+    rule: TGD, layout: dict[Any, int]
 ) -> Callable[[tuple], Fact]:
     """The head grounder of a GAV rule, compiled against a slot layout."""
     atom = rule.head[0]
@@ -273,7 +332,7 @@ def compile_slot_head(
 
 
 def compile_slot_substituter(
-    atom: Atom, layout: dict[Variable, int]
+    atom: Atom, layout: dict[Any, int]
 ) -> Callable[[tuple], Fact]:
     """A body-atom instantiator (variables/constants), row-slot based."""
     relation = atom.relation
@@ -293,96 +352,157 @@ def compile_slot_substituter(
     return substitute
 
 
-# ------------------------------------------------------------- full-body join
+def compile_violations(egd: EGD, layout: dict[Any, int]) -> Callable:
+    """``rows -> [Violation]`` for an egd body, compiled against a slot
+    layout.  For constants-only egds only clashes between two distinct
+    constants count (skolem values stand for nulls, which the chase would
+    simply unify); body facts are instantiated for violating rows only."""
+    from repro.xr.exchange import Violation
+
+    substituters = tuple(
+        compile_slot_substituter(atom, layout) for atom in egd.body
+    )
+    lhs_slot = layout[egd.lhs]
+    rhs_is_var = isinstance(egd.rhs, Variable)
+    rhs_slot = layout[egd.rhs] if rhs_is_var else None
+    rhs_const = None if rhs_is_var else egd.rhs.value
+    constants_only = egd.constants_only
+
+    def violations_of(rows: Iterable[tuple]) -> list:
+        violations = []
+        for row in rows:
+            lhs_value = row[lhs_slot]
+            rhs_value = row[rhs_slot] if rhs_is_var else rhs_const
+            if lhs_value == rhs_value:
+                continue
+            if constants_only and not (
+                is_constant_value(lhs_value) and is_constant_value(rhs_value)
+            ):
+                continue
+            body_facts = tuple(sub(row) for sub in substituters)
+            violations.append(Violation(egd, body_facts, lhs_value, rhs_value))
+        return violations
+
+    return violations_of
+
+
+# --------------------------------------------------------------------- plans
+
+
+def _planned_positions(
+    instance: Instance,
+    body: Sequence[Atom],
+    positions: Iterable[int],
+    bound: set[Variable],
+) -> list[int]:
+    """``positions`` of ``body`` in :func:`plan_join_order`'s greedy order
+    (matched back by identity: a body may hold the same atom twice)."""
+    remaining = list(positions)
+    ordered: list[int] = []
+    for atom in plan_join_order(instance, [body[i] for i in remaining], bound):
+        for index, position in enumerate(remaining):
+            if body[position] is atom:
+                ordered.append(remaining.pop(index))
+                break
+    return ordered
+
+
+def _body_order(join_order: Sequence[int]) -> tuple[int, ...]:
+    """Each body position's place in ``join_order`` (reorders join-order
+    provenance back into body order)."""
+    inverse = [0] * len(join_order)
+    for join_position, body_position in enumerate(join_order):
+        inverse[body_position] = join_position
+    return tuple(inverse)
+
+
+def _join(
+    steps, cache: _IndexCache, rows: list, tracked: bool, transient: bool = False
+) -> list:
+    """Probe ``rows`` through ``steps``; tracked rows are ``(values, facts)``."""
+    probe = _probe_tracked if tracked else _probe
+    for step in steps:
+        if not rows:
+            break
+        rows = probe(step, cache.index_for(step, transient), rows)
+    return rows
 
 
 class _BodyPlan:
     """A compiled full-body join: every atom is a probe step.
 
-    Rows start as the empty tuple and grow one atom at a time in the
-    planned order; the slot layout is the first-occurrence order of the
-    variables along that order.
+    Rows start as :attr:`initial` and grow one atom at a time in the
+    planned order.  A *transient* (query) plan slots its constants into
+    :attr:`initial`, making them index keys rather than folded filters —
+    queries differing only in constants share indexes — and registers the
+    indexes it introduces as transient (bounded).
     """
 
-    __slots__ = ("steps", "layout", "body_order")
+    __slots__ = ("steps", "layout", "body_order", "initial", "transient")
 
-    def __init__(self, instance: Instance, atoms: Sequence[Atom]) -> None:
-        original = list(atoms)
-        ordered = list(plan_join_order(instance, original, set()))
-        # Recover each planned atom's original position (by object
-        # identity — a body may contain equal atoms twice), so provenance
-        # tuples in join order can be reordered back to body order.
-        join_to_body: list[int] = []
-        taken: set[int] = set()
-        for atom in ordered:
-            for index, candidate in enumerate(original):
-                if index not in taken and candidate is atom:
-                    taken.add(index)
-                    join_to_body.append(index)
-                    break
-        inverse = [0] * len(original)
-        for join_position, body_index in enumerate(join_to_body):
-            inverse[body_index] = join_position
-        self.body_order = tuple(inverse)
-        self.layout: dict[Variable, int] = {}
-        self.steps = [_AtomStep(atom, self.layout) for atom in ordered]
+    def __init__(
+        self, instance: Instance, atoms: Sequence[Atom], transient: bool = False
+    ) -> None:
+        body = list(atoms)
+        order = _planned_positions(instance, body, range(len(body)), set())
+        self.body_order = _body_order(order)
+        self.layout: dict[Any, int] = {}
+        self.transient = transient
+        if transient:
+            for atom in body:
+                for term in atom.terms:
+                    if isinstance(term, Const):
+                        self.layout.setdefault(term, len(self.layout))
+        self.initial = tuple(constant.value for constant in self.layout)
+        self.steps = [_AtomStep(body[i], self.layout) for i in order]
 
     def rows_hash(self, cache: _IndexCache) -> list[tuple]:
-        rows: list[tuple] = [()]
-        for step in self.steps:
-            rows = _probe(step, cache.index_for(step), rows)
-            if not rows:
-                return rows
-        return rows
+        return _join(self.steps, cache, [self.initial], False, self.transient)
 
-    def rows_hash_tracked(
-        self, cache: _IndexCache
-    ) -> list[tuple[tuple, tuple]]:
-        """Hash-join rows with the matched facts riding along.
-
-        Each result is ``(values, facts-in-join-order)``; reorder the
-        facts through :attr:`body_order` to recover the body-order tuple.
-        """
-        rows: list[tuple[tuple, tuple]] = [((), ())]
-        for step in self.steps:
-            rows = _probe_tracked(step, cache.index_for(step), rows)
-            if not rows:
-                return rows
-        return rows
-
-
-# -------------------------------------------------------------------- chase
+    def rows_hash_tracked(self, cache: _IndexCache) -> list[tuple[tuple, tuple]]:
+        """Rows as ``(values, facts-in-join-order)``; reorder the facts
+        through :attr:`body_order` to recover the body-order tuple."""
+        rows = [(self.initial, ())]
+        return _join(self.steps, cache, rows, True, self.transient)
 
 
 class _PivotPlan:
-    """One (rule, pivot-position) batch plan for the semi-naive chase.
+    """A body join whose pivot atom's rows come straight from given
+    facts: the semi-naive step of the batch chase and the delta-chase."""
 
-    The pivot atom seeds rows directly from delta facts; the remaining
-    atoms are probe steps against the (round-stable) work instance.
-    """
+    __slots__ = ("pivot", "steps", "layout", "body_order")
 
-    __slots__ = ("rule", "pivot", "steps", "ground", "layout")
-
-    def __init__(self, instance: Instance, rule: TGD, position: int) -> None:
-        self.rule = rule
-        self.pivot = rule.body[position]
-        self.layout: dict[Variable, int] = {}
+    def __init__(
+        self, instance: Instance, body: Sequence[Atom], position: int
+    ) -> None:
+        self.pivot = body[position]
+        self.layout: dict[Any, int] = {}
         seed_step = _AtomStep(self.pivot, self.layout)
-        rest = [a for i, a in enumerate(rule.body) if i != position]
-        ordered = plan_join_order(instance, rest, set(self.layout))
-        self.steps = [seed_step] + [
-            _AtomStep(atom, self.layout) for atom in ordered
-        ]
-        self.ground = compile_slot_head(rule, self.layout)
+        rest = _planned_positions(
+            instance,
+            body,
+            (i for i in range(len(body)) if i != position),
+            set(self.layout),
+        )
+        self.steps = [seed_step] + [_AtomStep(body[i], self.layout) for i in rest]
+        self.body_order = _body_order([position] + rest)
 
-    def seed_rows(self, facts: Iterable[Fact]) -> list[tuple]:
+    def rows(
+        self, cache: _IndexCache, facts: Iterable[Fact], tracked: bool = False
+    ) -> list:
+        """Every row of the body with the pivot matched to one of
+        ``facts``; tracked rows carry the matched facts in join order
+        (pivot first, see :attr:`body_order`)."""
         admit = self.steps[0].admit
         rows = []
         for fact in facts:
             entry = admit(fact)
             if entry is not None:
-                rows.append(entry[1])
-        return rows
+                rows.append((entry[1], (fact,)) if tracked else entry[1])
+        return _join(self.steps[1:], cache, rows, tracked)
+
+
+# -------------------------------------------------------------------- chase
 
 
 def batch_chase(
@@ -393,21 +513,21 @@ def batch_chase(
 ) -> Instance:
     """Strict-round semi-naive fixpoint, evaluated set-at-a-time.
 
-    Bit-identical to :func:`repro.chase.gav.gav_chase` (same fixpoint,
-    same ``rounds``/``derived_facts`` counters): both use strict rounds,
-    so the per-round derivation set is a pure function of the (work,
-    delta) sets and the evaluation strategy cannot be observed.
+    Bit-identical to the reference :func:`repro.chase.gav.gav_chase`
+    (same fixpoint, same ``rounds``/``derived_facts`` counters): both use
+    strict rounds, so the per-round derivation set is a pure function of
+    the (work, delta) sets and the evaluation strategy cannot be observed.
     """
-    from repro.chase.gav import _check_rules
-
-    _check_rules(rules)
+    check_gav_rules(rules)
     work = instance.copy()
     cache = _IndexCache(work)
-    by_relation: dict[str, list[_PivotPlan]] = {}
+    by_relation: dict[str, list[tuple[_PivotPlan, Callable]]] = {}
     for rule in rules:
         for position in range(len(rule.body)):
-            plan = _PivotPlan(work, rule, position)
-            by_relation.setdefault(plan.pivot.relation, []).append(plan)
+            plan = _PivotPlan(work, rule.body, position)
+            by_relation.setdefault(plan.pivot.relation, []).append(
+                (plan, compile_slot_head(rule, plan.layout))
+            )
 
     delta = list(instance)
     rounds = 0
@@ -420,14 +540,8 @@ def batch_chase(
             delta_by_relation.setdefault(fact.relation, []).append(fact)
         pending: set[Fact] = set()
         for relation, facts in delta_by_relation.items():
-            for plan in by_relation.get(relation, ()):
-                rows = plan.seed_rows(facts)
-                for step in plan.steps[1:]:
-                    if not rows:
-                        break
-                    rows = _probe(step, cache.index_for(step), rows)
-                ground = plan.ground
-                for row in rows:
+            for plan, ground in by_relation.get(relation, ()):
+                for row in plan.rows(cache, facts):
                     head_fact = ground(row)
                     if head_fact not in work:
                         pending.add(head_fact)
@@ -447,30 +561,26 @@ def batch_chase(
 def enumerate_groundings_batch(
     rules: Iterable[TGD], instance: Instance
 ) -> Iterator[tuple[TGD, tuple[Fact, ...], Fact]]:
-    """Batch equivalent of :func:`repro.chase.gav.enumerate_groundings`.
+    """Every grounding ``(rule, body facts, head fact)`` over ``instance``.
 
-    Same dedup semantics — one grounding per distinct ``(body facts, head
-    fact)`` pair per rule, tautological groundings (head in own body)
-    dropped — but each rule body is one batch hash join instead of a
-    per-binding nested loop.  The matched body facts come straight from
-    the join's provenance (no re-instantiation by substitution).  Yield
-    order within a rule follows the join, which is *not* the tuple path's
-    order; callers canonicalize.
+    One grounding per distinct ``(body facts, head fact)`` pair per rule;
+    tautological groundings (head in own body) are dropped — they can
+    never contribute a genuine derivation or support set.  Each rule body
+    is one batch hash join, and the matched body facts come straight from
+    the join's provenance (no re-instantiation by substitution).  The join
+    yields each binding once and a binding is fixed by its body facts, so
+    no pair repeats.  Yield order within a rule follows the join; callers
+    canonicalize.
     """
     cache = _IndexCache(instance)
     for rule in rules:
         plan = _BodyPlan(instance, rule.body)
         ground = compile_slot_head(rule, plan.layout)
         body_of = _tuple_projector(plan.body_order)
-        seen: set[tuple[tuple[Fact, ...], Fact]] = set()
         for values, provenance in plan.rows_hash_tracked(cache):
             body_facts = body_of(provenance)
             head_fact = ground(values)
-            if head_fact in body_facts:
-                continue
-            key = (body_facts, head_fact)
-            if key not in seen:
-                seen.add(key)
+            if head_fact not in body_facts:
                 yield rule, body_facts, head_fact
 
 
@@ -479,35 +589,13 @@ def find_violations_batch(egds: Sequence[EGD], chased: Instance) -> list:
 
     Returns raw :class:`~repro.xr.exchange.Violation` objects including
     both orientations of symmetric egds; callers dedup through
-    :func:`repro.xr.exchange.canonicalize_violations`, exactly as the
-    tuple path does.
+    :func:`repro.xr.exchange.canonicalize_violations`.
     """
-    from repro.xr.exchange import Violation
-
     cache = _IndexCache(chased)
     violations = []
     for egd in egds:
         plan = _BodyPlan(chased, egd.body)
         rows = plan.rows_hash(cache)
-        if not rows:
-            continue
-        substituters = tuple(
-            compile_slot_substituter(atom, plan.layout) for atom in egd.body
-        )
-        lhs_slot = plan.layout[egd.lhs]
-        rhs_is_var = isinstance(egd.rhs, Variable)
-        rhs_slot = plan.layout[egd.rhs] if rhs_is_var else None
-        rhs_const = None if rhs_is_var else egd.rhs.value
-        constants_only = egd.constants_only
-        for row in rows:
-            lhs_value = row[lhs_slot]
-            rhs_value = row[rhs_slot] if rhs_is_var else rhs_const
-            if lhs_value == rhs_value:
-                continue
-            if constants_only and not (
-                is_constant_value(lhs_value) and is_constant_value(rhs_value)
-            ):
-                continue
-            body_facts = tuple(sub(row) for sub in substituters)
-            violations.append(Violation(egd, body_facts, lhs_value, rhs_value))
+        if rows:
+            violations += compile_violations(egd, plan.layout)(rows)
     return violations

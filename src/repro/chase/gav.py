@@ -1,24 +1,44 @@
-"""Semi-naive chase for GAV rules (with optional skolem-term heads).
+"""The nested-loop reference exchange (test-only).
 
-After the Theorem 1 reduction, every rule has a single head atom whose terms
-are frontier variables, constants, or skolem terms, and no labelled nulls
-are ever created: skolem values play their role.  This makes the chase a
-plain datalog fixpoint, evaluated semi-naively — each round only considers
-rule bodies with at least one atom matched in the most recent delta.
-
-The same matcher also enumerates *groundings*: the instantiations of a rule
-whose body facts all hold in a given instance.  Grounding enumeration is the
-basis of support sets (Definition 4) and of the Figure 1 program grounding.
+Production joins run on the hash operators of :mod:`repro.chase.batch`;
+this module keeps the original tuple-at-a-time evaluator, driven by the
+index nested-loop :func:`~repro.relational.queries.match_atoms`, as the
+smallest reference that pins them: the semi-naive :func:`gav_chase`,
+:func:`enumerate_groundings` (Definition 4) and :func:`find_violations`
+(Definition 5), assembled by :func:`reference_exchange_data`, and
+:func:`reference_ground_query`.  The fuzzer, the bit-identity tests and
+the micro-benchmark's batch-vs-reference series use it; no production
+module imports it.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from repro.chase.batch import check_gav_rules
 from repro.dependencies.tgds import TGD, SkolemTerm
 from repro.relational.instance import Fact, Instance
-from repro.relational.queries import Atom, CompiledJoin, match_atoms
-from repro.relational.terms import Const, Variable
+from repro.relational.queries import (
+    Atom,
+    CompiledJoin,
+    ConjunctiveQuery,
+    UnionOfConjunctiveQueries,
+    match_atoms,
+)
+from repro.relational.terms import Const, Variable, is_constant_value
+
+#: Every order- and numbering-sensitive artifact of an exchange build
+#: (besides the chased fact *set*): production and reference must agree
+#: on each of them exactly.
+COMPARED_FIELDS = (
+    "groundings",
+    "violations",
+    "fact_ids",
+    "facts_by_id",
+    "grounding_bodies",
+    "grounding_heads",
+)
 
 
 def _unify_atom_with_fact(
@@ -47,12 +67,7 @@ _VAR, _CONST, _SKOLEM = 0, 1, 2
 
 
 def compile_head_grounder(rule: TGD) -> Callable[[dict[Variable, Any]], Fact]:
-    """A function instantiating the (single) GAV head under a binding.
-
-    The term kinds are classified once at compile time; the chase and the
-    grounder call the result once per derived binding, skipping the
-    per-term isinstance dispatch of the uncompiled path.
-    """
+    """A function instantiating the (single) GAV head under a binding."""
     atom = rule.head[0]
     relation = atom.relation
     ops: list[tuple[int, Any]] = []
@@ -101,111 +116,32 @@ def compile_substituter(atom: Atom) -> Callable[[dict[Variable, Any]], Fact]:
     return substitute
 
 
-def ground_head(rule: TGD, binding: dict[Variable, Any]) -> Fact:
-    """Instantiate the (single) head atom of a GAV rule under ``binding``."""
-    return compile_head_grounder(rule)(binding)
-
-
-def _check_rules(rules: Sequence[TGD]) -> None:
-    for rule in rules:
-        if not rule.is_gav():
-            raise ValueError(
-                f"{rule.label}: gav_chase requires GAV rules "
-                "(single head atom, no existential variables)"
-            )
-
-
-class PivotEntry:
-    """One (rule, pivot-atom) pair of a :class:`RuleIndex`.
-
-    The join over the remaining body atoms is compiled lazily on first use
-    and reused for every later delta fact and round: its plan depends only
-    on the bound-variable *names* (the pivot's variables), never on their
-    values or on the instance contents, so one plan serves every instance
-    the index is ever run against.
-    """
-
-    __slots__ = ("rule", "pivot", "rest", "ground", "substituters", "_join")
-
-    def __init__(self, rule: TGD, position: int, ground) -> None:
-        self.rule = rule
-        self.pivot = rule.body[position]
-        self.rest = [a for i, a in enumerate(rule.body) if i != position]
-        self.ground = ground
-        self.substituters = tuple(
-            compile_substituter(atom) for atom in rule.body
-        )
-        self._join: CompiledJoin | None = None
-
-    def join(self, instance: Instance) -> CompiledJoin:
-        if self._join is None:
-            self._join = CompiledJoin(
-                instance, self.rest, self.pivot.variables()
-            )
-        return self._join
-
-    def seed(self, fact: Fact) -> dict[Variable, Any] | None:
-        return _unify_atom_with_fact(self.pivot, fact, {})
-
-    def body_facts(self, binding: dict[Variable, Any]) -> tuple[Fact, ...]:
-        return tuple(sub(binding) for sub in self.substituters)
-
-
-class RuleIndex:
-    """Per-relation pivot index over GAV rules.
-
-    Indexing a delta fact into the rules it can wake is the core step of
-    both the full semi-naive chase (:func:`gav_chase`) and the delta chase
-    of :mod:`repro.incremental`; building the index once and sharing it
-    amortizes head-grounder/substituter compilation and the lazy join
-    plans across every round — and, for an update session, across every
-    applied delta.
-    """
-
-    def __init__(self, rules: Sequence[TGD]) -> None:
-        _check_rules(rules)
-        self.rules = list(rules)
-        self.by_relation: dict[str, list[PivotEntry]] = {}
-        for rule in self.rules:
-            ground = compile_head_grounder(rule)
-            for position in range(len(rule.body)):
-                entry = PivotEntry(rule, position, ground)
-                self.by_relation.setdefault(entry.pivot.relation, []).append(
-                    entry
-                )
-
-    def entries_for(self, relation: str) -> Sequence[PivotEntry]:
-        return self.by_relation.get(relation, ())
-
-
 def gav_chase(
     instance: Instance,
     rules: Sequence[TGD],
     max_rounds: int = 1_000_000,
     stats: dict[str, int] | None = None,
-    index: RuleIndex | None = None,
 ) -> Instance:
     """Compute the least fixpoint of ``rules`` over ``instance`` (a copy).
 
-    Semi-naive evaluation with *strict* rounds: round ``k`` matches each
-    rule body with at least one atom bound to a fact derived in round
-    ``k - 1``, and facts derived in round ``k`` only become visible to
-    joins in round ``k + 1``.  Strict rounds make the per-round derivation
-    set — and therefore the ``rounds`` counter — a pure function of
-    (instance, rules), independent of fact iteration order, which is what
-    lets the batch evaluator (:mod:`repro.chase.batch`) reproduce the
-    counters bit-for-bit.  A prebuilt ``index`` (:class:`RuleIndex` over
-    the same rules) can be passed to share compiled joins across repeated
-    chases.
-
-    When ``stats`` is a dict, the deterministic work counters ``rounds``
-    (semi-naive delta iterations) and ``derived_facts`` (facts added
-    beyond the input) are recorded into it (observability; answer-neutral).
+    Semi-naive evaluation with *strict* rounds: facts derived in round
+    ``k`` only become visible to joins in round ``k + 1``, so the
+    per-round derivation set — and the ``rounds`` counter — is a pure
+    function of (instance, rules), which :func:`~repro.chase.batch.batch_chase`
+    reproduces bit-for-bit.  Each (rule, pivot-atom) pair compiles the join
+    over the rest of its body once, on first use.  When ``stats`` is a
+    dict, the counters ``rounds`` and ``derived_facts`` are recorded.
     """
-    if index is None:
-        index = RuleIndex(rules)
-    else:
-        _check_rules(rules)
+    check_gav_rules(rules)
+    # relation -> [pivot atom, rest of the body, head grounder, lazy join]
+    by_relation: dict[str, list[list]] = {}
+    for rule in rules:
+        ground = compile_head_grounder(rule)
+        for position, pivot in enumerate(rule.body):
+            rest = [a for i, a in enumerate(rule.body) if i != position]
+            by_relation.setdefault(pivot.relation, []).append(
+                [pivot, rest, ground, None]
+            )
     work = instance.copy()
     delta = list(instance)
 
@@ -216,18 +152,21 @@ def gav_chase(
             raise RuntimeError(f"gav_chase exceeded {max_rounds} rounds")
         pending: set[Fact] = set()
         for fact in delta:
-            for entry in index.entries_for(fact.relation):
-                seed = entry.seed(fact)
+            for entry in by_relation.get(fact.relation, ()):
+                pivot, rest, ground, join = entry
+                seed = _unify_atom_with_fact(pivot, fact, {})
                 if seed is None:
                     continue
-                join = entry.join(work)
+                if join is None:
+                    join = entry[3] = CompiledJoin(
+                        work, rest, pivot.variables()
+                    )
                 # Buffer heads until the round ends: a derivation that
                 # needs an in-round fact fires next round instead, so the
                 # fixpoint is unchanged but each round's output depends
                 # only on the (work, delta) sets.
                 derived = [
-                    entry.ground(binding)
-                    for binding in join.bindings(work, seed)
+                    ground(binding) for binding in join.bindings(work, seed)
                 ]
                 for head_fact in derived:
                     if head_fact not in work:
@@ -267,3 +206,110 @@ def enumerate_groundings(
             if key not in seen:
                 seen.add(key)
                 yield rule, body_facts, head_fact
+
+
+def find_violations(mapping, chased: Instance) -> list:
+    """All grounded-egd violations over the chased instance (Definition 5),
+    canonicalized.
+
+    For constants-only egds, only clashes between two distinct constants
+    count — skolem values stand for nulls, which the original chase would
+    simply unify.
+    """
+    from repro.xr.exchange import Violation, canonicalize_violations
+
+    violations = []
+    for egd in mapping.target_egds:
+        for binding in match_atoms(chased, list(egd.body)):
+            lhs_value = binding[egd.lhs]
+            rhs_value = (
+                binding[egd.rhs]
+                if isinstance(egd.rhs, Variable)
+                else egd.rhs.value
+            )
+            if lhs_value == rhs_value:
+                continue
+            if egd.constants_only and not (
+                is_constant_value(lhs_value) and is_constant_value(rhs_value)
+            ):
+                continue
+            body_facts = tuple(atom.substitute(binding) for atom in egd.body)
+            violations.append(Violation(egd, body_facts, lhs_value, rhs_value))
+    return canonicalize_violations(violations)
+
+
+def reference_exchange_data(
+    mapping, source_instance: Instance, timings: dict[str, float] | None = None
+):
+    """The exchange data of ``mapping`` over ``source_instance``, computed
+    by the nested-loop reference.
+
+    Same validation, same canonical ordering and the same interned
+    universe as :func:`~repro.xr.exchange.build_exchange_data`, so the
+    two results must agree on the chased set and on every field of
+    :data:`COMPARED_FIELDS`.  ``timings`` gets the same stage keys.
+    """
+    from repro.xr.exchange import assemble_exchange_data, check_exchange_input
+
+    check_exchange_input(mapping, source_instance)
+    clock = time.perf_counter
+    tgds = list(mapping.all_tgds())
+    started = clock()
+    chased = gav_chase(source_instance, tgds)
+    chased_at = clock()
+    groundings = list(enumerate_groundings(tgds, chased))
+    grounded_at = clock()
+    violations = find_violations(mapping, chased)
+    violations_at = clock()
+    data = assemble_exchange_data(
+        mapping, source_instance, chased, groundings, violations
+    )
+    if timings is not None:
+        timings["chase"] = chased_at - started
+        timings["groundings"] = grounded_at - chased_at
+        timings["violations"] = violations_at - grounded_at
+        timings["index"] = clock() - violations_at
+    return data
+
+
+def exchange_mismatches(data, reference) -> list[str]:
+    """The artifacts on which two exchange builds disagree: ``"chased"``
+    (as a set) and the names in :data:`COMPARED_FIELDS`."""
+    mismatches = []
+    if set(data.chased) != set(reference.chased):
+        mismatches.append("chased")
+    for name in COMPARED_FIELDS:
+        if getattr(data, name) != getattr(reference, name):
+            mismatches.append(name)
+    return mismatches
+
+
+def reference_ground_query(
+    query: UnionOfConjunctiveQueries | ConjunctiveQuery,
+    chased: Instance,
+) -> list[tuple[Fact, tuple[Fact, ...]]]:
+    """All (candidate fact, support set) pairs of the query over
+    ``chased``, by nested-loop matching: the reference for
+    :func:`repro.xr.queries.ground_query`."""
+    from repro.xr.queries import query_relation_name
+
+    disjuncts = (
+        [query] if isinstance(query, ConjunctiveQuery) else list(query.disjuncts)
+    )
+    relation = query_relation_name(query.name)
+    results: list[tuple[Fact, tuple[Fact, ...]]] = []
+    seen: set[tuple[Fact, tuple[Fact, ...]]] = set()
+    for disjunct in disjuncts:
+        for binding in match_atoms(chased, list(disjunct.body)):
+            answer = tuple(binding[v] for v in disjunct.head_vars)
+            if not all(is_constant_value(value) for value in answer):
+                continue
+            candidate = Fact(relation, answer)
+            support = tuple(
+                dict.fromkeys(atom.substitute(binding) for atom in disjunct.body)
+            )
+            key = (candidate, support)
+            if key not in seen:
+                seen.add(key)
+                results.append(key)
+    return results

@@ -102,10 +102,7 @@ def _command_answer(arguments) -> int:
     unknown: set = set()
     phase_note = None
     if arguments.method == "monolithic":
-        engine = MonolithicEngine(
-            mapping, instance, budget=budget, obs=obs,
-            exchange_strategy=arguments.exchange_strategy,
-        )
+        engine = MonolithicEngine(mapping, instance, budget=budget, obs=obs)
         if arguments.possible:
             answers = engine.possible_answers(query, allow_partial=allow_partial)
         else:
@@ -114,8 +111,7 @@ def _command_answer(arguments) -> int:
         unknown = engine.last_stats.unknown_candidates
     else:
         with SegmentaryEngine(
-            mapping, instance, jobs=arguments.jobs, budget=budget, obs=obs,
-            exchange_strategy=arguments.exchange_strategy,
+            mapping, instance, jobs=arguments.jobs, budget=budget, obs=obs
         ) as engine:
             if updates is not None:
                 session = engine.update_session()
@@ -210,7 +206,6 @@ def _command_fuzz(arguments) -> int:
         use_oracle=not arguments.no_oracle,
         check_parallel=not arguments.no_parallel,
         check_faults=arguments.faults,
-        exchange_strategy=arguments.exchange_strategy,
     )
     if arguments.updates:
         from repro.fuzz import run_update_fuzz
@@ -366,7 +361,6 @@ def _command_bench(arguments) -> int:
         queries=queries,
         log=print_flush,
         obs=obs,
-        exchange_strategy=arguments.exchange_strategy,
     )
     print(format_micro_table(payload))
     if arguments.json:
@@ -417,12 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     answer.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for signature solving "
                         "(segmentary method only; default 1 = in-process)")
-    answer.add_argument("--exchange-strategy", choices=("batch", "tuple"),
-                        default="batch",
-                        help="exchange evaluation path: 'batch' (default) "
-                        "runs the chase/groundings/violations as "
-                        "set-at-a-time operators; 'tuple' is the "
-                        "tuple-at-a-time reference path")
     answer.add_argument("--deadline", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget for the whole query; on "
@@ -457,11 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--profile",
                       choices=("mixed", "freeform", "ibench", "tpch"),
                       default="mixed", help="scenario generator profile")
-    fuzz.add_argument("--exchange-strategy", choices=("batch", "tuple"),
-                      default="batch",
-                      help="exchange evaluation path every engine in the "
-                      "matrix runs on; the opposite path is always "
-                      "cross-checked by a dedicated axis (default batch)")
     fuzz.add_argument("--jobs", type=int, default=1, metavar="N",
                       help="worker processes for the campaign (default 1)")
     fuzz.add_argument("--shrink", action="store_true",
@@ -540,11 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
                        "(size letter + suspect percent) and/or TPC-H cells "
                        "(tpch-sfS-rR); default: S/M/L × 0/3/9/20 plus the "
                        "small TPC-H cells")
-    bench.add_argument("--exchange-strategy", choices=("batch", "tuple"),
-                       default="batch",
-                       help="chase/grounding/violation engine for the "
-                       "measured exchange stage (the batch-vs-tuple series "
-                       "always measures both; default batch)")
     bench.add_argument("--repeats", type=int, default=3, metavar="N",
                        help="repeats per scenario; medians are reported "
                        "(default 3)")

@@ -20,6 +20,12 @@ configuration and collects *discrepancies*:
 - **candidate-invariant** — a certain answer that is not even a candidate
   answer, i.e. not a grounding of the reduced query over the reduced
   mapping's quasi-solution (certain ⊆ candidates, §6.4);
+- **exchange-mismatch** — the exchange data differs from the nested-loop
+  :func:`~repro.chase.gav.reference_exchange_data` (chased set or any
+  :data:`~repro.chase.gav.COMPARED_FIELDS` field);
+- **grounding-mismatch** — the query grounding differs from
+  :func:`~repro.chase.gav.reference_ground_query` as a set of
+  (candidate, support) pairs;
 - **crash** — an engine raised.
 
 Engine matrix for the segmentary engine: SequentialExecutor vs a shared
@@ -27,11 +33,8 @@ ParallelExecutor (``jobs`` ∈ {1, N}), cache cold vs warm vs disabled, and
 the family grouping (the default merges signature groups that share a
 cluster, exercised by every axis above; ``solve_strategy=
 "per-signature"`` makes each group its own family, certain and
-possible), and the exchange evaluation
-strategy (every engine runs on ``config.exchange_strategy``; one extra
-segmentary run forces the opposite of it, so the batch set-at-a-time and
-tuple-at-a-time exchange paths are cross-checked on every scenario).  All
-knobs are answer-neutral by design; the fuzzer is the enforcement.
+possible).  All knobs are answer-neutral by design; the fuzzer is the
+enforcement.
 
 Two difficulty gates keep worst-case scenarios from stalling a campaign:
 the Definition 1 oracle only runs up to ``oracle_max_facts`` source facts
@@ -54,6 +57,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
+from repro.chase.gav import (
+    exchange_mismatches,
+    reference_exchange_data,
+    reference_ground_query,
+)
 from repro.fuzz.generator import DEFAULT_CONFIG, FuzzConfig, random_scenario
 from repro.fuzz.render import Scenario, render_scenario
 from repro.reduction.reduce import reduce_mapping
@@ -150,9 +158,7 @@ def run_differential(
     reduced = data = None
     try:
         reduced = reduce_mapping(mapping)
-        data = build_exchange_data(
-            reduced.gav, instance, strategy=config.exchange_strategy
-        )
+        data = build_exchange_data(reduced.gav, instance)
     except Exception:  # noqa: BLE001 — reported via the engine runs
         pass
     heavy = data is None or len(data.groundings) > config.enumerative_limit
@@ -167,9 +173,7 @@ def run_differential(
                 lambda: xr_possible_oracle(query, instance, mapping),
             )
 
-    monolithic = MonolithicEngine(
-        mapping, instance, exchange_strategy=config.exchange_strategy
-    )
+    monolithic = MonolithicEngine(mapping, instance)
     run("monolithic", "certain", lambda: monolithic.answer(query))
     if config.check_possible and not heavy:
         run(
@@ -185,12 +189,7 @@ def run_differential(
         # consequence is vacuous — the erratum in its total form, observed
         # on real fuzz seeds.  That outcome is documented behavior, not a
         # crash; only a *missing answer* (checked below) is a bug.
-        fig_engine = MonolithicEngine(
-            mapping,
-            instance,
-            encoding="figure1",
-            exchange_strategy=config.exchange_strategy,
-        )
+        fig_engine = MonolithicEngine(mapping, instance, encoding="figure1")
         try:
             figure1 = frozenset(fig_engine.answer(query))
         except RuntimeError as error:
@@ -209,9 +208,7 @@ def run_differential(
                 report.engines.append("monolithic-figure1")
                 report.certain["monolithic-figure1"] = figure1
 
-    with SegmentaryEngine(
-        mapping, instance, cache=True, exchange_strategy=config.exchange_strategy
-    ) as cached:
+    with SegmentaryEngine(mapping, instance, cache=True) as cached:
         cold = run("segmentary-cold", "certain", lambda: cached.answer(query))
         warm = run("segmentary-warm", "certain", lambda: cached.answer(query))
         if config.check_possible:
@@ -221,31 +218,8 @@ def run_differential(
                 lambda: cached.possible_answers(query),
             )
 
-    with SegmentaryEngine(
-        mapping, instance, cache=False, exchange_strategy=config.exchange_strategy
-    ) as nocache:
+    with SegmentaryEngine(mapping, instance, cache=False) as nocache:
         run("segmentary-nocache", "certain", lambda: nocache.answer(query))
-
-    # The exchange-strategy axis: everything above ran on
-    # ``config.exchange_strategy``; this run forces the *other* evaluation
-    # path (batch set-at-a-time vs tuple-at-a-time nested loops), so the
-    # two chase/grounding/violation implementations are differentially
-    # compared on every scenario.
-    other_strategy = "tuple" if config.exchange_strategy == "batch" else "batch"
-    with SegmentaryEngine(
-        mapping, instance, cache=False, exchange_strategy=other_strategy
-    ) as crossed:
-        run(
-            f"segmentary-{other_strategy}-exchange",
-            "certain",
-            lambda: crossed.answer(query),
-        )
-        if config.check_possible:
-            run(
-                f"segmentary-{other_strategy}-exchange-possible",
-                "possible",
-                lambda: crossed.possible_answers(query),
-            )
 
     # The grouping axis: every segmentary run above merges signature
     # groups that share a cluster into one family; this one solves each
@@ -256,7 +230,6 @@ def run_differential(
         instance,
         cache=False,
         solve_strategy="per-signature",
-        exchange_strategy=config.exchange_strategy,
     ) as per_signature:
         run(
             "segmentary-per-signature",
@@ -278,13 +251,18 @@ def run_differential(
             instance,
             executor=executor or _shared_parallel_executor(config.parallel_jobs),
             cache=False,
-            exchange_strategy=config.exchange_strategy,
         ) as parallel_engine:
             run(
                 "segmentary-parallel",
                 "certain",
                 lambda: parallel_engine.answer(query),
             )
+
+    if data is not None:
+        report.discrepancies.extend(
+            _reference_discrepancies(reduced, instance, query, data)
+        )
+        report.engines += ["reference-exchange", "reference-grounding"]
 
     # ----------------------------------------------------------- compare
 
@@ -357,7 +335,7 @@ def run_differential(
             # quasi-solution — the same notion §6.4 starts from.  The plain
             # tgd-only chase would be wrong here: egds can equate nulls
             # with constants, creating certain answers it never exhibits.
-            groundings = ground_query(reduced.rewrite(query), data.chased)
+            groundings = ground_query(reduced.rewrite(query), data)
             candidates = frozenset(
                 answers_from_facts({cand for cand, _support in groundings})
             )
@@ -380,6 +358,32 @@ def run_differential(
             )
 
     return report
+
+
+def _reference_discrepancies(reduced, instance, query, data) -> list[Discrepancy]:
+    """The exchange data and the query grounding against the nested-loop
+    reference: equal artifacts, not merely equal answers."""
+    try:
+        reference = reference_exchange_data(reduced.gav, instance)
+        rewritten = reduced.rewrite(query)
+        grounded = set(ground_query(rewritten, data))
+        expected = set(reference_ground_query(rewritten, reference.chased))
+    except Exception as error:  # noqa: BLE001 — a crash IS a finding
+        detail = f"{type(error).__name__}: {error}"
+        return [Discrepancy("crash", "reference-exchange", "-", detail)]
+    problems = [
+        Discrepancy("exchange-mismatch", "reference", "batch", name)
+        for name in exchange_mismatches(data, reference)
+    ]
+    if grounded != expected:
+        problems.append(
+            Discrepancy(
+                "grounding-mismatch", "reference", "batch",
+                f"missing {len(expected - grounded)}, extra "
+                f"{len(grounded - expected)} (candidate, support) pairs",
+            )
+        )
+    return problems
 
 
 # -------------------------------------------------------------- campaign

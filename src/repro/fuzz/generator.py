@@ -74,10 +74,6 @@ class FuzzConfig:
     ibench_keys: int = 2
     # -- tpch profile (fuzz-sized cells; the bench grid goes bigger) --
     tpch_max_scale: float = 0.005
-    # -- exchange evaluation strategy for every engine in the matrix
-    # (the differential runner additionally cross-checks the *other*
-    # strategy on a dedicated axis regardless of this setting) --
-    exchange_strategy: str = "batch"
     # -- differential config matrix --
     use_oracle: bool = True
     oracle_max_facts: int = 9
@@ -103,11 +99,6 @@ class FuzzConfig:
     def __post_init__(self) -> None:
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}; pick from {PROFILES}")
-        if self.exchange_strategy not in ("batch", "tuple"):
-            raise ValueError(
-                f"unknown exchange strategy {self.exchange_strategy!r}; "
-                "choose 'batch' or 'tuple'"
-            )
         if self.tpch_max_scale <= 0:
             raise ValueError("tpch_max_scale must be positive")
         if not 1 <= self.min_arity <= self.max_arity:

@@ -10,7 +10,8 @@ instance:
 
 - the chased instance, the grounding set (keyed by rule label — two
   independent reductions α-rename rule variables), and the canonical
-  violation keys;
+  violation keys — against both the production re-exchange and the
+  nested-loop :func:`~repro.chase.gav.reference_exchange_data`;
 - the cluster partition (as sets of violation keys) and the cluster
   source envelopes;
 - the safe source split and the safe chase;
@@ -33,6 +34,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable
 
+from repro.chase.gav import reference_exchange_data
 from repro.fuzz.differential import FuzzFailure, FuzzSummary
 from repro.fuzz.generator import (
     DEFAULT_CONFIG,
@@ -195,29 +197,20 @@ def _cluster_envelopes(analysis) -> set:
 ANSWER_CHECK_INFLUENCE_CAP = 96
 
 
-def check_update_stream(
-    scenario: Scenario,
-    deltas: list[Delta],
-    config: FuzzConfig = DEFAULT_CONFIG,
-) -> list[str]:
+def check_update_stream(scenario: Scenario, deltas: list[Delta]) -> list[str]:
     """Differentially replay ``deltas``; returns discrepancy strings.
 
     One warm incremental engine (session-maintained, cache enabled) versus
-    a fresh from-scratch engine per step.  Both engines build their
-    exchange with ``config.exchange_strategy``, so with the default the
-    delta-chase is validated per step against batch-built adjacency (and
-    with ``"tuple"`` against the legacy path).  Stops at the first failing
-    step: later steps run on top of diverged state and would only echo it.
+    a fresh from-scratch engine per step, whose exchange state is also
+    checked against the nested-loop reference exchange.  Stops at the
+    first failing step: later steps run on top of diverged state and
+    would only echo it.
     Answer comparisons are skipped on solver-hard steps (see
     :data:`ANSWER_CHECK_INFLUENCE_CAP`); state comparisons never are.
     """
     problems: list[str] = []
     try:
-        engine = SegmentaryEngine(
-            scenario.mapping,
-            scenario.instance.copy(),
-            exchange_strategy=config.exchange_strategy,
-        )
+        engine = SegmentaryEngine(scenario.mapping, scenario.instance.copy())
         engine.exchange()
         session = engine.update_session()
     except Exception as error:  # noqa: BLE001 — a crash is a finding
@@ -232,29 +225,21 @@ def check_update_stream(
                 problems.append(f"crash at step {step}: {error!r}")
                 return problems
             current = apply_delta(current, delta)
-            reference = SegmentaryEngine(
-                scenario.mapping,
-                current.copy(),
-                exchange_strategy=config.exchange_strategy,
-            )
+            reference = SegmentaryEngine(scenario.mapping, current.copy())
             try:
                 reference.exchange()
+                nested = reference_exchange_data(reference.reduced.gav, current)
                 checks = [
-                    (
-                        "chased",
-                        set(engine.data.chased),
-                        set(reference.data.chased),
-                    ),
-                    (
-                        "groundings",
-                        _grounding_keys(engine.data),
-                        _grounding_keys(reference.data),
-                    ),
-                    (
-                        "violations",
-                        _violation_keys(engine.data),
-                        _violation_keys(reference.data),
-                    ),
+                    (prefix + kind, state(engine.data), state(scratch))
+                    for prefix, scratch in (
+                        ("", reference.data), ("reference-", nested)
+                    )
+                    for kind, state in (
+                        ("chased", lambda data: set(data.chased)),
+                        ("groundings", _grounding_keys),
+                        ("violations", _violation_keys),
+                    )
+                ] + [
                     (
                         "cluster-partition",
                         _cluster_partition(engine.analysis),
@@ -320,7 +305,7 @@ def check_update_seed(
     """Generate scenario + stream for ``seed`` and differentially replay."""
     scenario = random_scenario(seed, config)
     deltas = random_update_stream(seed, scenario, steps, config)
-    return check_update_stream(scenario, deltas, config)
+    return check_update_stream(scenario, deltas)
 
 
 # --------------------------------------------------------------- shrink
@@ -494,7 +479,7 @@ def run_update_fuzz(
             scenario, deltas = shrink_update_stream(
                 scenario,
                 deltas,
-                lambda sc, ds: bool(check_update_stream(sc, ds, config)),
+                lambda sc, ds: bool(check_update_stream(sc, ds)),
             )
             failure.shrunk_text = render_update_scenario(scenario, deltas)
             emit(
@@ -512,11 +497,9 @@ def run_update_fuzz(
     return summary
 
 
-def replay_update_corpus(
-    directory: str | Path, config: FuzzConfig = DEFAULT_CONFIG
-) -> list[tuple[Path, list[str]]]:
+def replay_update_corpus(directory: str | Path) -> list[tuple[Path, list[str]]]:
     """Replay every saved update repro; a regression returns problems."""
     return [
-        (path, check_update_stream(scenario, deltas, config))
+        (path, check_update_stream(scenario, deltas))
         for path, scenario, deltas in load_update_corpus(directory)
     ]

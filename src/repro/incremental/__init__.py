@@ -22,7 +22,6 @@ Entry points:
 
 from repro.incremental.chase import (
     DeltaChaseReport,
-    EgdIndex,
     apply_delta_chase,
 )
 from repro.incremental.delta import (
@@ -36,7 +35,6 @@ from repro.incremental.session import SessionStats, UpdateReport, UpdateSession
 __all__ = [
     "Delta",
     "DeltaChaseReport",
-    "EgdIndex",
     "SessionStats",
     "UpdateReport",
     "UpdateSession",

@@ -14,16 +14,19 @@ fact dies (a live body forces a live head), a violation iff any body fact
 dies.
 
 **Insertion** is a semi-naive worklist doubling as grounding enumeration:
-every new fact is added to the chased instance and then *pivoted* through
-the shared :class:`~repro.chase.gav.RuleIndex` — each binding of the rest
-of a rule body yields a grounding whose head is derived (and enqueued if
-new).  A grounding with several new body facts is found when pivoting on
-whichever of them is processed last (all the others are already in the
-instance by then), so every grounding touching the delta is enumerated;
-groundings whose body predates the delta were enumerated before.  New
-violations are found the same way after the chase settles, pivoting each
-new fact through the egd bodies, deduplicated against the live set by the
-canonical :func:`~repro.xr.exchange.violation_key`.
+every new fact is added to the chased instance and then seeds one
+:class:`~repro.chase.batch._PivotPlan` per (rule, body position) whose
+pivot it matches; each provenance-tracked row is a grounding whose head
+is derived (and enqueued if new).  A grounding with several new body
+facts is found when pivoting on whichever of them is processed last (all
+the others are already in the instance by then), so every grounding
+touching the delta is enumerated; groundings whose body predates the
+delta were enumerated before.  New violations are found the same way
+after the chase settles, pivoting each new fact through the egd bodies,
+deduplicated against the live set by the canonical
+:func:`~repro.xr.exchange.violation_key`.  Every probe reads the exchange
+data's long-lived ``index_cache`` (shared with query grounding), which
+each added or dropped chased fact updates.
 
 Adjacency indexes are maintained **in place** (swap-remove on deletion,
 append on insertion — see :func:`~repro.xr.exchange.remove_groundings`);
@@ -38,17 +41,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chase.gav import RuleIndex, _unify_atom_with_fact
-from repro.dependencies.egds import EGD
-from repro.relational.instance import Fact, Instance
-from repro.relational.queries import CompiledJoin
+from repro.chase.batch import (
+    _PivotPlan,
+    _tuple_projector,
+    compile_slot_head,
+    compile_violations,
+)
+from repro.relational.instance import Fact
 from repro.xr.envelope import derivable_ids
 from repro.xr.exchange import (
     ExchangeData,
     Violation,
     append_grounding,
     append_violation,
-    grounded_egd_violation,
     remove_groundings,
     remove_violations,
     violation_key,
@@ -71,41 +76,36 @@ def grounding_key(
     return (id(rule), body_facts, head_fact)
 
 
-class EgdPivotEntry:
-    """One (egd, pivot-atom) pair; mirror of the tgd pivot entries."""
-
-    __slots__ = ("egd", "pivot", "rest", "_join")
-
-    def __init__(self, egd: EGD, position: int) -> None:
-        self.egd = egd
-        self.pivot = egd.body[position]
-        self.rest = [a for i, a in enumerate(egd.body) if i != position]
-        self._join: CompiledJoin | None = None
-
-    def join(self, instance: Instance) -> CompiledJoin:
-        if self._join is None:
-            self._join = CompiledJoin(
-                instance, self.rest, self.pivot.variables()
-            )
-        return self._join
-
-    def seed(self, fact: Fact):
-        return _unify_atom_with_fact(self.pivot, fact, {})
+#: ``relation -> [(rule, plan, head grounder, body-order projector)]``.
+TgdPlans = dict[str, list[tuple]]
+#: ``relation -> [(plan, violations-of-rows builder)]``.
+EgdPlans = dict[str, list[tuple]]
 
 
-class EgdIndex:
-    """Per-relation pivot index over egd bodies (violation maintenance)."""
-
-    def __init__(self, egds) -> None:
-        self.by_relation: dict[str, list[EgdPivotEntry]] = {}
-        for egd in egds:
-            for position, atom in enumerate(egd.body):
-                self.by_relation.setdefault(atom.relation, []).append(
-                    EgdPivotEntry(egd, position)
+def compile_pivot_plans(data: ExchangeData) -> tuple[TgdPlans, EgdPlans]:
+    """The delta-chase's joins: one pivot plan per (tgd, body position)
+    and per (egd, body position), keyed by the pivot's relation."""
+    chased = data.chased
+    tgd_plans: TgdPlans = {}
+    for rule in data.mapping.all_tgds():
+        for position in range(len(rule.body)):
+            plan = _PivotPlan(chased, rule.body, position)
+            tgd_plans.setdefault(plan.pivot.relation, []).append(
+                (
+                    rule,
+                    plan,
+                    compile_slot_head(rule, plan.layout),
+                    _tuple_projector(plan.body_order),
                 )
-
-    def entries_for(self, relation: str) -> list[EgdPivotEntry]:
-        return self.by_relation.get(relation, [])
+            )
+    egd_plans: EgdPlans = {}
+    for egd in data.mapping.target_egds:
+        for position in range(len(egd.body)):
+            plan = _PivotPlan(chased, egd.body, position)
+            egd_plans.setdefault(plan.pivot.relation, []).append(
+                (plan, compile_violations(egd, plan.layout))
+            )
+    return tgd_plans, egd_plans
 
 
 @dataclass
@@ -137,8 +137,8 @@ class DeltaChaseReport:
 def apply_delta_chase(
     data: ExchangeData,
     delta: Delta,
-    rule_index: RuleIndex,
-    egd_index: EgdIndex,
+    tgd_plans: TgdPlans,
+    egd_plans: EgdPlans,
     grounding_keys: set,
     violation_keys: set,
 ) -> DeltaChaseReport:
@@ -158,6 +158,7 @@ def apply_delta_chase(
     report = DeltaChaseReport()
     source = data.source_instance
     chased = data.chased
+    cache = data.index_cache
     fact_ids = data.fact_ids
 
     # ------------------------------------------------------- retraction
@@ -194,7 +195,9 @@ def apply_delta_chase(
 
         facts_by_id = data.facts_by_id
         for fact_id in dead:
-            chased.discard(facts_by_id[fact_id])
+            fact = facts_by_id[fact_id]
+            chased.discard(fact)
+            cache.discard_fact(fact)
     for fact in delta.retracts:
         source.discard(fact)
 
@@ -204,6 +207,7 @@ def apply_delta_chase(
         for fact in sorted(delta.inserts, key=repr):
             source.add(fact)
             if chased.add(fact):
+                cache.add_fact(fact)
                 report.new_ids.add(data.intern_fact(fact))
                 queue.append(fact)
 
@@ -212,23 +216,20 @@ def apply_delta_chase(
         while cursor < len(queue):
             fact = queue[cursor]
             cursor += 1
-            for entry in rule_index.entries_for(fact.relation):
-                seed = entry.seed(fact)
-                if seed is None:
-                    continue
-                join = entry.join(chased)
-                # Materialize the matches before deriving: adding heads to
-                # `chased` while the join iterates would mutate the live
-                # extension sets.
-                found = [
-                    (entry.body_facts(binding), entry.ground(binding))
-                    for binding in join.bindings(chased, seed)
-                ]
-                for body_facts, head_fact in found:
+            for rule, plan, ground, body_of in tgd_plans.get(
+                fact.relation, ()
+            ):
+                # The rows are a materialized list: deriving heads below
+                # cannot disturb the join that found them.
+                rows = plan.rows(cache, (fact,), tracked=True)
+                for values, provenance in rows:
+                    body_facts = body_of(provenance)
+                    head_fact = ground(values)
                     if head_fact in body_facts:
                         continue  # tautological; never a real derivation
-                    added.append((entry.rule, body_facts, head_fact))
+                    added.append((rule, body_facts, head_fact))
                     if chased.add(head_fact):
+                        cache.add_fact(head_fact)
                         report.new_ids.add(data.intern_fact(head_fact))
                         queue.append(head_fact)
 
@@ -251,15 +252,8 @@ def apply_delta_chase(
         facts_by_id = data.facts_by_id
         for fact_id in sorted(report.new_ids):
             fact = facts_by_id[fact_id]
-            for entry in egd_index.entries_for(fact.relation):
-                seed = entry.seed(fact)
-                if seed is None:
-                    continue
-                join = entry.join(chased)
-                for binding in join.bindings(chased, seed):
-                    violation = grounded_egd_violation(entry.egd, binding)
-                    if violation is None:
-                        continue
+            for plan, violations_of in egd_plans.get(fact.relation, ()):
+                for violation in violations_of(plan.rows(cache, (fact,))):
                     key = violation_key(violation)
                     if key in violation_keys:
                         continue

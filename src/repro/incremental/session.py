@@ -7,8 +7,9 @@ engine built on it) and applies :class:`~repro.incremental.delta.Delta`
 batches in place:
 
 1. **Delta-chase** (:mod:`repro.incremental.chase`): chased instance,
-   groundings and violations maintained semi-naively; adjacency rebuilt
-   with stable fact ids.
+   groundings and violations maintained semi-naively on seeded batch
+   pivot plans over the exchange data's shared index cache; adjacency
+   maintained in place with stable fact ids.
 2. **Cluster maintenance**: a cluster is *touched* iff one of its
    violations died or its support closure / influence meets the delta's
    dirty set (dead facts, new facts, facts of added groundings, heads of
@@ -40,7 +41,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.chase.gav import RuleIndex
 from repro.obs.recorder import NOOP_RECORDER, Recorder
 from repro.relational.instance import Instance
 from repro.xr.envelope import (
@@ -55,8 +55,8 @@ from repro.xr.exchange import ExchangeData, check_source_facts, violation_key
 
 from repro.incremental.chase import (
     DeltaChaseReport,
-    EgdIndex,
     apply_delta_chase,
+    compile_pivot_plans,
     grounding_key,
 )
 from repro.incremental.delta import Delta
@@ -121,9 +121,7 @@ class UpdateSession:
         self.obs = obs if obs is not None else NOOP_RECORDER
         self.engine = engine
         self.stats = SessionStats()
-        tgds = list(data.mapping.all_tgds())
-        self._rule_index = RuleIndex(tgds)
-        self._egd_index = EgdIndex(data.mapping.target_egds)
+        self._tgd_plans, self._egd_plans = compile_pivot_plans(data)
         self._grounding_keys = {grounding_key(*g) for g in data.groundings}
         self._violation_keys = {violation_key(v) for v in data.violations}
 
@@ -152,8 +150,8 @@ class UpdateSession:
                 chase_report = apply_delta_chase(
                     self.data,
                     effective,
-                    self._rule_index,
-                    self._egd_index,
+                    self._tgd_plans,
+                    self._egd_plans,
                     self._grounding_keys,
                     self._violation_keys,
                 )

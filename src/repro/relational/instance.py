@@ -2,8 +2,8 @@
 
 An instance is identified with its (finite) set of facts, per Section 2 of
 the paper.  The implementation keeps a per-relation extension plus lazily
-built hash indexes on ``(relation, position)`` so that the chase, the query
-evaluator, and the grounder can all perform index nested-loop joins.
+built hash indexes on ``(relation, position)`` for the index nested-loop
+joins of :func:`~repro.relational.queries.match_atoms`.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 Evaluation is a backtracking index nested-loop join: at every step the atom
 with the most bound variables (and the smallest candidate set) is expanded
-next, using the instance's hash indexes.  The same matcher drives the chase
-and the grounder, so it is written as a reusable generator over bindings.
+next, using the instance's hash indexes.  This matcher serves the standard
+chase, :func:`evaluate`, and the nested-loop reference exchange of
+:mod:`repro.chase.gav`; the pipeline's own joins run on the hash operators
+of :mod:`repro.chase.batch`, which share :func:`plan_join_order`.
 """
 
 from __future__ import annotations
@@ -163,8 +165,8 @@ class CompiledJoin:
 
     Compile once per (atom list, bound-variable set), then run
     :meth:`bindings` for every seed binding with exactly that key set —
-    the chase does this per (rule, pivot-atom) across all rounds, instead
-    of re-planning and re-classifying terms for every delta fact.
+    the reference chase does this per (rule, pivot-atom) across all
+    rounds, instead of re-planning and re-classifying terms per fact.
     """
 
     __slots__ = ("matchers",)

@@ -17,15 +17,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.chase.gav import enumerate_groundings, gav_chase
+from repro.chase.batch import (
+    _IndexCache,
+    batch_chase,
+    enumerate_groundings_batch,
+    find_violations_batch,
+)
 from repro.dependencies.egds import EGD
 from repro.obs.recorder import NOOP_RECORDER, Recorder
 from repro.dependencies.mapping import SchemaMapping
 from repro.dependencies.tgds import TGD
 from repro.relational.instance import Fact, Instance
-from repro.relational.queries import match_atoms
 from repro.relational.schema import Schema
-from repro.relational.terms import Variable, is_constant_value
 
 
 @dataclass(frozen=True)
@@ -86,9 +89,14 @@ class ExchangeData:
     _source_names: frozenset[str] = field(
         default_factory=frozenset, init=False, repr=False
     )
+    # Hash indexes over ``chased`` for every join after the build (query
+    # grounding, the delta-chase), built lazily and kept exact by the
+    # delta-chase for the data's whole lifetime.
+    index_cache: _IndexCache = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._source_names = frozenset(self.mapping.source.names())
+        self.index_cache = _IndexCache(self.chased)
 
     @property
     def source_facts(self) -> set[Fact]:
@@ -183,7 +191,7 @@ def violation_key(
 
     Symmetric bindings of one grounded egd (swapping the roles of the two
     offending values) describe the same violation; the key canonicalizes
-    them so both :func:`find_violations` and the incremental violation
+    them so the exchange build and the incremental violation
     maintenance of :mod:`repro.incremental` dedup identically.
     """
     if violation.egd.symmetric:
@@ -202,29 +210,6 @@ def violation_key(
     )
 
 
-def grounded_egd_violation(
-    egd: EGD, binding: dict[Variable, object]
-) -> Violation | None:
-    """The violation of one grounded egd body, or None if it is satisfied.
-
-    For constants-only egds, only clashes between two distinct constants
-    count — skolem values stand for nulls, which the original chase would
-    simply unify.
-    """
-    lhs_value = binding[egd.lhs]
-    rhs_value = (
-        binding[egd.rhs] if isinstance(egd.rhs, Variable) else egd.rhs.value
-    )
-    if lhs_value == rhs_value:
-        return None
-    if egd.constants_only and not (
-        is_constant_value(lhs_value) and is_constant_value(rhs_value)
-    ):
-        return None
-    body_facts = tuple(atom.substitute(binding) for atom in egd.body)
-    return Violation(egd, body_facts, lhs_value, rhs_value)
-
-
 def canonicalize_violations(violations: list[Violation]) -> list[Violation]:
     """One canonical representative per :func:`violation_key`, sorted.
 
@@ -232,7 +217,7 @@ def canonicalize_violations(violations: list[Violation]) -> list[Violation]:
     strategies encounter them in different orders; keeping the repr-least
     representative (instead of the first encountered) and sorting the
     result makes the violation list a pure function of the violation *set*
-    — the keystone of batch-vs-tuple bit-identity.
+    — the keystone of batch-vs-reference bit-identity.
     """
     best: dict[tuple, tuple[str, Violation]] = {}
     for violation in violations:
@@ -247,20 +232,6 @@ def canonicalize_violations(violations: list[Violation]) -> list[Violation]:
             best.values(), key=lambda ranked: ranked[0]
         )
     ]
-
-
-def find_violations(mapping: SchemaMapping, chased: Instance) -> list[Violation]:
-    """All grounded-egd violations over the chased instance (Definition 5)."""
-    violations: list[Violation] = []
-    for egd in mapping.target_egds:
-        for binding in match_atoms(chased, list(egd.body)):
-            violation = grounded_egd_violation(egd, binding)
-            if violation is not None:
-                violations.append(violation)
-    return canonicalize_violations(violations)
-
-
-EXCHANGE_STRATEGIES = ("batch", "tuple")
 
 
 def check_source_facts(source: Schema, instance: Instance) -> None:
@@ -282,23 +253,30 @@ def check_source_facts(source: Schema, instance: Instance) -> None:
                 )
 
 
+def check_exchange_input(mapping: SchemaMapping, source_instance: Instance) -> None:
+    """Raise ``ValueError`` unless ``mapping`` is ``gav+(gav, egd)`` and
+    every source fact fits its source schema."""
+    if not mapping.is_gav_gav_egd():
+        raise ValueError(
+            "exchange data requires a gav+(gav, egd) mapping; "
+            "run reduce_mapping first"
+        )
+    check_source_facts(mapping.source, source_instance)
+
+
 def build_exchange_data(
     mapping: SchemaMapping,
     source_instance: Instance,
     timings: dict[str, float] | None = None,
     obs: Recorder | None = None,
-    strategy: str = "batch",
 ) -> ExchangeData:
     """Chase, ground, and detect violations for a ``gav+(gav, egd)`` mapping.
 
-    ``strategy`` selects the evaluation engine for the chase, grounding
-    enumeration, and violation detection: ``"batch"`` (the default) runs
-    the set-at-a-time operators of :mod:`repro.chase.batch`; ``"tuple"``
-    is the original per-tuple nested-loop path, kept as the differential
-    reference.  Both produce **bit-identical** exchange data: each
-    computes the same unique least fixpoint / grounding set / violation
-    set, and the lists and the interned id universe are put in canonical
-    (sorted) order regardless of the evaluation order that found them.
+    Every stage runs on the set-at-a-time operators of
+    :mod:`repro.chase.batch`.  The lists and the interned id universe are
+    put in canonical (sorted) order regardless of the evaluation order
+    that found them, so the result is **bit-identical** to the nested-loop
+    :func:`~repro.chase.gav.reference_exchange_data`.
 
     When ``timings`` is a dict, per-stage wall-clock seconds are recorded
     into it under ``chase`` / ``groundings`` / ``violations`` / ``index``
@@ -307,17 +285,7 @@ def build_exchange_data(
     stage plus the deterministic work counters (chase rounds, chased
     facts, groundings, violations) — equally answer-neutral.
     """
-    if strategy not in EXCHANGE_STRATEGIES:
-        raise ValueError(
-            f"unknown exchange strategy {strategy!r}; "
-            f"expected one of {EXCHANGE_STRATEGIES}"
-        )
-    if not mapping.is_gav_gav_egd():
-        raise ValueError(
-            "exchange data requires a gav+(gav, egd) mapping; "
-            "run reduce_mapping first"
-        )
-    check_source_facts(mapping.source, source_instance)
+    check_exchange_input(mapping, source_instance)
     if obs is None:
         obs = NOOP_RECORDER
     tracer, metrics = obs.tracer, obs.metrics
@@ -325,64 +293,21 @@ def build_exchange_data(
     tgds = list(mapping.all_tgds())
     chase_stats: dict[str, int] | None = {} if metrics.enabled else None
     started = clock()
-    if strategy == "batch":
-        from repro.chase.batch import (
-            batch_chase,
-            enumerate_groundings_batch,
-            find_violations_batch,
+    with tracer.span("exchange.chase"):
+        chased = batch_chase(source_instance, tgds, stats=chase_stats)
+    chased_at = clock()
+    with tracer.span("exchange.groundings"):
+        groundings = list(enumerate_groundings_batch(tgds, chased))
+    grounded_at = clock()
+    with tracer.span("exchange.violations"):
+        violations = canonicalize_violations(
+            find_violations_batch(mapping.target_egds, chased)
         )
-
-        with tracer.span("exchange.chase"):
-            chased = batch_chase(source_instance, tgds, stats=chase_stats)
-        chased_at = clock()
-        with tracer.span("exchange.groundings"):
-            groundings = list(enumerate_groundings_batch(tgds, chased))
-        grounded_at = clock()
-        with tracer.span("exchange.violations"):
-            violations = canonicalize_violations(
-                find_violations_batch(mapping.target_egds, chased)
-            )
-        violations_at = clock()
-    else:
-        with tracer.span("exchange.chase"):
-            chased = gav_chase(source_instance, tgds, stats=chase_stats)
-        chased_at = clock()
-        with tracer.span("exchange.groundings"):
-            groundings = list(enumerate_groundings(tgds, chased))
-        grounded_at = clock()
-        with tracer.span("exchange.violations"):
-            violations = find_violations(mapping, chased)
-        violations_at = clock()
-    data = ExchangeData(
-        mapping=mapping,
-        source_instance=source_instance,
-        chased=chased,
-        groundings=groundings,
-        violations=violations,
-    )
+    violations_at = clock()
     with tracer.span("exchange.index"):
-        # Canonical grounding order: rule position, then head/body reprs.
-        # Violations are already canonical (canonicalize_violations); the
-        # chased facts are interned in sorted order by _build_fact_indexes.
-        # After this, every list and id in the exchange data is a pure
-        # function of the computed *sets* — strategy-independent.
-        rule_positions = {id(rule): index for index, rule in enumerate(tgds)}
-        fact_reprs: dict[Fact, str] = {}
-
-        def _repr_of(fact: Fact) -> str:
-            text = fact_reprs.get(fact)
-            if text is None:
-                text = fact_reprs[fact] = repr(fact)
-            return text
-
-        groundings.sort(
-            key=lambda grounding: (
-                rule_positions[id(grounding[0])],
-                _repr_of(grounding[2]),
-                tuple(_repr_of(fact) for fact in grounding[1]),
-            )
+        data = assemble_exchange_data(
+            mapping, source_instance, chased, groundings, violations
         )
-        _build_fact_indexes(data)
     if timings is not None:
         indexed_at = clock()
         timings["chase"] = chased_at - started
@@ -403,6 +328,46 @@ def build_exchange_data(
     return data
 
 
+def assemble_exchange_data(
+    mapping: SchemaMapping,
+    source_instance: Instance,
+    chased: Instance,
+    groundings: list[tuple[TGD, tuple[Fact, ...], Fact]],
+    violations: list[Violation],
+) -> ExchangeData:
+    """The exchange data of computed artifacts (``violations`` already
+    canonical), with groundings sorted by rule position then head/body
+    reprs and the chased facts interned in sorted order: every list and id
+    is a pure function of the computed *sets*, however they were found."""
+    data = ExchangeData(
+        mapping=mapping,
+        source_instance=source_instance,
+        chased=chased,
+        groundings=groundings,
+        violations=violations,
+    )
+    rule_positions = {
+        id(rule): index for index, rule in enumerate(mapping.all_tgds())
+    }
+    fact_reprs: dict[Fact, str] = {}
+
+    def _repr_of(fact: Fact) -> str:
+        text = fact_reprs.get(fact)
+        if text is None:
+            text = fact_reprs[fact] = repr(fact)
+        return text
+
+    groundings.sort(
+        key=lambda grounding: (
+            rule_positions[id(grounding[0])],
+            _repr_of(grounding[2]),
+            tuple(_repr_of(fact) for fact in grounding[1]),
+        )
+    )
+    _build_fact_indexes(data)
+    return data
+
+
 def _build_fact_indexes(data: ExchangeData) -> None:
     """Intern the chased facts and build every int-keyed adjacency index.
 
@@ -411,9 +376,8 @@ def _build_fact_indexes(data: ExchangeData) -> None:
     builders) then works on dense ids.
     """
     intern = data.intern_fact
-    # Sorted interning gives fresh builds a canonical id universe (the
-    # same for every evaluation strategy); on a rebuild the ids already
-    # exist and interning is an order-insensitive no-op lookup.
+    # Sorted interning gives every build a canonical id universe, however
+    # its artifacts were evaluated.
     for fact in sorted(data.chased, key=repr):
         intern(fact)
 
@@ -436,31 +400,6 @@ def _build_fact_indexes(data: ExchangeData) -> None:
         data.violation_bodies.append(body_ids)
         for body_id in body_ids:
             violations_by_fact[body_id].append(index)
-
-
-def rebuild_fact_indexes(data: ExchangeData) -> None:
-    """Re-derive every adjacency index from the current fact-level state.
-
-    Used by :mod:`repro.incremental` after a delta mutates ``chased`` /
-    ``groundings`` / ``violations`` in place.  Fact ids are **stable**:
-    ``fact_ids`` / ``facts_by_id`` are kept (retracted facts keep their id
-    with empty adjacency rows), so every id-keyed artifact computed before
-    the delta — cluster envelopes, signatures, cache keys — remains
-    meaningful afterwards.  One linear pass over groundings + violations;
-    no joins are re-run.
-    """
-    for rows in (
-        data.groundings_by_head,
-        data.occurs_in_body,
-        data.violations_by_fact,
-    ):
-        for row in rows:
-            row.clear()
-    data.grounding_bodies.clear()
-    data.grounding_heads.clear()
-    data.violation_bodies.clear()
-    data._influence_cache.clear()
-    _build_fact_indexes(data)
 
 
 def remove_groundings(data: ExchangeData, positions: set[int]) -> None:

@@ -67,7 +67,6 @@ class MonolithicEngine:
         encoding: str = "repair",
         budget: SolveBudget | None = None,
         obs: Recorder | None = None,
-        exchange_strategy: str = "batch",
     ):
         if isinstance(mapping, ReducedMapping):
             self.reduced = mapping
@@ -75,12 +74,6 @@ class MonolithicEngine:
             self.reduced = reduce_mapping(mapping)
         self.instance = instance
         self.encoding = encoding
-        if exchange_strategy not in ("batch", "tuple"):
-            raise ValueError(
-                f"unknown exchange strategy {exchange_strategy!r}; choose "
-                "'batch' or 'tuple'"
-            )
-        self.exchange_strategy = exchange_strategy
         self.budget = budget if budget is not None else NO_BUDGET
         self.obs = obs if obs is not None else NOOP_RECORDER
         self._last_stats = MonolithicStats()
@@ -131,12 +124,9 @@ class MonolithicEngine:
             with tracer.span("monolithic.build"):
                 rewritten = self.reduced.rewrite(query)
                 data = build_exchange_data(
-                    self.reduced.gav,
-                    self.instance,
-                    obs=self.obs,
-                    strategy=self.exchange_strategy,
+                    self.reduced.gav, self.instance, obs=self.obs
                 )
-                query_groundings = ground_query(rewritten, data.chased)
+                query_groundings = ground_query(rewritten, data)
                 xr_program = build_xr_program(
                     data,
                     query_groundings=query_groundings,

@@ -8,13 +8,11 @@ the candidate fact.  Answers are restricted to constants (``q↓``).
 
 from __future__ import annotations
 
-from repro.relational.instance import Fact, Instance
-from repro.relational.queries import (
-    ConjunctiveQuery,
-    UnionOfConjunctiveQueries,
-    match_atoms,
-)
+from repro.chase.batch import _BodyPlan, _tuple_projector
+from repro.relational.instance import Fact
+from repro.relational.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.relational.terms import is_constant_value
+from repro.xr.exchange import ExchangeData
 
 QUERY_RELATION_PREFIX = "__q_"
 
@@ -25,13 +23,17 @@ def query_relation_name(query_name: str) -> str:
 
 def ground_query(
     query: UnionOfConjunctiveQueries | ConjunctiveQuery,
-    chased: Instance,
+    data: ExchangeData,
 ) -> list[tuple[Fact, tuple[Fact, ...]]]:
-    """All (candidate fact, support set) pairs of the query over ``chased``.
+    """All (candidate fact, support set) pairs of the query over the
+    chased instance of ``data``.
 
-    Only bindings whose answer values are all constants are kept — skolem
-    values stand for labelled nulls and cannot be certain answers.
+    Each disjunct is one batch hash join whose tracked rows carry the
+    support facts, probing the long-lived ``data.index_cache``.  Only
+    answers of constants are kept — skolem values stand for labelled
+    nulls.
     """
+    chased, cache = data.chased, data.index_cache
     disjuncts = (
         [query] if isinstance(query, ConjunctiveQuery) else list(query.disjuncts)
     )
@@ -39,15 +41,14 @@ def ground_query(
     results: list[tuple[Fact, tuple[Fact, ...]]] = []
     seen: set[tuple[Fact, tuple[Fact, ...]]] = set()
     for disjunct in disjuncts:
-        for binding in match_atoms(chased, list(disjunct.body)):
-            answer = tuple(binding[v] for v in disjunct.head_vars)
+        plan = _BodyPlan(chased, disjunct.body, transient=True)
+        answer_of = _tuple_projector([plan.layout[v] for v in disjunct.head_vars])
+        body_of = _tuple_projector(plan.body_order)
+        for values, facts in plan.rows_hash_tracked(cache):
+            answer = answer_of(values)
             if not all(is_constant_value(value) for value in answer):
                 continue
-            candidate = Fact(relation, answer)
-            support = tuple(
-                dict.fromkeys(atom.substitute(binding) for atom in disjunct.body)
-            )
-            key = (candidate, support)
+            key = (Fact(relation, answer), tuple(dict.fromkeys(body_of(facts))))
             if key not in seen:
                 seen.add(key)
                 results.append(key)

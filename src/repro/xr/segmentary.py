@@ -136,7 +136,6 @@ class ExchangePhaseStats:
     clusters: int = 0
     suspect_source_facts: int = 0
     safe_source_facts: int = 0
-    strategy: str = "batch"
 
 
 @dataclass
@@ -244,7 +243,6 @@ class SegmentaryEngine:
         budget: SolveBudget | None = None,
         obs: Recorder | None = None,
         solve_strategy: str = "incremental",
-        exchange_strategy: str = "batch",
     ):
         if isinstance(mapping, ReducedMapping):
             self.reduced = mapping
@@ -259,12 +257,6 @@ class SegmentaryEngine:
                 "'incremental' or 'per-signature'"
             )
         self.solve_strategy = solve_strategy
-        if exchange_strategy not in ("batch", "tuple"):
-            raise ValueError(
-                f"unknown exchange strategy {exchange_strategy!r}; choose "
-                "'batch' or 'tuple'"
-            )
-        self.exchange_strategy = exchange_strategy
         self.jobs = jobs
         self.budget = budget if budget is not None else NO_BUDGET
         self.obs = obs if obs is not None else NOOP_RECORDER
@@ -341,10 +333,7 @@ class SegmentaryEngine:
         started = time.perf_counter()
         with tracer.span("exchange"):
             data = build_exchange_data(
-                self.reduced.gav,
-                self.instance,
-                obs=self.obs,
-                strategy=self.exchange_strategy,
+                self.reduced.gav, self.instance, obs=self.obs
             )
             with tracer.span("exchange.envelope"):
                 analysis = analyze_envelopes(data)
@@ -357,7 +346,6 @@ class SegmentaryEngine:
             clusters=len(analysis.clusters),
             suspect_source_facts=len(analysis.suspect_source),
             safe_source_facts=len(analysis.safe_source),
-            strategy=self.exchange_strategy,
         )
         # Publish only once everything (stats included) is complete: the
         # unlocked fast path above keys on `analysis is not None`.
@@ -417,7 +405,6 @@ class SegmentaryEngine:
             clusters=len(self.analysis.clusters),
             suspect_source_facts=len(self.analysis.suspect_source),
             safe_source_facts=len(self.analysis.safe_source),
-            strategy=self.exchange_strategy,
         )
 
     # --------------------------------------------------------- query phase
@@ -494,7 +481,7 @@ class SegmentaryEngine:
         with tracer.span("query", mode=mode) as query_span:
             with tracer.span("query.ground"):
                 rewritten = self.reduced.rewrite(query)
-                groundings = ground_query(rewritten, data.chased)
+                groundings = ground_query(rewritten, data)
 
                 # Group support sets per candidate fact.
                 supports_by_candidate: dict[Fact, list[tuple[Fact, ...]]] = {}

@@ -1,6 +1,7 @@
 """Tests for the set-at-a-time batch operators.
 
-Every batch operator is checked against its tuple-at-a-time reference:
+Every batch operator is checked against its nested-loop reference
+(:mod:`repro.chase.gav`):
 ``batch_chase`` vs ``gav_chase`` (same fixpoint *and* same round/derived
 counters), ``enumerate_groundings_batch`` vs ``enumerate_groundings``
 (same grounding set), ``find_violations_batch`` vs ``find_violations``
@@ -21,14 +22,14 @@ from repro.chase.batch import (
     enumerate_groundings_batch,
     find_violations_batch,
 )
-from repro.chase.gav import enumerate_groundings, gav_chase
+from repro.chase.gav import enumerate_groundings, find_violations, gav_chase
 from repro.parser import parse_dependency, parse_mapping
 from repro.reduction.reduce import reduce_mapping
 from repro.relational import Fact, Instance
 from repro.relational.queries import Atom
 from repro.relational.terms import SkolemValue, Variable
 from repro.scenarios.tpch import tpch_scenario
-from repro.xr.exchange import canonicalize_violations, find_violations
+from repro.xr.exchange import canonicalize_violations
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
 

@@ -115,7 +115,7 @@ class TestDifferentialSmoke:
                 deltas = candidate
                 break
         assert deltas[0] is not None, "no insert-bearing stream found"
-        assert check_update_stream(scenario, deltas, DEFAULT_CONFIG) == []
+        assert check_update_stream(scenario, deltas) == []
 
         def corrupted(instance, delta):
             return apply_delta(
@@ -123,7 +123,7 @@ class TestDifferentialSmoke:
             )
 
         monkeypatch.setattr(updates_module, "apply_delta", corrupted)
-        problems = check_update_stream(scenario, deltas, DEFAULT_CONFIG)
+        problems = check_update_stream(scenario, deltas)
         assert problems, "harness failed to notice a corrupted reference"
 
 
@@ -175,19 +175,26 @@ class TestCorpus:
         for path, problems in replay_update_corpus(UPDATES_CORPUS):
             assert not problems, f"{path.name}: " + "; ".join(problems)
 
-    def test_corpus_replays_clean_under_both_exchange_strategies(self):
-        """Incremental-on-batch (PR 10 satellite): the PR 7 update corpus
-        must stay per-step bit-identical when both the warm engine and the
-        from-scratch reference build their exchange with the batch
-        operators — and with the tuple path, for symmetry."""
-        from dataclasses import replace
+    def test_corpus_replays_check_the_reference_exchange(self, monkeypatch):
+        """Every replayed step is also compared with the nested-loop
+        reference exchange of the updated instance: a reference that
+        loses a grounding must be reported at the first step."""
+        import repro.fuzz.updates as updates_module
 
-        for strategy in ("batch", "tuple"):
-            config = replace(DEFAULT_CONFIG, exchange_strategy=strategy)
-            for path, problems in replay_update_corpus(UPDATES_CORPUS, config):
-                assert not problems, (
-                    f"{path.name} [{strategy}]: " + "; ".join(problems)
-                )
+        original = updates_module.reference_exchange_data
+
+        def lossy(*args, **kwargs):
+            data = original(*args, **kwargs)
+            if data.groundings:
+                data.groundings.pop()
+            return data
+
+        monkeypatch.setattr(updates_module, "reference_exchange_data", lossy)
+        for path, problems in replay_update_corpus(UPDATES_CORPUS):
+            assert problems and all(
+                problem.startswith("reference-groundings mismatch at step 0")
+                for problem in problems
+            ), f"{path.name}: {problems}"
 
     def test_generated_entries_match_their_seeds(self):
         """Seed-named corpus files are regenerable byte-for-byte."""

@@ -5,7 +5,8 @@ import pytest
 from repro.parser import parse_mapping
 from repro.reduction import reduce_mapping
 from repro.relational import Fact, Instance
-from repro.xr.exchange import build_exchange_data, find_violations
+from repro.chase.gav import find_violations
+from repro.xr.exchange import build_exchange_data
 
 
 def f(rel, *args):

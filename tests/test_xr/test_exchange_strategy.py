@@ -1,12 +1,12 @@
-"""The batch-vs-tuple differential battery (PR 10 satellite 1).
+"""The batch-vs-reference differential battery.
 
-``build_exchange_data(strategy="batch")`` must be **bit-identical** to
-``strategy="tuple"`` — same chased instance, same canonical grounding and
-violation lists, same interned id universe and adjacency arrays, same
-cluster partition — across the fuzz corpus, freeform/iBench fuzz seeds,
-and the TPC-H grid.  The full-engine cross-check (answers under either
-strategy, including the ``segmentary-*-exchange`` axis inside
-``run_differential``) rides on top.
+``build_exchange_data`` (the batch hash joins) must be **bit-identical**
+to the nested-loop ``reference_exchange_data`` — same chased instance,
+same canonical grounding and violation lists, same interned id universe
+and adjacency arrays, same cluster partition — across the fuzz corpus,
+freeform/iBench fuzz seeds, and the TPC-H grid.  ``run_differential``
+repeats the artifact check, plus the query-grounding check, on every
+fuzz seed; its sensitivity is tested here too.
 """
 
 from dataclasses import replace
@@ -22,30 +22,25 @@ from repro.reduction.reduce import reduce_mapping
 from repro.relational import Fact, Instance
 from repro.scenarios.tpch import tpch_scenario
 from repro.xr.envelope import analyze_envelopes
-from repro.xr.exchange import EXCHANGE_STRATEGIES, build_exchange_data
+from repro.chase.gav import (
+    COMPARED_FIELDS,
+    exchange_mismatches,
+    reference_exchange_data,
+)
+from repro.xr.exchange import build_exchange_data
 from repro.xr.monolithic import MonolithicEngine
 from repro.xr.segmentary import SegmentaryEngine
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
 
-#: Every strategy-sensitive artifact of the exchange computation.
-COMPARED_FIELDS = (
-    "groundings",
-    "violations",
-    "fact_ids",
-    "facts_by_id",
-    "grounding_bodies",
-    "grounding_heads",
-)
+#: The exchange builders: production and the nested-loop reference.
+BUILDERS = {"batch": build_exchange_data, "reference": reference_exchange_data}
 
 
 def assert_identical_exchange(mapping, instance, label):
     gav = mapping if mapping.is_gav_gav_egd() else reduce_mapping(mapping).gav
-    results = {
-        strategy: build_exchange_data(gav, instance, strategy=strategy)
-        for strategy in EXCHANGE_STRATEGIES
-    }
-    batch, reference = results["batch"], results["tuple"]
+    batch = build_exchange_data(gav, instance)
+    reference = reference_exchange_data(gav, instance)
     # The Instance's iteration order is incidental (chase insertion
     # order); the canonical order lives in the interned universe
     # (``facts_by_id``), compared below.
@@ -102,32 +97,68 @@ class TestCorpusAndTpch:
 
 
 class TestEngineCross:
-    def test_run_differential_covers_both_strategies(self):
-        """The differential harness itself runs a cross-strategy engine
-        axis; a clean report therefore certifies answer-level agreement."""
+    def test_run_differential_checks_reference_artifacts(self):
+        """The differential harness compares the exchange data and the
+        query grounding with the nested-loop reference on every seed; a
+        clean report therefore certifies artifact-level agreement."""
         config = replace(
             DEFAULT_CONFIG, use_oracle=False, check_parallel=False
         )
         scenario = random_scenario(12, config)
         report = run_differential(scenario, config)
-        assert any(
-            name.startswith("segmentary-tuple-exchange")
-            for name in report.engines
+        assert {"reference-exchange", "reference-grounding"} <= set(
+            report.engines
         )
         assert report.ok, "; ".join(str(d) for d in report.discrepancies)
 
-    def test_tuple_strategy_config_flips_cross_axis(self):
+    def test_run_differential_reports_planted_mismatches(self, monkeypatch):
+        """Sensitivity: a reference that loses a grounding, or a query
+        grounding that loses a support, must each be reported."""
+        import repro.fuzz.differential as differential
+
         config = replace(
             DEFAULT_CONFIG, use_oracle=False, check_parallel=False,
-            exchange_strategy="tuple",
+            check_figure1=False, check_possible=False,
         )
         scenario = random_scenario(12, config)
-        report = run_differential(scenario, config)
-        assert any(
-            name.startswith("segmentary-batch-exchange")
-            for name in report.engines
+        original_exchange = differential.reference_exchange_data
+
+        def lossy_exchange(*args, **kwargs):
+            data = original_exchange(*args, **kwargs)
+            data.groundings.pop()
+            return data
+
+        monkeypatch.setattr(
+            differential, "reference_exchange_data", lossy_exchange
         )
-        assert report.ok, "; ".join(str(d) for d in report.discrepancies)
+        kinds = {d.kind for d in run_differential(scenario, config).discrepancies}
+        assert kinds == {"exchange-mismatch"}
+        monkeypatch.undo()
+
+        original_grounding = differential.ground_query
+        monkeypatch.setattr(
+            differential,
+            "ground_query",
+            lambda *args, **kwargs: original_grounding(*args, **kwargs)[1:],
+        )
+        kinds = {d.kind for d in run_differential(scenario, config).discrepancies}
+        assert "grounding-mismatch" in kinds
+
+    def test_exchange_mismatches_names_every_compared_field(self):
+        scenario = tpch_scenario(0.002, 0.2, 0)
+        gav = reduce_mapping(scenario.mapping).gav
+        reference = reference_exchange_data(gav, scenario.instance)
+        assert exchange_mismatches(
+            build_exchange_data(gav, scenario.instance), reference
+        ) == []
+        broken = reference_exchange_data(gav, scenario.instance)
+        for name in COMPARED_FIELDS:
+            value = getattr(broken, name)
+            value.pop() if isinstance(value, list) else value.popitem()
+        broken.chased.discard(next(iter(broken.chased)))
+        assert exchange_mismatches(broken, reference) == [
+            "chased", *COMPARED_FIELDS
+        ]
 
 
 class TestSourceSchemaCheck:
@@ -143,10 +174,10 @@ class TestSourceSchemaCheck:
     def instance(self):
         return Instance([Fact("S", (1, 2)), Fact("S", (7,))])
 
-    @pytest.mark.parametrize("strategy", EXCHANGE_STRATEGIES)
-    def test_wrong_arity_is_rejected_by_both_strategies(self, strategy):
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    def test_wrong_arity_is_rejected_by_both_strategies(self, builder):
         with pytest.raises(ValueError, match=r"S\(7\).*arity 2"):
-            build_exchange_data(self.gav(), self.instance(), strategy=strategy)
+            BUILDERS[builder](self.gav(), self.instance())
 
     def test_every_engine_rejects_wrong_arity(self):
         query = parse_query("q(x) :- T(x, y).")
