@@ -101,7 +101,7 @@ def test_ablation_segmentation_granularity(ctx, report, benchmark):
 
         # Merged: one program containing every cluster.
         started = time.perf_counter()
-        safe = set(analysis.safe_chased)
+        safe = {data.facts_by_id[i] for i in analysis.safe_ids}
         focus = set()
         violations = []
         for cluster in analysis.clusters:

@@ -5,13 +5,16 @@ of an :class:`~repro.xr.exchange.ExchangeData` under one normalized
 :class:`~repro.incremental.delta.Delta`, without re-running the chase or
 the grounding/violation joins from scratch:
 
-**Retraction** is exact liveness over recorded provenance: the facts
-derivable from the remaining sources are recomputed by count-down
-propagation over the grounding adjacency
-(:func:`~repro.xr.envelope.derivable_ids`, Dowling–Gallier); everything
-chased but no longer derivable is dead.  A grounding dies iff any body
-fact dies (a live body forces a live head), a violation iff any body fact
-dies.
+**Retraction** is delete-and-rederive (DRed; Gupta, Mumick &
+Subrahmanian, SIGMOD 1993) over recorded provenance, bounded by the
+retracted facts' forward cone (:func:`~repro.xr.envelope.influence_ids`):
+a chased fact outside the cone has no derivation through a retracted
+fact, so it stays alive.  Inside, a count-down from the surviving facts
+(:func:`~repro.xr.envelope.rederive_ids`) decides what is still
+derivable; a cycle of groundings inside the cone cannot keep itself
+alive.  Everything else in the cone is dead.  A grounding dies iff any
+body fact dies (a live body forces a live head), a violation iff any body
+fact dies.
 
 **Insertion** is a semi-naive worklist doubling as grounding enumeration:
 every new fact is added to the chased instance and then seeds one
@@ -48,7 +51,7 @@ from repro.chase.batch import (
     compile_violations,
 )
 from repro.relational.instance import Fact
-from repro.xr.envelope import derivable_ids
+from repro.xr.envelope import influence_ids, rederive_ids
 from repro.xr.exchange import (
     ExchangeData,
     Violation,
@@ -122,6 +125,8 @@ class DeltaChaseReport:
     removed_grounding_head_ids: set[int] = field(default_factory=set)
     new_violations: list[Violation] = field(default_factory=list)
     dead_violations: list[Violation] = field(default_factory=list)
+    # Facts the retraction's rederive pass re-examined (its cone).
+    cone_facts: int = 0
 
     def dirty_ids(self) -> set[int]:
         """Every fact id whose derivation neighborhood the delta changed —
@@ -163,12 +168,15 @@ def apply_delta_chase(
 
     # ------------------------------------------------------- retraction
     if delta.retracts:
-        remaining_ids = {
-            fact_ids[f] for f in source if f not in delta.retracts
-        }
-        alive = derivable_ids(remaining_ids, data)
-        chased_ids = {fact_ids[f] for f in chased}
-        report.dead_ids = chased_ids - alive
+        # Delete and rederive within the retracted facts' forward cone:
+        # a fact outside it has no derivation through a retracted fact.
+        # Source facts head no grounding, so the only sources in the cone
+        # are the retracted ones; the surviving sources, all outside, fire
+        # the count-down through the groundings' outside bodies.
+        cone = influence_ids({fact_ids[f] for f in delta.retracts}, data)
+        alive = rederive_ids(cone, set(), data)
+        report.cone_facts = len(cone)
+        report.dead_ids = cone - alive
 
     if report.dead_ids:
         dead = report.dead_ids

@@ -20,6 +20,13 @@ batches in place:
    re-clustered from scratch; untouched clusters whose source envelopes
    meet the re-clustered pool's suspects are pulled in and merged
    (insertions can spawn *and* merge clusters; retraction can split them).
+   Touched and pulled-in clusters are found through the fact → cluster
+   membership index, which is patched for the re-clustered clusters only.
+   The suspect/safe source split changes only where the touched
+   clusters' envelopes did, and the safe chase ``Isafe ∪ chase(Isafe)``
+   only inside the forward cone of the dirty facts and the sources whose
+   suspicion flipped: it is rederived there, with the status of every
+   fact outside the cone held fixed.
 3. **Id hygiene and cache invalidation**: cluster ids are stable and
    monotonic.  A recomputed group identical to the touched cluster it came
    from (same violation objects, same closure/envelope/influence) keeps
@@ -33,7 +40,8 @@ batches in place:
 
 Instrumented with :mod:`repro.obs`: span ``incremental.delta_chase``
 around each applied delta, counters ``incremental.deltas_total``,
-``incremental.clusters_touched`` and ``incremental.cache_invalidated``.
+``incremental.clusters_touched``, ``incremental.cache_invalidated`` and
+``incremental.cone_facts`` (facts the two rederive passes re-examined).
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ from repro.xr.envelope import (
     ViolationCluster,
     build_cluster,
     cluster_violations,
-    derivable_ids,
+    influence_ids,
+    rederive_ids,
     support_closure_ids,
 )
 from repro.xr.exchange import ExchangeData, check_source_facts, violation_key
@@ -79,6 +88,9 @@ class UpdateReport:
     clusters_created: int = 0
     clusters_total: int = 0
     cache_invalidated: int = 0
+    # Facts the two rederive passes (retraction liveness, safe set)
+    # re-examined: the work the delta's cones cost.
+    cone_facts: int = 0
     seconds: float = 0.0
     noop: bool = False
     retired_cluster_ids: frozenset[int] = frozenset()
@@ -163,15 +175,12 @@ class UpdateSession:
             report.groundings_removed = chase_report.removed_groundings
             report.violations_added = len(chase_report.new_violations)
             report.violations_removed = len(chase_report.dead_violations)
+            report.cone_facts = chase_report.cone_facts
 
             if self.analysis is not None:
                 with tracer.span("incremental.clusters"):
-                    retired, touched, created = self._maintain_clusters(
-                        chase_report
-                    )
-                report.clusters_touched = touched
+                    retired = self._maintain_clusters(chase_report, report)
                 report.clusters_retired = len(retired)
-                report.clusters_created = created
                 report.retired_cluster_ids = frozenset(retired)
                 report.clusters_total = len(self.analysis.clusters)
                 if self.cache is not None and retired:
@@ -196,6 +205,7 @@ class UpdateSession:
             metrics.inc(
                 "incremental.cache_invalidated", report.cache_invalidated
             )
+            metrics.inc("incremental.cone_facts", report.cone_facts)
         return report
 
     def apply_stream(self, deltas) -> list[UpdateReport]:
@@ -206,14 +216,26 @@ class UpdateSession:
 
     # ----------------------------------------------- cluster maintenance
 
+    def _clusters_meeting(self, fact_ids) -> set[int]:
+        """Stable ids of the clusters whose influence holds one of
+        ``fact_ids`` (through the fact → cluster membership index)."""
+        membership = self.analysis.cluster_membership
+        facts_by_id = self.data.facts_by_id
+        found: set[int] = set()
+        for fact_id in fact_ids:
+            clusters = membership.get(facts_by_id[fact_id])
+            if clusters:
+                found |= clusters
+        return found
+
     def _maintain_clusters(
-        self, chase_report: DeltaChaseReport
-    ) -> tuple[set[int], int, int]:
+        self, chase_report: DeltaChaseReport, report: UpdateReport
+    ) -> set[int]:
         """Recompute exactly the clusters the delta could have changed.
 
-        Returns ``(retired cluster ids, touched count, created count)``
-        and leaves ``self.analysis`` updated in place (same object — the
-        engine keeps its reference).
+        Returns the retired cluster ids, fills the cluster and cone
+        counters of ``report``, and leaves ``self.analysis`` updated in
+        place (same object — the engine keeps its reference).
         """
         analysis = self.analysis
         data = self.data
@@ -221,17 +243,15 @@ class UpdateSession:
         dirty = chase_report.dirty_ids()
         dead_violations = {id(v) for v in chase_report.dead_violations}
 
-        untouched: list[ViolationCluster] = []
-        touched: list[ViolationCluster] = []
-        for cluster in analysis.clusters:
-            if (
-                any(id(v) in dead_violations for v in cluster.violations)
-                or not dirty.isdisjoint(cluster.closure_ids)
-                or not dirty.isdisjoint(cluster.influence_ids)
-            ):
-                touched.append(cluster)
-            else:
-                untouched.append(cluster)
+        # A cluster's support closure lies inside its influence (every
+        # closure fact derives from the envelope) and a dead violation
+        # has a dead body fact, so the clusters whose influence meets the
+        # dirty set are exactly the touched ones.
+        touched = [
+            analysis.cluster(cluster_id)
+            for cluster_id in sorted(self._clusters_meeting(dirty))
+        ]
+        touched_ids = {cluster.index for cluster in touched}
 
         # Pool to re-cluster: surviving violations of touched clusters plus
         # the new ones.  Untouched clusters whose source envelope meets the
@@ -257,16 +277,17 @@ class UpdateSession:
                 for fact_id in closure
                 if source_mask[fact_id]
             }
+            nearby = self._clusters_meeting(pool_suspects) - touched_ids
             pulled = [
                 cluster
-                for cluster in untouched
+                for cluster in map(analysis.cluster, sorted(nearby))
                 if not pool_suspects.isdisjoint(cluster.source_envelope_ids)
             ]
             if not pulled:
                 break
             for cluster in pulled:
-                untouched.remove(cluster)
                 touched.append(cluster)
+                touched_ids.add(cluster.index)
                 for violation in cluster.violations:
                     pool.append(violation)
                     closures.append(
@@ -284,7 +305,7 @@ class UpdateSession:
             for cluster in touched
         }
         rebuilt: list[ViolationCluster] = []
-        retired: set[int] = set()
+        fresh: list[ViolationCluster] = []
         reused: set[int] = set()
         for member_positions in cluster_violations(closures, data):
             members = [pool[p] for p in member_positions]
@@ -294,7 +315,7 @@ class UpdateSession:
             previous = by_members.get(frozenset(id(v) for v in members))
             if previous is not None:
                 candidate = build_cluster(
-                    previous.index, members, [], closure_ids, data
+                    previous.index, members, closure_ids, data
                 )
                 if (
                     candidate.closure_ids == previous.closure_ids
@@ -307,68 +328,121 @@ class UpdateSession:
                     continue
             fresh_id = analysis.next_cluster_id
             analysis.next_cluster_id += 1
-            rebuilt.append(
-                build_cluster(fresh_id, members, [], closure_ids, data)
-            )
-        retired.update(
-            cluster.index for cluster in touched if id(cluster) not in reused
+            cluster = build_cluster(fresh_id, members, closure_ids, data)
+            rebuilt.append(cluster)
+            fresh.append(cluster)
+        gone = [cluster for cluster in touched if id(cluster) not in reused]
+        retired = {cluster.index for cluster in gone}
+
+        # Clusters have pairwise-disjoint source envelopes, so suspicion
+        # flips only where the touched clusters' old envelopes and the
+        # rebuilt clusters' new ones differ.
+        old_envelope = set().union(*(c.source_envelope_ids for c in touched))
+        new_envelope = set().union(*(c.source_envelope_ids for c in rebuilt))
+        flipped, cone_facts = self._maintain_safe_set(
+            chase_report, dirty, old_envelope, new_envelope
         )
+        report.cone_facts += cone_facts
 
-        clusters = untouched + rebuilt
-
-        # Safe/suspect recomputation (suspects = union of final envelopes)
-        # and focus-flip detection: a surviving cluster whose influence
-        # holds a fact whose safety flipped gets a *fresh id* — its repair
+        # Focus-flip detection: a surviving cluster whose influence holds
+        # a fact whose safety flipped gets a *fresh id* — its repair
         # program (focus = influence − safe) changed even though its
         # membership and envelope did not — so stale cache entries die.
         # Freshly-built clusters already carry fresh ids.
-        old_safe_ids = analysis.safe_ids
-        suspect_ids: set[int] = set()
-        for cluster in clusters:
-            suspect_ids |= cluster.source_envelope_ids
-        source_ids = {data.fact_ids[f] for f in data.source_instance}
-        safe_id_set = derivable_ids(source_ids - suspect_ids, data)
-        flipped = old_safe_ids.symmetric_difference(safe_id_set)
-        if flipped:
-            survivors = {id(c) for c in untouched} | reused
-            for cluster in clusters:
-                if id(cluster) in survivors and not flipped.isdisjoint(
-                    cluster.influence_ids
-                ):
-                    retired.add(cluster.index)
-                    cluster.index = analysis.next_cluster_id
-                    analysis.next_cluster_id += 1
-        clusters.sort(key=lambda c: c.index)
+        renamed: list[tuple[int, ViolationCluster]] = []
+        for cluster_id in sorted(self._clusters_meeting(flipped) - retired):
+            cluster = analysis.cluster(cluster_id)
+            renamed.append((cluster_id, cluster))
+            retired.add(cluster_id)
+            cluster.index = analysis.next_cluster_id
+            analysis.next_cluster_id += 1
 
+        # The fact → cluster-id membership index, patched for the
+        # re-clustered and renumbered clusters only.
+        membership = analysis.cluster_membership
         facts_by_id = data.facts_by_id
-        analysis.clusters = clusters
-        analysis.suspect_source = {
-            facts_by_id[fact_id] for fact_id in suspect_ids
-        }
-        analysis.safe_source = (
-            set(data.source_instance) - analysis.suspect_source
-        )
-        analysis.safe_chased = Instance(
-            facts_by_id[fact_id] for fact_id in sorted(safe_id_set)
-        )
-        analysis.safe_ids = frozenset(safe_id_set)
-        analysis.invalidate_cluster_lookup()
-
-        # Positional bookkeeping: violation indexes into the compacted
-        # violation list, and the fact → cluster-id membership map.
-        position_of = {
-            id(violation): position
-            for position, violation in enumerate(data.violations)
-        }
-        membership: dict = {}
-        for cluster in clusters:
-            cluster.violation_indexes = sorted(
-                position_of[id(violation)] for violation in cluster.violations
-            )
+        for cluster in gone:
+            for fact_id in cluster.influence_ids:
+                fact = facts_by_id[fact_id]
+                cluster_ids = membership[fact]
+                cluster_ids.discard(cluster.index)
+                if not cluster_ids:
+                    del membership[fact]
+        for old_id, cluster in renamed:
+            for fact_id in cluster.influence_ids:
+                cluster_ids = membership[facts_by_id[fact_id]]
+                cluster_ids.discard(old_id)
+                cluster_ids.add(cluster.index)
+        for cluster in fresh:
             for fact_id in cluster.influence_ids:
                 membership.setdefault(facts_by_id[fact_id], set()).add(
                     cluster.index
                 )
-        analysis.cluster_membership = membership
 
-        return retired, len(touched), len(rebuilt) - len(reused)
+        removed = {id(cluster) for cluster in gone}
+        clusters = [c for c in analysis.clusters if id(c) not in removed]
+        clusters += fresh
+        clusters.sort(key=lambda c: c.index)
+        analysis.clusters = clusters
+        analysis.invalidate_cluster_lookup()
+
+        report.clusters_touched = len(touched)
+        report.clusters_created = len(fresh)
+        return retired
+
+    def _maintain_safe_set(
+        self,
+        chase_report: DeltaChaseReport,
+        dirty: set[int],
+        old_envelope: set[int],
+        new_envelope: set[int],
+    ) -> tuple[set[int], int]:
+        """Maintain the safe/suspect source split and the safe chase.
+
+        ``old_envelope``/``new_envelope`` are the source envelopes of the
+        touched and of the rebuilt clusters.  Returns the ids whose safety
+        flipped and the size of the cone the safe chase was rederived in.
+        """
+        analysis = self.analysis
+        data = self.data
+        facts_by_id = data.facts_by_id
+        source_mask = data.source_id_mask
+        source = data.source_instance
+        suspect, safe = analysis.suspect_source, analysis.safe_source
+        for fact_id in old_envelope - new_envelope:
+            fact = facts_by_id[fact_id]
+            suspect.discard(fact)
+            if fact in source:
+                safe.add(fact)
+        for fact_id in new_envelope - old_envelope:
+            fact = facts_by_id[fact_id]
+            suspect.add(fact)
+            safe.discard(fact)
+        # Source facts among the dead/new ones are the retracted/inserted.
+        for fact_id in chase_report.dead_ids:
+            if source_mask[fact_id]:
+                safe.discard(facts_by_id[fact_id])
+        for fact_id in chase_report.new_ids:
+            fact = facts_by_id[fact_id]
+            if source_mask[fact_id] and fact not in suspect:
+                safe.add(fact)
+
+        # Outside the forward cone of the dirty facts and the sources whose
+        # suspicion flipped, every fact keeps the derivations it had, from
+        # sources whose safety is unchanged: its safety is unchanged too.
+        # Inside, the safe chase is rederived with the outside held fixed.
+        cone = influence_ids(dirty | (old_envelope ^ new_envelope), data)
+        safe_ids = analysis.safe_ids
+        rederived = rederive_ids(
+            cone,
+            {
+                fact_id
+                for fact_id in cone
+                if source_mask[fact_id] and facts_by_id[fact_id] in safe
+            },
+            data,
+            held=safe_ids,
+        )
+        flipped = (cone & safe_ids) ^ rederived
+        safe_ids ^= flipped
+        return flipped, len(cone)

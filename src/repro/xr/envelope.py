@@ -24,8 +24,9 @@ wrappers kept for callers that hold facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import AbstractSet
 
-from repro.relational.instance import Fact, Instance
+from repro.relational.instance import Fact
 from repro.xr.exchange import ExchangeData, Violation
 
 
@@ -93,10 +94,21 @@ class ViolationCluster:
     closure: set[Fact]  # union of the violations' support closures
     source_envelope: set[Fact] = field(default_factory=set)
     influence: set[Fact] = field(default_factory=set)
-    violation_indexes: list[int] = field(default_factory=list)
     closure_ids: frozenset[int] = frozenset()
     source_envelope_ids: frozenset[int] = frozenset()
     influence_ids: frozenset[int] = frozenset()
+
+
+@dataclass(frozen=True)
+class SafeFacts:
+    """``fact in view`` iff the fact's interned id is in ``safe_ids``: the
+    safe chase as a :class:`Fact` container, read without a copy."""
+
+    fact_ids: dict[Fact, int]
+    safe_ids: set[int]
+
+    def __contains__(self, fact: object) -> bool:
+        return self.fact_ids.get(fact) in self.safe_ids
 
 
 @dataclass
@@ -107,10 +119,10 @@ class EnvelopeAnalysis:
     suspect_source: set[Fact]
     safe_source: set[Fact]
     clusters: list[ViolationCluster]
-    safe_chased: Instance  # Isafe ∪ chase(Isafe): everything certainly kept
-    # Interned ids of every fact of ``safe_chased`` (all lie in the chased
-    # universe: the safe chase is a sub-chase of the full one).
-    safe_ids: frozenset[int] = frozenset()
+    # Interned ids of Isafe ∪ chase(Isafe), everything certainly kept (all
+    # lie in the chased universe: the safe chase is a sub-chase of the
+    # full one).  Update sessions maintain the set in place.
+    safe_ids: set[int] = field(default_factory=set)
     # fact -> stable ids of clusters whose influence contains it.
     cluster_membership: dict[Fact, set[int]] = field(default_factory=dict)
     # Next fresh stable cluster id (monotonic; never reused).
@@ -141,8 +153,13 @@ class EnvelopeAnalysis:
                 clusters |= found
         return frozenset(clusters)
 
+    @property
+    def safe_facts(self) -> SafeFacts:
+        """The safe chase as a fact container over :attr:`safe_ids`."""
+        return SafeFacts(self.data.fact_ids, self.safe_ids)
+
     def is_safe_fact(self, fact: Fact) -> bool:
-        return fact in self.safe_chased
+        return self.data.fact_ids.get(fact) in self.safe_ids
 
 
 class _UnionFind:
@@ -197,10 +214,64 @@ def derivable_ids(seed_ids: set[int], data: ExchangeData) -> set[int]:
     return derived
 
 
+def rederive_ids(
+    cone: set[int],
+    seed_ids: set[int],
+    data: ExchangeData,
+    held: AbstractSet[int] | None = None,
+) -> set[int]:
+    """The facts of ``cone`` derivable from ``seed_ids`` when, outside the
+    cone, exactly the facts of ``held`` hold (every fact, when ``None``).
+
+    :func:`derivable_ids` restricted to a forward-closed ``cone``: only
+    groundings headed in the cone are counted down, each by its body
+    facts inside the cone; one whose body meets a fact outside the cone
+    that does not hold never fires.  Facts outside the cone enter only as
+    such bodies, so the result is ``derivable_ids ∩ cone`` whenever
+    ``held`` holds exactly the derivable facts outside the cone.  Cycles
+    inside the cone need a seed to fire, never themselves.
+    """
+    bodies = data.grounding_bodies
+    heads = data.grounding_heads
+    by_head = data.groundings_by_head
+    occurs = data.occurs_in_body
+    remaining: dict[int, int] = {}
+    derived = set(seed_ids)
+    frontier = list(seed_ids)
+    for fact_id in cone:
+        for index in by_head[fact_id]:
+            count = 0
+            for body_id in bodies[index]:
+                if body_id in cone:
+                    count += 1
+                elif held is not None and body_id not in held:
+                    break
+            else:
+                if count:
+                    remaining[index] = count
+                elif fact_id not in derived:
+                    derived.add(fact_id)
+                    frontier.append(fact_id)
+    while frontier:
+        fact_id = frontier.pop()
+        for index in occurs[fact_id]:
+            count = remaining.get(index)
+            if count is None:
+                continue  # blocked outside the cone
+            if count > 1:
+                remaining[index] = count - 1
+                continue
+            del remaining[index]
+            head_id = heads[index]
+            if head_id not in derived:
+                derived.add(head_id)
+                frontier.append(head_id)
+    return derived
+
+
 def build_cluster(
     cluster_id: int,
     violations: list[Violation],
-    violation_indexes: list[int],
     closure_ids: set[int],
     data: ExchangeData,
 ) -> ViolationCluster:
@@ -222,7 +293,6 @@ def build_cluster(
         closure={facts_by_id[i] for i in closure_ids},
         source_envelope={facts_by_id[i] for i in envelope_ids},
         influence={facts_by_id[i] for i in cluster_influence_ids},
-        violation_indexes=violation_indexes,
         closure_ids=frozenset(closure_ids),
         source_envelope_ids=envelope_ids,
         influence_ids=cluster_influence_ids,
@@ -289,7 +359,6 @@ def analyze_envelopes(data: ExchangeData) -> EnvelopeAnalysis:
             build_cluster(
                 cluster_index,
                 [data.violations[i] for i in member_indexes],
-                list(member_indexes),
                 closure_ids,
                 data,
             )
@@ -301,18 +370,12 @@ def analyze_envelopes(data: ExchangeData) -> EnvelopeAnalysis:
     safe_source_ids = {
         data.fact_ids[fact] for fact in data.source_instance
     } - suspect_ids
-    safe_id_set = derivable_ids(safe_source_ids, data)
-    safe_chased = Instance(
-        facts_by_id[fact_id] for fact_id in sorted(safe_id_set)
-    )
-
     analysis = EnvelopeAnalysis(
         data=data,
         suspect_source=suspect_source,
         safe_source=safe_source,
         clusters=clusters,
-        safe_chased=safe_chased,
-        safe_ids=frozenset(safe_id_set),
+        safe_ids=derivable_ids(safe_source_ids, data),
         next_cluster_id=len(clusters),
     )
     membership = analysis.cluster_membership

@@ -513,9 +513,9 @@ class SegmentaryEngine:
                 stats.safe_candidates = len(accepted)
                 stats.signatures = len(by_signature)
 
-            # Read, not copied: ``Instance`` membership is O(1), and a copy
-            # would cost the whole safe chase on every query.
-            safe_facts = analysis.safe_chased
+            # A view over ``safe_ids``, not a copy: a copy would cost the
+            # whole safe chase on every query.
+            safe_facts = analysis.safe_facts
 
             # Build every still-undecided family program first, then solve
             # the whole batch through the executor (the programs are

@@ -150,7 +150,7 @@ def _state_snapshot(engine):
             for cluster in engine.analysis.clusters
         ),
         frozenset(engine.analysis.safe_source),
-        frozenset(engine.analysis.safe_chased),
+        frozenset(engine.data.facts_by_id[i] for i in engine.analysis.safe_ids),
     )
 
 
