@@ -54,7 +54,11 @@ from typing import Callable
 
 from repro.bench.reporting import format_speedup, format_table, speedup
 from repro.chase.gav import exchange_mismatches, reference_exchange_data
-from repro.genomics.instances import InstanceProfile, build_instance
+from repro.genomics.instances import (
+    SCENARIO_SIZES,
+    build_instance,
+    parse_scenario_name,
+)
 from repro.genomics.queries import query_by_name
 from repro.genomics.schema import genome_mapping
 from repro.obs.recorder import Recorder
@@ -64,9 +68,8 @@ from repro.xr.envelope import analyze_envelopes
 from repro.xr.exchange import build_exchange_data
 from repro.xr.segmentary import SegmentaryEngine
 
-#: Transcript counts of the micro-benchmark size steps (matching the
-#: S3/M3/L3 profiles of :mod:`repro.genomics.instances`).
-MICRO_SIZES: dict[str, int] = {"S": 18, "M": 40, "L": 100}
+#: Transcript counts of the micro-benchmark size steps.
+MICRO_SIZES = SCENARIO_SIZES
 
 #: Suspect rates of the paper's Figure 3/4 sweep.
 MICRO_RATES: tuple[float, ...] = (0.0, 0.03, 0.09, 0.20)
@@ -106,18 +109,6 @@ def micro_scenario_names(
     return [
         f"{size}{int(round(rate * 100))}" for size in sizes for rate in rates
     ] + list(tpch_cells)
-
-
-def parse_scenario_name(name: str) -> InstanceProfile:
-    """Turn ``"M9"`` into the matching :class:`InstanceProfile`."""
-    size = name[0].upper()
-    if size not in MICRO_SIZES:
-        raise ValueError(f"unknown size {size!r}; choose from {sorted(MICRO_SIZES)}")
-    try:
-        rate = int(name[1:]) / 100.0
-    except ValueError:
-        raise ValueError(f"bad scenario name {name!r}; expected e.g. 'M9'") from None
-    return InstanceProfile(name, MICRO_SIZES[size], rate)
 
 
 def _median(values: list[float]) -> float:

@@ -35,7 +35,7 @@ class QueryResult:
 class BenchmarkContext:
     """Session-wide cache of reduced mapping, instances, and engines.
 
-    ``jobs``, ``cache``, ``budget``, and ``obs`` are forwarded to every
+    ``cache``, ``budget``, and ``obs`` are forwarded to every
     engine this context builds (warm engines are memoized per profile, so
     one context measures one runtime configuration).  Benchmarks that set
     a ``budget`` must report degradation (``stats.timeouts``) alongside
@@ -44,7 +44,6 @@ class BenchmarkContext:
     measurements, excluded from timing baselines (see EXPERIMENTS.md).
     """
 
-    jobs: int = 1
     cache: bool = True
     budget: SolveBudget | None = None
     obs: Recorder | None = None
@@ -68,7 +67,6 @@ class BenchmarkContext:
             engine = SegmentaryEngine(
                 self.reduced_mapping(),
                 self.instance(profile).instance,
-                jobs=self.jobs,
                 cache=self.cache,
                 budget=self.budget,
                 obs=self.obs,
@@ -78,7 +76,7 @@ class BenchmarkContext:
         return self._segmentary[profile]
 
     def close(self) -> None:
-        """Shut down any executor worker pools held by warm engines."""
+        """Close the warm engines."""
         for engine in self._segmentary.values():
             engine.close()
 

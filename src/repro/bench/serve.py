@@ -39,9 +39,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 from urllib.parse import urlparse
 
-from repro.bench.micro import parse_scenario_name
 from repro.bench.reporting import format_table
-from repro.genomics.instances import build_instance
+from repro.genomics.instances import build_instance, parse_scenario_name
 from repro.genomics.queries import query_text_by_name
 from repro.genomics.schema import genome_mapping
 from repro.reduction.reduce import reduce_mapping
@@ -197,7 +196,6 @@ def run_serve_bench(
     warmup: float = 1.0,
     queries: tuple[str, ...] = SERVE_QUERIES,
     url: str | None = None,
-    jobs: int = 1,
     log: Callable[[str], None] | None = None,
 ) -> dict:
     """Run the load test and return the artifact payload.
@@ -237,7 +235,6 @@ def run_serve_bench(
             reduced,
             instance,
             ServiceConfig(
-                jobs=jobs,
                 max_inflight=max(8, clients),
                 max_queue=max(16, clients),
             ),

@@ -25,13 +25,14 @@ every step) and exits non-zero on any disagreement.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import Sequence
 
 from repro.obs import Recorder, write_prometheus, write_trace_json
 from repro.parser import parse_instance, parse_mapping, parse_program
-from repro.runtime.budget import NO_BUDGET, SolveBudget
+from repro.runtime.budget import NO_BUDGET, SolveBudget, is_positive_finite
 from repro.xr.monolithic import MonolithicEngine
 from repro.xr.segmentary import SegmentaryEngine
 from repro.xr.solutions import xr_solutions
@@ -63,13 +64,34 @@ def _write_observability(arguments, obs: Recorder | None) -> None:
         print(f"% metrics written to {path}")
 
 
+def _budget_seconds(text: str) -> float:
+    """argparse type of ``--deadline``/``--task-timeout``: the HTTP 400 rule."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not is_positive_finite(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}"
+        )
+    return value
+
+
+def _scenario(name: str):
+    """argparse type of ``serve --scenario``: the genomics profile."""
+    from repro.genomics.instances import parse_scenario_name
+
+    try:
+        return parse_scenario_name(name)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _budget_from(arguments) -> SolveBudget:
-    if not (arguments.deadline or arguments.task_timeout or arguments.retries):
+    if arguments.deadline is None and arguments.task_timeout is None:
         return NO_BUDGET
     return SolveBudget(
-        deadline=arguments.deadline,
-        task_timeout=arguments.task_timeout,
-        max_retries=arguments.retries,
+        deadline=arguments.deadline, task_timeout=arguments.task_timeout
     )
 
 
@@ -111,7 +133,7 @@ def _command_answer(arguments) -> int:
         unknown = engine.last_stats.unknown_candidates
     else:
         with SegmentaryEngine(
-            mapping, instance, jobs=arguments.jobs, budget=budget, obs=obs
+            mapping, instance, budget=budget, obs=obs
         ) as engine:
             if updates is not None:
                 session = engine.update_session()
@@ -133,14 +155,12 @@ def _command_answer(arguments) -> int:
         unknown = stats.unknown_candidates
         if stats.programs_solved or stats.cache_hits or stats.timeouts:
             phase_note = (
-                f"% query phase: {stats.programs_solved} program(s) solved "
-                f"via {stats.executor} executor, {stats.cache_hits} cache "
-                f"hit(s), {stats.solve_seconds:.2f}s solving"
+                f"% query phase: {stats.programs_solved} program(s) solved, "
+                f"{stats.cache_hits} cache hit(s), "
+                f"{stats.solve_seconds:.2f}s solving"
             )
-            if stats.timeouts or stats.retries:
-                phase_note += (
-                    f", {stats.timeouts} timeout(s), {stats.retries} retry(ies)"
-                )
+            if stats.timeouts:
+                phase_note += f", {stats.timeouts} timeout(s)"
     elapsed = time.perf_counter() - started
     print(f"% {kind} answers ({arguments.method}, {elapsed:.2f}s)")
     if phase_note:
@@ -196,7 +216,7 @@ def _command_check(arguments) -> int:
 def _command_fuzz(arguments) -> int:
     from dataclasses import replace
 
-    from repro.fuzz import DEFAULT_CONFIG, close_shared_executor, run_fuzz
+    from repro.fuzz import DEFAULT_CONFIG, run_fuzz
 
     config = replace(
         DEFAULT_CONFIG,
@@ -204,7 +224,6 @@ def _command_fuzz(arguments) -> int:
         max_facts=arguments.max_facts,
         conflict_rate=arguments.conflict_rate,
         use_oracle=not arguments.no_oracle,
-        check_parallel=not arguments.no_parallel,
         check_faults=arguments.faults,
     )
     if arguments.updates:
@@ -231,7 +250,6 @@ def _command_fuzz(arguments) -> int:
             corpus_dir=arguments.corpus,
             log=print,
         )
-        close_shared_executor()
         mode_note = config.profile
     print(
         f"% {summary.seeds} seed(s) from {summary.start} "
@@ -253,16 +271,13 @@ def _command_serve(arguments) -> int:
             print("--scenario and -m/-d are mutually exclusive",
                   file=sys.stderr)
             return 2
-        from repro.bench.micro import parse_scenario_name
         from repro.genomics.instances import build_instance
         from repro.genomics.schema import genome_mapping
         from repro.reduction.reduce import reduce_mapping
 
         mapping = reduce_mapping(genome_mapping())
-        instance = build_instance(
-            parse_scenario_name(arguments.scenario)
-        ).instance
-        print(f"% loaded genomics scenario {arguments.scenario} "
+        instance = build_instance(arguments.scenario).instance
+        print(f"% loaded genomics scenario {arguments.scenario.name} "
               f"({len(instance)} source facts)")
     elif arguments.mapping and arguments.data:
         mapping, instance = _load(arguments)
@@ -271,10 +286,8 @@ def _command_serve(arguments) -> int:
               file=sys.stderr)
         return 2
     config = ServiceConfig(
-        jobs=arguments.jobs,
         deadline=arguments.deadline,
         task_timeout=arguments.task_timeout,
-        max_retries=arguments.retries,
         max_inflight=arguments.max_inflight,
         max_queue=arguments.max_queue,
         queue_timeout=arguments.queue_timeout,
@@ -319,7 +332,6 @@ def _command_bench(arguments) -> int:
             warmup=arguments.warmup,
             queries=queries,
             url=arguments.url,
-            jobs=arguments.jobs,
             log=print_flush,
         )
         print(format_serve_table(payload))
@@ -408,21 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "'-Fact.', blank-line-separated steps) through the "
                         "incremental maintenance layer before answering "
                         "(segmentary method only)")
-    answer.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for signature solving "
-                        "(segmentary method only; default 1 = in-process)")
-    answer.add_argument("--deadline", type=float, default=None,
+    answer.add_argument("--deadline", type=_budget_seconds, default=None,
                         metavar="SECONDS",
                         help="wall-clock budget for the whole query; on "
                         "expiry undecided candidates are reported unknown "
                         "instead of solved (degraded answers)")
-    answer.add_argument("--task-timeout", type=float, default=None,
+    answer.add_argument("--task-timeout", type=_budget_seconds, default=None,
                         metavar="SECONDS",
                         help="per-family-program solve budget "
                         "(segmentary) / whole-solve budget (monolithic)")
-    answer.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="re-dispatch attempts for tasks whose worker "
-                        "process crashed (default 0)")
     observability(answer)
     answer.set_defaults(run=_command_answer)
 
@@ -458,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                       "(higher = more egd conflicts; default 0.6)")
     fuzz.add_argument("--no-oracle", action="store_true",
                       help="skip the Definition 1 oracle (faster, weaker)")
-    fuzz.add_argument("--no-parallel", action="store_true",
-                      help="skip the parallel-executor engine axis")
     fuzz.add_argument("--updates", type=int, default=0, metavar="STEPS",
                       help="update-workload mode: per seed, generate a "
                       "STEPS-step random insert/retract stream and check "
@@ -467,9 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
                       "re-exchange at every step (answers, clusters, "
                       "envelopes)")
     fuzz.add_argument("--faults", action="store_true",
-                      help="also inject seeded worker crashes/hangs per "
-                      "scenario and check recovery + degradation "
-                      "invariants (repro.fuzz.faults)")
+                      help="also cut seeded family solves off mid-search "
+                      "and check that the degraded answers bracket the "
+                      "exact ones (repro.fuzz.faults)")
     fuzz.set_defaults(run=_command_fuzz)
 
     serve = commands.add_parser(
@@ -479,27 +483,24 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schema mapping file (SOURCE/TARGET + rules)")
     serve.add_argument("-d", "--data",
                        help="source instance file (ground facts)")
-    serve.add_argument("--scenario", metavar="S3",
+    serve.add_argument("--scenario", metavar="S3", type=_scenario,
                        help="serve a genomics micro-benchmark scenario "
                        "(size letter + suspect percent) instead of -m/-d")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8080,
                        help="bind port (default 8080; 0 = ephemeral)")
-    serve.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="worker processes for signature solving "
-                       "(default 1 = in-process)")
-    serve.add_argument("--deadline", type=float, default=None,
+    serve.add_argument("--jobs", type=int, default=1, choices=[1],
+                       help="solving runs in the serving process; only 1 "
+                       "is accepted")
+    serve.add_argument("--deadline", type=_budget_seconds, default=None,
                        metavar="SECONDS",
                        help="per-request wall-clock ceiling; over-deadline "
                        "requests degrade (unknown candidates surfaced) "
                        "instead of failing")
-    serve.add_argument("--task-timeout", type=float, default=None,
+    serve.add_argument("--task-timeout", type=_budget_seconds, default=None,
                        metavar="SECONDS",
                        help="per-family-program solve ceiling")
-    serve.add_argument("--retries", type=int, default=0, metavar="N",
-                       help="re-dispatch attempts after worker crashes "
-                       "(default 0)")
     serve.add_argument("--max-inflight", type=int, default=8, metavar="N",
                        help="concurrent query executions admitted "
                        "(default 8)")
@@ -538,9 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--clients", type=int, default=8, metavar="N",
                        help="concurrent client threads for --serve "
                        "(default 8)")
-    bench.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="server-side worker processes for --serve "
-                       "(default 1)")
     bench.add_argument("--duration", type=float, default=5.0,
                        metavar="SECONDS",
                        help="measured window per scenario for --serve "

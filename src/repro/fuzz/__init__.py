@@ -3,7 +3,7 @@
 The repo's strongest correctness asset is that three independent
 implementations of XR-Certain — the Definition 1 oracle, the monolithic
 Theorem 2 engine, and the segmentary §6 engine — must agree, across every
-runtime configuration (executors, caches, encodings).  This package turns
+runtime configuration (caches, family groupings, encodings).  This package turns
 that observation into infrastructure:
 
 - :mod:`repro.fuzz.generator` — seeded random scenarios (freeform
@@ -12,9 +12,8 @@ that observation into infrastructure:
   skolem-heavy chains, and boolean/UCQ queries;
 - :mod:`repro.fuzz.differential` — the cross-engine runner and its
   invariant checks;
-- :mod:`repro.fuzz.faults` — deterministic fault injection (seeded worker
-  crashes and hangs) proving crash-retry recovery is exact and
-  budget-degraded answers bracket the exact ones;
+- :mod:`repro.fuzz.faults` — seeded in-solver cutoffs proving that
+  budget-degraded answers bracket the exact ones and are never cached;
 - :mod:`repro.fuzz.shrink` — delta-debugging minimization of failures;
 - :mod:`repro.fuzz.corpus` — serialization and replay of minimal repros
   (``tests/corpus/`` is loaded by the tier-1 suite);
@@ -42,12 +41,11 @@ from repro.fuzz.differential import (
     FuzzFailure,
     FuzzSummary,
     check_seed,
-    close_shared_executor,
     run_differential,
     run_fuzz,
 )
 from repro.fuzz.faults import (
-    FaultInjectingExecutor,
+    CutoffInjectingExecutor,
     FaultPlan,
     fault_plan_for_seed,
     run_fault_check,
@@ -88,10 +86,10 @@ from repro.fuzz.updates import (
 )
 
 __all__ = [
+    "CutoffInjectingExecutor",
     "DEFAULT_CONFIG",
     "DifferentialReport",
     "Discrepancy",
-    "FaultInjectingExecutor",
     "FaultPlan",
     "FuzzConfig",
     "FuzzFailure",
@@ -102,7 +100,6 @@ __all__ = [
     "XVAL_REGRESSION_SEEDS",
     "build_default_corpus",
     "check_seed",
-    "close_shared_executor",
     "default_corpus_entries",
     "fault_plan_for_seed",
     "load_corpus",

@@ -28,9 +28,8 @@ configuration and collects *discrepancies*:
   (candidate, support) pairs;
 - **crash** — an engine raised.
 
-Engine matrix for the segmentary engine: SequentialExecutor vs a shared
-ParallelExecutor (``jobs`` ∈ {1, N}), cache cold vs warm vs disabled, and
-the family grouping (the default merges signature groups that share a
+Engine matrix for the segmentary engine: cache cold vs warm vs disabled,
+and the family grouping (the default merges signature groups that share a
 cluster, exercised by every axis above; ``solve_strategy=
 "per-signature"`` makes each group its own family, certain and
 possible).  All knobs are answer-neutral by design; the fuzzer is the
@@ -42,8 +41,8 @@ the Definition 1 oracle only runs up to ``oracle_max_facts`` source facts
 that *enumerate stable models* of the one big monolithic program — the
 Figure 1 encoding and the monolithic possible-answer pass — only run up
 to ``enumerative_limit`` chase groundings (model enumeration is
-exponential in the program).  The repair-encoding, segmentary, cache and
-parallel agreement checks always run.
+exponential in the program).  The repair-encoding, segmentary and cache
+agreement checks always run.
 
 :func:`run_fuzz` drives a whole campaign — seeded scenario generation,
 optional multiprocess fan-out over seeds, delta-debugging shrink of any
@@ -52,7 +51,6 @@ failure, and serialization of minimal repros into a corpus directory.
 
 from __future__ import annotations
 
-import atexit
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
@@ -65,7 +63,6 @@ from repro.chase.gav import (
 from repro.fuzz.generator import DEFAULT_CONFIG, FuzzConfig, random_scenario
 from repro.fuzz.render import Scenario, render_scenario
 from repro.reduction.reduce import reduce_mapping
-from repro.runtime.executor import SolveExecutor, make_executor
 from repro.xr.exchange import build_exchange_data
 from repro.xr.monolithic import MonolithicEngine
 from repro.xr.oracle import xr_certain_oracle, xr_possible_oracle
@@ -109,31 +106,8 @@ def _fmt(answers: Iterable[tuple]) -> str:
     return "{" + ", ".join(map(repr, rows)) + "}"
 
 
-# A per-process parallel executor, shared across scenarios: spawning a
-# pool per differential run would dominate the campaign's wall clock.
-_SHARED_PARALLEL: SolveExecutor | None = None
-
-
-def _shared_parallel_executor(jobs: int) -> SolveExecutor:
-    global _SHARED_PARALLEL
-    if _SHARED_PARALLEL is None:
-        _SHARED_PARALLEL = make_executor(max(jobs, 2), min_batch=1)
-        atexit.register(close_shared_executor)
-    return _SHARED_PARALLEL
-
-
-def close_shared_executor() -> None:
-    """Tear down the per-process shared ParallelExecutor (idempotent)."""
-    global _SHARED_PARALLEL
-    if _SHARED_PARALLEL is not None:
-        _SHARED_PARALLEL.close()
-        _SHARED_PARALLEL = None
-
-
 def run_differential(
-    scenario: Scenario,
-    config: FuzzConfig = DEFAULT_CONFIG,
-    executor: SolveExecutor | None = None,
+    scenario: Scenario, config: FuzzConfig = DEFAULT_CONFIG
 ) -> DifferentialReport:
     """Run ``scenario`` through the engine matrix and compare everything."""
     report = DifferentialReport(scenario=scenario)
@@ -241,21 +215,6 @@ def run_differential(
                 "segmentary-per-signature-possible",
                 "possible",
                 lambda: per_signature.possible_answers(query),
-            )
-
-    if config.check_parallel:
-        # The engine does not own the shared executor, so closing the
-        # engine leaves the pool alive for the next scenario.
-        with SegmentaryEngine(
-            mapping,
-            instance,
-            executor=executor or _shared_parallel_executor(config.parallel_jobs),
-            cache=False,
-        ) as parallel_engine:
-            run(
-                "segmentary-parallel",
-                "certain",
-                lambda: parallel_engine.answer(query),
             )
 
     if data is not None:
@@ -414,40 +373,26 @@ class FuzzSummary:
         return not self.failures
 
 
-def check_seed(
-    seed: int,
-    config: FuzzConfig = DEFAULT_CONFIG,
-    executor: SolveExecutor | None = None,
-) -> DifferentialReport:
+def check_seed(seed: int, config: FuzzConfig = DEFAULT_CONFIG) -> DifferentialReport:
     """Generate the scenario for ``seed`` and run the differential matrix.
 
-    With ``config.check_faults`` the fault-injection differential
-    (:mod:`repro.fuzz.faults`) runs after the clean matrix: seeded worker
-    crashes and hangs, checking that retries recover exactly and that
-    budget-degraded answers bracket the exact ones.
+    With ``config.check_faults`` the injected-cutoff differential
+    (:mod:`repro.fuzz.faults`) runs after the clean matrix: seeded family
+    solves are cut off mid-search, and the degraded answers must bracket
+    the exact ones.
     """
     scenario = random_scenario(seed, config)
-    report = run_differential(scenario, config, executor)
+    report = run_differential(scenario, config)
     if config.check_faults:
         from repro.fuzz.faults import run_fault_check
 
-        report.discrepancies.extend(run_fault_check(scenario, config, seed=seed))
+        report.discrepancies.extend(run_fault_check(scenario, seed=seed))
     return report
 
 
 def _worker_check(args: tuple) -> tuple[int, list[str]]:
-    seed, config = args[0], args[1]
-    pooled = len(args) > 2 and args[2]
-    if pooled and config.check_parallel:
-        # Inside a campaign pool worker the solve executor must be
-        # per-call and explicitly closed before the task returns: an
-        # inner process pool torn down at *worker exit* (atexit) wedges
-        # the outer pool's shutdown for good (observed on CPython 3.11).
-        # The fault check manages its own executors the same way.
-        with make_executor(max(config.parallel_jobs, 2), min_batch=1) as ex:
-            report = check_seed(seed, config, ex)
-    else:
-        report = check_seed(seed, config)
+    seed, config = args
+    report = check_seed(seed, config)
     return seed, [str(d) for d in report.discrepancies]
 
 
@@ -460,18 +405,16 @@ def _iter_reports(
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            # ``spawn``, not fork: each campaign worker creates its *own*
-            # inner solve pool for the segmentary-parallel axis, and a
-            # fork()ed worker inheriting the outer pool's queue threads
-            # mid-acquisition deadlocks when it forks again.  Spawned
-            # workers start from a clean interpreter.
+            # ``spawn``, not fork: a fork()ed worker can inherit a lock
+            # some other thread of the parent held mid-acquisition.
+            # Spawned workers start from a clean interpreter.
             with ProcessPoolExecutor(
                 max_workers=jobs,
                 mp_context=multiprocessing.get_context("spawn"),
             ) as pool:
                 yield from pool.map(
                     _worker_check,
-                    [(seed, config, True) for seed in seeds],
+                    [(seed, config) for seed in seeds],
                     chunksize=max(1, len(seeds) // (jobs * 4) or 1),
                 )
                 return
@@ -521,11 +464,10 @@ def run_fuzz(
         if shrink:
             from repro.fuzz.shrink import shrink_scenario
 
-            # No pools and no injected faults while shrinking: the shrink
-            # predicate re-runs the matrix hundreds of times, and fault
-            # runs both cost a deadline each and depend on the seed (the
-            # shrunk scenario no longer corresponds to one).
-            shrink_config = replace(config, check_parallel=False, check_faults=False)
+            # No injected cutoffs while shrinking: their plan depends on
+            # the seed, and the shrunk scenario no longer corresponds to
+            # one.
+            shrink_config = replace(config, check_faults=False)
             minimal = shrink_scenario(
                 scenario,
                 lambda s: not run_differential(s, shrink_config).ok,

@@ -1,209 +1,106 @@
-"""Deterministic fault injection for the solve path.
+"""Deterministic solve cutoffs for the degradation invariants.
 
 The resource-governance layer (:mod:`repro.runtime.budget`) promises that
-crashed workers are retried, wedged workers are abandoned at the deadline,
-and whatever could not be decided is reported as *unknown* — never
-silently dropped, never fabricated.  This module turns those promises into
-checkable invariants:
+whatever a budget cuts off is reported as *unknown* — never silently
+dropped, never fabricated, never cached.  This module turns that promise
+into a checkable invariant:
 
-- :class:`FaultPlan` — a seeded, deterministic schedule of injected
-  faults, keyed on (task index, dispatch attempt): ``crash_on`` indices
-  kill the worker process outright (``os._exit``), ``hang_on`` indices
-  sleep through every budget without ever reaching a cooperative check;
-- :class:`FaultInjectingExecutor` — a :class:`~repro.runtime.ParallelExecutor`
-  whose worker entry point consults the plan before solving;
+- :class:`FaultPlan` — a seeded, deterministic set of task indices whose
+  solve is cut off;
+- :class:`CutoffInjectingExecutor` — a
+  :class:`~repro.runtime.SequentialExecutor` that solves each planned
+  task under a deadline that has already passed, so the solver stops at
+  its first cooperative check — the same interrupt a real budget fires;
 - :func:`run_fault_check` — the differential: exact answers from a clean
-  sequential engine vs a crash-recovery run (must match exactly) and a
-  budgeted degraded run (must bracket the truth):
+  engine vs a run with the planned cutoffs, which must bracket the truth:
 
   ``degraded-certain ⊆ exact-certain ⊆ exact-possible ⊆ degraded-possible``
 
   plus completeness of the unknown report — every exact answer the
   degraded run failed to produce must be listed in
-  ``stats.unknown_candidates``.
-
-Faults are injected *between* the executor and the solver, so every
-recovery path exercised here (mid-batch ``BrokenProcessPool``, per-task
-retry, pool recreation, parent-side wedge detection) is the same code a
-production crash would take.
+  ``stats.unknown_candidates`` — and an uncached degraded run: a clean
+  engine sharing its cache must still reach the exact answers.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 import random
 import time
 from dataclasses import dataclass
 
 from repro.fuzz.differential import Discrepancy, _fmt
-from repro.fuzz.generator import DEFAULT_CONFIG, FuzzConfig
 from repro.fuzz.render import Scenario
-from repro.runtime.budget import SolveBudget
-from repro.runtime.executor import ParallelExecutor, _solve_pickled
+from repro.runtime.cache import SignatureProgramCache
+from repro.runtime.executor import SequentialExecutor, solve_task
 
 
 @dataclass(frozen=True)
 class FaultPlan:
-    """A deterministic schedule of injected worker faults.
+    """The task indices (within a batch) whose solve is cut off."""
 
-    ``crash_on``/``hang_on`` are task indices within a batch.  A crash
-    fires while the task's dispatch ``attempt`` is below
-    ``crash_attempts`` — the default of 1 means "crash the first dispatch,
-    succeed on retry", which is the transient-fault shape retries exist
-    for.  A hang fires below ``hang_attempts`` (default: always), because
-    a wedged computation stays wedged however often you re-run it.
-    """
-
-    crash_on: frozenset = frozenset()
-    hang_on: frozenset = frozenset()
-    crash_attempts: int = 1
-    hang_attempts: int = 1_000_000
-    hang_seconds: float = 2.5
-    exit_code: int = 17
+    cut_on: frozenset = frozenset()
 
 
-def _fault_worker(
-    plan: FaultPlan,
-    payload: bytes,
-    index: int = 0,
-    attempt: int = 0,
-    deadline_at: float | None = None,
-):
-    """Worker entry point: apply the plan, then solve normally.
+class CutoffInjectingExecutor(SequentialExecutor):
+    """A SequentialExecutor that cuts the planned tasks off mid-solve."""
 
-    Module-level (and dispatched via ``functools.partial`` over a frozen
-    dataclass) so it stays picklable for spawn-based pools.
-    """
-    if index in plan.crash_on and attempt < plan.crash_attempts:
-        os._exit(plan.exit_code)  # simulate a segfaulting/OOM-killed worker
-    if index in plan.hang_on and attempt < plan.hang_attempts:
-        # A non-cooperative hang: the sleep never checks any deadline, so
-        # only the parent-side wait bound can reclaim this task.
-        time.sleep(plan.hang_seconds)
-    return _solve_pickled(payload, index, attempt, deadline_at)
-
-
-class FaultInjectingExecutor(ParallelExecutor):
-    """A ParallelExecutor whose workers fail on schedule.
-
-    ``min_batch`` defaults to 1 so even one-task batches go through the
-    pool (fuzz scenarios are small; faults must still fire on them).
-    """
-
-    name = "fault-injecting"
-
-    def __init__(
-        self,
-        plan: FaultPlan,
-        jobs: int = 2,
-        min_batch: int = 1,
-        deadline_grace: float = 0.25,
-    ):
-        super().__init__(
-            jobs=jobs, min_batch=min_batch, deadline_grace=deadline_grace
-        )
+    def __init__(self, plan: FaultPlan):
+        super().__init__()
         self.plan = plan
-        self._worker = functools.partial(_fault_worker, plan)
+
+    def _solve(self, index, task, deadline, tracer):
+        if index not in self.plan.cut_on:
+            return super()._solve(index, task, deadline, tracer)
+        # A cutoff "now": expired by the solver's first deadline check.
+        return solve_task(task, deadline_at=time.monotonic(), tracer=tracer)
 
 
-def fault_plan_for_seed(
-    seed: int, max_index: int = 6, hang_seconds: float = 2.5
-) -> FaultPlan:
-    """The deterministic fault schedule for a fuzz seed.
+def fault_plan_for_seed(seed: int, max_index: int = 6) -> FaultPlan:
+    """The deterministic cutoff plan for a fuzz seed.
 
     Seeded by integer arithmetic only (no str hashing, which is salted
-    per interpreter), so campaigns and replays inject identical faults.
+    per interpreter), so campaigns and replays cut the same tasks.
     """
     rng = random.Random((seed * 2654435761 + 0x5EED) & 0xFFFFFFFF)
-    # Index 0 is always faulted: segmentary batches are often a single
-    # task, and a plan that only hits higher indices would inject nothing.
-    # The seed decides whether that guaranteed fault is a crash (the
-    # recovery path) or a hang (the degradation path).
-    rest = list(range(1, max_index))
-    if rng.random() < 0.5:
-        crash = {0, rng.choice(rest)} if rest else {0}
-        hang_pool = [i for i in rest if i not in crash]
-        hang = {rng.choice(hang_pool)} if hang_pool else set()
-    else:
-        hang = {0}
-        crash = set(rng.sample(rest, k=min(2, len(rest))))
-    return FaultPlan(
-        crash_on=frozenset(crash),
-        hang_on=frozenset(hang),
-        hang_seconds=hang_seconds,
-    )
+    # Index 0 is always cut: segmentary batches are often a single task,
+    # and a plan that only hits higher indices would inject nothing.
+    rest = range(1, max_index)
+    return FaultPlan(cut_on=frozenset({0, *rng.sample(rest, k=rng.randint(0, 2))}))
 
 
-def run_fault_check(
-    scenario: Scenario, config: FuzzConfig = DEFAULT_CONFIG, seed: int = 0
-) -> list[Discrepancy]:
-    """Check the degradation invariants of one scenario under faults.
+def run_fault_check(scenario: Scenario, seed: int = 0) -> list[Discrepancy]:
+    """Check the degradation invariants of one scenario under cutoffs.
 
-    Two runs against a clean sequential baseline:
-
-    - **recovery** — crash-only faults, retries allowed, no deadline:
-      answers must be *identical* to the exact ones (a transient crash is
-      invisible after retry);
-    - **degradation** — crashes plus non-cooperative hangs under a tight
-      budget, ``allow_partial=True``: certain answers must under-, and
-      possible answers over-approximate the exact ones, with every gap
-      accounted for in ``stats.unknown_candidates``.
+    A clean engine gives the exact answers; an engine whose planned
+    family solves are cut off answers with ``allow_partial=True``.  Its
+    certain answers must under-, and its possible answers over-approximate
+    the exact ones, with every gap accounted for in
+    ``stats.unknown_candidates``; and a clean engine on the degraded
+    run's cache must still answer exactly.
     """
     from repro.xr.segmentary import SegmentaryEngine
 
     problems: list[Discrepancy] = []
     mapping, instance, query = scenario.mapping, scenario.instance, scenario.query
-    plan = fault_plan_for_seed(seed, hang_seconds=config.fault_hang_seconds)
+
+    def complain(kind: str, left: str, right: str, detail: str) -> None:
+        problems.append(Discrepancy(kind, left, right, detail))
 
     with SegmentaryEngine(mapping, instance, cache=False) as exact_engine:
         exact_certain = frozenset(exact_engine.answer(query))
         exact_possible = frozenset(exact_engine.possible_answers(query))
 
-    def complain(kind: str, left: str, right: str, detail: str) -> None:
-        problems.append(Discrepancy(kind, left, right, detail))
-
-    # -- recovery: crashes only, enough retries, no deadline ------------
-    crash_plan = FaultPlan(crash_on=plan.crash_on, crash_attempts=1)
-    retry_budget = SolveBudget(
-        max_retries=config.fault_retries, retry_backoff=0.01
-    )
-    with FaultInjectingExecutor(crash_plan, jobs=config.parallel_jobs) as ex:
-        with SegmentaryEngine(
-            mapping, instance, cache=False, executor=ex, budget=retry_budget
-        ) as engine:
-            recovered_certain = frozenset(engine.answer(query, allow_partial=True))
-            recovered_possible = frozenset(
-                engine.possible_answers(query, allow_partial=True)
-            )
-    if recovered_certain != exact_certain:
-        complain(
-            "fault-recovery-mismatch", "exact", "crash-retry-certain",
-            f"{_fmt(exact_certain)} != {_fmt(recovered_certain)}",
+    cache = SignatureProgramCache()
+    with SegmentaryEngine(
+        mapping, instance, cache=cache,
+        executor=CutoffInjectingExecutor(fault_plan_for_seed(seed)),
+    ) as engine:
+        degraded_certain, certain_stats = engine.answer_with_stats(
+            query, mode="certain", allow_partial=True
         )
-    if recovered_possible != exact_possible:
-        complain(
-            "fault-recovery-mismatch", "exact", "crash-retry-possible",
-            f"{_fmt(exact_possible)} != {_fmt(recovered_possible)}",
+        degraded_possible, possible_stats = engine.answer_with_stats(
+            query, mode="possible", allow_partial=True
         )
-
-    # -- degradation: crashes + hangs under a tight budget --------------
-    budget = SolveBudget(
-        deadline=config.fault_deadline,
-        task_timeout=config.fault_task_timeout,
-        max_retries=1,
-        retry_backoff=0.01,
-    )
-    with FaultInjectingExecutor(plan, jobs=config.parallel_jobs) as ex:
-        with SegmentaryEngine(
-            mapping, instance, cache=False, executor=ex, budget=budget
-        ) as engine:
-            degraded_certain, certain_stats = engine.answer_with_stats(
-                query, mode="certain", allow_partial=True
-            )
-            degraded_possible, possible_stats = engine.answer_with_stats(
-                query, mode="possible", allow_partial=True
-            )
     degraded_certain = frozenset(degraded_certain)
     degraded_possible = frozenset(degraded_possible)
 
@@ -228,5 +125,14 @@ def run_fault_check(
             "degradation-incomplete", "degraded-possible", "exact-possible",
             "fabricated beyond the unknown set: "
             f"{_fmt(degraded_possible - exact_possible - possible_stats.unknown_candidates)}",
+        )
+
+    with SegmentaryEngine(mapping, instance, cache=cache) as warm:
+        warm_certain = frozenset(warm.answer(query))
+        warm_possible = frozenset(warm.possible_answers(query))
+    if (warm_certain, warm_possible) != (exact_certain, exact_possible):
+        complain(
+            "degradation-cached", "exact", "warm-after-degraded",
+            f"certain {_fmt(warm_certain)}, possible {_fmt(warm_possible)}",
         )
     return problems

@@ -85,16 +85,9 @@ class FuzzConfig:
     # checks are skipped — everything else in the matrix still runs.
     enumerative_limit: int = 300
     check_figure1: bool = True
-    check_parallel: bool = True
     check_possible: bool = True
-    parallel_jobs: int = 2
-    # -- fault injection (repro.fuzz.faults; off by default — each seed
-    # costs wall-clock proportional to fault_deadline when a hang fires) --
+    # -- injected solve cutoffs (repro.fuzz.faults; off by default) --
     check_faults: bool = False
-    fault_deadline: float = 1.0
-    fault_task_timeout: float = 0.4
-    fault_hang_seconds: float = 2.5
-    fault_retries: int = 2
 
     def __post_init__(self) -> None:
         if self.profile not in PROFILES:
@@ -115,17 +108,6 @@ class FuzzConfig:
             value = getattr(self, knob)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{knob} must be in [0, 1], got {value}")
-        if self.check_faults:
-            if self.fault_deadline <= 0 or self.fault_task_timeout <= 0:
-                raise ValueError("fault deadlines must be positive")
-            if self.fault_hang_seconds <= self.fault_deadline:
-                raise ValueError(
-                    "fault_hang_seconds must exceed fault_deadline, or the "
-                    "injected hang finishes inside the budget and nothing "
-                    "degrades"
-                )
-            if self.fault_retries < 1:
-                raise ValueError("fault_retries must be >= 1 for the recovery check")
 
 
 DEFAULT_CONFIG = FuzzConfig()

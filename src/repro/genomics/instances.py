@@ -58,6 +58,11 @@ INSTANCE_PROFILES: dict[str, InstanceProfile] = {
     "F3": InstanceProfile("F3", 320, 0.029),
 }
 
+#: Transcript counts of the scenario size letters (matching the S3/M3/L3
+#: profiles above); ``parse_scenario_name`` pairs one with a suspect
+#: percent, e.g. ``"M9"``.
+SCENARIO_SIZES: dict[str, int] = {"S": 18, "M": 40, "L": 100}
+
 #: Paper ordering for the two experiment families.
 SUSPECT_SWEEP = ("L0", "L3", "L9", "L20")
 SIZE_SWEEP = ("S3", "M3", "L3", "F3")
@@ -68,3 +73,22 @@ def build_instance(profile: str | InstanceProfile) -> GeneratedInstance:
     if isinstance(profile, str):
         profile = INSTANCE_PROFILES[profile]
     return GenomeDataGenerator(profile.config()).generate()
+
+
+def parse_scenario_name(name: str) -> InstanceProfile:
+    """Turn ``"M9"`` (size letter + suspect percent) into its profile.
+
+    Raises ``ValueError`` naming what is wrong with ``name``.
+    """
+    size, percent = name[:1].upper(), name[1:]
+    if size not in SCENARIO_SIZES:
+        raise ValueError(
+            f"unknown size {size!r} in scenario {name!r}; choose from "
+            f"{sorted(SCENARIO_SIZES)}"
+        )
+    if not (percent.isdigit() and int(percent) <= 100):
+        raise ValueError(
+            f"bad scenario name {name!r}; expected a size letter and a "
+            "suspect percent 0-100, e.g. 'M9'"
+        )
+    return InstanceProfile(name, SCENARIO_SIZES[size], int(percent) / 100.0)

@@ -8,8 +8,7 @@ clasp/gringo and DLV:
 
 - :mod:`repro.obs.tracing` — nested :class:`Span` trees on the monotonic
   clock, produced by a thread-safe :class:`Tracer`; spans serialize to
-  plain data so pool workers can ship their solve spans back through the
-  executor result channel;
+  plain data for the trace document;
 - :mod:`repro.obs.metrics` — a deterministic :class:`Metrics` registry
   (counters, gauges, fixed-bucket histograms);
 - :mod:`repro.obs.recorder` — :class:`Recorder` bundles one tracer and

@@ -5,8 +5,8 @@ Everything instrumentable in the pipeline accepts an optional
 metrics are the shared no-op singletons, so uninstrumented code pays a
 few attribute reads and nothing else.  ``Recorder.create()`` builds a
 live pair; ``recorder.enabled`` is the one flag instrumented call sites
-branch on when real work (building a task trace, exporting worker spans)
-would otherwise be wasted.
+branch on when real work (building a trace, folding counters) would
+otherwise be wasted.
 """
 
 from __future__ import annotations

@@ -7,14 +7,8 @@ and maintains proper nesting per thread (each thread has its own span
 stack; finished root spans are collected under a lock, so one tracer can
 serve concurrent query phases).
 
-Spans cross the process boundary as plain data: :meth:`Span.to_dict` /
-:meth:`Span.from_dict` round-trip the whole tree through JSON-compatible
-dicts, which is how pool workers ship their solve spans back through the
-executor result channel (:class:`~repro.runtime.executor.SolveOutcome`).
-A reattached remote tree is tagged ``clock="remote"`` because its
-timestamps come from another process's clock epoch — wall-clock *durations*
-are meaningful, absolute offsets against the parent are not (see
-:func:`validate_span_tree`).
+:meth:`Span.to_dict` / :meth:`Span.from_dict` round-trip the whole tree
+through JSON-compatible dicts (the trace document's span form).
 
 The default everywhere is :data:`NOOP_TRACER`: a tracer whose spans are a
 shared do-nothing context manager, so the uninstrumented hot path pays one
@@ -26,9 +20,6 @@ from __future__ import annotations
 import threading
 import time
 from typing import Any, Iterator
-
-#: Tag value marking a span subtree deserialized from another process.
-REMOTE_CLOCK = "remote"
 
 #: Slack for float accumulation when checking duration invariants.
 _EPSILON = 1e-9
@@ -59,10 +50,6 @@ class Span:
     def duration(self) -> float:
         """Wall-clock seconds from start to end (0 while still open)."""
         return max(0.0, self.end - self.start)
-
-    @property
-    def is_remote(self) -> bool:
-        return self.tags.get("clock") == REMOTE_CLOCK
 
     def tag(self, key: str, value: Any) -> None:
         self.tags[key] = value
@@ -197,23 +184,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def attach(self, payload: dict[str, Any] | Span) -> Span:
-        """Attach a deserialized (remote) span tree under the current span.
-
-        The tree is tagged ``clock="remote"``: its timestamps come from a
-        different process's monotonic epoch and must not be compared to
-        the local timeline.  With no span open, the tree becomes a root.
-        """
-        span = payload if isinstance(payload, Span) else Span.from_dict(payload)
-        span.tags.setdefault("clock", REMOTE_CLOCK)
-        parent = self.current()
-        if parent is not None:
-            parent.children.append(span)
-        else:
-            with self._lock:
-                self._finished.append(span)
-        return span
-
     @property
     def finished(self) -> list[Span]:
         """A snapshot of the finished root spans (collection order)."""
@@ -258,9 +228,6 @@ class NoopTracer:
     def current(self) -> None:
         return None
 
-    def attach(self, payload: Any) -> None:
-        return None
-
     @property
     def finished(self) -> list[Span]:
         return []
@@ -277,11 +244,10 @@ def validate_span_tree(span: Span) -> list[str]:
     """Structural invariants of one span tree; returns human-readable
     problems (empty list = valid).
 
-    Checked for every span: ``end >= start`` and non-negative counters.
-    Checked for locally-clocked spans only (remote subtrees carry a
-    foreign monotonic epoch): children lie within the parent interval,
-    siblings do not overlap (same-thread spans obey stack discipline),
-    and child durations sum to at most the parent duration.
+    Checked for every span: ``end >= start``, non-negative counters,
+    children within the parent interval, siblings that do not overlap
+    (same-thread spans obey stack discipline), and child durations that
+    sum to at most the parent duration.
     """
     problems: list[str] = []
 
@@ -292,10 +258,9 @@ def validate_span_tree(span: Span) -> list[str]:
         for key, value in node.counters.items():
             if not isinstance(value, int) or value < 0:
                 problems.append(f"{label}: counter {key}={value!r} invalid")
-        local_children = [c for c in node.children if not c.is_remote]
         previous_end = None
         child_total = 0.0
-        for child in local_children:
+        for child in node.children:
             child_total += child.duration
             if child.start < node.start - _EPSILON or (
                 child.end > node.end + _EPSILON

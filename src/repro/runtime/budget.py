@@ -1,22 +1,18 @@
-"""Resource governance for the solve path: budgets, deadlines, backoff.
+"""Resource governance for the solve path: budgets and deadlines.
 
 XR-Certain answering is Πp2-hard, so even the segmentary engine's "many
 small hard problems" can contain one family program whose CDCL search
-blows up.  A :class:`SolveBudget` bounds that risk three ways:
+blows up.  A :class:`SolveBudget` bounds that risk two ways:
 
 - ``deadline`` — wall-clock seconds for a whole query (the batch of
   family solves, measured from the start of the query phase);
-- ``task_timeout`` — wall-clock seconds for any single family solve;
-- ``max_retries`` — how many times a *crashed* solve (a worker process
-  that died mid-task) is re-dispatched, with exponential backoff.
+- ``task_timeout`` — wall-clock seconds for any single family solve.
 
 Budgets are carried on :class:`~repro.runtime.executor.SolveTask` and
-enforced in two layers: **cooperatively**, by deadline checks inside the
-CDCL decision loop (:class:`~repro.asp.sat.SatSolver` raises
-:class:`SolveBudgetExceeded`, which workers convert into a
-``SolveOutcome(status="timeout")``); and **externally**, by the parent
-executor bounding how long it waits for worker results, which covers
-workers that are wedged and never reach a cooperative check.
+enforced **cooperatively**, by deadline checks inside the CDCL decision
+loop (:class:`~repro.asp.sat.SatSolver` raises
+:class:`SolveBudgetExceeded`, which the solve converts into a
+``SolveOutcome(status="timeout")`` carrying the verdicts reached so far).
 
 ``NO_BUDGET`` (the default everywhere) disables every mechanism: no
 deadline objects are created, no checks run, and answers are bit-identical
@@ -33,26 +29,21 @@ from dataclasses import dataclass
 class SolveBudgetExceeded(Exception):
     """Raised inside a solve when its deadline passes.
 
-    Workers catch this and report ``SolveOutcome(status="timeout")``;
+    Solves catch this and report ``SolveOutcome(status="timeout")``;
     engines surface it to callers only when ``allow_partial`` is off.
     """
 
 
-def backoff_delay(attempt: int, base: float, cap: float) -> float:
-    """Exponential backoff: ``min(cap, base * 2**attempt)`` (0 if no base)."""
-    if base <= 0:
-        return 0.0
-    return min(cap, base * (2.0 ** max(attempt, 0)))
+def is_positive_finite(value: float) -> bool:
+    """The one validity rule for every budget knob (CLI, HTTP, API)."""
+    return math.isfinite(value) and value > 0
 
 
 class Deadline:
     """An absolute wall-clock cutoff on the monotonic clock.
 
     ``deadline_at`` is a ``time.monotonic()`` timestamp, or ``None`` for
-    "no deadline" (every check is then a no-op).  Monotonic timestamps are
-    comparable across processes on the same machine (CLOCK_MONOTONIC is
-    system-wide on Linux), so the parent can ship ``deadline_at`` to pool
-    workers as a plain float.
+    "no deadline" (every check is then a no-op).
     """
 
     __slots__ = ("deadline_at",)
@@ -103,35 +94,24 @@ class Deadline:
 class SolveBudget:
     """Resource limits for one query's solve phase.
 
-    All fields optional; the default (:data:`NO_BUDGET`) changes nothing.
-    ``retry_backoff``/``backoff_cap`` govern both task re-dispatch after a
-    worker crash and executor pool recreation.
+    Both fields optional; the default (:data:`NO_BUDGET`) changes nothing.
     """
 
     deadline: float | None = None
     task_timeout: float | None = None
-    max_retries: int = 0
-    retry_backoff: float = 0.05
-    backoff_cap: float = 1.0
 
     def __post_init__(self) -> None:
         for knob in ("deadline", "task_timeout"):
             value = getattr(self, knob)
-            if value is not None and not (math.isfinite(value) and value > 0):
+            if value is not None and not is_positive_finite(value):
                 raise ValueError(
                     f"{knob} must be a positive finite number, got {value}"
                 )
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
     @property
     def is_null(self) -> bool:
         """True when no mechanism is active (the bit-identical fast path)."""
-        return (
-            self.deadline is None
-            and self.task_timeout is None
-            and self.max_retries == 0
-        )
+        return self.deadline is None and self.task_timeout is None
 
     def started(self) -> Deadline | None:
         """Start the query-level clock; None when no deadline is set."""
@@ -151,9 +131,6 @@ class SolveBudget:
         )
         return Deadline.after(seconds)
 
-    def retry_delay(self, attempt: int) -> float:
-        return backoff_delay(attempt, self.retry_backoff, self.backoff_cap)
 
-
-#: The shared do-nothing budget (kept a singleton so pickled tasks stay tiny).
+#: The shared do-nothing budget.
 NO_BUDGET = SolveBudget()

@@ -1,7 +1,7 @@
 """Admission control: a bounded in-flight count plus a bounded wait queue.
 
 XR-Certain solving is Πp2-hard, so a single expensive query can pin a
-worker for its whole budget; letting an unbounded number of requests pile
+request thread for its whole budget; letting an unbounded number of requests pile
 onto the engine just converts overload into memory growth and tail
 latency.  The controller gives the server an explicit capacity model:
 

@@ -26,13 +26,12 @@ engine.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.incremental import Delta, parse_update_stream
 from repro.parser import parse_program
 from repro.relational.queries import UnionOfConjunctiveQueries
-from repro.runtime.budget import SolveBudget
+from repro.runtime.budget import SolveBudget, is_positive_finite
 
 
 class ProtocolError(Exception):
@@ -60,7 +59,7 @@ def _positive_or_none(payload: dict, field: str) -> float | None:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ProtocolError(f"{field!r} must be a number, got {value!r}")
     # json.loads accepts NaN and Infinity; neither is a usable budget.
-    if not (math.isfinite(value) and value > 0):
+    if not is_positive_finite(value):
         raise ProtocolError(
             f"{field!r} must be a positive finite number, got {value!r}"
         )
@@ -109,15 +108,9 @@ def request_budget(
 
     deadline = tightest(ceiling.deadline, request.deadline)
     task_timeout = tightest(ceiling.task_timeout, request.task_timeout)
-    if deadline is None and task_timeout is None and ceiling.is_null:
+    if deadline is None and task_timeout is None:
         return ceiling  # NO_BUDGET singleton stays shared
-    return SolveBudget(
-        deadline=deadline,
-        task_timeout=task_timeout,
-        max_retries=ceiling.max_retries,
-        retry_backoff=ceiling.retry_backoff,
-        backoff_cap=ceiling.backoff_cap,
-    )
+    return SolveBudget(deadline=deadline, task_timeout=task_timeout)
 
 
 def parse_update_request(payload: object) -> list[Delta]:
@@ -171,7 +164,6 @@ def answer_payload(
             "cache_hits": stats.cache_hits,
             "cache_misses": stats.cache_misses,
             "timeouts": stats.timeouts,
-            "executor": stats.executor,
             "strategy": stats.strategy,
         },
     }

@@ -17,8 +17,8 @@ Concurrency model (DESIGN.md §13):
 
 - queries take the :class:`~repro.serve.rwlock.RWLock` **shared** and
   run truly concurrently on the engine — safe because the read path's
-  shared mutable state is internally locked (cache, executor dispatch,
-  one-time exchange) and each request carries its *own*
+  shared mutable state is internally locked (cache, one-time exchange)
+  and each request carries its *own*
   :class:`~repro.runtime.SolveBudget` (never mutating engine state);
 - updates take the lock **exclusive** (single-writer seam): an in-flight
   query never observes a half-applied delta, and the writer-preferring
@@ -58,12 +58,10 @@ from repro.serve.rwlock import RWLock
 class ServiceConfig:
     """Serving knobs (every one also a ``repro serve`` CLI flag)."""
 
-    jobs: int = 1
     # Budget ceiling: per-request budgets are capped by these (a client
     # can tighten its own SLO, never loosen the server's).
     deadline: float | None = None
     task_timeout: float | None = None
-    max_retries: int = 0
     # Admission control.
     max_inflight: int = 8
     max_queue: int = 16
@@ -73,16 +71,10 @@ class ServiceConfig:
     max_decisions: int | None = 65536
 
     def budget_ceiling(self) -> SolveBudget:
-        if (
-            self.deadline is None
-            and self.task_timeout is None
-            and self.max_retries == 0
-        ):
+        if self.deadline is None and self.task_timeout is None:
             return NO_BUDGET
         return SolveBudget(
-            deadline=self.deadline,
-            task_timeout=self.task_timeout,
-            max_retries=self.max_retries,
+            deadline=self.deadline, task_timeout=self.task_timeout
         )
 
 
@@ -106,7 +98,6 @@ class QueryService:
         self.engine = SegmentaryEngine(
             mapping,
             instance,
-            jobs=self.config.jobs,
             cache=self.cache,
             obs=self.obs,
         )

@@ -18,13 +18,11 @@ Many small hard problems instead of one large one (Theorem 4).
 
 Because distinct clusters are pairwise-independent (Definition 8 /
 Propositions 5–6), the family programs are too: the query phase *builds*
-all of them first, then dispatches the batch through a pluggable
-:mod:`repro.runtime` executor — sequentially by default, or across a
-process pool with ``jobs > 1``.  A cross-query cache
+all of them first, then solves the batch in process through the
+:mod:`repro.runtime` executor.  A cross-query cache
 (:class:`~repro.runtime.SignatureProgramCache`), keyed per signature,
 makes repeated queries over a warm engine skip redundant solving
-entirely.  Parallel and sequential execution, cached and uncached, return
-identical answers.
+entirely.  Cached and uncached runs return identical answers.
 """
 
 from __future__ import annotations
@@ -42,12 +40,7 @@ from repro.relational.instance import Fact, Instance
 from repro.relational.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.runtime.budget import NO_BUDGET, SolveBudget, SolveBudgetExceeded
 from repro.runtime.cache import SignatureProgramCache, decision_key, program_key
-from repro.runtime.executor import (
-    PackedProgram,
-    SolveExecutor,
-    SolveTask,
-    make_executor,
-)
+from repro.runtime.executor import PackedProgram, SequentialExecutor, SolveTask
 from repro.xr.envelope import EnvelopeAnalysis, analyze_envelopes
 from repro.xr.exchange import ExchangeData, build_exchange_data
 from repro.xr.program import build_family_program, build_xr_program
@@ -83,18 +76,14 @@ class QueryPhaseStats:
     cache_misses: int = 0
     memo_hits: int = 0
     memo_misses: int = 0
-    # How the batch actually ran (the executor's ``last_dispatch`` after
-    # the solve — "sequential"/"parallel"/"mixed" — not merely how the
-    # executor was configured), and the SatSolver statistics summed over
-    # every program solved by this call.
-    executor: str = "sequential"
+    # The SatSolver statistics summed over every program solved by this
+    # call.
     solver_stats: dict[str, int] = field(default_factory=dict)
     # Resource governance: groups cut off by the budget (their candidates
-    # are *unknown*, listed below as answer tuples), worker re-dispatches
-    # after crashes, and whether any degradation happened at all.  With no
-    # budget configured these stay at their defaults.
+    # are *unknown*, listed below as answer tuples) and whether any
+    # degradation happened at all.  With no budget configured these stay
+    # at their defaults.
     timeouts: int = 0
-    retries: int = 0
     degraded: bool = False
     unknown_candidates: set[tuple] = field(default_factory=set)
     # Family observability: the grouping in force (the engine's
@@ -198,14 +187,12 @@ class SegmentaryEngine:
 
     Runtime knobs (all answer-neutral — they change wall-clock time only):
 
-    - ``jobs``: worker processes for signature solving (1 = in-process);
-    - ``executor``: a pre-built :class:`~repro.runtime.SolveExecutor`
-      overriding ``jobs`` (e.g. a shared pool);
+    - ``executor``: a :class:`~repro.runtime.SequentialExecutor` (or
+      subclass) to solve with instead of a private one — the seam tests
+      use to inject budget cutoffs;
     - ``cache``: ``True`` (default) for a private cross-query cache, a
       :class:`~repro.runtime.SignatureProgramCache` instance to share one,
       or ``False`` to disable caching;
-    - ``parallel_threshold``: batches smaller than this solve in-process
-      even when ``jobs > 1``;
     - ``solve_strategy``: how signature groups form families.
       ``"incremental"`` (default) merges groups whose signatures share a
       violation cluster; ``"per-signature"`` makes every group its own
@@ -226,9 +213,8 @@ class SegmentaryEngine:
     engine.
 
     The engine is a context manager; ``with SegmentaryEngine(...) as e:``
-    guarantees the executor's worker pool is released.  An executor
-    *passed in* by the caller is never closed by the engine (shared pools
-    stay up); only internally-created executors are.
+    closes the executor it created.  An executor *passed in* by the
+    caller is never closed by the engine; the caller owns it.
     """
 
     def __init__(
@@ -236,10 +222,8 @@ class SegmentaryEngine:
         mapping: SchemaMapping | ReducedMapping,
         instance: Instance,
         encoding: str = "repair",
-        jobs: int = 1,
-        executor: SolveExecutor | None = None,
+        executor: SequentialExecutor | None = None,
         cache: bool | SignatureProgramCache = True,
-        parallel_threshold: int = 2,
         budget: SolveBudget | None = None,
         obs: Recorder | None = None,
         solve_strategy: str = "incremental",
@@ -257,17 +241,13 @@ class SegmentaryEngine:
                 "'incremental' or 'per-signature'"
             )
         self.solve_strategy = solve_strategy
-        self.jobs = jobs
         self.budget = budget if budget is not None else NO_BUDGET
         self.obs = obs if obs is not None else NOOP_RECORDER
         self._owns_executor = executor is None
-        if executor is not None:
-            self.executor = executor
-        else:
-            self.executor = make_executor(jobs, min_batch=parallel_threshold)
+        self.executor = SequentialExecutor() if executor is None else executor
         if self._owns_executor and self.obs.metrics.enabled:
             # Only an executor this engine created gets its metrics hook;
-            # a shared pool passed in by the caller is left untouched.
+            # one passed in by the caller is left untouched.
             self.executor.metrics = self.obs.metrics
         if cache is True:
             self.cache: SignatureProgramCache | None = SignatureProgramCache()
@@ -297,11 +277,8 @@ class SegmentaryEngine:
         self._last_query_stats = stats.copy()
 
     def close(self) -> None:
-        """Release executor resources (worker processes, if any).
-
-        Only closes executors this engine created itself; an executor the
-        caller passed in (e.g. a pool shared across engines) is left up.
-        """
+        """Close the executor, if this engine created it; an executor the
+        caller passed in is left open."""
         if self._owns_executor:
             self.executor.close()
 
@@ -452,8 +429,8 @@ class SegmentaryEngine:
         ``self.last_query_stats``); callers holding it never see it mutate
         under a later query.
 
-        When the engine's budget cuts a family off (timeout, or a crashed
-        worker out of retries), ``allow_partial`` decides the behavior:
+        When the engine's budget cuts a family off, ``allow_partial``
+        decides the behavior:
         ``True`` degrades gracefully — the family's undecided
         candidates are reported in ``stats.unknown_candidates``, excluded
         from certain answers and conservatively included in possible
@@ -471,9 +448,7 @@ class SegmentaryEngine:
             # The serving tier passes one per request so concurrent
             # deadlines never share (or mutate) engine state.
             budget = self.budget
-        stats = QueryPhaseStats(
-            executor=self.executor.name, strategy=self.solve_strategy
-        )
+        stats = QueryPhaseStats(strategy=self.solve_strategy)
         clock = budget.started()  # None unless a deadline is set
         unknown: set[Fact] = set()
         tracer, metrics = self.obs.tracer, self.obs.metrics
@@ -551,19 +526,18 @@ class SegmentaryEngine:
                 if pending:
                     family_batches, tasks = self._assemble_families(
                         pending, supports_by_candidate, mode, stats,
-                        accepted, unknown, clock, allow_partial,
-                        trace=tracer.enabled, budget=budget,
+                        accepted, unknown, clock, allow_partial, budget,
                     )
             stats.build_seconds = time.perf_counter() - build_started
 
             if tasks:
                 with tracer.span("query.solve"):
-                    outcomes = self.executor.run(tasks, deadline=clock)
-                    stats.executor = self.executor.last_dispatch
+                    outcomes = self.executor.run(
+                        tasks, deadline=clock, tracer=tracer
+                    )
                     self._handle_family_outcomes(
                         family_batches, outcomes, mode, stats,
-                        accepted, unknown, allow_partial,
-                        tracer, metrics,
+                        accepted, unknown, allow_partial, metrics,
                     )
 
             if unknown:
@@ -596,7 +570,6 @@ class SegmentaryEngine:
         accepted: set[Fact],
         unknown: set[Fact],
         allow_partial: bool,
-        tracer,
         metrics,
     ) -> None:
         """Fold family solve outcomes into the answer state.
@@ -608,13 +581,10 @@ class SegmentaryEngine:
         candidates got a verdict, so the caches never hold half-truths.
         """
         for members, outcome in zip(family_batches, outcomes):
-            stats.retries += max(0, outcome.attempts - 1)
-            if outcome.span is not None:
-                tracer.attach(outcome.span)
             family_size = sum(len(m.solve_atoms) for m in members)
             if not outcome.ok and outcome.decided is None:
-                # Hard cutoff before any verdict (batch deadline, crash
-                # out of retries): the whole family is unknown.
+                # The batch deadline passed before the family started:
+                # the whole family is unknown.
                 if not allow_partial:
                     raise SolveBudgetExceeded(
                         f"family solve {outcome.status}: "
@@ -685,7 +655,6 @@ class SegmentaryEngine:
         metrics.inc("cache_memo_hits_total", stats.memo_hits)
         metrics.inc("cache_memo_misses_total", stats.memo_misses)
         metrics.inc("query_timeouts_total", stats.timeouts)
-        metrics.inc("query_retries_total", stats.retries)
         metrics.inc("query_families_solved_total", stats.families_solved)
         metrics.inc("query_family_candidates_total", stats.family_candidates)
         metrics.inc("solve_core_skips_total", stats.core_skips)
@@ -777,7 +746,6 @@ class SegmentaryEngine:
         unknown: set[Fact],
         clock,
         allow_partial: bool,
-        trace: bool,
         budget: SolveBudget,
     ) -> tuple[list[list[_SignatureGroup]], list[SolveTask]]:
         """Merge pending signature groups into cluster families, one shared
@@ -791,8 +759,8 @@ class SegmentaryEngine:
         ``solve_atoms`` are filled from the *shared* atom table, and every
         member keeps only its **own** trivially-certain candidates — a
         family-wide set in a member's cache entry would leak foreign facts
-        into warm hits.  A family rides the executor as a single task so
-        solver reuse survives process-pool dispatch.
+        into warm hits.  A family is one task, so its candidates share one
+        solver's learned clauses.
         """
         assert self.analysis is not None and self.data is not None
         analysis, data = self.analysis, self.data
@@ -872,7 +840,6 @@ class SegmentaryEngine:
                     query_atom_ids=tuple(sorted(batch_atoms)),
                     mode=mode,
                     budget=budget,
-                    trace=trace,
                 )
             )
         return family_batches, tasks

@@ -1,6 +1,5 @@
 """The checked-in regression corpus: provenance, replay, persistence."""
 
-from dataclasses import replace
 from pathlib import Path
 
 from repro.fuzz.corpus import (
@@ -18,7 +17,7 @@ from repro.fuzz.render import render_scenario, scenarios_equal
 from repro.fuzz.xval import xval_scenario
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "corpus"
-FAST = replace(DEFAULT_CONFIG, check_parallel=False)
+FAST = DEFAULT_CONFIG
 
 
 def test_corpus_exists_and_loads():

@@ -12,25 +12,14 @@ from dataclasses import replace
 import pytest
 
 from repro import cli
-from repro.fuzz.differential import (
-    check_seed,
-    close_shared_executor,
-    run_differential,
-    run_fuzz,
-)
+from repro.fuzz.differential import check_seed, run_differential, run_fuzz
 from repro.fuzz.generator import DEFAULT_CONFIG, FuzzConfig
 from repro.fuzz.render import Scenario, parse_scenario, render_scenario
 from repro.fuzz.shrink import shrink_scenario
 from repro.parser import parse_instance, parse_mapping, parse_program
 from repro.runtime.cache import SignatureProgramCache
 
-FAST = replace(DEFAULT_CONFIG, check_parallel=False)
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _teardown_executor():
-    yield
-    close_shared_executor()
+FAST = DEFAULT_CONFIG
 
 
 def test_clean_seeds_agree():
@@ -50,12 +39,6 @@ def test_oracle_runs_only_on_small_instances():
     )
     no_oracle = check_seed(0, replace(FAST, use_oracle=False))
     assert "oracle" not in no_oracle.engines
-
-
-def test_parallel_axis_runs():
-    report = check_seed(3, replace(DEFAULT_CONFIG, check_parallel=True))
-    assert report.ok
-    assert "segmentary-parallel" in report.engines
 
 
 def _conflicted_scenario() -> Scenario:
@@ -136,7 +119,7 @@ def test_run_fuzz_records_and_shrinks_failures(monkeypatch, tmp_path):
 
 
 def test_cli_fuzz_smoke(capsys):
-    code = cli.main(["fuzz", "--seeds", "4", "--no-parallel"])
+    code = cli.main(["fuzz", "--seeds", "4"])
     out = capsys.readouterr().out
     assert code == 0
     assert "0 failure(s)" in out
@@ -146,7 +129,7 @@ def test_cli_fuzz_smoke(capsys):
 def test_cli_fuzz_reports_failures(monkeypatch, capsys):
     _poison_cache(monkeypatch)
     code = cli.main(
-        ["fuzz", "--seeds", "6", "--start", "25", "--no-parallel",
+        ["fuzz", "--seeds", "6", "--start", "25",
          "--profile", "freeform", "--no-oracle", "--shrink"]
     )
     out = capsys.readouterr().out
@@ -157,6 +140,6 @@ def test_cli_fuzz_reports_failures(monkeypatch, capsys):
 
 def test_fuzz_config_matrix_flags():
     config = FuzzConfig(check_figure1=False, check_possible=False)
-    report = check_seed(1, replace(config, check_parallel=False))
+    report = check_seed(1, config)
     assert "monolithic-figure1" not in report.engines
     assert not report.possible

@@ -1,25 +1,25 @@
-"""Fault-injection differential checks (repro.fuzz.faults).
+"""Injected-cutoff differential checks (repro.fuzz.faults).
 
-Tier-1 covers plan determinism and two known-interesting seeds (one whose
-guaranteed index-0 fault is a hang — the degradation path — and one whose
-fault is a crash — the recovery path).  The 25-seed sweep mirrors the CI
-fault-smoke job and is excluded from tier-1 via the ``faults`` marker.
+Tier-1 covers plan determinism and a known-interesting seed whose query
+phase dispatches solver tasks, so the planned cutoffs really fire.  The
+25-seed sweep mirrors the CI degraded-answers smoke job and is excluded
+from tier-1 via the ``faults`` marker.
 """
-
-from dataclasses import replace
 
 import pytest
 
-from repro.fuzz.faults import fault_plan_for_seed, run_fault_check
+from repro.fuzz.faults import (
+    CutoffInjectingExecutor,
+    fault_plan_for_seed,
+    run_fault_check,
+)
 from repro.fuzz.generator import DEFAULT_CONFIG, random_scenario
+from repro.xr.segmentary import SegmentaryEngine
 
-FAULT_CONFIG = replace(DEFAULT_CONFIG, check_faults=True)
-
-# Under DEFAULT_CONFIG these seeds produce scenarios whose query phase
+# Under DEFAULT_CONFIG this seed produces a scenario whose query phase
 # actually dispatches solver tasks (most random scenarios are decided
-# trivially), so the injected faults really fire.
-HANG_SEED = 15    # index 0 hangs: exercises degradation
-CRASH_SEED = 34   # index 0 crashes: exercises retry recovery
+# trivially), so the injected cutoff really fires.
+CUTOFF_SEED = 15
 
 
 class TestFaultPlans:
@@ -35,30 +35,25 @@ class TestFaultPlans:
         # Segmentary batches are often a single task; a plan that never
         # touches index 0 would inject nothing on them.
         for seed in range(50):
-            plan = fault_plan_for_seed(seed)
-            assert 0 in (plan.crash_on | plan.hang_on)
-            assert not (plan.crash_on & plan.hang_on)
-
-    def test_validation_rejects_useless_hangs(self):
-        with pytest.raises(ValueError):
-            replace(
-                DEFAULT_CONFIG,
-                check_faults=True,
-                fault_deadline=2.0,
-                fault_hang_seconds=1.0,
-            )
+            assert 0 in fault_plan_for_seed(seed).cut_on
 
 
 class TestKnownSeeds:
-    def test_hang_seed_invariants_hold(self):
-        scenario = random_scenario(HANG_SEED, FAULT_CONFIG)
-        problems = run_fault_check(scenario, FAULT_CONFIG, seed=HANG_SEED)
+    def test_cutoff_seed_invariants_hold(self):
+        scenario = random_scenario(CUTOFF_SEED, DEFAULT_CONFIG)
+        problems = run_fault_check(scenario, seed=CUTOFF_SEED)
         assert problems == []
 
-    def test_crash_seed_recovers_exactly(self):
-        scenario = random_scenario(CRASH_SEED, FAULT_CONFIG)
-        problems = run_fault_check(scenario, FAULT_CONFIG, seed=CRASH_SEED)
-        assert problems == []
+    def test_cutoff_seed_really_degrades(self):
+        scenario = random_scenario(CUTOFF_SEED, DEFAULT_CONFIG)
+        executor = CutoffInjectingExecutor(fault_plan_for_seed(CUTOFF_SEED))
+        with SegmentaryEngine(
+            scenario.mapping, scenario.instance, executor=executor
+        ) as engine:
+            _, stats = engine.answer_with_stats(
+                scenario.query, allow_partial=True
+            )
+        assert stats.degraded and stats.unknown_candidates
 
 
 @pytest.mark.faults
@@ -66,7 +61,7 @@ class TestFaultSweep:
     def test_twenty_five_seeds(self):
         failures = []
         for seed in range(25):
-            scenario = random_scenario(seed, FAULT_CONFIG)
-            problems = run_fault_check(scenario, FAULT_CONFIG, seed=seed)
+            scenario = random_scenario(seed, DEFAULT_CONFIG)
+            problems = run_fault_check(scenario, seed=seed)
             failures.extend(f"seed {seed}: {p}" for p in problems)
         assert failures == []

@@ -9,16 +9,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.fuzz.differential import close_shared_executor, run_fuzz
+from repro.fuzz.differential import run_fuzz
 from repro.fuzz.generator import DEFAULT_CONFIG, FuzzConfig
 
 pytestmark = pytest.mark.fuzz
-
-
-@pytest.fixture(autouse=True, scope="module")
-def _teardown_executor():
-    yield
-    close_shared_executor()
 
 
 def _assert_clean(summary):

@@ -1,4 +1,4 @@
-"""Engine-level instrumentation: spans, counters, and worker round-trips.
+"""Engine-level instrumentation: spans and counters.
 
 The contract under test: a live recorder changes *nothing* about the
 answers while producing a span tree that satisfies the nesting invariants
@@ -60,7 +60,7 @@ class TestSegmentary:
         for root in roots:
             assert validate_span_tree(root) == []
 
-    def test_solve_tasks_ride_home_as_remote_spans(self):
+    def test_solve_tasks_nest_under_query_solve(self):
         obs = Recorder.create()
         with SegmentaryEngine(MAPPING, INSTANCE, cache=False, obs=obs) as engine:
             _, stats = engine.answer_with_stats(QUERY)
@@ -70,11 +70,14 @@ class TestSegmentary:
         tasks = [c for c in solve.children if c.name == "solve.task"]
         assert len(tasks) == stats.programs_solved
         for task in tasks:
-            assert task.is_remote
             assert task.tags["status"] == "ok"
             assert task.tags["mode"] == "certain"
             assert task.counters["conflicts"] >= 0
+            assert "decisions" in task.counters
             assert task.counters["stable_models_found"] >= 1
+            # Same clock as the caller: each task lies inside query.solve.
+            assert solve.start <= task.start <= task.end <= solve.end
+        assert validate_span_tree(query) == []
 
     def test_counters_agree_with_stats(self):
         obs = Recorder.create()
@@ -114,24 +117,6 @@ class TestSegmentary:
             assert traced.answer(QUERY) == certain
             assert traced.possible_answers(QUERY) == possible
         assert validate_trace_document(trace_document(obs)) == []
-
-    def test_parallel_worker_spans_cross_the_pool(self):
-        obs = Recorder.create()
-        with SegmentaryEngine(
-            MAPPING, INSTANCE, jobs=2, cache=False, obs=obs
-        ) as engine:
-            answers, stats = engine.answer_with_stats(QUERY)
-        with SegmentaryEngine(MAPPING, INSTANCE) as plain:
-            assert answers == plain.answer(QUERY)
-        assert stats.programs_solved == 2
-        query = obs.tracer.finished[1]
-        tasks = [
-            c for c in query.children[-1].children if c.name == "solve.task"
-        ]
-        assert len(tasks) == 2
-        assert all(task.is_remote for task in tasks)
-        # Each worker's span carries its solver statistics as counters.
-        assert all("decisions" in task.counters for task in tasks)
 
     def test_default_engine_stays_uninstrumented(self):
         with SegmentaryEngine(MAPPING, INSTANCE) as engine:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.tracing import (
     NOOP_TRACER,
-    REMOTE_CLOCK,
     Span,
     Tracer,
     validate_span_tree,
@@ -121,28 +120,6 @@ class TestTagsCountersSerialization:
         original = tracer.finished[0]
         assert Span.from_dict(original.to_dict()) == original
 
-    def test_attach_marks_remote_and_skips_clock_checks(self):
-        worker = Tracer()
-        with worker.span("solve.task") as span:
-            span.count("decisions", 4)
-        payload = worker.finished[0].to_dict()
-
-        parent = Tracer()
-        with parent.span("query.solve"):
-            attached = parent.attach(payload)
-        assert attached.is_remote
-        assert attached.tags["clock"] == REMOTE_CLOCK
-        root = parent.finished[0]
-        assert root.children == [attached]
-        # The remote subtree's foreign epoch must not fail validation even
-        # though its timestamps lie outside the parent interval.
-        assert validate_span_tree(root) == []
-
-    def test_attach_without_open_span_becomes_root(self):
-        tracer = Tracer()
-        tracer.attach({"name": "orphan", "start": 0.0, "end": 1.0})
-        assert [span.name for span in tracer.finished] == ["orphan"]
-
 
 class TestValidation:
     def test_end_before_start_rejected(self):
@@ -174,4 +151,3 @@ class TestNoop:
             span.count("n")
         assert NOOP_TRACER.finished == []
         assert NOOP_TRACER.current() is None
-        assert NOOP_TRACER.attach({"name": "x"}) is None

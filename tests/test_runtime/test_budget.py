@@ -8,14 +8,13 @@ import pytest
 from repro.asp.sat import SatSolver
 from repro.asp.stable import StableModelEngine
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
-from repro.cli import build_parser
+from repro.cli import _budget_from, build_parser, main
 from repro.relational import Fact
 from repro.runtime.budget import (
     NO_BUDGET,
     Deadline,
     SolveBudget,
     SolveBudgetExceeded,
-    backoff_delay,
 )
 from repro.runtime.executor import PackedProgram, SolveTask, solve_task
 
@@ -27,22 +26,6 @@ def tiny_program() -> GroundProgram:
     program.add_rule(GroundRule(head=(1,)))
     program.add_rule(GroundRule(head=(2,), body_pos=(1,)))
     return program
-
-
-class TestBackoffDelay:
-    def test_doubles_per_attempt(self):
-        assert backoff_delay(0, 0.05, 1.0) == pytest.approx(0.05)
-        assert backoff_delay(1, 0.05, 1.0) == pytest.approx(0.10)
-        assert backoff_delay(2, 0.05, 1.0) == pytest.approx(0.20)
-
-    def test_capped(self):
-        assert backoff_delay(30, 0.05, 1.0) == 1.0
-
-    def test_zero_base_means_no_delay(self):
-        assert backoff_delay(5, 0.0, 1.0) == 0.0
-
-    def test_negative_attempt_clamped(self):
-        assert backoff_delay(-3, 0.05, 1.0) == pytest.approx(0.05)
 
 
 class TestDeadline:
@@ -87,15 +70,12 @@ class TestSolveBudget:
     def test_any_knob_disarms_is_null(self):
         assert not SolveBudget(deadline=1.0).is_null
         assert not SolveBudget(task_timeout=1.0).is_null
-        assert not SolveBudget(max_retries=1).is_null
 
     def test_validation(self):
         with pytest.raises(ValueError):
             SolveBudget(deadline=0.0)
         with pytest.raises(ValueError):
             SolveBudget(task_timeout=-1.0)
-        with pytest.raises(ValueError):
-            SolveBudget(max_retries=-1)
         # A NaN or infinite deadline never fires, yet would still leave
         # the NO_BUDGET fast path.
         for knob in ("deadline", "task_timeout"):
@@ -113,13 +93,8 @@ class TestSolveBudget:
         deadline = budget.single_solve_deadline()
         assert deadline.remaining() <= 1.0
 
-    def test_retry_delay_uses_the_budget_backoff(self):
-        budget = SolveBudget(max_retries=3, retry_backoff=0.02, backoff_cap=0.05)
-        assert budget.retry_delay(0) == pytest.approx(0.02)
-        assert budget.retry_delay(10) == 0.05
-
     def test_pickles_roundtrip(self):
-        budget = SolveBudget(deadline=2.0, task_timeout=0.5, max_retries=1)
+        budget = SolveBudget(deadline=2.0, task_timeout=0.5)
         assert pickle.loads(pickle.dumps(budget)) == budget
         assert pickle.loads(pickle.dumps(NO_BUDGET)) == NO_BUDGET
 
@@ -167,25 +142,49 @@ class TestSolveTaskBudget:
         assert outcome.decided == frozenset({1, 2})
 
 
+ANSWER = ["answer", "-m", "m.txt", "-d", "d.txt", "-q", "q() :- T(x)."]
+
+
 class TestCliBudgetFlags:
     def test_answer_accepts_budget_flags(self):
         arguments = build_parser().parse_args(
-            [
-                "answer", "-m", "m.txt", "-d", "d.txt", "-q", "q() :- T(x).",
-                "--deadline", "5", "--task-timeout", "0.5", "--retries", "2",
-            ]
+            ANSWER + ["--deadline", "5", "--task-timeout", "0.5"]
         )
         assert arguments.deadline == 5.0
         assert arguments.task_timeout == 0.5
-        assert arguments.retries == 2
+        assert _budget_from(arguments) == SolveBudget(
+            deadline=5.0, task_timeout=0.5
+        )
 
     def test_budget_flags_default_to_no_budget(self):
-        arguments = build_parser().parse_args(
-            ["answer", "-m", "m.txt", "-d", "d.txt", "-q", "q() :- T(x)."]
-        )
+        arguments = build_parser().parse_args(ANSWER)
         assert arguments.deadline is None
         assert arguments.task_timeout is None
-        assert arguments.retries == 0
+        assert _budget_from(arguments) is NO_BUDGET
+
+    def test_one_knob_alone_builds_a_budget(self):
+        arguments = build_parser().parse_args(ANSWER + ["--task-timeout", "2"])
+        assert _budget_from(arguments) == SolveBudget(task_timeout=2.0)
+
+    @pytest.mark.parametrize("command", ["answer", "serve"])
+    @pytest.mark.parametrize("flag", ["--deadline", "--task-timeout"])
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "soon"])
+    def test_bad_budget_values_exit_2(self, capsys, command, flag, value):
+        argv = ANSWER if command == "answer" else ["serve", "-m", "m", "-d", "d"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + [f"{flag}={value}"])
+        assert exited.value.code == 2
+        # The same wording the HTTP layer answers a bad budget with.
+        assert (
+            f"must be a positive finite number, got {value}"
+            in capsys.readouterr().err
+        )
+
+    def test_retry_flags_are_gone(self, capsys):
+        for argv in (ANSWER + ["--retries", "1"], ANSWER + ["--jobs", "2"]):
+            with pytest.raises(SystemExit) as exited:
+                main(argv)
+            assert exited.value.code == 2
 
     def test_fuzz_accepts_faults_flag(self):
         arguments = build_parser().parse_args(["fuzz", "--seeds", "5", "--faults"])

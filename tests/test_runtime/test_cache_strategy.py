@@ -215,10 +215,7 @@ class _PartialExecutor:
     """A stub executor that cuts every family off mid-solve: one atom per
     task stays undecided, the rest are (claimed) rejected."""
 
-    name = "stub"
-    last_dispatch = "sequential"
-
-    def run(self, tasks, deadline=None):
+    def run(self, tasks, deadline=None, tracer=None):
         outcomes = []
         for task in tasks:
             atoms = sorted(task.query_atom_ids)

@@ -1,23 +1,19 @@
-"""Tests for the solve executors (sequential, process-parallel, fallbacks)."""
+"""Tests for the in-process solve executor."""
 
 import pickle
 import time
 
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
-from repro.fuzz.faults import FaultInjectingExecutor, FaultPlan
 from repro.relational import Fact, SkolemValue
 from repro.runtime import (
     NO_BUDGET,
     Deadline,
     PackedProgram,
-    ParallelExecutor,
     SequentialExecutor,
     SolveBudget,
     SolveTask,
-    make_executor,
     solve_task,
 )
-from repro.runtime import executor as executor_module
 
 
 def chain_program(length: int) -> GroundProgram:
@@ -91,50 +87,6 @@ class TestSequentialExecutor:
         assert [o.decided for o in outcomes] == EXPECTED
 
 
-class TestParallelExecutor:
-    def test_matches_sequential(self):
-        with ParallelExecutor(jobs=2, min_batch=1) as executor:
-            outcomes = executor.run(a_batch())
-            assert executor.last_dispatch == "parallel"
-        assert [o.decided for o in outcomes] == EXPECTED
-
-    def test_small_batch_runs_in_process(self):
-        with ParallelExecutor(jobs=2, min_batch=10) as executor:
-            outcomes = executor.run(a_batch()[:3])
-            assert executor.last_dispatch == "sequential"
-            assert [o.decided for o in outcomes] == EXPECTED[:3]
-            assert executor._pool is None  # never even forked
-
-    def test_jobs_of_one_runs_in_process(self):
-        with ParallelExecutor(jobs=1, min_batch=1) as executor:
-            executor.run(a_batch())
-            assert executor.last_dispatch == "sequential"
-
-    def test_falls_back_when_pool_cannot_spawn(self, monkeypatch):
-        executor = ParallelExecutor(jobs=2, min_batch=1)
-        monkeypatch.setattr(executor, "_ensure_pool", lambda: None)
-        outcomes = executor.run(a_batch())
-        assert executor.last_dispatch == "sequential"
-        assert [o.decided for o in outcomes] == EXPECTED
-
-    def test_falls_back_on_unpicklable_task(self):
-        class LocalProgram:  # local classes cannot be pickled
-            num_atoms = 1
-            rules = (GroundRule(head=(1,)),)
-
-        tasks = [SolveTask(LocalProgram(), (1,), "certain") for _ in range(4)]
-        with ParallelExecutor(jobs=2, min_batch=1) as executor:
-            outcomes = executor.run(tasks)
-            assert executor.last_dispatch == "sequential"
-        assert all(o.decided == frozenset({1}) for o in outcomes)
-
-    def test_reusable_across_batches(self):
-        with ParallelExecutor(jobs=2, min_batch=1) as executor:
-            first = executor.run(a_batch())
-            second = executor.run(a_batch())
-        assert [o.decided for o in first] == [o.decided for o in second]
-
-
 class TestDeadlines:
     def test_sequential_expired_deadline_times_out_everything(self):
         outcomes = SequentialExecutor().run(
@@ -142,146 +94,24 @@ class TestDeadlines:
         )
         assert all(o.status == "timeout" for o in outcomes)
 
-    def test_parallel_expired_deadline_times_out_without_dispatch(self):
-        with ParallelExecutor(jobs=2, min_batch=1) as executor:
-            started = time.perf_counter()
-            outcomes = executor.run(
-                a_batch(), deadline=Deadline(time.monotonic() - 1.0)
-            )
-            elapsed = time.perf_counter() - started
-        assert all(o.status == "timeout" for o in outcomes)
-        assert elapsed < 1.0  # nothing waited on a pool
-
     def test_no_deadline_is_answer_identical(self):
-        with ParallelExecutor(jobs=2, min_batch=1) as executor:
-            outcomes = executor.run(a_batch(), deadline=None)
+        outcomes = SequentialExecutor().run(a_batch(), deadline=None)
         assert [o.decided for o in outcomes] == EXPECTED
-        assert all(o.ok and o.attempts == 1 for o in outcomes)
+        assert all(o.ok for o in outcomes)
 
-
-class TestCrashRecovery:
-    def test_single_crashed_task_retries_and_recovers(self):
-        plan = FaultPlan(crash_on=frozenset({0}), crash_attempts=1)
-        budget = SolveBudget(max_retries=2, retry_backoff=0.01)
-        with FaultInjectingExecutor(plan, jobs=2) as executor:
-            outcomes = executor.run(a_batch(budget)[:1])
-        assert outcomes[0].ok
-        assert outcomes[0].decided == EXPECTED[0]
-        assert outcomes[0].attempts == 2
-        assert executor.last_dispatch == "parallel"
-
-    def test_whole_batch_recovers_from_mid_batch_crashes(self):
-        plan = FaultPlan(crash_on=frozenset({1, 3}), crash_attempts=1)
-        budget = SolveBudget(max_retries=3, retry_backoff=0.01)
-        with FaultInjectingExecutor(plan, jobs=2) as executor:
-            outcomes = executor.run(a_batch(budget))
-            # The executor must stay usable after recreating its pool.
-            again = executor.run(a_batch(budget))
+    def test_generous_deadline_is_answer_identical(self):
+        outcomes = SequentialExecutor().run(
+            a_batch(SolveBudget(task_timeout=60.0)),
+            deadline=Deadline.after(60.0),
+        )
         assert [o.decided for o in outcomes] == EXPECTED
-        assert max(o.attempts for o in outcomes) > 1
-        assert [o.decided for o in again] == EXPECTED
-
-    def test_crash_without_retry_budget_is_an_error(self):
-        plan = FaultPlan(crash_on=frozenset({0}), crash_attempts=1)
-        with FaultInjectingExecutor(plan, jobs=2) as executor:
-            outcomes = executor.run(a_batch()[:1])
-        assert outcomes[0].status == "error"
-        assert outcomes[0].decided is None
-        assert outcomes[0].attempts == 1
-
-    def test_persistent_crasher_exhausts_retries(self):
-        plan = FaultPlan(crash_on=frozenset({0}), crash_attempts=10)
-        budget = SolveBudget(max_retries=2, retry_backoff=0.01)
-        with FaultInjectingExecutor(plan, jobs=2) as executor:
-            outcomes = executor.run(a_batch(budget)[:1])
-        assert outcomes[0].status == "error"
-        assert outcomes[0].attempts == 3  # initial dispatch + 2 retries
-
-
-class TestWedgedWorkers:
-    def test_hung_worker_is_abandoned_at_the_deadline(self):
-        plan = FaultPlan(hang_on=frozenset({0}), hang_seconds=30.0)
-        with FaultInjectingExecutor(plan, jobs=2, deadline_grace=0.25) as executor:
-            started = time.perf_counter()
-            outcomes = executor.run(a_batch(), deadline=Deadline.after(0.5))
-            elapsed = time.perf_counter() - started
-            assert executor._pool is None  # the wedged pool was abandoned
-            # A fresh batch afterwards works on a recreated pool.
-            again = executor.run(a_batch())
-        assert outcomes[0].status == "timeout"
-        assert elapsed < 10.0  # bounded, nowhere near the 30s hang
-        assert [o.decided for o in again] == EXPECTED
-
-    def test_task_timeouts_bound_the_wait_without_a_batch_deadline(self):
-        plan = FaultPlan(hang_on=frozenset({0}), hang_seconds=30.0)
-        budget = SolveBudget(task_timeout=0.3)
-        with FaultInjectingExecutor(plan, jobs=2, deadline_grace=0.25) as executor:
-            started = time.perf_counter()
-            outcomes = executor.run(a_batch(budget))
-            elapsed = time.perf_counter() - started
-        assert outcomes[0].status == "timeout"
-        assert elapsed < 10.0
-        # The un-hung tasks completed normally.
-        assert [o.decided for o in outcomes[1:]] == EXPECTED[1:]
-
-
-class TestPoolRecreation:
-    def test_transient_spawn_failure_recovers_with_backoff(self, monkeypatch):
-        real_pool = executor_module._ProcessPool
-        calls = {"n": 0}
-
-        def flaky_pool(max_workers=None):
-            calls["n"] += 1
-            if calls["n"] <= 2:
-                raise OSError("spawn temporarily blocked")
-            return real_pool(max_workers=max_workers)
-
-        monkeypatch.setattr(executor_module, "_ProcessPool", flaky_pool)
-        with ParallelExecutor(jobs=2, min_batch=1) as executor:
-            outcomes = executor.run(a_batch())
-            assert executor.last_dispatch == "parallel"
-            assert executor._spawn_failures == 2
-        assert [o.decided for o in outcomes] == EXPECTED
-
-    def test_exhausted_attempts_degrade_to_in_process(self, monkeypatch):
-        def dead_pool(max_workers=None):
-            raise OSError("no processes for you")
-
-        monkeypatch.setattr(executor_module, "_ProcessPool", dead_pool)
-        with ParallelExecutor(jobs=2, min_batch=1) as executor:
-            outcomes = executor.run(a_batch())
-            assert executor.last_dispatch == "sequential"
-            assert executor._spawn_failures == executor_module.POOL_RECREATE_ATTEMPTS
-        assert [o.decided for o in outcomes] == EXPECTED
-
-    def test_lifetime_cap_stops_spawn_attempts(self, monkeypatch):
-        calls = {"n": 0}
-
-        def counting_dead_pool(max_workers=None):
-            calls["n"] += 1
-            raise OSError("still no processes")
-
-        monkeypatch.setattr(executor_module, "_ProcessPool", counting_dead_pool)
-        with ParallelExecutor(jobs=2, min_batch=1) as executor:
-            executor._spawn_failures = executor_module.SPAWN_FAILURE_CAP
-            outcomes = executor.run(a_batch())
-            assert executor.last_dispatch == "sequential"
-        assert calls["n"] == 0  # the cap short-circuits before spawning
-        assert [o.decided for o in outcomes] == EXPECTED
-
-
-class TestMakeExecutor:
-    def test_dispatch_on_jobs(self):
-        assert isinstance(make_executor(1), SequentialExecutor)
-        parallel = make_executor(3)
-        assert isinstance(parallel, ParallelExecutor)
-        assert parallel.jobs == 3
-        parallel.close()
+        assert all(o.ok for o in outcomes)
 
 
 class TestSpawnSafePickling:
     """Values embed their hash; unpickling must recompute it, because str
-    hashes are salted per interpreter (spawn-started workers differ)."""
+    hashes are salted per interpreter (spawn-started fuzz campaign
+    workers differ)."""
 
     def test_fact_roundtrip(self):
         fact = Fact("R", ("a", 1, SkolemValue("f", ("x",))))

@@ -1,18 +1,12 @@
-"""Concurrent-submit tests for the solve executors.
+"""Concurrent-submit tests for the in-process solve executor.
 
-The serving tier funnels many query threads onto **one** shared
-executor.  The pre-fix :class:`ParallelExecutor` interleaved batch
-dispatch and retry/pool-rebuild bookkeeping (``last_dispatch``, crash
-retry counters, the pool recreation latch) across those threads; the fix
-serializes pooled batches on an internal lock and makes
-``last_dispatch`` thread-local, so:
+The serving tier funnels many query threads onto **one** engine and so
+onto one shared :class:`SequentialExecutor`.  The executor keeps no
+per-batch state, so:
 
 - concurrent ``run()`` calls return correct, un-mixed outcome lists;
-- each thread's ``last_dispatch`` read reflects *its own* batch (the
-  engine reads it right after ``run()`` to stamp
-  ``QueryPhaseStats.executor``);
-- small batches still bypass the lock (they touch no shared state), so
-  in-process solving keeps running concurrently.
+- the executor's metrics counters come out exact when reader threads
+  answer concurrently on one engine.
 """
 
 from __future__ import annotations
@@ -22,14 +16,13 @@ import threading
 
 import pytest
 
-from tests.test_runtime.test_executor import EXPECTED, a_batch, chain_program
+from tests.test_runtime.test_executor import EXPECTED, a_batch
 
-from repro.runtime import (
-    PackedProgram,
-    ParallelExecutor,
-    SequentialExecutor,
-    SolveTask,
-)
+from repro.obs.recorder import Recorder
+from repro.parser import parse_mapping, parse_program
+from repro.relational import Fact, Instance
+from repro.runtime import SequentialExecutor
+from repro.xr.segmentary import SegmentaryEngine
 
 THREADS = 6
 ROUNDS = 15
@@ -62,7 +55,8 @@ def _run_threads(work, count=THREADS):
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
     if errors:
         raise errors[0]
 
@@ -80,95 +74,52 @@ class TestSequentialConcurrentSubmit:
         def work(_index: int) -> None:
             for _ in range(ROUNDS):
                 _check_batch(executor)
-                assert executor.last_dispatch == "sequential"
 
         _run_threads(work)
 
-    def test_last_dispatch_is_per_thread(self):
-        """A thread that ran an empty batch keeps reading "none" even
-        while other threads run real batches."""
-        executor = SequentialExecutor()
-        ran_real = threading.Event()
 
-        def work(index: int) -> None:
-            if index == 0:
-                executor.run([])
-                assert executor.last_dispatch == "none"
-                ran_real.wait(10.0)
-                # Other threads' batches must not leak into this
-                # thread's view.
-                assert executor.last_dispatch == "none"
-            else:
-                for _ in range(ROUNDS):
-                    _check_batch(executor)
-                ran_real.set()
+MAPPING = parse_mapping(
+    """
+    SOURCE R/2. TARGET P/2.
+    R(x, y) -> P(x, y).
+    P(x, y), P(x, z) -> y = z.
+    """
+)
 
-        _run_threads(work, count=3)
+#: Two independent key conflicts: two families, so every uncached query
+#: solves a two-task batch.
+INSTANCE = Instance(
+    [
+        Fact("R", ("a", "b")), Fact("R", ("a", "c")),
+        Fact("R", ("d", "e")), Fact("R", ("d", "g")),
+        Fact("R", ("k", "v")),
+    ]
+)
+
+QUERY = parse_program("q(x, y) :- P(x, y).")
 
 
-class TestParallelConcurrentSubmit:
-    def test_small_batches_bypass_the_lock_and_stay_correct(self):
-        """jobs > 1 but batches below min_batch: in-process path, fully
-        concurrent, correct outcomes and per-thread dispatch labels."""
-        executor = ParallelExecutor(jobs=2, min_batch=100)
-        try:
+class TestReaderThreads:
+    def test_executor_counters_exact(self):
+        obs = Recorder.create()
+        engine = SegmentaryEngine(MAPPING, INSTANCE, cache=False, obs=obs)
+        expected, stats = engine.answer_with_stats(QUERY)
+        tasks_per_query = stats.programs_solved
+        assert tasks_per_query == 2
 
-            def work(_index: int) -> None:
-                for _ in range(ROUNDS):
-                    _check_batch(executor)
-                    assert executor.last_dispatch == "sequential"
+        def work(_index: int) -> None:
+            for _ in range(ROUNDS):
+                assert engine.answer(QUERY) == expected
 
-            _run_threads(work)
-        finally:
-            executor.close()
+        _run_threads(work)
+        counters = obs.metrics.counter_values()
+        queries = 1 + THREADS * ROUNDS
+        assert counters["executor_batches_total"] == queries
+        assert counters["executor_tasks_total"] == queries * tasks_per_query
 
-    def test_pooled_batches_serialize_without_corruption(self):
-        """Real pool dispatch from many threads: outcomes stay correct
-        and each thread sees a pool-side dispatch label for its batch."""
-        executor = ParallelExecutor(jobs=2, min_batch=2)
-        try:
-
-            def work(_index: int) -> None:
-                for _ in range(3):
-                    outcomes = executor.run(a_batch())
-                    assert [o.decided for o in outcomes] == EXPECTED
-                    assert executor.last_dispatch in (
-                        "parallel", "mixed", "sequential"
-                    )
-
-            _run_threads(work, count=4)
-        finally:
-            executor.close()
-
-    def test_mixed_small_and_pooled_batches(self):
-        """Half the threads run pool-sized batches, half run tiny ones;
-        the tiny ones must not block behind the pool lock nor corrupt
-        the pooled threads' dispatch labels."""
-        executor = ParallelExecutor(jobs=2, min_batch=3)
-        small = [
-            SolveTask(PackedProgram.pack(chain_program(2)), (1, 2))
-        ]
-        try:
-
-            def work(index: int) -> None:
-                if index % 2 == 0:
-                    for _ in range(3):
-                        outcomes = executor.run(a_batch())
-                        assert [o.decided for o in outcomes] == EXPECTED
-                else:
-                    for _ in range(ROUNDS):
-                        [outcome] = executor.run(list(small))
-                        assert outcome.decided == frozenset({1, 2})
-                        assert executor.last_dispatch == "sequential"
-
-            _run_threads(work, count=4)
-        finally:
-            executor.close()
-
-    def test_empty_batch_dispatch_label(self):
-        executor = ParallelExecutor(jobs=2, min_batch=2)
-        try:
-            assert executor.run([]) == []
-            assert executor.last_dispatch == "none"
-        finally:
-            executor.close()
+    def test_empty_batch_counts_nothing(self):
+        obs = Recorder.create()
+        engine = SegmentaryEngine(MAPPING, INSTANCE, obs=obs)
+        assert engine.executor.run([]) == []
+        counters = obs.metrics.counter_values()
+        assert "executor_batches_total" not in counters

@@ -3,10 +3,11 @@
 A ``SolveTask`` decides all its query atoms on one engine
 via :func:`repro.asp.reasoning.decide_family`; the outcome carries exact
 accept/reject verdicts plus (after a budget cutoff) the undecided
-remainder.  These tests pin the worker-path semantics — including
-process-pool dispatch, where the whole family must travel as one task so
-solver reuse survives pickling — and the partial-degradation contract.
+remainder.  These tests pin the solve-path semantics and the
+partial-degradation contract.
 """
+
+import time
 
 import pytest
 
@@ -16,11 +17,11 @@ from repro.relational import Fact
 from repro.runtime import (
     Deadline,
     PackedProgram,
-    ParallelExecutor,
     SequentialExecutor,
     SolveTask,
     solve_task,
 )
+from repro.obs.tracing import Tracer, validate_span_tree
 from repro.runtime import executor as executor_module
 
 
@@ -95,10 +96,16 @@ class TestFamilyWorkerPath:
         assert outcome.rejected == frozenset()
         assert outcome.undecided == frozenset({1, 2, 3, 4})
 
-    def test_trace_span_rides_home(self):
-        outcome = solve_task(family_task("certain", trace=True))
-        assert outcome.span is not None
-        assert outcome.span["name"] == "solve.task"
+    def test_trace_span_nests_under_caller(self):
+        tracer = Tracer()
+        with tracer.span("query.solve"):
+            outcome = solve_task(family_task("certain"), tracer=tracer)
+        [root] = tracer.finished
+        [task] = root.children
+        assert task.name == "solve.task"
+        assert task.tags["status"] == outcome.status == "ok"
+        assert task.counters["family_models"] >= 1
+        assert validate_span_tree(root) == []
 
 
 class TestFamilyPartialDegradation:
@@ -136,37 +143,8 @@ class TestFamilyPartialDegradation:
         assert outcomes[0].undecided == frozenset({1, 2, 3, 4})
 
 
-class TestFamilyThroughProcessPool:
-    def test_pool_dispatch_matches_in_process(self):
-        tasks = [
-            family_task("certain"),
-            family_task("possible"),
-            SolveTask(
-                PackedProgram.pack(unsat_program()), (1,), "certain"
-            ),
-        ]
-        expected = SequentialExecutor().run(tasks)
-        with ParallelExecutor(jobs=2, min_batch=1) as executor:
-            outcomes = executor.run(tasks)
-            assert executor.last_dispatch == "parallel"
-        for got, want in zip(outcomes, expected):
-            assert got.decided == want.decided
-            assert got.rejected == want.rejected
-            assert got.undecided == want.undecided
-            assert got.status == want.status
-
-    def test_family_outcome_survives_pickling_roundtrip(self):
-        import pickle
-
-        outcome = solve_task(family_task("certain"))
-        clone = pickle.loads(pickle.dumps(outcome))
-        assert clone.decided == outcome.decided
-        assert clone.rejected == outcome.rejected
-        assert clone.undecided == outcome.undecided
-
+class TestFamilyDeadline:
     def test_batch_deadline_times_out_families(self):
-        import time
-
         outcomes = SequentialExecutor().run(
             [family_task("certain")],
             deadline=Deadline(time.monotonic() - 1.0),

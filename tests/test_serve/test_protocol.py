@@ -72,11 +72,9 @@ class TestRequestBudget:
         request = parse_query_request(
             {"query": "q() :- P(x, y).", "deadline": 0.5}
         )
-        ceiling = SolveBudget(deadline=10.0, task_timeout=2.0, max_retries=1)
+        ceiling = SolveBudget(deadline=10.0, task_timeout=2.0)
         budget = request_budget(request, ceiling)
-        assert budget.deadline == 0.5
-        assert budget.task_timeout == 2.0
-        assert budget.max_retries == 1
+        assert budget == SolveBudget(deadline=0.5, task_timeout=2.0)
 
     def test_request_cannot_loosen_ceiling(self):
         request = parse_query_request(
@@ -121,6 +119,15 @@ class TestAnswerPayload:
         assert payload["degraded"] is False
         assert "unknown_candidates" not in payload
         json.dumps(payload)  # everything JSON-serializable
+
+    def test_stats_key_set_is_pinned(self):
+        request = parse_query_request({"query": "q(x) :- P(x, y)."})
+        payload = answer_payload(request, set(), QueryPhaseStats())
+        assert set(payload) == {"query", "mode", "name", "rows", "degraded", "stats"}
+        assert set(payload["stats"]) == {
+            "seconds", "candidates", "signatures", "programs_solved",
+            "cache_hits", "cache_misses", "timeouts", "strategy",
+        }
 
     def test_degraded_payload_surfaces_unknowns(self):
         request = parse_query_request({"query": "q(x) :- P(x, y)."})

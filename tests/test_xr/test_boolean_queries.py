@@ -2,8 +2,8 @@
 
 A boolean query has exactly two XR-Certain answer sets — ``{()}`` (true in
 every XR-solution) and ``set()`` (false in some) — and both must survive
-every execution path: monolithic, segmentary sequential, segmentary
-parallel, and the brute-force repair-enumeration oracle.
+every execution path: monolithic, segmentary (merged families and one
+family per signature), and the brute-force repair-enumeration oracle.
 """
 
 import pytest
@@ -41,7 +41,7 @@ def all_engines(mapping, instance):
     return [
         MonolithicEngine(mapping, instance),
         SegmentaryEngine(mapping, instance),
-        SegmentaryEngine(mapping, instance, jobs=2, parallel_threshold=1),
+        SegmentaryEngine(mapping, instance, solve_strategy="per-signature"),
     ]
 
 

@@ -101,9 +101,7 @@ class TestEngineCross:
         """The differential harness compares the exchange data and the
         query grounding with the nested-loop reference on every seed; a
         clean report therefore certifies artifact-level agreement."""
-        config = replace(
-            DEFAULT_CONFIG, use_oracle=False, check_parallel=False
-        )
+        config = replace(DEFAULT_CONFIG, use_oracle=False)
         scenario = random_scenario(12, config)
         report = run_differential(scenario, config)
         assert {"reference-exchange", "reference-grounding"} <= set(
@@ -117,7 +115,7 @@ class TestEngineCross:
         import repro.fuzz.differential as differential
 
         config = replace(
-            DEFAULT_CONFIG, use_oracle=False, check_parallel=False,
+            DEFAULT_CONFIG, use_oracle=False,
             check_figure1=False, check_possible=False,
         )
         scenario = random_scenario(12, config)
