@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+import re
 
 from repro.dependencies.egds import EGD
 from repro.dependencies.mapping import SchemaMapping
 from repro.dependencies.tgds import TGD
-from repro.parser.lexer import Token, tokenize
+from repro.parser.lexer import TOKEN_SPEC, Token, tokenize
 from repro.relational.queries import Atom, ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.relational.schema import RelationSymbol, Schema
 from repro.relational.terms import Const, Variable
@@ -18,6 +18,13 @@ _anon_counter = itertools.count(1)
 
 class ParseError(ValueError):
     """Raised on a syntax error, with line/column information."""
+
+
+def _constant_value(text: str) -> str | int | float:
+    """The value of a STRING or NUMBER token's text."""
+    if text[0] in "'\"":
+        return text[1:-1].replace("\\'", "'").replace('\\"', '"')
+    return float(text) if "." in text else int(text)
 
 
 class _Parser:
@@ -60,14 +67,9 @@ class _Parser:
             if token.text == "_":
                 return Variable(f"_anon{next(_anon_counter)}")
             return Variable(token.text)
-        if token.kind == "STRING":
+        if token.kind in ("STRING", "NUMBER"):
             self.advance()
-            raw = token.text[1:-1]
-            return Const(raw.replace("\\'", "'").replace('\\"', '"'))
-        if token.kind == "NUMBER":
-            self.advance()
-            text = token.text
-            return Const(float(text) if "." in text else int(text))
+            return Const(_constant_value(token.text))
         raise ParseError(
             f"line {token.line}, column {token.column}: "
             f"expected a term, found {token.kind} ({token.text!r})"
@@ -211,12 +213,47 @@ def parse_mapping(text: str) -> SchemaMapping:
     return _Parser(text).parse_mapping()
 
 
-def parse_instance(text: str) -> "Instance":
-    """Parse a list of ground facts, e.g. ``R('a', 1). S('b', 'c').``
+# The fact fast path of ``parse_instance``.  Its patterns are the
+# lexer's own token patterns, so wherever it matches, the lexer would
+# have produced the same tokens.  Every repetition in ``_FACT`` has one
+# way to split its input (a comment runs to the end of its line) and no
+# two whitespace gaps are adjacent (the gap before ``)`` sits inside the
+# optional argument group, so ``R(`` plus blanks has one split too), so
+# a failed match backtracks in linear time.
+_TOKENS = dict(TOKEN_SPEC)
+_GAP = r"[ \t\r\n]*"
+_CONSTANT = f"{_TOKENS['STRING']}|{_TOKENS['NUMBER']}"
+_FILLER = rf"(?:[ \t\r\n]|{_TOKENS['COMMENT']}(?![^\n]))*"
+_FACT = re.compile(
+    rf"{_FILLER}({_TOKENS['IDENT']}){_GAP}\({_GAP}"
+    rf"(?:((?:{_CONSTANT})(?:{_GAP},{_GAP}(?:{_CONSTANT}))*){_GAP})?\){_GAP}\."
+)
+_FILLER_RE = re.compile(_FILLER)
+_CONSTANT_RE = re.compile(_CONSTANT)
 
-    All atom arguments must be constants (quoted strings or numbers);
-    bare identifiers are rejected to avoid silently reading variables.
-    """
+
+def _scan_instance(text: str) -> "Instance | None":
+    """The instance of ``text`` if it is only constant-argument facts,
+    whitespace and comments (no comment inside a fact); ``None`` if the
+    scan stops anywhere before the end."""
+    from repro.relational.instance import Fact, Instance
+
+    instance = Instance()
+    match_fact = _FACT.match
+    constants = _CONSTANT_RE.findall
+    pos = 0
+    while (match := match_fact(text, pos)) is not None:
+        relation, args = match.groups()
+        instance.add(Fact(relation, map(_constant_value, constants(args or ""))))
+        pos = match.end()
+    if _FILLER_RE.match(text, pos).end() != len(text):
+        return None
+    return instance
+
+
+def _parse_facts(text: str) -> "Instance":
+    """The general parser's reading of a fact file: token by token, with
+    every syntax error reported at its line and column."""
     from repro.relational.instance import Fact, Instance
 
     parser = _Parser(text)
@@ -234,3 +271,18 @@ def parse_instance(text: str) -> "Instance":
             args.append(term.value)
         instance.add(Fact(atom.relation, args))
     return instance
+
+
+def parse_instance(text: str) -> "Instance":
+    """Parse a list of ground facts, e.g. ``R('a', 1). S('b', 'c').``
+
+    All atom arguments must be constants (quoted strings or numbers);
+    bare identifiers are rejected to avoid silently reading variables.
+
+    A text made only of such facts, whitespace and comments is read by
+    one regex scan; any other text (every malformed one among them) is
+    parsed again from the start by the general parser, so errors and
+    their positions are the general parser's.
+    """
+    instance = _scan_instance(text)
+    return _parse_facts(text) if instance is None else instance

@@ -8,9 +8,11 @@ joins of :func:`~repro.relational.queries.match_atoms`.
 
 from __future__ import annotations
 
+from itertools import zip_longest
+from operator import attrgetter
 from typing import Any, Hashable, Iterable, Iterator
 
-from repro.relational.terms import is_null_value
+from repro.relational.terms import is_null_value, value_order
 
 
 class Fact:
@@ -56,6 +58,40 @@ class Fact:
     def has_nulls(self) -> bool:
         """True if any argument is a labelled null or skolem value."""
         return any(is_null_value(a) for a in self.args)
+
+
+def fact_order(fact: Fact) -> tuple:
+    """A sort key putting facts in one total, hash-seed-free order:
+    by relation name, then argument by argument under
+    :func:`~repro.relational.terms.value_order`."""
+    return (fact.relation, tuple(map(value_order, fact.args)))
+
+
+_ARGS = attrgetter("args")
+#: Column type sets whose values compare natively as their
+#: :func:`value_order` keys do (one rank each, no NaN from the parser).
+_NATIVE_COLUMNS = (frozenset({str}), frozenset({int, float, bool}))
+
+
+def sorted_facts(instance: "Instance") -> list[Fact]:
+    """The facts of ``instance`` sorted by :func:`fact_order`.
+
+    Relation by relation.  A relation whose columns each hold only
+    strings or only numbers (every relation of a TPC-H exchange) sorts
+    on the raw argument tuples, which order like their keys without
+    building any; other relations sort on :func:`fact_order`.
+    """
+    ordered: list[Fact] = []
+    for relation in sorted(instance.relations()):
+        facts = list(instance.facts_of(relation))
+        columns = zip_longest(*map(_ARGS, facts))
+        native = all(
+            any(set(map(type, column)) <= kinds for kinds in _NATIVE_COLUMNS)
+            for column in columns
+        )
+        facts.sort(key=_ARGS if native else fact_order)
+        ordered += facts
+    return ordered
 
 
 class Instance:

@@ -181,6 +181,28 @@ def is_null_value(value: Any) -> bool:
     return isinstance(value, (Null, SkolemValue))
 
 
+def value_order(value: Any) -> tuple:
+    """A sort key giving every value a place in one total order.
+
+    Strings come first, then numbers (``int``, ``float`` and ``bool``
+    compare by value), then nulls by label, then skolem values by
+    function name and argument keys, recursively; equal values get
+    equal keys.  Unlike ``repr`` order it costs no string building, and
+    unlike hash order it is the same in every interpreter.  Constants of
+    any other type, which no parser produces, go last, by type name and
+    ``repr``.
+    """
+    if isinstance(value, str):
+        return (0, value)
+    if isinstance(value, (int, float)):
+        return (1, value)
+    if isinstance(value, Null):
+        return (2, value_order(value.label))
+    if isinstance(value, SkolemValue):
+        return (3, value.function, tuple(map(value_order, value.args)))
+    return (4, type(value).__qualname__, repr(value))
+
+
 def is_constant_value(value: Any) -> bool:
     """True if ``value`` is a constant (i.e. not a null or skolem value)."""
     return not isinstance(value, (Null, SkolemValue))

@@ -27,8 +27,9 @@ from repro.dependencies.egds import EGD
 from repro.obs.recorder import NOOP_RECORDER, Recorder
 from repro.dependencies.mapping import SchemaMapping
 from repro.dependencies.tgds import TGD
-from repro.relational.instance import Fact, Instance
+from repro.relational.instance import Fact, Instance, fact_order, sorted_facts
 from repro.relational.schema import Schema
+from repro.relational.terms import value_order
 
 
 @dataclass(frozen=True)
@@ -198,7 +199,7 @@ def violation_key(
         # Canonicalize the two orientations of a symmetric egd
         # (e.g. EQ(a, b) vs EQ(b, a)) into one violation.
         key_body = frozenset(
-            Fact(fact.relation, tuple(sorted(fact.args, key=repr)))
+            Fact(fact.relation, tuple(sorted(fact.args, key=value_order)))
             for fact in violation.body_facts
         )
     else:
@@ -210,25 +211,37 @@ def violation_key(
     )
 
 
+def violation_order(violation: Violation) -> tuple:
+    """A sort key for violations: egd label, the two offending values,
+    then the body facts, under :func:`value_order` / :func:`fact_order`."""
+    return (
+        violation.egd.label,
+        value_order(violation.lhs_value),
+        value_order(violation.rhs_value),
+        tuple(map(fact_order, violation.body_facts)),
+    )
+
+
 def canonicalize_violations(violations: list[Violation]) -> list[Violation]:
     """One canonical representative per :func:`violation_key`, sorted.
 
     Symmetric egds ground in two orientations and different evaluation
-    strategies encounter them in different orders; keeping the repr-least
-    representative (instead of the first encountered) and sorting the
-    result makes the violation list a pure function of the violation *set*
-    — the keystone of batch-vs-reference bit-identity.
+    strategies encounter them in different orders; keeping the least
+    representative under :func:`violation_order` (instead of the first
+    encountered) and sorting the result by it makes the violation list a
+    pure function of the violation *set* — the keystone of
+    batch-vs-reference bit-identity.
     """
-    best: dict[tuple, tuple[str, Violation]] = {}
+    best: dict[tuple, tuple[tuple, Violation]] = {}
     for violation in violations:
         key = violation_key(violation)
-        ranked = (repr(violation), violation)
+        ranked = (violation_order(violation), violation)
         current = best.get(key)
         if current is None or ranked[0] < current[0]:
             best[key] = ranked
     return [
         violation
-        for _text, violation in sorted(
+        for _order, violation in sorted(
             best.values(), key=lambda ranked: ranked[0]
         )
     ]
@@ -336,9 +349,10 @@ def assemble_exchange_data(
     violations: list[Violation],
 ) -> ExchangeData:
     """The exchange data of computed artifacts (``violations`` already
-    canonical), with groundings sorted by rule position then head/body
-    reprs and the chased facts interned in sorted order: every list and id
-    is a pure function of the computed *sets*, however they were found."""
+    canonical), with the chased facts interned in :func:`fact_order` and
+    the groundings sorted by rule position, then head id and body ids:
+    every list and id is a pure function of the computed *sets*, however
+    they were found, and of no hash seed."""
     data = ExchangeData(
         mapping=mapping,
         source_instance=source_instance,
@@ -346,57 +360,54 @@ def assemble_exchange_data(
         groundings=groundings,
         violations=violations,
     )
-    rule_positions = {
-        id(rule): index for index, rule in enumerate(mapping.all_tgds())
-    }
-    fact_reprs: dict[Fact, str] = {}
-
-    def _repr_of(fact: Fact) -> str:
-        text = fact_reprs.get(fact)
-        if text is None:
-            text = fact_reprs[fact] = repr(fact)
-        return text
-
-    groundings.sort(
-        key=lambda grounding: (
-            rule_positions[id(grounding[0])],
-            _repr_of(grounding[2]),
-            tuple(_repr_of(fact) for fact in grounding[1]),
-        )
-    )
     _build_fact_indexes(data)
     return data
 
 
 def _build_fact_indexes(data: ExchangeData) -> None:
-    """Intern the chased facts and build every int-keyed adjacency index.
+    """Intern the chased facts, put the groundings in canonical order and
+    build every int-keyed adjacency index.
 
-    One pass over the chase, one over the groundings, one over the
-    violations; everything downstream (closures, envelopes, program
-    builders) then works on dense ids.
+    One sort of the chase, one of the groundings (by int keys), one pass
+    over the violations; everything downstream (closures, envelopes,
+    program builders) then works on dense ids.
     """
-    intern = data.intern_fact
-    # Sorted interning gives every build a canonical id universe, however
-    # its artifacts were evaluated.
-    for fact in sorted(data.chased, key=repr):
-        intern(fact)
+    facts = sorted_facts(data.chased)
+    ids = {fact: fact_id for fact_id, fact in enumerate(facts)}
+    data.facts_by_id = facts
+    data.fact_ids = ids
+    data.groundings_by_head = groundings_by_head = [[] for _ in facts]
+    data.occurs_in_body = occurs_in_body = [[] for _ in facts]
+    data.violations_by_fact = violations_by_fact = [[] for _ in facts]
+    source_names = data._source_names
+    data.source_id_mask = [fact.relation in source_names for fact in facts]
 
-    groundings_by_head = data.groundings_by_head
-    occurs_in_body = data.occurs_in_body
-    for index, (_rule, body_facts, head_fact) in enumerate(data.groundings):
-        head_id = intern(head_fact)
-        body_ids = tuple(dict.fromkeys(intern(f) for f in body_facts))
+    rule_positions = {
+        id(rule): index for index, rule in enumerate(data.mapping.all_tgds())
+    }
+    groundings = data.groundings
+    id_of = ids.__getitem__
+    keys = [
+        (
+            rule_positions[id(rule)],
+            id_of(head_fact),
+            tuple(map(id_of, body_facts)),
+        )
+        for rule, body_facts, head_fact in groundings
+    ]
+    order = sorted(range(len(groundings)), key=keys.__getitem__)
+    groundings[:] = [groundings[position] for position in order]
+    for index, position in enumerate(order):
+        _rule, head_id, body_ids = keys[position]
+        body_ids = tuple(dict.fromkeys(body_ids))
         data.grounding_bodies.append(body_ids)
         data.grounding_heads.append(head_id)
         groundings_by_head[head_id].append(index)
         for body_id in body_ids:
             occurs_in_body[body_id].append(index)
 
-    violations_by_fact = data.violations_by_fact
     for index, violation in enumerate(data.violations):
-        body_ids = tuple(
-            dict.fromkeys(intern(f) for f in violation.body_facts)
-        )
+        body_ids = tuple(dict.fromkeys(map(id_of, violation.body_facts)))
         data.violation_bodies.append(body_ids)
         for body_id in body_ids:
             violations_by_fact[body_id].append(index)

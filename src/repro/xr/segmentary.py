@@ -36,7 +36,7 @@ from repro.dependencies.mapping import SchemaMapping
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS
 from repro.obs.recorder import NOOP_RECORDER, Recorder
 from repro.reduction.reduce import ReducedMapping, reduce_mapping
-from repro.relational.instance import Fact, Instance
+from repro.relational.instance import Fact, Instance, fact_order
 from repro.relational.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.runtime.budget import NO_BUDGET, SolveBudget, SolveBudgetExceeded
 from repro.runtime.cache import SignatureProgramCache, decision_key, program_key
@@ -467,7 +467,7 @@ class SegmentaryEngine:
                 stats.candidates = len(supports_by_candidate)
 
                 accepted: set[Fact] = set()
-                by_signature: dict[frozenset[int], list[Fact]] = {}
+                unsafe: list[Fact] = []
                 for candidate, supports in supports_by_candidate.items():
                     if any(
                         all(analysis.is_safe_fact(fact) for fact in support)
@@ -475,7 +475,19 @@ class SegmentaryEngine:
                     ):
                         # An all-safe support set: certain.
                         accepted.add(candidate)
-                        continue
+                    else:
+                        unsafe.append(candidate)
+                # The join yields rows in hash order; the family programs
+                # (rule order, atom numbering) see the unsafe candidates
+                # and their supports in canonical order instead, so they
+                # are the same under every hash seed.
+                id_of = data.fact_ids.__getitem__
+                by_signature: dict[frozenset[int], list[Fact]] = {}
+                for candidate in sorted(unsafe, key=fact_order):
+                    supports = supports_by_candidate[candidate]
+                    supports.sort(
+                        key=lambda support: tuple(map(id_of, support))
+                    )
                     signature = analysis.signature(
                         {fact for support in supports for fact in support}
                     )

@@ -9,9 +9,12 @@ and the trivially-certain set) and compared with
 numbering steer the solver's search, so a builder rewrite must reproduce
 these programs exactly, not just the answers.
 
-Candidate order follows ``Fact`` hashes, which are salted per interpreter,
-so the recording runs in a subprocess with ``PYTHONHASHSEED=0``.
-Regenerate (only for an intended encoding change) with::
+Nothing a program sees depends on ``Fact`` hashes, which are salted per
+interpreter: the exchange interns in canonical order and the query phase
+sorts the unsafe candidates and their supports, so any hash seed records
+the same file (CI checks seeds 1 and 2).  The recording still runs in a
+subprocess with ``PYTHONHASHSEED=0``.  Regenerate (only for an intended
+encoding or ordering change) with::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python -m tests.test_xr.test_program_golden \\
         > tests/corpus/family_programs.golden.json
