@@ -14,7 +14,9 @@ provides:
 - :mod:`repro.runtime.budget` — resource governance: wall-clock deadlines
   and per-task timeouts (:class:`SolveBudget`), enforced cooperatively
   inside the CDCL loop, with :class:`SolveBudgetExceeded` →
-  ``status="timeout"`` outcomes instead of unbounded solves.
+  ``status="timeout"`` outcomes instead of unbounded solves;
+- :mod:`repro.runtime.heap` — the write-once exchange is built with the
+  cyclic collector paused and then frozen out of it.
 """
 
 from repro.runtime.budget import (

@@ -11,7 +11,10 @@ It owns exactly one of everything expensive:
 - one :class:`~repro.incremental.UpdateSession` applying every write;
 - one live :class:`~repro.obs.Metrics` registry, exported at
   ``/metrics`` (the tracer stays NOOP — span trees grow without bound
-  in a long-lived process, so tracing is a per-run CLI affair).
+  in a long-lived process, so tracing is a per-run CLI affair);
+- one ``gc.callbacks`` hook, so ``/metrics`` shows whether full cyclic
+  collections come back after the exchange was frozen
+  (:func:`~repro.runtime.heap.long_lived_build`).
 
 Concurrency model (DESIGN.md §13):
 
@@ -29,7 +32,9 @@ Concurrency model (DESIGN.md §13):
 
 from __future__ import annotations
 
+import gc
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.dependencies.mapping import SchemaMapping
@@ -78,6 +83,51 @@ class ServiceConfig:
         )
 
 
+class _GcWatch:
+    """Tallies the cyclic collector's runs for ``/metrics``.
+
+    A collection can start in any thread at any allocation, including
+    one made while that thread holds the metrics registry's lock, which
+    is not reentrant.  So the callback touches no lock and no registry:
+    it bumps plain fields (collections never overlap), and
+    :meth:`export` copies them into a scrape's payload.
+    """
+
+    def __init__(self) -> None:
+        self.collections = 0
+        self.full_collections = 0
+        self.pause_counts = [0] * (len(DEFAULT_TIME_BUCKETS) + 1)
+        self.pause_sum = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        pause = time.perf_counter() - self._started
+        self.pause_counts[bisect_left(DEFAULT_TIME_BUCKETS, pause)] += 1
+        self.pause_sum += pause
+        self.collections += 1
+        if info["generation"] == 2:
+            self.full_collections += 1
+
+    def export(self, payload: dict) -> dict:
+        """Add the GC metrics to a :meth:`Metrics.as_dict` payload."""
+        counts = list(self.pause_counts)
+        payload["counters"]["gc_collections_total"] = self.collections
+        payload["counters"]["gc_full_collections_total"] = (
+            self.full_collections
+        )
+        payload["gauges"]["gc_frozen_objects"] = float(gc.get_freeze_count())
+        payload["histograms"]["gc_pause_seconds"] = {
+            "boundaries": list(DEFAULT_TIME_BUCKETS),
+            "counts": counts,
+            "sum": self.pause_sum,
+            "count": sum(counts),
+        }
+        return payload
+
+
 class QueryService:
     """A warm engine behind a readers–writer seam and admission control."""
 
@@ -114,6 +164,9 @@ class QueryService:
         # begins.
         self.engine.exchange()
         self.session = self.engine.update_session()
+        # Registered last, so a failed construction leaves no hook behind.
+        self._gc_watch = _GcWatch()
+        gc.callbacks.append(self._gc_watch)
 
     # ------------------------------------------------------------- reads
 
@@ -176,7 +229,9 @@ class QueryService:
         }
 
     def metrics_text(self) -> str:
-        return to_prometheus(self.metrics)
+        return to_prometheus(self._gc_watch.export(self.metrics.as_dict()))
 
     def close(self) -> None:
+        if self._gc_watch in gc.callbacks:
+            gc.callbacks.remove(self._gc_watch)
         self.engine.close()

@@ -41,6 +41,7 @@ from repro.relational.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.runtime.budget import NO_BUDGET, SolveBudget, SolveBudgetExceeded
 from repro.runtime.cache import SignatureProgramCache, decision_key, program_key
 from repro.runtime.executor import PackedProgram, SequentialExecutor, SolveTask
+from repro.runtime.heap import long_lived_build
 from repro.xr.envelope import EnvelopeAnalysis, analyze_envelopes
 from repro.xr.exchange import ExchangeData, build_exchange_data
 from repro.xr.program import build_family_program, build_xr_program
@@ -277,8 +278,15 @@ class SegmentaryEngine:
         self._last_query_stats = stats.copy()
 
     def close(self) -> None:
-        """Close the executor, if this engine created it; an executor the
-        caller passed in is left open."""
+        """Release the engine's solve executor if the engine created it.
+
+        Every solve runs in the calling process, so this closes no pool
+        and stops no worker; an executor the caller passed in is left
+        to the caller.  The exchange state stays readable.  Nothing is
+        unfrozen: the exchange sits in the collector's permanent
+        generation (:func:`~repro.runtime.heap.long_lived_build`), and
+        reference counting frees it once the engine is dropped.
+        """
         if self._owns_executor:
             self.executor.close()
 
@@ -308,7 +316,10 @@ class SegmentaryEngine:
             return self.exchange_stats
         tracer, metrics = self.obs.tracer, self.obs.metrics
         started = time.perf_counter()
-        with tracer.span("exchange"):
+        # The exchange is built once and read for the engine's lifetime:
+        # build it with the cyclic collector paused, then freeze it so no
+        # later full collection walks it again (repro.runtime.heap).
+        with tracer.span("exchange"), long_lived_build():
             data = build_exchange_data(
                 self.reduced.gav, self.instance, obs=self.obs
             )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 
 import pytest
@@ -102,6 +103,65 @@ class TestQuery:
         text = service.metrics_text()
         assert "serve_requests_total 1" in text
         assert "serve_request_seconds" in text
+
+
+class TestGcMetrics:
+    def test_collections_and_frozen_heap_in_exposition(self, service):
+        gc.collect()
+        text = service.metrics_text()
+        assert "# TYPE gc_collections_total counter" in text
+        assert "# TYPE gc_full_collections_total counter" in text
+        assert "# TYPE gc_pause_seconds histogram" in text
+        assert "# TYPE gc_frozen_objects gauge" in text
+        samples = dict(
+            line.rsplit(" ", 1)
+            for line in text.splitlines()
+            if line and not line.startswith("#")
+        )
+        assert int(samples["gc_full_collections_total"]) >= 1
+        assert int(samples["gc_collections_total"]) >= int(
+            samples["gc_full_collections_total"]
+        )
+        assert samples["gc_pause_seconds_count"] == samples[
+            "gc_collections_total"
+        ]
+        # Sampled at scrape time: the exchange was frozen at construction.
+        assert int(samples["gc_frozen_objects"]) == gc.get_freeze_count() > 0
+
+    def test_close_removes_the_hook(self, mapping, instance):
+        before = list(gc.callbacks)
+        service = QueryService(mapping, instance)
+        assert len(gc.callbacks) == len(before) + 1
+        service.close()
+        service.close()  # idempotent
+        assert gc.callbacks == before
+
+    def test_failed_construction_leaves_no_hook(self, mapping):
+        before = list(gc.callbacks)
+        with pytest.raises(ValueError, match="Zed"):
+            QueryService(mapping, Instance([f("Zed", "a")]))
+        assert gc.callbacks == before
+
+    def test_scrape_under_collection_pressure_does_not_deadlock(self, service):
+        """With a collection at nearly every allocation, one lands while the
+        scraping thread holds the registry's lock; the hook must not need
+        that lock."""
+        scraped: list[str] = []
+        threshold = gc.get_threshold()
+        gc.set_threshold(1)
+        try:
+            scraper = threading.Thread(
+                target=lambda: scraped.extend(
+                    service.metrics_text() for _ in range(20)
+                ),
+                daemon=True,
+            )
+            scraper.start()
+            scraper.join(timeout=30)
+        finally:
+            gc.set_threshold(*threshold)
+        assert not scraper.is_alive()
+        assert len(scraped) == 20
 
 
 class TestAdmission:
