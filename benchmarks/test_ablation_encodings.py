@@ -110,7 +110,7 @@ def test_ablation_segmentation_granularity(ctx, report, benchmark):
         focus -= safe
         rewritten = reduced.rewrite(query)
         groundings = ground_query(rewritten, data)
-        from repro.asp.reasoning import cautious_consequences
+        from repro.asp.reasoning import decide_family
         from repro.xr.program import build_repair_program
         from repro.xr.queries import answers_from_facts
 
@@ -118,13 +118,13 @@ def test_ablation_segmentation_granularity(ctx, report, benchmark):
             data, query_groundings=groundings, focus=focus, safe=safe,
             violations=violations,
         )
-        cautious = cautious_consequences(
+        verdicts = decide_family(
             xr_program.program, xr_program.query_atoms.values()
         )
         accepted = {
             fact
             for fact, atom_id in xr_program.query_atoms.items()
-            if cautious is not None and atom_id in cautious
+            if atom_id in verdicts.accepted
         }
         accepted |= xr_program.trivially_certain
         answers_merged = answers_from_facts(accepted)

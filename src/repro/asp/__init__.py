@@ -14,7 +14,8 @@ Pipeline:
   (generate-and-test with a SAT minimality check; head-cycle-free programs
   are shifted to normal rules and checked with least-model-of-reduct plus
   ASSAT-style loop refinement);
-- :mod:`repro.asp.reasoning` — cautious and brave consequences.
+- :mod:`repro.asp.reasoning` — cautious and brave consequences of a batch
+  of goal atoms, decided on one engine (:func:`decide_family`).
 """
 
 from repro.asp.syntax import (
@@ -27,7 +28,7 @@ from repro.asp.syntax import (
 from repro.asp.grounder import ground
 from repro.asp.sat import SatSolver
 from repro.asp.stable import StableModelEngine, is_head_cycle_free, shift_disjunctions
-from repro.asp.reasoning import brave_consequences, cautious_consequences
+from repro.asp.reasoning import FamilyVerdicts, decide_family
 
 __all__ = [
     "AtomTable",
@@ -40,6 +41,6 @@ __all__ = [
     "StableModelEngine",
     "is_head_cycle_free",
     "shift_disjunctions",
-    "brave_consequences",
-    "cautious_consequences",
+    "FamilyVerdicts",
+    "decide_family",
 ]

@@ -2,24 +2,20 @@
 
 The cautious answers to a query w.r.t. a program are the atoms true in
 **every** stable model (Section 2 of the paper); brave answers are true in
-**some** stable model.  Both are computed by iterative constraining, the
-same technique clingo uses (``--enum-mode=cautious``):
+**some** stable model.  :func:`decide_family` computes either for a whole
+batch of goal atoms on one engine, by iterative constraining — the same
+technique clingo uses (``--enum-mode=cautious``): start from one stable
+model, then repeatedly demand a stable model that would change some
+still-open verdict, until none exists.
 
-- start from the first stable model;
-- keep a shrinking candidate set ``C``; repeatedly demand a stable model in
-  which some member of ``C`` is false; intersect; stop when none exists.
-
-Each added clause only excludes models that could not change the result, so
-a single engine instance (with all its learned clauses) is reused throughout.
-
-:func:`decide_family` generalizes both directions to *family solving*: all
-candidate goal atoms of a cluster family are decided on one engine via
-assumption-guarded steering clauses (:meth:`StableModelEngine.solve_under`),
-so CDCL learned clauses, loop formulas, variable activities, and saved
-phases carry across every candidate instead of being rebuilt per signature
-group.  Soundness hinges on what persists: loop formulas and learned
+Steering goes through assumption-guarded clauses
+(:meth:`StableModelEngine.solve_under`), so CDCL learned clauses, loop
+formulas, variable activities, and saved phases carry across every goal
+atom.  Soundness hinges on what persists: loop formulas and learned
 clauses hold in *every* stable model, while per-round steering clauses
 (which do not) stay behind selector literals and are retired after use.
+Every solver caller — the monolithic engine's one program, the
+segmentary engine's family programs — decides through it.
 """
 
 from __future__ import annotations
@@ -31,67 +27,6 @@ from repro.asp.stable import StableModelEngine
 from repro.asp.syntax import GroundProgram
 
 
-def cautious_consequences(
-    program: GroundProgram,
-    query_atoms: Iterable[int],
-    engine: StableModelEngine | None = None,
-    deadline=None,
-) -> frozenset[int] | None:
-    """Atoms among ``query_atoms`` true in every stable model.
-
-    Returns ``None`` when the program has no stable model at all (in which
-    case cautious consequence trivializes).  ``deadline`` (a
-    :class:`~repro.runtime.budget.Deadline`) aborts the computation with
-    :class:`~repro.runtime.budget.SolveBudgetExceeded` when it passes.
-    """
-    if engine is None:
-        engine = StableModelEngine(program, deadline=deadline)
-    first = engine.next_stable_model()
-    if first is None:
-        return None
-    candidates = frozenset(query_atoms) & first
-    while candidates:
-        if deadline is not None:
-            deadline.check()
-        engine.add_atom_clause([-atom for atom in candidates])
-        model = engine.next_stable_model()
-        if model is None:
-            break
-        candidates &= model
-    return candidates
-
-
-def brave_consequences(
-    program: GroundProgram,
-    query_atoms: Iterable[int],
-    engine: StableModelEngine | None = None,
-    deadline=None,
-) -> frozenset[int] | None:
-    """Atoms among ``query_atoms`` true in at least one stable model.
-
-    Returns ``None`` when the program has no stable model.  ``deadline``
-    behaves as in :func:`cautious_consequences`.
-    """
-    if engine is None:
-        engine = StableModelEngine(program, deadline=deadline)
-    goal = frozenset(query_atoms)
-    first = engine.next_stable_model()
-    if first is None:
-        return None
-    found = goal & first
-    missing = goal - found
-    while missing:
-        if deadline is not None:
-            deadline.check()
-        engine.add_atom_clause(list(missing))
-        model = engine.next_stable_model()
-        if model is None:
-            break
-        found |= goal & model
-        missing = goal - found
-    return found
-
-
 @dataclass(frozen=True)
 class FamilyVerdicts:
     """Outcome of one :func:`decide_family` run.
@@ -101,8 +36,7 @@ class FamilyVerdicts:
     when the solve budget fired mid-family — those atoms got no verdict
     and degrade to *unknown*, per-candidate rather than per-batch.
     ``no_model`` flags a program with no stable models at all (both
-    verdict sets are empty then; the caller owns the convention, mirroring
-    the ``None`` returns of :func:`cautious_consequences`).
+    verdict sets are empty then; the caller owns the convention).
     """
 
     accepted: frozenset[int]
@@ -127,10 +61,8 @@ def decide_family(
 
     ``mode="cautious"``: accepted atoms are true in every stable model
     (XR-certain); ``mode="possible"``/``"brave"``: accepted atoms are
-    true in at least one (XR-possible).  Equivalent to running
-    :func:`cautious_consequences` / :func:`brave_consequences` per
-    signature group, but all candidates share the engine's learned
-    clauses, loop formulas, and phases:
+    true in at least one (XR-possible).  All candidates share the
+    engine's learned clauses, loop formulas, and phases:
 
     - **Entailment skips.**  Atoms already forced at decision level 0 by
       the clause database (program encoding + everything learned so far)
@@ -159,7 +91,7 @@ def decide_family(
         raise ValueError(f"unknown family mode {mode!r}")
     brave = mode != "cautious"
     if engine is None:
-        engine = StableModelEngine(program, deadline=deadline, compact=True)
+        engine = StableModelEngine(program, deadline=deadline)
     undecided = set(goal_atoms)
     accepted: set[int] = set()
     rejected: set[int] = set()

@@ -166,9 +166,8 @@ class SatSolver:
         invariant for every clause touched by the new units.
 
         Returns False (and clears ``ok``) if the formula became
-        unsatisfiable.  This is the clause-construction fast path for the
-        compact generator encoding, where per-clause backtrack/propagate
-        bookkeeping dominated build time.
+        unsatisfiable.  The stable-model engine installs each loop formula
+        through it, one backtrack and one propagation pass per formula.
         """
         if not self.ok:
             return False
@@ -243,7 +242,7 @@ class SatSolver:
           their watch lists are revisited by the final propagation),
         - stay within the current variable universe.
 
-        The engine's compact generator qualifies: it emits structurally
+        The stable-model engine's generator qualifies: it emits structurally
         clean clauses over fresh variables, with the handful of edge cases
         (``true_var`` mentions, self-referential single-literal bodies)
         filtered at construction.  Clause lists are adopted, not copied.

@@ -5,12 +5,16 @@ al.; also the architecture of claspD), built on the CDCL solver:
 
 - **Generate.**  A SAT encoding whose models overapproximate the stable
   models: every rule becomes a clause, every rule body gets a definition
-  variable, and every true atom is required to have an *exclusive* supporting
+  literal, and every true atom is required to have an *exclusive* supporting
   rule (a rule whose body holds and in which it is the only true head atom —
   a necessary condition for membership in a minimal model of the reduct).
+  Duplicate rules are dropped, single-literal bodies reuse the literal and
+  identical bodies share one variable, so one small encoding serves both
+  enumeration and the family solves of :mod:`repro.asp.reasoning`.
 - **Test.**  A candidate model ``M`` is stable iff it is a minimal model of
   its reduct.  For normal programs this is a linear-time least-model
-  computation (Dowling–Gallier); for truly disjunctive programs it is a
+  computation (Dowling–Gallier) resumed from a model-independent scaffold;
+  for truly disjunctive programs it is a
   co-NP check, performed with a second, small SAT instance over the atoms
   of ``M``.
 - **Refine.**  A failed candidate yields an unfounded set ``U``; the engine
@@ -99,9 +103,11 @@ class StableModelEngine:
         for model in engine.stable_models():      # sets of atom ids
             ...
 
-    The engine is incremental: :meth:`add_atom_clause` installs additional
-    clauses over atom ids between calls (used by cautious reasoning), and
-    :meth:`next_stable_model` resumes enumeration.
+    The engine is incremental.  :meth:`next_stable_model` resumes
+    enumeration; :meth:`solve_under` finds a model under assumptions
+    without excluding it, and :meth:`add_guarded_clause` installs
+    selector-guarded steering clauses between calls (the primitives of
+    :func:`repro.asp.reasoning.decide_family`).
     """
 
     def __init__(
@@ -109,7 +115,6 @@ class StableModelEngine:
         program: GroundProgram,
         auto_shift: bool = True,
         deadline=None,
-        compact: bool = False,
     ):
         # ``deadline`` is a :class:`repro.runtime.budget.Deadline` (or any
         # object with a ``check()`` raising to abort); it is installed as
@@ -125,21 +130,17 @@ class StableModelEngine:
         self.rules = rules
         self.is_normal = all(len(r.head) <= 1 for r in self.rules)
         self.num_atoms = program.num_atoms
-        self.compact = compact
         self._exhausted = False
         self._candidates_tested = 0
         self._models_found = 0
         self._loop_formulas = 0
-        #: Precomputed reduct-derivation scaffold (compact engines only);
-        #: built lazily on the first minimality check.
+        #: Precomputed reduct-derivation scaffold, built lazily on the
+        #: first minimality check.
         self._reduct_scaffold = None
         #: Failed-assumption core of the last :meth:`solve_under` that
         #: returned None (mirrors ``SatSolver.failed_assumptions``).
         self.failed_assumptions: list[int] | None = None
-        if compact:
-            self._build_generator_compact()
-        else:
-            self._build_generator()
+        self._build_encoding()
         self._add_upfront_loop_formulas()
         # Everything added past this point (loop refinements, CDCL learned
         # clauses, guarded steering clauses) is knowledge *carried* across
@@ -148,79 +149,15 @@ class StableModelEngine:
 
     # ---------------------------------------------------------- generation
 
-    def _build_generator(self) -> None:
-        solver = SatSolver(self.num_atoms)
-        if self.deadline is not None:
-            solver.interrupt_check = self.deadline.check
-        self.solver = solver
-        self.true_var = solver.new_var()
-        solver.add_clause([self.true_var])
+    def _build_encoding(self) -> None:
+        """The generator: a SAT encoding whose models overapproximate the
+        stable models.
 
-        # Body definition variables, one per rule: beta <-> conj(body).
-        self.body_var: list[int] = []
-        for rule in self.rules:
-            if not rule.body_pos and not rule.body_neg:
-                self.body_var.append(self.true_var)
-                continue
-            beta = solver.new_var()
-            self.body_var.append(beta)
-            reverse_clause = [beta]
-            for atom in rule.body_pos:
-                solver.add_clause([-beta, atom])
-                reverse_clause.append(-atom)
-            for atom in rule.body_neg:
-                solver.add_clause([-beta, -atom])
-                reverse_clause.append(atom)
-            solver.add_clause(reverse_clause)
-
-        # Rule clauses: body -> head disjunction.  ``heads_of`` is kept:
-        # the loop-formula steps use it to visit only the rules whose head
-        # meets a given atom set.
-        heads_of: dict[int, list[int]] = {}
-        self.heads_of = heads_of
-        for index, rule in enumerate(self.rules):
-            beta = self.body_var[index]
-            solver.add_clause([-beta] + list(rule.head))
-            for atom in rule.head:
-                heads_of.setdefault(atom, []).append(index)
-
-        # Every stable model is a subset of the head atoms: the generator
-        # forces all other atoms false, and candidate extraction/blocking
-        # ranges over this list only.
-        self.head_atoms: list[int] = sorted(heads_of)
-
-        # Exclusive-support clauses: a true atom needs a rule whose body
-        # holds and in which it is the only true head atom.
-        self._exclusive_var_cache: dict[tuple[int, int], int] = {}
-        for atom in range(1, self.num_atoms + 1):
-            rule_indexes = heads_of.get(atom)
-            if not rule_indexes:
-                solver.add_clause([-atom])
-                continue
-            support_literals: list[int] = []
-            trivially_supported = False
-            for index in rule_indexes:
-                rule = self.rules[index]
-                if len(rule.head) == 1:
-                    if self.body_var[index] == self.true_var:
-                        trivially_supported = True
-                        break
-                    support_literals.append(self.body_var[index])
-                else:
-                    support_literals.append(self._exclusive_support_var(index, atom))
-            if not trivially_supported:
-                solver.add_clause([-atom] + support_literals)
-
-        # Bias the first candidates toward small models.
-        for var in range(1, solver.num_vars + 1):
-            solver.set_default_phase(var, False)
-
-    def _build_generator_compact(self) -> None:
-        """A leaner generator for engines reused across many solves (the
-        incremental family path).
-
-        Same stable models as :meth:`_build_generator`; the encoding is
-        smaller in three ways, each an equivalence-preserving rewrite:
+        Every rule becomes a clause ``body → head``, every rule body gets
+        a definition literal, and every head atom needs an *exclusive*
+        supporting rule (its body holds and it is the only true head
+        atom); atoms that head no rule are forced false.  Three
+        equivalence-preserving rewrites keep the encoding small:
 
         - **Duplicate rules are dropped.**  Grounding the same cluster
           through overlapping query supports emits repeated rules; a rule
@@ -235,10 +172,9 @@ class StableModelEngine:
           hash-consed, so rules differing only in their head reuse the
           same ``beta`` instead of re-encoding the conjunction.
 
-        The variable universe shrinks severalfold, which cuts both clause
-        construction and — because every CDCL model must assign every
-        variable — the per-solve propagation bill that dominates family
-        solving.
+        A small variable universe cuts both clause construction and —
+        because every CDCL model must assign every variable — the
+        per-solve propagation bill that dominates family solving.
         """
         deduped: list[GroundRule] = []
         seen_rules: set[tuple] = set()
@@ -300,6 +236,9 @@ class StableModelEngine:
                 pending.append(reverse_clause)
             self.body_var.append(beta)
 
+        # Rule clauses: body -> head disjunction.  ``heads_of`` is kept:
+        # the loop-formula steps use it to visit only the rules whose head
+        # meets a given atom set.
         heads_of: dict[int, list[int]] = {}
         self.heads_of = heads_of
         for index, rule in enumerate(self.rules):
@@ -330,8 +269,11 @@ class StableModelEngine:
                     atom for atom in heads_unique if atom != -body_lit
                 ]
             pending.append(clause)
+        # Every stable model is a subset of the head atoms: candidate
+        # extraction and blocking range over this list only.
         self.head_atoms = sorted(heads_of)
 
+        # Exclusive-support clauses; atoms heading no rule are forced false.
         self._exclusive_var_cache = {}
         for atom in range(1, self.num_atoms + 1):
             rule_indexes = heads_of.get(atom)
@@ -361,77 +303,33 @@ class StableModelEngine:
             pending.append(clause)
 
         solver.add_clauses_raw(pending)
+        # Bias the first candidates toward small models.
         for var in range(1, solver.num_vars + 1):
             solver.set_default_phase(var, False)
 
     def _exclusive_support_var(
-        self, rule_index: int, atom: int, pending: list[list[int]] | None = None
+        self, rule_index: int, atom: int, pending: list[list[int]]
     ) -> int:
-        """An aux var implying: body of rule holds and no *other* head atom is true.
-
-        With ``pending`` (the compact builder's bulk-clause buffer) the
-        defining clauses are deferred to the batched load instead of being
-        installed immediately.
-        """
+        """An aux var implying: body of rule holds and no *other* head atom
+        is true.  Its defining clauses go to ``pending``, the generator's
+        bulk-clause buffer."""
         key = (rule_index, atom)
         cached = self._exclusive_var_cache.get(key)
         if cached is not None:
             return cached
         sigma = self.solver.new_var()
-        emit = pending.append if pending is not None else self.solver.add_clause
         if self.body_var[rule_index] != self.true_var:
-            emit([-sigma, self.body_var[rule_index]])
+            pending.append([-sigma, self.body_var[rule_index]])
         for other in dict.fromkeys(self.rules[rule_index].head):
             if other != atom:
-                emit([-sigma, -other])
+                pending.append([-sigma, -other])
         self._exclusive_var_cache[key] = sigma
         return sigma
 
     # ------------------------------------------------------------- testing
 
-    def _least_model_of_reduct(self, model: frozenset[int]) -> set[int]:
-        """Least model of the reduct w.r.t. ``model`` (normal programs only).
-
-        Because ``model`` satisfies the program, the least model is a subset
-        of ``model``.  Compact engines run a scaffolded variant: the
-        per-rule counters, watcher lists, and the closure under the
-        negation-free rules — all model-independent — are computed once and
-        each check only replays the (few) negative-body rules the reduct
-        keeps, instead of rebuilding the whole derivation state per model.
-        """
-        if self.compact:
-            return self._least_model_scaffolded(model)
-        remaining: dict[int, int] = {}
-        watchers: dict[int, list[int]] = {}
-        derived: set[int] = set()
-        queue: list[int] = []
-        for index, rule in enumerate(self.rules):
-            if not rule.head:
-                continue
-            if any(atom in model for atom in rule.body_neg):
-                continue  # rule removed by the reduct
-            unique_body = set(rule.body_pos)
-            if not unique_body:
-                queue.append(index)
-            else:
-                remaining[index] = len(unique_body)
-                for atom in unique_body:
-                    watchers.setdefault(atom, []).append(index)
-
-        while queue:
-            index = queue.pop()
-            head_atom = self.rules[index].head[0]
-            if head_atom in derived:
-                continue
-            derived.add(head_atom)
-            for watching in watchers.get(head_atom, ()):
-                remaining[watching] -= 1
-                if remaining[watching] == 0:
-                    queue.append(watching)
-        return derived
-
     def _build_reduct_scaffold(self) -> None:
-        """One-time derivation state for :meth:`_least_model_scaffolded`.
+        """One-time derivation state for :meth:`_least_model_of_reduct`.
 
         Rules without negative body survive *every* reduct, so their
         closure (and the counter state it leaves behind) is shared by all
@@ -470,7 +368,15 @@ class StableModelEngine:
                     queue.append(watching)
         self._reduct_scaffold = (heads, counters, watchers, neg_rules, derived)
 
-    def _least_model_scaffolded(self, model: frozenset[int]) -> set[int]:
+    def _least_model_of_reduct(self, model: frozenset[int]) -> set[int]:
+        """Least model of the reduct w.r.t. ``model`` (normal programs only).
+
+        Because ``model`` satisfies the program, the least model is a subset
+        of ``model``.  The per-rule counters, watcher lists, and the closure
+        under the negation-free rules — all model-independent — come from
+        the scaffold; each check only replays the (few) negative-body rules
+        the reduct keeps.
+        """
         if self._reduct_scaffold is None:
             self._build_reduct_scaffold()
         heads, base_counters, watchers, neg_rules, base_derived = (
@@ -593,20 +499,6 @@ class StableModelEngine:
 
     # ----------------------------------------------------------- interface
 
-    def add_atom_clause(self, literals: Sequence[int]) -> None:
-        """Install a clause over atom ids (positive/negative integers).
-
-        Used by cautious/brave reasoning to steer enumeration.  The clause
-        must only mention atom ids (not solver-internal variables).
-        """
-        for literal in literals:
-            if abs(literal) > self.num_atoms:
-                raise ValueError(f"literal {literal} is not an atom id")
-        if not self.solver.add_clause(list(literals)):
-            self._exhausted = True
-
-    # ------------------------------------------- incremental (family) API
-
     def new_selector(self) -> int:
         """A fresh *selector literal*: a raw solver variable outside the
         atom universe, used to guard steering clauses.
@@ -703,36 +595,17 @@ class StableModelEngine:
                 self._refine_with_unfounded(frozenset(candidate - witness))
 
     def next_stable_model(self) -> frozenset[int] | None:
-        """The next stable model (a frozenset of atom ids), or None."""
-        if self._exhausted:
+        """The next stable model (a frozenset of atom ids), or None.
+
+        One :meth:`solve_under` search, then the model is excluded so the
+        next call finds a different one.
+        """
+        model = self.solve_under()
+        if model is None:
+            self._exhausted = True
             return None
-        while True:
-            if self.deadline is not None:
-                self.deadline.check()
-            if not self.solver.solve():
-                self._exhausted = True
-                return None
-            values = self.solver.model()
-            # Headless atoms are forced false by the generator, so the
-            # candidate is determined by the head atoms alone.
-            candidate = frozenset(
-                atom for atom in self.head_atoms if values[atom]
-            )
-            self._candidates_tested += 1
-            if self.is_normal:
-                least = self._least_model_of_reduct(candidate)
-                if least == candidate:
-                    self._exclude(candidate)
-                    self._models_found += 1
-                    return candidate
-                self._refine_with_unfounded(frozenset(candidate - least))
-            else:
-                witness = self._minimality_witness(candidate)
-                if witness is None:
-                    self._exclude(candidate)
-                    self._models_found += 1
-                    return candidate
-                self._refine_with_unfounded(frozenset(candidate - witness))
+        self._exclude(model)
+        return model
 
     def _exclude(self, model: frozenset[int]) -> None:
         """Exclude exactly this atom assignment (for enumeration).

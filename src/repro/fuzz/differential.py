@@ -28,12 +28,11 @@ configuration and collects *discrepancies*:
   (candidate, support) pairs;
 - **crash** — an engine raised.
 
-Engine matrix for the segmentary engine: cache cold vs warm vs disabled,
-and the family grouping (the default merges signature groups that share a
-cluster, exercised by every axis above; ``solve_strategy=
-"per-signature"`` makes each group its own family, certain and
-possible).  All knobs are answer-neutral by design; the fuzzer is the
-enforcement.
+Engine matrix for the segmentary engine: cache cold vs warm vs disabled.
+Every segmentary run merges signature groups that share a cluster into
+one family; comparing it with the monolithic engine's one program (and the
+oracle) checks that merge on every scenario.  All knobs are answer-neutral
+by design; the fuzzer is the enforcement.
 
 Two difficulty gates keep worst-case scenarios from stalling a campaign:
 the Definition 1 oracle only runs up to ``oracle_max_facts`` source facts
@@ -194,28 +193,6 @@ def run_differential(
 
     with SegmentaryEngine(mapping, instance, cache=False) as nocache:
         run("segmentary-nocache", "certain", lambda: nocache.answer(query))
-
-    # The grouping axis: every segmentary run above merges signature
-    # groups that share a cluster into one family; this one solves each
-    # group as its own family, so the merge is differentially checked on
-    # every scenario (certain and possible).
-    with SegmentaryEngine(
-        mapping,
-        instance,
-        cache=False,
-        solve_strategy="per-signature",
-    ) as per_signature:
-        run(
-            "segmentary-per-signature",
-            "certain",
-            lambda: per_signature.answer(query),
-        )
-        if config.check_possible:
-            run(
-                "segmentary-per-signature-possible",
-                "possible",
-                lambda: per_signature.possible_answers(query),
-            )
 
     if data is not None:
         report.discrepancies.extend(

@@ -50,7 +50,7 @@ from repro.chase.batch import (
     compile_slot_head,
     compile_violations,
 )
-from repro.relational.instance import Fact
+from repro.relational.instance import Fact, fact_order
 from repro.xr.envelope import influence_ids, rederive_ids
 from repro.xr.exchange import (
     ExchangeData,
@@ -212,7 +212,7 @@ def apply_delta_chase(
     # -------------------------------------------------------- insertion
     if delta.inserts:
         queue: list[Fact] = []
-        for fact in sorted(delta.inserts, key=repr):
+        for fact in sorted(delta.inserts, key=fact_order):
             source.add(fact)
             if chased.add(fact):
                 cache.add_fact(fact)

@@ -164,7 +164,6 @@ def answer_payload(
             "cache_hits": stats.cache_hits,
             "cache_misses": stats.cache_misses,
             "timeouts": stats.timeouts,
-            "strategy": stats.strategy,
         },
     }
     if stats.degraded:

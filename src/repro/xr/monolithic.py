@@ -2,7 +2,9 @@
 
 One large disjunctive logic program per query: the full Figure 1 grounding
 over the entire instance, plus the query rules, handed to the stable-model
-solver for cautious reasoning.  As the paper's experiments show, the cost of
+solver for cautious (or, for XR-Possible, brave) reasoning through the same
+:func:`~repro.asp.reasoning.decide_family` loop that decides the segmentary
+engine's family programs.  As the paper's experiments show, the cost of
 the exchange is embedded in every single query — this engine exists both as
 the reference implementation of Theorem 2 / Corollary 1 and as the baseline
 the segmentary engine is measured against.
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro.asp.reasoning import brave_consequences, cautious_consequences
+from repro.asp.reasoning import decide_family
 from repro.dependencies.mapping import SchemaMapping
 from repro.obs.recorder import NOOP_RECORDER, Recorder
 from repro.reduction.reduce import ReducedMapping, reduce_mapping
@@ -147,23 +149,20 @@ class MonolithicEngine:
             if not xr_program.query_atoms:
                 self._last_stats = stats.copy()
                 return set()
-            reason = (
-                cautious_consequences
-                if mode == "certain"
-                else brave_consequences
-            )
             deadline = self.budget.single_solve_deadline()
-            try:
-                with tracer.span("monolithic.solve"):
-                    decided = reason(
-                        xr_program.program,
-                        xr_program.query_atoms.values(),
-                        deadline=deadline,
-                    )
-            except SolveBudgetExceeded:
+            with tracer.span("monolithic.solve"):
+                verdicts = decide_family(
+                    xr_program.program,
+                    xr_program.query_atoms.values(),
+                    mode="cautious" if mode == "certain" else "possible",
+                    deadline=deadline,
+                )
+            if verdicts.undecided:
                 if not allow_partial:
                     self._last_stats = stats.copy()
-                    raise
+                    raise SolveBudgetExceeded(
+                        "deadline exceeded while solving the XR program"
+                    )
                 # The one big solve was cut off: every solver-decided
                 # candidate is unknown.  Certain mode keeps only the sound
                 # floor (trivially-certain candidates); possible mode
@@ -182,7 +181,7 @@ class MonolithicEngine:
                     accepted |= unknown
                 self._last_stats = stats.copy()
                 return answers_from_facts(accepted)
-            if decided is None:
+            if verdicts.no_model:
                 # No stable model means no XR-solution; cannot happen
                 # because the empty sub-instance always has a solution,
                 # but stay defensive.
@@ -190,7 +189,7 @@ class MonolithicEngine:
             accepted = {
                 fact
                 for fact, atom_id in xr_program.query_atoms.items()
-                if atom_id in decided
+                if atom_id in verdicts.accepted
             }
             accepted |= xr_program.trivially_certain
             self._last_stats = stats.copy()

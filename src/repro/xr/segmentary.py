@@ -87,13 +87,11 @@ class QueryPhaseStats:
     timeouts: int = 0
     degraded: bool = False
     unknown_candidates: set[tuple] = field(default_factory=set)
-    # Family observability: the grouping in force (the engine's
-    # ``solve_strategy``), how many cluster families were solved, how many
-    # candidates those families covered, level-0 assumption-core skips
-    # (candidates decided without search), and clauses carried across
-    # candidates (learned clauses + loop formulas + steering, summed over
-    # family engines).
-    strategy: str = "incremental"
+    # Family observability: how many cluster families were solved, how
+    # many candidates those families covered, level-0 assumption-core
+    # skips (candidates decided without search), and clauses carried
+    # across candidates (learned clauses + loop formulas + steering, summed
+    # over family engines).
     families_solved: int = 0
     family_candidates: int = 0
     core_skips: int = 0
@@ -193,14 +191,7 @@ class SegmentaryEngine:
       use to inject budget cutoffs;
     - ``cache``: ``True`` (default) for a private cross-query cache, a
       :class:`~repro.runtime.SignatureProgramCache` instance to share one,
-      or ``False`` to disable caching;
-    - ``solve_strategy``: how signature groups form families.
-      ``"incremental"`` (default) merges groups whose signatures share a
-      violation cluster; ``"per-signature"`` makes every group its own
-      family.  Either way each family is decided on one solver with
-      shared learned clauses (:func:`~repro.asp.reasoning.decide_family`);
-      answers are identical, and the caches are keyed per signature, so
-      entries are shared across the two groupings.
+      or ``False`` to disable caching.
 
     Resource governance (``budget``, a :class:`~repro.runtime.SolveBudget`)
     is the one knob that can change *what* is answered: a candidate the
@@ -227,7 +218,6 @@ class SegmentaryEngine:
         cache: bool | SignatureProgramCache = True,
         budget: SolveBudget | None = None,
         obs: Recorder | None = None,
-        solve_strategy: str = "incremental",
     ):
         if isinstance(mapping, ReducedMapping):
             self.reduced = mapping
@@ -235,13 +225,6 @@ class SegmentaryEngine:
             self.reduced = reduce_mapping(mapping)
         self.instance = instance
         self.encoding = encoding
-        solve_strategy = solve_strategy.replace("_", "-")
-        if solve_strategy not in ("incremental", "per-signature"):
-            raise ValueError(
-                f"unknown solve strategy {solve_strategy!r}; choose "
-                "'incremental' or 'per-signature'"
-            )
-        self.solve_strategy = solve_strategy
         self.budget = budget if budget is not None else NO_BUDGET
         self.obs = obs if obs is not None else NOOP_RECORDER
         self._owns_executor = executor is None
@@ -459,7 +442,7 @@ class SegmentaryEngine:
             # The serving tier passes one per request so concurrent
             # deadlines never share (or mutate) engine state.
             budget = self.budget
-        stats = QueryPhaseStats(strategy=self.solve_strategy)
+        stats = QueryPhaseStats()
         clock = budget.started()  # None unless a deadline is set
         unknown: set[Fact] = set()
         tracer, metrics = self.obs.tracer, self.obs.metrics
@@ -775,9 +758,8 @@ class SegmentaryEngine:
         program (and one :class:`SolveTask`) per family.
 
         Two groups belong to the same family when their signatures share a
-        violation cluster (transitively — union-find over cluster ids);
-        under ``solve_strategy="per-signature"`` every group is its own
-        family.  Each family's program is built once over the union focus
+        violation cluster (transitively — union-find over cluster ids).
+        Each family's program is built once over the union focus
         (:func:`~repro.xr.program.build_family_program`); its members'
         ``solve_atoms`` are filled from the *shared* atom table, and every
         member keeps only its **own** trivially-certain candidates — a
@@ -788,10 +770,7 @@ class SegmentaryEngine:
         assert self.analysis is not None and self.data is not None
         analysis, data = self.analysis, self.data
 
-        if self.solve_strategy == "per-signature":
-            families = {index: [group] for index, group in enumerate(pending)}
-        else:
-            families = _merge_by_shared_clusters(pending)
+        families = _merge_by_shared_clusters(pending)
 
         family_batches: list[list[_SignatureGroup]] = []
         tasks: list[SolveTask] = []

@@ -113,7 +113,7 @@ class TestGround:
 class TestGroundWithStableModels:
     def test_three_coloring(self):
         """Ground + solve a classic guess-and-check program."""
-        from repro.asp.reasoning import brave_consequences
+        from repro.asp.reasoning import decide_family
         from repro.asp.stable import StableModelEngine
 
         X1, Y1 = Variable("u"), Variable("v")
@@ -146,6 +146,14 @@ class TestGroundWithStableModels:
         engine = StableModelEngine(program)
         models = list(engine.stable_models())
         assert len(models) == 6  # 3! proper colorings of a triangle
+        # Every node takes every color in some coloring, none in all.
+        colors = [
+            program.atoms.id_of(f("col", n, c)) for n in "abc" for c in "rgb"
+        ]
+        brave = decide_family(program, colors, mode="brave")
+        cautious = decide_family(program, colors)
+        assert brave.accepted == frozenset(colors)
+        assert cautious.accepted == frozenset()
 
     def test_unsatisfiable_coloring(self):
         """K4 is not 2-colorable."""

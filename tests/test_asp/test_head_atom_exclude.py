@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.asp.stable import StableModelEngine
 from repro.asp.syntax import GroundRule
 
-from tests.test_asp.test_stable import brute_stable, program_over
+from tests.test_asp.reference import brute_stable, program_over
 
 
 def enumerate_all(program, limit=500):

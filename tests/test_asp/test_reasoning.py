@@ -1,16 +1,20 @@
-"""Tests for cautious and brave reasoning."""
+"""Tests for cautious and brave reasoning (``decide_family``)."""
 
-from repro.asp.reasoning import brave_consequences, cautious_consequences
-from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
-from repro.relational.instance import Fact
+from repro.asp.reasoning import decide_family
+from repro.asp.syntax import GroundRule
+from tests.test_asp.reference import program_over
 
 
-def program_over(num_atoms, rules):
-    program = GroundProgram(AtomTable())
-    for index in range(num_atoms):
-        program.atoms.intern(Fact("A", (index + 1,)))
-    program.rules = list(rules)
-    return program
+def cautious_consequences(program, atoms):
+    """Accepted atoms under cautious reasoning; None without models."""
+    verdicts = decide_family(program, atoms)
+    return None if verdicts.no_model else verdicts.accepted
+
+
+def brave_consequences(program, atoms):
+    """Accepted atoms under brave reasoning; None without models."""
+    verdicts = decide_family(program, atoms, mode="brave")
+    return None if verdicts.no_model else verdicts.accepted
 
 
 class TestCautious:

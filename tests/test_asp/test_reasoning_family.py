@@ -1,66 +1,21 @@
-"""Family solving (`decide_family`) vs. per-question cautious/brave runs.
+"""Family solving (`decide_family`) against brute-force stable models.
 
 One engine, assumption-guarded steering, model harvesting, level-0
 entailment skips, per-candidate budget degradation — all checked against
-the reference iterative-constraining implementations and brute-force
-stable-model enumeration.
+brute-force stable-model enumeration.
 """
-
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.asp.reasoning import (
-    FamilyVerdicts,
-    brave_consequences,
-    cautious_consequences,
-    decide_family,
-)
-from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
-from repro.relational.instance import Fact
+from repro.asp.reasoning import FamilyVerdicts, decide_family
+from repro.asp.syntax import GroundRule
 from repro.runtime.budget import SolveBudgetExceeded
-
-
-def program_over(num_atoms, rules):
-    program = GroundProgram(AtomTable())
-    for index in range(num_atoms):
-        program.atoms.intern(Fact("A", (index + 1,)))
-    program.rules = list(rules)
-    return program
-
-
-def brute_stable(num_atoms, rules):
-    def satisfies(model, rule):
-        if any(b not in model for b in rule.body_pos):
-            return True
-        if any(g in model for g in rule.body_neg):
-            return True
-        return any(h in model for h in rule.head)
-
-    def reduct(model):
-        return [
-            GroundRule(r.head, r.body_pos, ())
-            for r in rules
-            if not any(g in model for g in r.body_neg)
-        ]
-
-    def is_model(model, reduct_rules):
-        return all(satisfies(model, r) for r in reduct_rules)
-
-    atoms = list(range(1, num_atoms + 1))
-    subsets = [
-        frozenset(a for a in atoms if bits[a - 1])
-        for bits in itertools.product([0, 1], repeat=num_atoms)
-    ]
-    return {
-        model
-        for model in subsets
-        if is_model(model, reduct(model))
-        and not any(
-            other < model and is_model(other, reduct(model)) for other in subsets
-        )
-    }
+from tests.test_asp.reference import (
+    brute_consequences,
+    brute_stable,
+    program_over,
+)
 
 
 class TestCautiousMode:
@@ -221,14 +176,14 @@ def test_family_matches_reference_implementations(data):
         rules.append(GroundRule(head, body_pos, body_neg))
     atoms = list(range(1, num_atoms + 1))
 
-    cautious = cautious_consequences(program_over(num_atoms, rules), atoms)
-    brave = brave_consequences(program_over(num_atoms, rules), atoms)
+    reference = brute_consequences(num_atoms, rules, atoms)
     family_c = decide_family(program_over(num_atoms, rules), atoms)
     family_b = decide_family(program_over(num_atoms, rules), atoms, mode="brave")
 
-    if cautious is None:
+    if reference is None:
         assert family_c.no_model and family_b.no_model
         return
+    cautious, brave = reference
     assert not family_c.no_model and not family_b.no_model
     assert family_c.accepted == cautious
     assert family_c.rejected == frozenset(atoms) - cautious

@@ -1,7 +1,5 @@
 """Tests for stable model computation (normal, disjunctive, HCF shifting)."""
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,49 +8,8 @@ from repro.asp.stable import (
     is_head_cycle_free,
     shift_disjunctions,
 )
-from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
-from repro.relational.instance import Fact
-
-
-def program_over(num_atoms, rules):
-    program = GroundProgram(AtomTable())
-    for index in range(num_atoms):
-        program.atoms.intern(Fact("A", (index + 1,)))
-    program.rules = list(rules)
-    return program
-
-
-def brute_stable(num_atoms, rules):
-    def satisfies(model, rule):
-        if any(b not in model for b in rule.body_pos):
-            return True
-        if any(g in model for g in rule.body_neg):
-            return True
-        return any(h in model for h in rule.head)
-
-    def reduct(model):
-        return [
-            GroundRule(r.head, r.body_pos, ())
-            for r in rules
-            if not any(g in model for g in r.body_neg)
-        ]
-
-    def is_model(model, reduct_rules):
-        return all(satisfies(model, r) for r in reduct_rules)
-
-    atoms = list(range(1, num_atoms + 1))
-    subsets = [
-        frozenset(a for a in atoms if bits[a - 1])
-        for bits in itertools.product([0, 1], repeat=num_atoms)
-    ]
-    return {
-        model
-        for model in subsets
-        if is_model(model, reduct(model))
-        and not any(
-            other < model and is_model(other, reduct(model)) for other in subsets
-        )
-    }
+from repro.asp.syntax import GroundRule
+from tests.test_asp.reference import brute_stable, program_over
 
 
 class TestNormalPrograms:
@@ -160,18 +117,20 @@ class TestShifting:
 
 
 class TestIncremental:
-    def test_add_atom_clause_steers_enumeration(self):
+    def test_guarded_clause_steers_the_search(self):
         program = program_over(2, [GroundRule((1, 2))])
         engine = StableModelEngine(program)
-        engine.add_atom_clause([-1])  # forbid atom 1
-        models = list(engine.stable_models())
-        assert models == [frozenset({2})]
+        selector = engine.new_selector()
+        engine.add_guarded_clause(selector, [-1])  # forbid atom 1
+        assert engine.solve_under([selector]) == frozenset({2})
+        engine.retire_selector(selector)
+        assert set(engine.stable_models()) == {frozenset({1}), frozenset({2})}
 
-    def test_atom_clause_bounds_checked(self):
+    def test_guarded_clause_bounds_checked(self):
         program = program_over(1, [GroundRule((1,))])
         engine = StableModelEngine(program)
         with pytest.raises(ValueError):
-            engine.add_atom_clause([99])
+            engine.add_guarded_clause(engine.new_selector(), [99])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,41 +1,27 @@
-"""Compact vs plain generator encoding: model-for-model equivalence.
+"""The generator's special cases, checked model for model.
 
-Family engines (DESIGN.md §12) build with ``compact=True``: duplicate
-rules dropped, single-literal bodies reusing the literal as the body
-variable, hash-consed shared bodies, raw bulk clause loading, and a
-scaffolded reduct check.  None of that may change the stable models —
-these tests cross-check the two encodings on the edge cases the compact
-builder special-cases, then sweep random programs.
+The stable-model engine's encoding drops duplicate rules, reuses the
+literal of a single-literal body as the body variable, hash-conses shared
+bodies, loads clauses in bulk and checks normal candidates against a
+scaffolded reduct.  None of that may change the stable models — these
+tests check the engine against brute-force enumeration on the edge cases
+the generator special-cases, then sweep random programs.
 """
-
-import itertools
 
 from hypothesis import given, settings, strategies as st
 
 from repro.asp.stable import StableModelEngine
-from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
-from repro.relational.instance import Fact
-
-
-def program_over(num_atoms, rules):
-    program = GroundProgram(AtomTable())
-    for index in range(num_atoms):
-        program.atoms.intern(Fact("A", (index + 1,)))
-    program.rules = list(rules)
-    return program
+from repro.asp.syntax import GroundRule
+from tests.test_asp.reference import brute_stable, program_over
 
 
 def models_both_ways(num_atoms, rules):
-    plain = set(
+    """The engine's stable models, asserted equal to the brute-force set."""
+    models = set(
         StableModelEngine(program_over(num_atoms, rules)).stable_models()
     )
-    compact = set(
-        StableModelEngine(
-            program_over(num_atoms, rules), compact=True
-        ).stable_models()
-    )
-    assert compact == plain
-    return plain
+    assert models == brute_stable(num_atoms, rules)
+    return models
 
 
 class TestCompactSpecialCases:
@@ -111,7 +97,7 @@ class TestCompactSpecialCases:
 
     def test_positive_loop_needs_loop_formula(self):
         # a :- b. b :- a. a :- not c. c :- not a.  The {a, b} loop must
-        # not self-support under the compact encoding either.
+        # not self-support even with single-literal bodies inlined.
         rules = [
             GroundRule((1,), (2,)),
             GroundRule((2,), (1,)),

@@ -166,10 +166,10 @@ class TestEntailedValue:
         assert engine.entailed_value(2) == 0
 
     def test_entailment_strengthens_after_learned_units(self):
-        # Requiring atom 3 via a retired... rather, an *unguarded* sound
-        # constraint (¬1) forces the complementary choice at top level.
+        # A unit in the clause database (here ¬1, standing in for a
+        # learned unit) forces the complementary choice at top level.
         engine = StableModelEngine(choice_program())
-        engine.add_atom_clause([-1])
+        engine.solver.add_clause([-1])
         assert engine.entailed_value(3) == 1
 
     def test_agrees_with_exhaustive_enumeration(self):

@@ -1,12 +1,10 @@
 """Family grouping and its interaction with the caches.
 
 Signature groups that share a violation cluster are merged into one
-family by default; ``solve_strategy="per-signature"`` keeps every group
-its own family.  The caches are keyed per *signature* under both
-groupings — the family program is a solving vehicle, never a cache key —
-so warm entries must be shared across groupings, LRU bounds must hold
-when families write them, cluster-keyed invalidation must behave
-identically, and a family member whose verdicts are only partial must
+family.  The caches are keyed per *signature* — the family program is a
+solving vehicle, never a cache key — so LRU bounds must hold when
+families write them, cluster-keyed invalidation must re-answer like a
+fresh engine, and a family member whose verdicts are only partial must
 never be cached.
 """
 
@@ -66,80 +64,15 @@ class TestFamilyGrouping:
     # {c_a, c_d}): the groups share cluster c_a.
     QUERY = parse_query("q(z) :- P('a', y), P(z, w).")
 
-    def solve(self, strategy, mode):
-        with SegmentaryEngine(
-            key_mapping(), Instance(TWO_CONFLICTS),
-            cache=False, solve_strategy=strategy,
-        ) as engine:
-            return engine.answer_with_stats(self.QUERY, mode=mode)
-
     def test_shared_cluster_merges_groups_into_one_family(self):
         for mode in ("certain", "possible"):
-            merged, merged_stats = self.solve("incremental", mode)
-            split, split_stats = self.solve("per-signature", mode)
-            assert merged_stats.signatures == split_stats.signatures == 2
-            assert merged_stats.families_solved == 1
-            assert split_stats.families_solved == 2
-            assert merged == split == {("a",), ("d",)}
-
-
-class TestCrossStrategySharing:
-    def test_per_signature_warms_the_incremental_engine(self):
-        cache = SignatureProgramCache()
-        query = parse_query("q(x) :- P(x, y).")
-        with SegmentaryEngine(
-            key_mapping(), Instance(CONFLICT_INSTANCE),
-            cache=cache, solve_strategy="per-signature",
-        ) as ungrouped:
-            cold = ungrouped.answer(query)
-            assert ungrouped.last_query_stats.programs_solved > 0
-        with SegmentaryEngine(
-            key_mapping(), Instance(CONFLICT_INSTANCE),
-            cache=cache, solve_strategy="incremental",
-        ) as warm:
-            answers = warm.answer(query)
-            stats = warm.last_query_stats
-        assert answers == cold
-        assert stats.programs_solved == 0
-        assert stats.cache_hits > 0
-
-    def test_incremental_warms_the_per_signature_engine(self):
-        cache = SignatureProgramCache()
-        query = parse_query("q(x) :- P(x, y).")
-        with SegmentaryEngine(
-            key_mapping(), Instance(CONFLICT_INSTANCE),
-            cache=cache, solve_strategy="incremental",
-        ) as family:
-            cold = family.answer(query)
-            assert family.last_query_stats.families_solved > 0
-        with SegmentaryEngine(
-            key_mapping(), Instance(CONFLICT_INSTANCE),
-            cache=cache, solve_strategy="per-signature",
-        ) as ungrouped:
-            answers = ungrouped.answer(query)
-            stats = ungrouped.last_query_stats
-        assert answers == cold
-        assert stats.programs_solved == 0
-        assert stats.cache_hits > 0
-
-    def test_memo_shared_across_strategies_and_query_names(self):
-        cache = SignatureProgramCache()
-        with SegmentaryEngine(
-            key_mapping(), Instance(CONFLICT_INSTANCE),
-            cache=cache, solve_strategy="incremental",
-        ) as family:
-            first = family.answer(parse_query("q(x) :- P(x, y)."))
-        with SegmentaryEngine(
-            key_mapping(), Instance(CONFLICT_INSTANCE),
-            cache=cache, solve_strategy="per-signature",
-        ) as ungrouped:
-            # Different predicate name: the program cache misses but the
-            # structural decision memo — written by the family run — hits.
-            second = ungrouped.answer(parse_query("r(x) :- P(x, y)."))
-            stats = ungrouped.last_query_stats
-        assert second == first
-        assert stats.programs_solved == 0
-        assert stats.memo_hits > 0
+            with SegmentaryEngine(
+                key_mapping(), Instance(TWO_CONFLICTS), cache=False,
+            ) as engine:
+                answers, stats = engine.answer_with_stats(self.QUERY, mode=mode)
+            assert stats.signatures == 2
+            assert stats.families_solved == 1
+            assert answers == {("a",), ("d",)}
 
 
 class TestFamilyLruBounds:
@@ -147,7 +80,6 @@ class TestFamilyLruBounds:
         expected = []
         with SegmentaryEngine(
             key_mapping(), Instance(CONFLICT_INSTANCE),
-            solve_strategy="incremental",
         ) as unbounded:
             expected = [
                 unbounded.answer(parse_query(text)) for text in QUERY_TEXTS
@@ -155,7 +87,7 @@ class TestFamilyLruBounds:
         tiny = SignatureProgramCache(max_programs=1, max_decisions=1)
         with SegmentaryEngine(
             key_mapping(), Instance(CONFLICT_INSTANCE),
-            cache=tiny, solve_strategy="incremental",
+            cache=tiny,
         ) as bounded:
             got = [bounded.answer(parse_query(text)) for text in QUERY_TEXTS]
         assert got == expected
@@ -167,19 +99,15 @@ class TestFamilyInvalidation:
     QUERY = parse_query("q(x, y) :- P(x, y).")
 
     def warm_engine(self, instance_facts):
-        engine = SegmentaryEngine(
-            bridge_mapping(), Instance(instance_facts),
-            solve_strategy="incremental",
-        )
+        engine = SegmentaryEngine(bridge_mapping(), Instance(instance_facts))
         engine.answer(self.QUERY)
         assert len(engine.cache) > 0
         return engine
 
     def reference(self, instance_facts):
-        # Cross-grouping reference: one family per signature, fresh engine.
+        # Reference: a fresh engine without a cache.
         with SegmentaryEngine(
-            bridge_mapping(), Instance(instance_facts),
-            solve_strategy="per-signature", cache=False,
+            bridge_mapping(), Instance(instance_facts), cache=False,
         ) as engine:
             return engine.answer(self.QUERY)
 
@@ -239,7 +167,6 @@ class TestPartialFamiliesNeverCached:
         engine = SegmentaryEngine(
             key_mapping(), Instance(CONFLICT_INSTANCE),
             cache=cache, executor=_PartialExecutor(),
-            solve_strategy="incremental",
         )
         query = parse_query("q(x, y) :- P(x, y).")
         answers = engine.answer(query, allow_partial=True)

@@ -126,7 +126,7 @@ class TestAnswerPayload:
         assert set(payload) == {"query", "mode", "name", "rows", "degraded", "stats"}
         assert set(payload["stats"]) == {
             "seconds", "candidates", "signatures", "programs_solved",
-            "cache_hits", "cache_misses", "timeouts", "strategy",
+            "cache_hits", "cache_misses", "timeouts",
         }
 
     def test_degraded_payload_surfaces_unknowns(self):

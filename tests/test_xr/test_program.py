@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asp.reasoning import decide_family
 from repro.asp.stable import StableModelEngine
 from repro.parser import parse_mapping
 from repro.reduction import reduce_mapping
@@ -74,10 +75,9 @@ class TestRepairProgram:
                 (candidate, (f("P", "a", "c"),)),
             ],
         )
-        from repro.asp.reasoning import cautious_consequences
-
-        cautious = cautious_consequences(xr.program, xr.query_atoms.values())
-        assert xr.query_atoms[candidate] in cautious  # one support per repair
+        verdicts = decide_family(xr.program, xr.query_atoms.values())
+        # One support per repair.
+        assert xr.query_atoms[candidate] in verdicts.accepted
 
     def test_safe_support_trivially_certain(self):
         data = key_data([f("R", "a", "b")])
