@@ -5,8 +5,9 @@ Grounding proceeds in two passes, the standard bottom-up recipe:
 1. **Possible atoms.**  Compute an overapproximation of the atoms that can
    ever be derived, by evaluating the *positive projection* of the program
    (each rule contributes one horn rule per head atom; negation and
-   comparisons are ignored) to a fixpoint with the batch chase
-   (:func:`~repro.chase.batch.batch_chase`).
+   comparisons are ignored) to a fixpoint with the pipeline's one
+   semi-naive chase (:func:`~repro.chase.batch.chase_insert`, whose
+   grounding rows the grounder drops).
 2. **Instantiation.**  For every rule, join its positive body over the
    possible atoms (one :class:`~repro.chase.batch._BodyPlan` hash join),
    check the comparisons, keep negative literals only when their atom is
@@ -22,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule, Rule
-from repro.chase.batch import _BodyPlan, _IndexCache, batch_chase
+from repro.chase.batch import ChasePlans, _BodyPlan, _IndexCache, chase_insert
 from repro.dependencies.tgds import TGD
 from repro.relational.instance import Fact, Instance
 
@@ -35,7 +36,9 @@ def compute_possible_atoms(rules: Sequence[Rule], facts: Instance) -> Instance:
             continue
         for head_atom in rule.head:
             horn.append(TGD(rule.body_pos, [head_atom], label=f"possible:{rule.label}"))
-    return batch_chase(facts, horn)
+    possible = Instance()
+    chase_insert(ChasePlans(facts, horn), _IndexCache(possible), facts)
+    return possible
 
 
 def ground(

@@ -1,10 +1,9 @@
-"""Set-at-a-time join evaluation: the one join engine of the pipeline.
+"""Set-at-a-time join evaluation: the one join engine and the one chase.
 
-The exchange chase, grounding and violation enumeration, the delta-chase
-of :mod:`repro.incremental`, query grounding
-(:func:`repro.xr.queries.ground_query`) and the ASP grounder all join
-through these operators; the nested-loop :mod:`repro.chase.gav` is only
-the test reference they are checked against.
+The exchange build, the delta-chase of :mod:`repro.incremental`, query
+grounding (:func:`repro.xr.queries.ground_query`) and the ASP grounder
+all join through these operators; the nested-loop :mod:`repro.chase.gav`
+is only the test reference they are checked against.
 
 - a binding is a plain ``tuple`` of values laid out by a fixed
   variable-to-slot assignment compiled per body (no dicts, no copies);
@@ -18,13 +17,18 @@ A :class:`_BodyPlan` joins a whole body; a :class:`_PivotPlan` seeds one
 body atom with given facts (the semi-naive step).  *Tracked* rows carry
 the matched facts along, so groundings and supports need no
 re-instantiation.  Row order follows the join; callers canonicalize.
+
+:func:`chase_insert` is the one semi-naive chase, and its rows are the
+groundings: the exchange build inserts the source into an empty
+instance, an update inserts its delta into the live one, and the ASP
+grounder keeps only the fixpoint.
 """
 
 from __future__ import annotations
 
 import threading
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.dependencies.egds import EGD
 from repro.dependencies.tgds import TGD, SkolemTerm
@@ -44,7 +48,7 @@ def check_gav_rules(rules: Sequence[TGD]) -> None:
     for rule in rules:
         if not rule.is_gav():
             raise ValueError(
-                f"{rule.label}: gav_chase requires GAV rules "
+                f"{rule.label}: the GAV chase requires GAV rules "
                 "(single head atom, no existential variables)"
             )
 
@@ -505,96 +509,127 @@ class _PivotPlan:
 # -------------------------------------------------------------------- chase
 
 
-def batch_chase(
-    instance: Instance,
-    rules: Sequence[TGD],
+class ChasePlans:
+    """The semi-naive joins of one mapping, compiled once per exchange.
+
+    Per pivot relation: one :class:`_PivotPlan` per (tgd, body position)
+    with the rule, the position, the head grounder and the body-order
+    projector, and one per (egd, body position) with its violations
+    builder.  Join order is planned against ``instance`` (relation sizes
+    break ties).
+    """
+
+    __slots__ = ("tgds", "egds")
+
+    def __init__(
+        self, instance: Instance, rules: Iterable[TGD], egds: Iterable[EGD] = ()
+    ) -> None:
+        rules = list(rules)
+        check_gav_rules(rules)
+        self.tgds: dict[str, list[tuple]] = {}
+        for rule in rules:
+            for position in range(len(rule.body)):
+                plan = _PivotPlan(instance, rule.body, position)
+                self.tgds.setdefault(plan.pivot.relation, []).append(
+                    (
+                        rule,
+                        position,
+                        plan,
+                        compile_slot_head(rule, plan.layout),
+                        _tuple_projector(plan.body_order),
+                    )
+                )
+        self.egds: dict[str, list[tuple]] = {}
+        for egd in egds:
+            for position in range(len(egd.body)):
+                plan = _PivotPlan(instance, egd.body, position)
+                self.egds.setdefault(plan.pivot.relation, []).append(
+                    (plan, compile_violations(egd, plan.layout))
+                )
+
+
+def chase_insert(
+    plans: ChasePlans,
+    cache: _IndexCache,
+    facts: Iterable[Fact],
     max_rounds: int = 1_000_000,
     stats: dict[str, int] | None = None,
-) -> Instance:
-    """Strict-round semi-naive fixpoint, evaluated set-at-a-time.
+) -> tuple[list[Fact], list[tuple[TGD, tuple[Fact, ...], Fact]]]:
+    """Insert ``facts`` into ``cache.instance`` and chase to the fixpoint.
 
-    Bit-identical to the reference :func:`repro.chase.gav.gav_chase`
-    (same fixpoint, same ``rounds``/``derived_facts`` counters): both use
-    strict rounds, so the per-round derivation set is a pure function of
-    the (work, delta) sets and the evaluation strategy cannot be observed.
+    Strict-round semi-naive evaluation: round ``k`` pivots the facts new
+    in round ``k - 1`` (the inserted ones first) through every tgd body
+    over the instance as it stood when the round began, and its heads
+    become visible only in round ``k + 1``.  The per-round derivation set
+    is thus a pure function of the (instance, delta) sets, so the fixpoint
+    and the ``rounds``/``derived_facts`` counters equal the reference
+    :func:`repro.chase.gav.gav_chase`'s.
+
+    Every provenance-tracked row is a grounding ``(rule, body facts, head
+    fact)`` with a new body fact.  It is found in the round of its newest
+    body fact, by the pivot at each body position holding a fact of that
+    round; only the first such position keeps it, so each grounding is
+    emitted once.  Tautologies (head in body) are dropped.  Returns the
+    facts the instance gained and the groundings, both in no fixed order;
+    the instance and every index of ``cache`` are kept exact.
     """
-    check_gav_rules(rules)
-    work = instance.copy()
-    cache = _IndexCache(work)
-    by_relation: dict[str, list[tuple[_PivotPlan, Callable]]] = {}
-    for rule in rules:
-        for position in range(len(rule.body)):
-            plan = _PivotPlan(work, rule.body, position)
-            by_relation.setdefault(plan.pivot.relation, []).append(
-                (plan, compile_slot_head(rule, plan.layout))
-            )
-
-    delta = list(instance)
+    instance = cache.instance
+    add_fact = cache.add_fact
+    fresh = {fact for fact in facts if fact not in instance}  # this round's
+    inserted = len(fresh)
+    added: list[Fact] = []
+    groundings: list[tuple[TGD, tuple[Fact, ...], Fact]] = []
+    append = groundings.append
     rounds = 0
-    while delta:
+    while fresh:
+        for fact in fresh:
+            instance.add(fact)
+            add_fact(fact)
+        added += fresh
         rounds += 1
         if rounds > max_rounds:
-            raise RuntimeError(f"batch_chase exceeded {max_rounds} rounds")
+            raise RuntimeError(f"the chase exceeded {max_rounds} rounds")
         delta_by_relation: dict[str, list[Fact]] = {}
-        for fact in delta:
+        for fact in fresh:
             delta_by_relation.setdefault(fact.relation, []).append(fact)
         pending: set[Fact] = set()
-        for relation, facts in delta_by_relation.items():
-            for plan, ground in by_relation.get(relation, ()):
-                for row in plan.rows(cache, facts):
-                    head_fact = ground(row)
-                    if head_fact not in work:
+        for relation, relation_delta in delta_by_relation.items():
+            for rule, position, plan, ground, body_of in plans.tgds.get(
+                relation, ()
+            ):
+                for values, provenance in plan.rows(
+                    cache, relation_delta, tracked=True
+                ):
+                    body_facts = body_of(provenance)
+                    if position and not fresh.isdisjoint(body_facts[:position]):
+                        continue  # the pivot at an earlier new fact has it
+                    head_fact = ground(values)
+                    if head_fact in body_facts:
+                        continue  # tautological; never a real derivation
+                    append((rule, body_facts, head_fact))
+                    if head_fact not in instance:
                         pending.add(head_fact)
-        delta = list(pending)
-        for head_fact in delta:
-            work.add(head_fact)
-            cache.add_fact(head_fact)
+        fresh = pending
     if stats is not None:
         stats["rounds"] = rounds
-        stats["derived_facts"] = len(work) - len(instance)
-    return work
+        stats["derived_facts"] = len(added) - inserted
+    return added, groundings
 
 
-# ------------------------------------------------- groundings and violations
+# ------------------------------------------------------------ violations
 
 
-def enumerate_groundings_batch(
-    rules: Iterable[TGD], instance: Instance
-) -> Iterator[tuple[TGD, tuple[Fact, ...], Fact]]:
-    """Every grounding ``(rule, body facts, head fact)`` over ``instance``.
-
-    One grounding per distinct ``(body facts, head fact)`` pair per rule;
-    tautological groundings (head in own body) are dropped — they can
-    never contribute a genuine derivation or support set.  Each rule body
-    is one batch hash join, and the matched body facts come straight from
-    the join's provenance (no re-instantiation by substitution).  The join
-    yields each binding once and a binding is fixed by its body facts, so
-    no pair repeats.  Yield order within a rule follows the join; callers
-    canonicalize.
-    """
-    cache = _IndexCache(instance)
-    for rule in rules:
-        plan = _BodyPlan(instance, rule.body)
-        ground = compile_slot_head(rule, plan.layout)
-        body_of = _tuple_projector(plan.body_order)
-        for values, provenance in plan.rows_hash_tracked(cache):
-            body_facts = body_of(provenance)
-            head_fact = ground(values)
-            if head_fact not in body_facts:
-                yield rule, body_facts, head_fact
-
-
-def find_violations_batch(egds: Sequence[EGD], chased: Instance) -> list:
-    """All grounded-egd violations, one batch hash join per egd.
+def find_violations_batch(egds: Sequence[EGD], cache: _IndexCache) -> list:
+    """All grounded-egd violations over ``cache.instance``, one batch hash
+    join per egd, probing the indexes of ``cache``.
 
     Returns raw :class:`~repro.xr.exchange.Violation` objects including
     both orientations of symmetric egds; callers dedup through
     :func:`repro.xr.exchange.canonicalize_violations`.
     """
-    cache = _IndexCache(chased)
     violations = []
     for egd in egds:
-        plan = _BodyPlan(chased, egd.body)
+        plan = _BodyPlan(cache.instance, egd.body)
         rows = plan.rows_hash(cache)
         if rows:
             violations += compile_violations(egd, plan.layout)(rows)

@@ -127,7 +127,7 @@ def gav_chase(
     Semi-naive evaluation with *strict* rounds: facts derived in round
     ``k`` only become visible to joins in round ``k + 1``, so the
     per-round derivation set — and the ``rounds`` counter — is a pure
-    function of (instance, rules), which :func:`~repro.chase.batch.batch_chase`
+    function of (instance, rules), which :func:`~repro.chase.batch.chase_insert`
     reproduces bit-for-bit.  Each (rule, pivot-atom) pair compiles the join
     over the rest of its body once, on first use.  When ``stats`` is a
     dict, the counters ``rounds`` and ``derived_facts`` are recorded.

@@ -11,6 +11,9 @@ into a checkable invariant:
   :class:`~repro.runtime.SequentialExecutor` that solves each planned
   task under a deadline that has already passed, so the solver stops at
   its first cooperative check — the same interrupt a real budget fires;
+- :class:`CutoffAfterChecks` — a budget for the monolithic engine's one
+  solve that fires at a chosen cooperative check, so a cut can land after
+  the solve has decided some candidates;
 - :func:`run_fault_check` — the differential: exact answers from a clean
   engine vs a run with the planned cutoffs, which must bracket the truth:
 
@@ -27,9 +30,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from repro.fuzz.differential import Discrepancy, _fmt
 from repro.fuzz.render import Scenario
+from repro.runtime.budget import SolveBudget, SolveBudgetExceeded
 from repro.runtime.cache import SignatureProgramCache
 from repro.runtime.executor import SequentialExecutor, solve_task
 
@@ -53,6 +58,24 @@ class CutoffInjectingExecutor(SequentialExecutor):
             return super()._solve(index, task, deadline, tracer)
         # A cutoff "now": expired by the solver's first deadline check.
         return solve_task(task, deadline_at=time.monotonic(), tracer=tracer)
+
+
+@dataclass(frozen=True)
+class CutoffAfterChecks(SolveBudget):
+    """A budget whose one-shot solve lets ``passes`` cooperative deadline
+    checks pass and fires at the next one (the monolithic engine's solve
+    is deterministic, so every cut point is reproducible)."""
+
+    passes: int = 0
+
+    def single_solve_deadline(self) -> SimpleNamespace:
+        passes = iter(range(self.passes))
+
+        def check() -> None:
+            if next(passes, None) is None:
+                raise SolveBudgetExceeded("injected cutoff")
+
+        return SimpleNamespace(check=check)
 
 
 def fault_plan_for_seed(seed: int, max_index: int = 6) -> FaultPlan:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Iterable
@@ -162,8 +163,11 @@ def load_update_corpus(
 # --------------------------------------------------- differential check
 
 
-def _grounding_keys(data) -> set:
-    return {(rule.label, body, head) for rule, body, head in data.groundings}
+def _grounding_keys(data) -> Counter:
+    """The groundings as a multiset: a duplicated grounding counts twice."""
+    return Counter(
+        (rule.label, body, head) for rule, body, head in data.groundings
+    )
 
 
 def _violation_keys(data) -> set:

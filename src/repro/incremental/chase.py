@@ -16,20 +16,19 @@ alive.  Everything else in the cone is dead.  A grounding dies iff any
 body fact dies (a live body forces a live head), a violation iff any body
 fact dies.
 
-**Insertion** is a semi-naive worklist doubling as grounding enumeration:
-every new fact is added to the chased instance and then seeds one
-:class:`~repro.chase.batch._PivotPlan` per (rule, body position) whose
-pivot it matches; each provenance-tracked row is a grounding whose head
-is derived (and enqueued if new).  A grounding with several new body
-facts is found when pivoting on whichever of them is processed last (all
-the others are already in the instance by then), so every grounding
-touching the delta is enumerated; groundings whose body predates the
-delta were enumerated before.  New violations are found the same way
-after the chase settles, pivoting each new fact through the egd bodies,
-deduplicated against the live set by the canonical
-:func:`~repro.xr.exchange.violation_key`.  Every probe reads the exchange
-data's long-lived ``index_cache`` (shared with query grounding), which
-each added or dropped chased fact updates.
+**Insertion** is the exchange build's own chase: one
+:func:`~repro.chase.batch.chase_insert` of the delta's new source facts
+into the live chased instance, over the pivot plans the build compiled
+(``data.plans``) and the data's long-lived ``index_cache`` (shared with
+query grounding), which every added or dropped chased fact updates.  Its
+strict rounds find every grounding with a body fact the delta added —
+exactly the groundings the delta adds, since every surviving one has an
+all-old body.  After the chase settles, the new facts are interned in
+:func:`~repro.relational.instance.fact_order` and the new groundings
+appended in the build's canonical order, so ids and positions do not
+depend on the hash seed.  New violations are found by pivoting each new
+fact through the egd bodies, deduplicated against the live set by the
+canonical :func:`~repro.xr.exchange.violation_key`.
 
 Adjacency indexes are maintained **in place** (swap-remove on deletion,
 append on insertion — see :func:`~repro.xr.exchange.remove_groundings`);
@@ -44,71 +43,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chase.batch import (
-    _PivotPlan,
-    _tuple_projector,
-    compile_slot_head,
-    compile_violations,
-)
-from repro.relational.instance import Fact, fact_order
+from repro.chase.batch import chase_insert
+from repro.relational.instance import fact_order
 from repro.xr.envelope import influence_ids, rederive_ids
 from repro.xr.exchange import (
     ExchangeData,
     Violation,
     append_grounding,
     append_violation,
+    canonical_groundings,
+    canonicalize_violations,
     remove_groundings,
     remove_violations,
     violation_key,
 )
 
 from repro.incremental.delta import Delta
-
-#: Identity of one grounding.  The rule is keyed by ``id()``: reduced
-#: mappings can hold *distinct* rules that compare equal (``TGD.__eq__``
-#: ignores labels, and e.g. a duplicated head atom splits into two
-#: value-identical single-head rules), and each owns its own groundings.
-#: Rule objects are stable for the data's lifetime (``mapping.all_tgds()``
-#: returns the stored tuples), so ``id`` is a sound key.
-GroundingKey = tuple[int, tuple[Fact, ...], Fact]
-
-
-def grounding_key(
-    rule, body_facts: tuple[Fact, ...], head_fact: Fact
-) -> GroundingKey:
-    return (id(rule), body_facts, head_fact)
-
-
-#: ``relation -> [(rule, plan, head grounder, body-order projector)]``.
-TgdPlans = dict[str, list[tuple]]
-#: ``relation -> [(plan, violations-of-rows builder)]``.
-EgdPlans = dict[str, list[tuple]]
-
-
-def compile_pivot_plans(data: ExchangeData) -> tuple[TgdPlans, EgdPlans]:
-    """The delta-chase's joins: one pivot plan per (tgd, body position)
-    and per (egd, body position), keyed by the pivot's relation."""
-    chased = data.chased
-    tgd_plans: TgdPlans = {}
-    for rule in data.mapping.all_tgds():
-        for position in range(len(rule.body)):
-            plan = _PivotPlan(chased, rule.body, position)
-            tgd_plans.setdefault(plan.pivot.relation, []).append(
-                (
-                    rule,
-                    plan,
-                    compile_slot_head(rule, plan.layout),
-                    _tuple_projector(plan.body_order),
-                )
-            )
-    egd_plans: EgdPlans = {}
-    for egd in data.mapping.target_egds:
-        for position in range(len(egd.body)):
-            plan = _PivotPlan(chased, egd.body, position)
-            egd_plans.setdefault(plan.pivot.relation, []).append(
-                (plan, compile_violations(egd, plan.layout))
-            )
-    return tgd_plans, egd_plans
 
 
 @dataclass
@@ -140,25 +90,17 @@ class DeltaChaseReport:
 
 
 def apply_delta_chase(
-    data: ExchangeData,
-    delta: Delta,
-    tgd_plans: TgdPlans,
-    egd_plans: EgdPlans,
-    grounding_keys: set,
-    violation_keys: set,
+    data: ExchangeData, delta: Delta, violation_keys: set
 ) -> DeltaChaseReport:
     """Apply a **normalized** delta to ``data`` in place.
 
     Mutates ``data.source_instance`` / ``data.chased`` / ``data.groundings``
-    / ``data.violations``, keeps ``grounding_keys`` / ``violation_keys``
-    (the identities of the live groundings and the canonical keys of the
-    live violations) in sync, and maintains the adjacency indexes in
-    place (fact ids stay stable).  Keeping the key sets session-lifetime
-    matters twice
-    over: lookups stay O(1) per found grounding instead of rebuilding a
-    set per delta, and discarding dead keys on retraction is what lets a
-    later re-insertion re-derive the same grounding.  Returns the id-space
-    report the cluster maintenance layer works from.
+    / ``data.violations``, keeps ``violation_keys`` (the canonical keys of
+    the live violations) in sync, and maintains the adjacency indexes in
+    place (fact ids stay stable).  The key set is session-lifetime: a new
+    violation is checked against it in O(1), and discarding dead keys on
+    retraction is what lets a later re-insertion find the same violation.
+    Returns the id-space report the cluster maintenance layer works from.
     """
     report = DeltaChaseReport()
     source = data.source_instance
@@ -193,7 +135,6 @@ def apply_delta_chase(
         for index in dead_grounding_positions:
             report.removed_groundings += 1
             report.removed_grounding_head_ids.add(data.grounding_heads[index])
-            grounding_keys.discard(grounding_key(*data.groundings[index]))
         remove_groundings(data, dead_grounding_positions)
         for index in dead_violation_positions:
             violation = data.violations[index]
@@ -211,44 +152,18 @@ def apply_delta_chase(
 
     # -------------------------------------------------------- insertion
     if delta.inserts:
-        queue: list[Fact] = []
-        for fact in sorted(delta.inserts, key=fact_order):
+        for fact in delta.inserts:
             source.add(fact)
-            if chased.add(fact):
-                cache.add_fact(fact)
-                report.new_ids.add(data.intern_fact(fact))
-                queue.append(fact)
+        added, groundings = chase_insert(data.plans, cache, delta.inserts)
+        # Intern the new facts in the canonical order once the chase has
+        # settled, so their ids do not depend on the order the rounds
+        # found them in (set and bucket iteration, i.e. the hash seed).
+        for fact in sorted(added, key=fact_order):
+            report.new_ids.add(data.intern_fact(fact))
 
-        added: list[tuple] = []
-        cursor = 0
-        while cursor < len(queue):
-            fact = queue[cursor]
-            cursor += 1
-            for rule, plan, ground, body_of in tgd_plans.get(
-                fact.relation, ()
-            ):
-                # The rows are a materialized list: deriving heads below
-                # cannot disturb the join that found them.
-                rows = plan.rows(cache, (fact,), tracked=True)
-                for values, provenance in rows:
-                    body_facts = body_of(provenance)
-                    head_fact = ground(values)
-                    if head_fact in body_facts:
-                        continue  # tautological; never a real derivation
-                    added.append((rule, body_facts, head_fact))
-                    if chased.add(head_fact):
-                        cache.add_fact(head_fact)
-                        report.new_ids.add(data.intern_fact(head_fact))
-                        queue.append(head_fact)
-
-        # Pivoting one fact through several body positions (or two new
-        # facts through one grounding) re-finds the same grounding: dedup
-        # against both this batch and the surviving pre-delta groundings.
-        for grounding in added:
-            key = grounding_key(*grounding)
-            if key in grounding_keys:
-                continue
-            grounding_keys.add(key)
+        # Every grounding the chase emits has a body fact the delta added,
+        # so none repeats one that survived the retraction.
+        for _key, grounding in canonical_groundings(data, groundings):
             head_id, body_ids = append_grounding(data, grounding)
             report.added_groundings += 1
             report.added_grounding_fact_ids.add(head_id)
@@ -257,17 +172,18 @@ def apply_delta_chase(
         # New violations: every violation gaining a new body fact is found
         # by pivoting that fact (the whole body is present now the chase
         # has settled); all-old violations are already in `violation_keys`.
+        found: list[Violation] = []
         facts_by_id = data.facts_by_id
-        for fact_id in sorted(report.new_ids):
+        for fact_id in report.new_ids:
             fact = facts_by_id[fact_id]
-            for plan, violations_of in egd_plans.get(fact.relation, ()):
-                for violation in violations_of(plan.rows(cache, (fact,))):
-                    key = violation_key(violation)
-                    if key in violation_keys:
-                        continue
-                    violation_keys.add(key)
-                    append_violation(data, violation)
-                    report.new_violations.append(violation)
+            for plan, violations_of in data.plans.egds.get(fact.relation, ()):
+                found += violations_of(plan.rows(cache, (fact,)))
+        for violation in canonicalize_violations(found):
+            key = violation_key(violation)
+            if key not in violation_keys:
+                violation_keys.add(key)
+                append_violation(data, violation)
+                report.new_violations.append(violation)
 
     # Memoized forward closures are stale wherever the delta touched the
     # grounding graph; they repopulate lazily on the next cluster build.

@@ -7,9 +7,9 @@ engine built on it) and applies :class:`~repro.incremental.delta.Delta`
 batches in place:
 
 1. **Delta-chase** (:mod:`repro.incremental.chase`): chased instance,
-   groundings and violations maintained semi-naively on seeded batch
-   pivot plans over the exchange data's shared index cache; adjacency
-   maintained in place with stable fact ids.
+   groundings and violations maintained by the build's own semi-naive
+   chase, on the pivot plans and the index cache the build left on the
+   exchange data; adjacency maintained in place with stable fact ids.
 2. **Cluster maintenance**: a cluster is *touched* iff one of its
    violations died or its support closure / influence meets the delta's
    dirty set (dead facts, new facts, facts of added groundings, heads of
@@ -62,12 +62,7 @@ from repro.xr.envelope import (
 )
 from repro.xr.exchange import ExchangeData, check_source_facts, violation_key
 
-from repro.incremental.chase import (
-    DeltaChaseReport,
-    apply_delta_chase,
-    compile_pivot_plans,
-    grounding_key,
-)
+from repro.incremental.chase import DeltaChaseReport, apply_delta_chase
 from repro.incremental.delta import Delta
 
 
@@ -133,8 +128,6 @@ class UpdateSession:
         self.obs = obs if obs is not None else NOOP_RECORDER
         self.engine = engine
         self.stats = SessionStats()
-        self._tgd_plans, self._egd_plans = compile_pivot_plans(data)
-        self._grounding_keys = {grounding_key(*g) for g in data.groundings}
         self._violation_keys = {violation_key(v) for v in data.violations}
 
     # ------------------------------------------------------------- apply
@@ -160,12 +153,7 @@ class UpdateSession:
                 retracts=len(effective.retracts),
             ):
                 chase_report = apply_delta_chase(
-                    self.data,
-                    effective,
-                    self._tgd_plans,
-                    self._egd_plans,
-                    self._grounding_keys,
-                    self._violation_keys,
+                    self.data, effective, self._violation_keys
                 )
             report.inserted_source = len(effective.inserts)
             report.retracted_source = len(effective.retracts)

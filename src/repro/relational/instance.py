@@ -130,10 +130,11 @@ class Instance:
             return False
         ext.add(fact)
         self._size += 1
-        for pos in range(len(fact.args)):
-            index = self._indexes.get((fact.relation, pos))
-            if index is not None:
-                index.setdefault(fact.args[pos], []).append(fact)
+        if self._indexes:  # only the nested-loop lookup() builds them
+            for pos in range(len(fact.args)):
+                index = self._indexes.get((fact.relation, pos))
+                if index is not None:
+                    index.setdefault(fact.args[pos], []).append(fact)
         return True
 
     def add_all(self, facts: Iterable[Fact]) -> int:
@@ -148,8 +149,9 @@ class Instance:
         ext.remove(fact)
         self._size -= 1
         # Drop affected indexes rather than surgically removing entries.
-        for pos in range(len(fact.args)):
-            self._indexes.pop((fact.relation, pos), None)
+        if self._indexes:
+            for pos in range(len(fact.args)):
+                self._indexes.pop((fact.relation, pos), None)
         return True
 
     # -------------------------------------------------------------- queries

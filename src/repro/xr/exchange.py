@@ -4,8 +4,8 @@ Both engines start the same way (for a reduced ``gav+(gav, egd)`` mapping):
 
 - chase the source instance with the tgds only — the **canonical
   quasi-solution** of Definition 2;
-- enumerate every grounding of every tgd over the chased instance — these
-  are the **support sets** of Definition 4;
+- keep the chase's groundings, every tgd instantiation over the chased
+  instance — these are the **support sets** of Definition 4;
 - enumerate every grounded egd with a satisfied body, and mark as
   **violations** those whose equality fails (for constants-only egds, only
   clashes between two distinct constants count — skolem values stand for
@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.chase.batch import (
+    ChasePlans,
     _IndexCache,
-    batch_chase,
-    enumerate_groundings_batch,
+    chase_insert,
     find_violations_batch,
 )
 from repro.dependencies.egds import EGD
@@ -90,14 +91,17 @@ class ExchangeData:
     _source_names: frozenset[str] = field(
         default_factory=frozenset, init=False, repr=False
     )
-    # Hash indexes over ``chased`` for every join after the build (query
-    # grounding, the delta-chase), built lazily and kept exact by the
-    # delta-chase for the data's whole lifetime.
-    index_cache: _IndexCache = field(init=False, repr=False, compare=False)
+    # The build's pivot plans and hash indexes over ``chased`` (kept
+    # exact by the delta-chase; query grounding reads them too).
+    index_cache: _IndexCache = field(default=None, repr=False, compare=False)
+    plans: ChasePlans = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._source_names = frozenset(self.mapping.source.names())
-        self.index_cache = _IndexCache(self.chased)
+        if self.plans is None:  # not built by build_exchange_data
+            tgds, egds = self.mapping.all_tgds(), self.mapping.target_egds
+            self.plans = ChasePlans(self.source_instance, tgds, egds)
+            self.index_cache = _IndexCache(self.chased)
 
     @property
     def source_facts(self) -> set[Fact]:
@@ -285,15 +289,20 @@ def build_exchange_data(
 ) -> ExchangeData:
     """Chase, ground, and detect violations for a ``gav+(gav, egd)`` mapping.
 
-    Every stage runs on the set-at-a-time operators of
-    :mod:`repro.chase.batch`.  The lists and the interned id universe are
-    put in canonical (sorted) order regardless of the evaluation order
-    that found them, so the result is **bit-identical** to the nested-loop
+    Building the exchange is inserting the source into an empty one: one
+    :func:`~repro.chase.batch.chase_insert` over pivot plans compiled here
+    once (``data.plans``, reused by updates) and one index cache, which
+    becomes ``data.index_cache``.  The chase's rows are the groundings;
+    the violations are one hash join per egd over the same cache.  The
+    lists and the interned id universe are put in canonical (sorted)
+    order regardless of the evaluation order that found them, so the
+    result is **bit-identical** to the nested-loop
     :func:`~repro.chase.gav.reference_exchange_data`.
 
     When ``timings`` is a dict, per-stage wall-clock seconds are recorded
-    into it under ``chase`` / ``groundings`` / ``violations`` / ``index``
-    (used by the micro-benchmarks; answer-neutral).  ``obs`` (a
+    into it under ``chase`` / ``groundings`` (now empty: the chase emits
+    them) / ``violations`` / ``index`` (used by the micro-benchmarks;
+    answer-neutral).  ``obs`` (a
     :class:`~repro.obs.Recorder`) additionally records one child span per
     stage plus the deterministic work counters (chase rounds, chased
     facts, groundings, violations) — equally answer-neutral.
@@ -303,23 +312,28 @@ def build_exchange_data(
         obs = NOOP_RECORDER
     tracer, metrics = obs.tracer, obs.metrics
     clock = time.perf_counter
-    tgds = list(mapping.all_tgds())
+    plans = ChasePlans(source_instance, mapping.all_tgds(), mapping.target_egds)
+    chased = Instance()
+    cache = _IndexCache(chased)
     chase_stats: dict[str, int] | None = {} if metrics.enabled else None
     started = clock()
     with tracer.span("exchange.chase"):
-        chased = batch_chase(source_instance, tgds, stats=chase_stats)
+        _added, groundings = chase_insert(
+            plans, cache, source_instance, stats=chase_stats
+        )
     chased_at = clock()
     with tracer.span("exchange.groundings"):
-        groundings = list(enumerate_groundings_batch(tgds, chased))
+        pass  # the chase emitted each grounding once: nothing left to do
     grounded_at = clock()
     with tracer.span("exchange.violations"):
         violations = canonicalize_violations(
-            find_violations_batch(mapping.target_egds, chased)
+            find_violations_batch(mapping.target_egds, cache)
         )
     violations_at = clock()
     with tracer.span("exchange.index"):
         data = assemble_exchange_data(
-            mapping, source_instance, chased, groundings, violations
+            mapping, source_instance, chased, groundings, violations,
+            index_cache=cache, plans=plans,
         )
     if timings is not None:
         indexed_at = clock()
@@ -347,21 +361,45 @@ def assemble_exchange_data(
     chased: Instance,
     groundings: list[tuple[TGD, tuple[Fact, ...], Fact]],
     violations: list[Violation],
+    index_cache: _IndexCache | None = None,
+    plans: ChasePlans | None = None,
 ) -> ExchangeData:
     """The exchange data of computed artifacts (``violations`` already
     canonical), with the chased facts interned in :func:`fact_order` and
     the groundings sorted by rule position, then head id and body ids:
     every list and id is a pure function of the computed *sets*, however
-    they were found, and of no hash seed."""
+    they were found, and of no hash seed.  ``index_cache`` (over
+    ``chased``) and ``plans`` are the build's, when it has them."""
     data = ExchangeData(
         mapping=mapping,
         source_instance=source_instance,
         chased=chased,
         groundings=groundings,
         violations=violations,
+        index_cache=index_cache,
+        plans=plans,
     )
     _build_fact_indexes(data)
     return data
+
+
+def canonical_groundings(
+    data: ExchangeData, groundings: list[tuple[TGD, tuple[Fact, ...], Fact]]
+) -> list[tuple[tuple, tuple[TGD, tuple[Fact, ...], Fact]]]:
+    """``groundings`` (over interned facts) as ``(key, grounding)`` pairs
+    sorted by ``key = (rule position, head id, body ids)``: the one
+    canonical grounding order of the build and of every delta's
+    additions.  A key is unique (rule and body fix the head)."""
+    rule_positions = {
+        id(rule): index for index, rule in enumerate(data.mapping.all_tgds())
+    }
+    id_of = data.fact_ids.__getitem__
+    keyed = [
+        ((rule_positions[id(g[0])], id_of(g[2]), tuple(map(id_of, g[1]))), g)
+        for g in groundings
+    ]
+    keyed.sort(key=itemgetter(0))
+    return keyed
 
 
 def _build_fact_indexes(data: ExchangeData) -> None:
@@ -382,23 +420,9 @@ def _build_fact_indexes(data: ExchangeData) -> None:
     source_names = data._source_names
     data.source_id_mask = [fact.relation in source_names for fact in facts]
 
-    rule_positions = {
-        id(rule): index for index, rule in enumerate(data.mapping.all_tgds())
-    }
-    groundings = data.groundings
-    id_of = ids.__getitem__
-    keys = [
-        (
-            rule_positions[id(rule)],
-            id_of(head_fact),
-            tuple(map(id_of, body_facts)),
-        )
-        for rule, body_facts, head_fact in groundings
-    ]
-    order = sorted(range(len(groundings)), key=keys.__getitem__)
-    groundings[:] = [groundings[position] for position in order]
-    for index, position in enumerate(order):
-        _rule, head_id, body_ids = keys[position]
+    keyed = canonical_groundings(data, data.groundings)
+    data.groundings[:] = [grounding for _key, grounding in keyed]
+    for index, ((_rule, head_id, body_ids), _grounding) in enumerate(keyed):
         body_ids = tuple(dict.fromkeys(body_ids))
         data.grounding_bodies.append(body_ids)
         data.grounding_heads.append(head_id)
@@ -406,6 +430,7 @@ def _build_fact_indexes(data: ExchangeData) -> None:
         for body_id in body_ids:
             occurs_in_body[body_id].append(index)
 
+    id_of = ids.__getitem__
     for index, violation in enumerate(data.violations):
         body_ids = tuple(dict.fromkeys(map(id_of, violation.body_facts)))
         data.violation_bodies.append(body_ids)

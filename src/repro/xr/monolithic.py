@@ -11,12 +11,13 @@ the segmentary engine is measured against.
 
 Resource governance mirrors the segmentary engine, with a coarser grain:
 there is only one program, so when a configured
-:class:`~repro.runtime.SolveBudget` cuts its solve off, *every*
-solver-decided candidate becomes unknown at once.  With ``allow_partial``
-the engine still returns something sound — the trivially-certain answers
-(an under-approximation) in certain mode, all candidate answers (an
-over-approximation) in possible mode — and lists the undecided candidates
-in ``last_stats.unknown_candidates``.
+:class:`~repro.runtime.SolveBudget` cuts its solve off, every candidate
+the solve had not decided yet becomes unknown at once; the ones it had
+decided keep their exact verdicts.  With ``allow_partial`` the engine
+still returns something sound — the accepted answers (an
+under-approximation) in certain mode, the accepted plus the unknown ones
+(an over-approximation) in possible mode — and lists the undecided
+candidates in ``last_stats.unknown_candidates``.
 """
 
 from __future__ import annotations
@@ -157,40 +158,37 @@ class MonolithicEngine:
                     mode="cautious" if mode == "certain" else "possible",
                     deadline=deadline,
                 )
-            if verdicts.undecided:
-                if not allow_partial:
-                    self._last_stats = stats.copy()
-                    raise SolveBudgetExceeded(
-                        "deadline exceeded while solving the XR program"
-                    )
-                # The one big solve was cut off: every solver-decided
-                # candidate is unknown.  Certain mode keeps only the sound
-                # floor (trivially-certain candidates); possible mode
-                # keeps the sound ceiling (all candidates).
-                unknown = {
-                    fact
-                    for fact in xr_program.query_atoms
-                    if fact not in xr_program.trivially_certain
-                }
-                stats.degraded = True
-                stats.unknown_candidates = answers_from_facts(unknown)
-                if metrics.enabled:
-                    metrics.inc("budget_degraded_queries_total")
-                accepted = set(xr_program.trivially_certain)
-                if mode == "possible":
-                    accepted |= unknown
-                self._last_stats = stats.copy()
-                return answers_from_facts(accepted)
-            if verdicts.no_model:
-                # No stable model means no XR-solution; cannot happen
-                # because the empty sub-instance always has a solution,
-                # but stay defensive.
-                raise RuntimeError("the XR program has no stable model")
             accepted = {
                 fact
                 for fact, atom_id in xr_program.query_atoms.items()
                 if atom_id in verdicts.accepted
             }
             accepted |= xr_program.trivially_certain
+            if verdicts.undecided:
+                if not allow_partial:
+                    self._last_stats = stats.copy()
+                    raise SolveBudgetExceeded(
+                        "deadline exceeded while solving the XR program"
+                    )
+                # The solve was cut off: the candidates it decided keep
+                # their exact verdicts, the rest are unknown.  Certain mode
+                # leaves them out (a sound floor), possible mode takes
+                # them in (a sound ceiling).
+                unknown = {
+                    fact
+                    for fact, atom_id in xr_program.query_atoms.items()
+                    if atom_id in verdicts.undecided
+                } - xr_program.trivially_certain
+                stats.degraded = True
+                stats.unknown_candidates = answers_from_facts(unknown)
+                if metrics.enabled:
+                    metrics.inc("budget_degraded_queries_total")
+                if mode == "possible":
+                    accepted |= unknown
+            elif verdicts.no_model:
+                # No stable model means no XR-solution; cannot happen
+                # because the empty sub-instance always has a solution,
+                # but stay defensive.
+                raise RuntimeError("the XR program has no stable model")
             self._last_stats = stats.copy()
             return answers_from_facts(accepted)

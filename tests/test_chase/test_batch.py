@@ -1,11 +1,12 @@
 """Tests for the set-at-a-time batch operators.
 
 Every batch operator is checked against its nested-loop reference
-(:mod:`repro.chase.gav`):
-``batch_chase`` vs ``gav_chase`` (same fixpoint *and* same round/derived
-counters), ``enumerate_groundings_batch`` vs ``enumerate_groundings``
-(same grounding set), ``find_violations_batch`` vs ``find_violations``
-(same canonical violation list).  The reference cases cover the inputs
+(:mod:`repro.chase.gav`): the one semi-naive chase ``chase_insert`` vs
+``gav_chase`` (same fixpoint *and* same round/derived counters), the
+chase's own groundings from the *source* vs ``enumerate_groundings``
+over the reference fixpoint (same grounding list, duplicates counted),
+``find_violations_batch`` vs ``find_violations`` (same canonical
+violation list).  The reference cases cover the inputs
 that are easy to get wrong in a hash join: bodies of a handful of facts,
 boolean and skolem values, constants and repeated variables inside body
 atoms, and reduced GLAV mappings whose constants-only egds compare
@@ -16,16 +17,17 @@ direct tests too.
 import pytest
 
 from repro.chase.batch import (
+    ChasePlans,
     _AtomStep,
     _IndexCache,
-    batch_chase,
-    enumerate_groundings_batch,
+    chase_insert,
     find_violations_batch,
 )
 from repro.chase.gav import enumerate_groundings, find_violations, gav_chase
 from repro.parser import parse_dependency, parse_mapping
 from repro.reduction.reduce import reduce_mapping
 from repro.relational import Fact, Instance
+from repro.relational.instance import fact_order
 from repro.relational.queries import Atom
 from repro.relational.terms import SkolemValue, Variable
 from repro.scenarios.tpch import tpch_scenario
@@ -44,6 +46,28 @@ def rule(text):
 
 def chain(n=8):
     return Instance([f("E", i, i + 1) for i in range(n)])
+
+
+def chase_source(source, rules, **kwargs):
+    """The fixpoint of ``rules`` over ``source`` by :func:`chase_insert`
+    into an empty instance (as the exchange build runs it)."""
+    return chase_with_groundings(source, rules, **kwargs)[0]
+
+
+def chase_with_groundings(source, rules, **kwargs):
+    cache = _IndexCache(Instance())
+    plans = ChasePlans(source, rules)
+    _added, groundings = chase_insert(plans, cache, source, **kwargs)
+    return cache.instance, groundings
+
+
+def grounding_list(groundings):
+    """Groundings as a sorted list of ``(label, body, head)``: a repeated
+    grounding shows up twice."""
+    return sorted(
+        ((rule.label, body, head) for rule, body, head in groundings),
+        key=lambda g: (g[0], [fact_order(x) for x in g[1]], fact_order(g[2])),
+    )
 
 
 TC_RULES = [rule("E(x,y) -> P(x,y)."), rule("P(x,y), P(y,z) -> P(x,z).")]
@@ -144,7 +168,7 @@ class TestBatchChase:
     def test_matches_gav_chase_facts_and_stats(self):
         batch_stats: dict[str, int] = {}
         tuple_stats: dict[str, int] = {}
-        batch = batch_chase(chain(), TC_RULES, stats=batch_stats)
+        batch = chase_source(chain(), TC_RULES, stats=batch_stats)
         reference = gav_chase(chain(), TC_RULES, stats=tuple_stats)
         assert set(batch) == set(reference)
         assert batch_stats == tuple_stats
@@ -154,7 +178,7 @@ class TestBatchChase:
         tgds = reduce_mapping(scenario.mapping).gav.st_tgds
         batch_stats: dict[str, int] = {}
         tuple_stats: dict[str, int] = {}
-        batch = batch_chase(scenario.instance, tgds, stats=batch_stats)
+        batch = chase_source(scenario.instance, tgds, stats=batch_stats)
         reference = gav_chase(scenario.instance, tgds, stats=tuple_stats)
         assert set(batch) == set(reference)
         assert batch_stats == tuple_stats
@@ -165,48 +189,57 @@ class TestBatchChase:
 
         skolem_rule = TGD([Atom("R", (X, Y))], [Atom("T", (X, SkolemTerm("f", [X])))])
         source = Instance([f("R", "a", "b"), f("R", "a", "c")])
-        assert set(batch_chase(source, [skolem_rule])) == set(
+        assert set(chase_source(source, [skolem_rule])) == set(
             gav_chase(source, [skolem_rule])
         )
 
     def test_non_gav_rule_rejected(self):
         with pytest.raises(ValueError, match="GAV"):
-            batch_chase(Instance(), [rule("R(x) -> T(x, z).")])
+            chase_source(Instance(), [rule("R(x) -> T(x, z).")])
 
     def test_round_limit(self):
         with pytest.raises(RuntimeError, match="rounds"):
-            batch_chase(chain(16), TC_RULES, max_rounds=2)
+            chase_source(chain(16), TC_RULES, max_rounds=2)
 
 
 class TestGroundings:
-    def groundings_of(self, rules, instance):
-        return {
-            (rule.label, body, head)
-            for rule, body, head in enumerate_groundings_batch(rules, instance)
-        }
+    """The chase's rows are the groundings of the fixpoint, each once."""
 
-    def reference_of(self, rules, instance):
-        return {
-            (rule.label, body, head)
-            for rule, body, head in enumerate_groundings(rules, instance)
-        }
+    def groundings_of(self, rules, source):
+        return grounding_list(chase_with_groundings(source, rules)[1])
+
+    def reference_of(self, rules, source):
+        return grounding_list(enumerate_groundings(rules, gav_chase(source, rules)))
 
     def test_hash_mode_matches_reference(self):
-        chased = gav_chase(chain(), TC_RULES)
-        got = self.groundings_of(TC_RULES, chased)
-        assert got == self.reference_of(TC_RULES, chased)
+        got = self.groundings_of(TC_RULES, chain())
+        assert got == self.reference_of(TC_RULES, chain())
+
+    @pytest.mark.parametrize("split", [1, 4, 7])
+    def test_second_insert_finds_exactly_the_new_groundings(self, split):
+        """Inserting into a chased instance (an update) adds exactly the
+        groundings with a new body fact: together with the first insert's,
+        every grounding of the whole fixpoint, none twice."""
+        facts = sorted(chain(), key=fact_order)
+        plans = ChasePlans(chain(), TC_RULES)
+        cache = _IndexCache(Instance())
+        _added, first = chase_insert(plans, cache, facts[:split])
+        _added, second = chase_insert(plans, cache, facts[split:])
+        assert grounding_list(first + second) == self.reference_of(
+            TC_RULES, chain()
+        )
+        assert set(cache.instance) == set(gav_chase(chain(), TC_RULES))
 
     @pytest.mark.parametrize("case", sorted(GROUNDING_CASES))
     def test_matches_reference(self, case):
         rules, source = GROUNDING_CASES[case]
-        chased = gav_chase(source, rules)
-        reference = self.reference_of(rules, chased)
-        assert self.groundings_of(rules, chased) == reference
+        reference = self.reference_of(rules, source)
+        assert self.groundings_of(rules, source) == reference
         assert reference  # every case must exercise some join
 
     def test_tautological_groundings_dropped(self):
         loop = Instance([f("P", 1, 1)])
-        assert self.groundings_of(TC_RULES[1:], loop) == set()
+        assert chase_with_groundings(loop, TC_RULES[1:])[1] == []
 
 
 class TestViolations:
@@ -215,7 +248,7 @@ class TestViolations:
         gav = reduce_mapping(scenario.mapping).gav
         chased = gav_chase(scenario.instance, gav.st_tgds)
         batch = canonicalize_violations(
-            find_violations_batch(gav.target_egds, chased)
+            find_violations_batch(gav.target_egds, _IndexCache(chased))
         )
         assert batch == find_violations(gav, chased)
         assert batch  # injection at 50 % must produce violations
@@ -226,7 +259,7 @@ class TestViolations:
         gav = reduce_mapping(parse_mapping(text)).gav
         chased = gav_chase(source, list(gav.all_tgds()))
         batch = canonicalize_violations(
-            find_violations_batch(gav.target_egds, chased)
+            find_violations_batch(gav.target_egds, _IndexCache(chased))
         )
         reference = find_violations(gav, chased)
         assert batch == reference

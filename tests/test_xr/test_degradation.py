@@ -14,7 +14,11 @@ a configured budget runs out.
 
 import pytest
 
-from repro.fuzz.faults import CutoffInjectingExecutor, FaultPlan
+from repro.fuzz.faults import (
+    CutoffAfterChecks,
+    CutoffInjectingExecutor,
+    FaultPlan,
+)
 from repro.parser import parse_mapping, parse_query
 from repro.relational import Fact, Instance
 from repro.runtime import (
@@ -182,6 +186,41 @@ class TestMonolithicDegradation:
         possible = engine.possible_answers(query, allow_partial=True)
         assert possible >= EXACT
         assert possible <= EXACT | engine.last_stats.unknown_candidates
+
+    @pytest.mark.parametrize("mode", ["certain", "possible"])
+    def test_cut_mid_solve_keeps_the_decided_verdicts(self, mode):
+        """Cut the one solve at every cooperative check in turn: each cut
+        brackets the exact answers, and a cut after the first model
+        reports fewer unknowns than a cut at the first check (which has
+        decided nothing): the verdicts reached before a cut are kept."""
+        query = parse_query("q(x, y) :- P(x, y).")
+
+        def answer(budget=None):
+            engine = MonolithicEngine(key_mapping(), two_cluster_instance(),
+                                      budget=budget)
+            ask = engine.answer if mode == "certain" else engine.possible_answers
+            return ask(query, allow_partial=True), engine.last_stats
+
+        exact, _stats = answer()
+        _answers, first_cut = answer(CutoffAfterChecks(passes=0))
+        undecided = first_cut.unknown_candidates
+        assert first_cut.degraded and undecided
+        narrower = 0
+        for passes in range(10_000):
+            answers, stats = answer(CutoffAfterChecks(passes=passes))
+            if not stats.degraded:  # the cut fell past the last check
+                assert answers == exact
+                break
+            unknown = stats.unknown_candidates
+            assert unknown <= undecided
+            if mode == "certain":
+                assert answers <= exact <= answers | unknown
+            else:
+                assert answers - unknown <= exact <= answers
+            narrower += unknown < undecided
+        else:
+            pytest.fail("the solve never finished")
+        assert narrower
 
     def test_allow_partial_false_raises(self):
         query = parse_query(QUERY)

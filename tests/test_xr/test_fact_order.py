@@ -6,7 +6,7 @@ order, groundings are sorted by int keys and violations by
 order is total on every kind of value a fact can hold, that the native
 sort of :func:`~repro.relational.instance.sorted_facts` agrees with the
 key, and that two interpreters with different ``PYTHONHASHSEED`` values
-number the same exchange identically.
+number the same exchange identically, before and after an update.
 """
 
 import json
@@ -116,4 +116,53 @@ def test_numbering_is_the_same_under_every_hash_seed():
     assert first["violations"], "the scenario should have a violation"
     assert any("sk_" in text for text in first["facts"])
     for field in ("facts", "groundings", "violations", "violation_bodies"):
+        assert first[field] == second[field], field
+
+
+_NUMBERING_AFTER_UPDATE = """
+import json
+from repro.incremental import Delta
+from repro.reduction.reduce import reduce_mapping
+from repro.relational.instance import fact_order
+from repro.scenarios.tpch import tpch_scenario
+from repro.xr.exchange import build_exchange_data
+
+base = tpch_scenario(0.01, 0.2, 3).instance
+inserts = sorted(
+    (fact for fact in tpch_scenario(0.03, 0.2, 3).instance if fact not in base),
+    key=fact_order,
+)[:400]
+mapping = reduce_mapping(tpch_scenario(0.01, 0.2, 3).mapping).gav
+data = build_exchange_data(mapping, base)
+data.update_session().apply(Delta(inserts=frozenset(inserts)))
+print(json.dumps({
+    "facts": [repr(fact) for fact in data.facts_by_id],
+    "groundings": [
+        [rule.label, data.fact_ids[head], [data.fact_ids[f] for f in body]]
+        for rule, body, head in data.groundings
+    ],
+    "grounding_heads": data.grounding_heads,
+    "grounding_bodies": data.grounding_bodies,
+    "violations": [repr(violation) for violation in data.violations],
+    "violation_bodies": data.violation_bodies,
+}))
+"""
+
+
+def test_numbering_after_an_update_is_the_same_under_every_hash_seed():
+    """A 400-fact insert-only delta on TPC-H SF 0.01: the delta's new
+    facts are interned in fact order and its groundings and violations
+    appended in canonical order, whatever order the chase found them in."""
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = str(REPO / "src")
+        result = subprocess.run(
+            [sys.executable, "-c", _NUMBERING_AFTER_UPDATE],
+            capture_output=True, text=True, env=env, check=True, timeout=300,
+        )
+        runs.append(json.loads(result.stdout))
+    first, second = runs
+    assert len(first["groundings"]) > 500 and first["violations"]
+    for field in first:
         assert first[field] == second[field], field
