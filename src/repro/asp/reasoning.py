@@ -27,6 +27,11 @@ from repro.asp.stable import StableModelEngine
 from repro.asp.syntax import GroundProgram
 
 
+#: Engine statistics that are sizes, not counters: reported as they
+#: stand after a call rather than as the call's growth.
+_SIZES = frozenset({"vars", "clauses"})
+
+
 @dataclass(frozen=True)
 class FamilyVerdicts:
     """Outcome of one :func:`decide_family` run.
@@ -79,6 +84,14 @@ def decide_family(
       the unsound-in-general steering constraint never pollutes the
       shared clause database.
 
+    ``engine`` is an engine already built for ``program`` (a kept family
+    engine; ``program`` is then unused), and ``goal_atoms`` may name its
+    goal variables (:meth:`StableModelEngine.define_goal`) as well as
+    atoms.  ``deadline`` is installed on the engine for this call only,
+    and the verdicts' ``stats`` count this call's work alone: the
+    solver's sizes (``vars``, ``clauses``) are reported as they stand,
+    every other counter as its growth during the call.
+
     A :class:`~repro.runtime.budget.SolveBudgetExceeded` raised by
     ``deadline`` degrades per-candidate: verdicts reached before the
     interrupt are exact and kept; the rest return in ``undecided``.
@@ -91,7 +104,8 @@ def decide_family(
         raise ValueError(f"unknown family mode {mode!r}")
     brave = mode != "cautious"
     if engine is None:
-        engine = StableModelEngine(program, deadline=deadline)
+        engine = StableModelEngine(program)
+    baseline = engine.statistics
     undecided = set(goal_atoms)
     accepted: set[int] = set()
     rejected: set[int] = set()
@@ -99,7 +113,10 @@ def decide_family(
     models_found = 0
 
     def verdicts(no_model: bool = False) -> FamilyVerdicts:
-        stats = dict(engine.statistics)
+        stats = {
+            key: value if key in _SIZES else value - baseline[key]
+            for key, value in engine.statistics.items()
+        }
         stats["core_skips"] = core_skips
         stats["family_models"] = models_found
         return FamilyVerdicts(
@@ -123,6 +140,7 @@ def decide_family(
             rejected.update(decided)
         undecided.difference_update(decided)
 
+    engine.set_deadline(deadline)
     try:
         first = engine.solve_under()
         if first is None:
@@ -172,4 +190,7 @@ def decide_family(
         # Per-candidate degradation: everything decided so far is exact;
         # the remainder stays undecided (reported unknown upstream).
         pass
+    finally:
+        engine.set_deadline(None)
+        engine.solver.compact()
     return verdicts()

@@ -79,7 +79,9 @@ class SatSolver:
         # satisfiable solve (or before the first one).
         self.failed_assumptions: list[int] | None = None
         # Lazy max-activity heap of decision candidates: (-activity, var).
-        self._order: list[tuple[float, int]] = []
+        # None between solves after :meth:`compact` (only ever at decision
+        # level 0); the next solve rebuilds it.
+        self._order: list[tuple[float, int]] | None = []
         if num_vars:
             self.add_vars(num_vars)
 
@@ -97,8 +99,9 @@ class SatSolver:
         self.activity.extend([0.0] * count)
         self.phase.extend([0] * count)
         self.watches.extend([] for _ in range(2 * count))
-        for var in range(first, self.num_vars + 1):
-            heapq.heappush(self._order, (0.0, var))
+        if self._order is not None:
+            for var in range(first, self.num_vars + 1):
+                heapq.heappush(self._order, (0.0, var))
 
     def new_var(self) -> int:
         self.add_vars(1)
@@ -316,8 +319,9 @@ class SatSolver:
                 for position in range(2, len(clause)):
                     candidate = clause[position]
                     if self.value_of(candidate) != 0:
-                        clause[1] = candidate
-                        clause[position] = -lit
+                        # Swap the watch out (clause[1] is ``-lit``; moving
+                        # it allocates nothing, ``-lit`` would).
+                        clause[1], clause[position] = candidate, clause[1]
                         self.watches[_lit_index(-candidate)].append(clause)
                         found = True
                         break
@@ -471,17 +475,39 @@ class SatSolver:
         # variable (at its current activity) so this O(n) rebuild is paid
         # once and subsequent decisions are O(log n) again, instead of
         # degrading to a linear scan on every remaining decision.
-        rebuilt = [
-            (-self.activity[var], var)
-            for var in range(1, self.num_vars + 1)
-            if self.assign[var] == _UNASSIGNED
-        ]
-        if not rebuilt:
+        self._order = self._unassigned_order()
+        if not self._order:
             return 0
-        heapq.heapify(rebuilt)
-        self._order = rebuilt
         _neg_activity, var = heapq.heappop(self._order)
         return var if self.phase[var] == 1 else -var
+
+    def _unassigned_order(self) -> list[tuple[float, int]]:
+        """A fresh decision heap: every unassigned variable, once."""
+        activity = self.activity
+        assign = self.assign
+        order = [
+            (-activity[var], var)
+            for var in range(1, self.num_vars + 1)
+            if assign[var] == _UNASSIGNED
+        ]
+        heapq.heapify(order)
+        return order
+
+    def compact(self) -> None:
+        """Backtrack to level 0 and drop the decision heap until the next
+        solve.
+
+        Every backtrack pushes each unassigned variable again, and stale
+        entries leave the lazy heap only when popped, so a solver kept
+        across many solves (the family engines of
+        :class:`~repro.runtime.SignatureProgramCache`) would grow it
+        without bound.  A kept solver holds no heap at all between
+        solves; :meth:`solve` rebuilds it in O(vars), the same decisions
+        in the same order (a pop takes the variable of highest activity,
+        ties to the lowest id, whatever the heap's history).
+        """
+        self._backtrack(0)
+        self._order = None
 
     @staticmethod
     def _luby(index: int) -> int:
@@ -514,6 +540,8 @@ class SatSolver:
             self.ok = False
             self.failed_assumptions = []
             return False
+        if self._order is None:
+            self._order = self._unassigned_order()
 
         restart_count = 0
         conflict_budget = 64 * self._luby(restart_count)

@@ -105,9 +105,14 @@ class StableModelEngine:
 
     The engine is incremental.  :meth:`next_stable_model` resumes
     enumeration; :meth:`solve_under` finds a model under assumptions
-    without excluding it, and :meth:`add_guarded_clause` installs
-    selector-guarded steering clauses between calls (the primitives of
-    :func:`repro.asp.reasoning.decide_family`).
+    without excluding it, :meth:`add_guarded_clause` installs
+    selector-guarded steering clauses between calls, and
+    :meth:`define_goal` adds a question (a disjunction of conjunctions
+    of atoms) as a goal variable (the primitives of
+    :func:`repro.asp.reasoning.decide_family`).  An engine may be kept
+    and asked about new goals for as long as its program holds; it does
+    not keep the :class:`~repro.asp.syntax.GroundProgram` it was built
+    from.
     """
 
     def __init__(
@@ -118,9 +123,9 @@ class StableModelEngine:
     ):
         # ``deadline`` is a :class:`repro.runtime.budget.Deadline` (or any
         # object with a ``check()`` raising to abort); it is installed as
-        # the cooperative interrupt of every SAT search this engine runs.
+        # the cooperative interrupt of every SAT search this engine runs
+        # (:meth:`set_deadline` swaps it between solves).
         self.deadline = deadline
-        self.program = program
         rules = list(program.rules)
         self.was_shifted = False
         if any(r.is_disjunctive() for r in rules):
@@ -140,6 +145,10 @@ class StableModelEngine:
         #: Failed-assumption core of the last :meth:`solve_under` that
         #: returned None (mirrors ``SatSolver.failed_assumptions``).
         self.failed_assumptions: list[int] | None = None
+        #: Goal variables (:meth:`define_goal`), keyed by their body set.
+        self._goals: dict[frozenset, int] = {}
+        self._goal_vars: set[int] = set()
+        self._goal_bodies: dict[frozenset[int], int] = {}
         self._build_encoding()
         self._add_upfront_loop_formulas()
         # Everything added past this point (loop refinements, CDCL learned
@@ -186,9 +195,8 @@ class StableModelEngine:
         self.rules = deduped
 
         solver = SatSolver(self.num_atoms)
-        if self.deadline is not None:
-            solver.interrupt_check = self.deadline.check
         self.solver = solver
+        self.set_deadline(self.deadline)
         self.true_var = solver.new_var()
         solver.add_clause([self.true_var])
 
@@ -240,8 +248,10 @@ class StableModelEngine:
         # the loop-formula steps use it to visit only the rules whose head
         # meets a given atom set.
         heads_of: dict[int, list[int]] = {}
-        self.heads_of = heads_of
-        for index, rule in enumerate(self.rules):
+        # One int object per rule index, shared by ``heads_of`` and the
+        # reduct scaffold's watcher lists (the engine may be kept).
+        self._rule_ids = rule_ids = list(range(len(self.rules)))
+        for index, rule in zip(rule_ids, self.rules):
             body_lit = self.body_var[index]
             head = rule.head
             for atom in head:
@@ -272,6 +282,9 @@ class StableModelEngine:
         # Every stable model is a subset of the head atoms: candidate
         # extraction and blocking range over this list only.
         self.head_atoms = sorted(heads_of)
+        self.heads_of = {
+            atom: tuple(indexes) for atom, indexes in heads_of.items()
+        }
 
         # Exclusive-support clauses; atoms heading no rule are forced false.
         self._exclusive_var_cache = {}
@@ -302,10 +315,18 @@ class StableModelEngine:
             )
             pending.append(clause)
 
+        # One int object per literal: ``-x`` allocates a fresh int on
+        # every evaluation, and a kept engine holds its clauses for good.
+        canonical: dict[int, int] = {}
+        intern = canonical.setdefault
+        for clause in pending:
+            for position, literal in enumerate(clause):
+                clause[position] = intern(literal, literal)
         solver.add_clauses_raw(pending)
         # Bias the first candidates toward small models.
         for var in range(1, solver.num_vars + 1):
             solver.set_default_phase(var, False)
+        self._exclusive_var_cache = None  # build-time only
 
     def _exclusive_support_var(
         self, rule_index: int, atom: int, pending: list[list[int]]
@@ -342,7 +363,7 @@ class StableModelEngine:
         watchers: dict[int, list[int]] = {}
         neg_rules: list[int] = []
         queue: list[int] = []
-        for index, rule in enumerate(rules):
+        for index, rule in zip(self._rule_ids, rules):
             if rule.body_neg:
                 neg_rules.append(index)
             unique_body = set(rule.body_pos)
@@ -366,6 +387,7 @@ class StableModelEngine:
                     and not rules[watching].body_neg
                 ):
                     queue.append(watching)
+        watchers = {atom: tuple(indexes) for atom, indexes in watchers.items()}
         self._reduct_scaffold = (heads, counters, watchers, neg_rules, derived)
 
     def _least_model_of_reduct(self, model: frozenset[int]) -> set[int]:
@@ -499,6 +521,67 @@ class StableModelEngine:
 
     # ----------------------------------------------------------- interface
 
+    def set_deadline(self, deadline) -> None:
+        """Install ``deadline`` (None: none) as the cooperative interrupt
+        of every search this engine runs from now on."""
+        self.deadline = deadline
+        self.solver.interrupt_check = (
+            None if deadline is None else deadline.check
+        )
+
+    def define_goal(self, bodies: Iterable[Sequence[int]]) -> int:
+        """A fresh solver variable ``q`` with ``q ↔ ∨ᵢ ∧ bodyᵢ``.
+
+        Each body is a conjunction of atom ids; the clauses are permanent.
+        A goal occurs in no rule, so the definition is a conservative
+        extension: every model of the encoding extends to exactly one
+        value of ``q``, which is true iff some body holds.  Loop formulas,
+        learned clauses and :meth:`entailed_value` therefore stay valid
+        for every later question, on whatever goals it is asked.
+
+        A body naming an atom that heads no rule is dropped (the generator
+        forces that atom false, so the body never holds), multi-atom
+        bodies share one hash-consed definition variable, and goals are
+        deduplicated by their body set: equal questions get one variable.
+        """
+        heads_of = self.heads_of
+        kept = {
+            atoms
+            for atoms in map(frozenset, bodies)
+            if all(atom in heads_of for atom in atoms)
+        }
+        key = frozenset(kept)
+        goal = self._goals.get(key)
+        if goal is not None:
+            return goal
+        pending: list[list[int]] = []
+        literals: list[int] = []
+        for atoms in sorted(kept, key=sorted):
+            if not atoms:
+                literals.append(self.true_var)
+            elif len(atoms) == 1:
+                literals.append(next(iter(atoms)))
+            else:
+                literals.append(self._goal_body(atoms, pending))
+        goal = self.solver.new_var()
+        pending.append([-goal] + literals)
+        pending.extend([-literal, goal] for literal in literals)
+        if not self.solver.add_clauses(pending):
+            self._exhausted = True
+        self._goals[key] = goal
+        self._goal_vars.add(goal)
+        return goal
+
+    def _goal_body(self, atoms: frozenset[int], pending: list[list[int]]) -> int:
+        """The definition variable ``d ↔ ∧ atoms`` (clauses to ``pending``)."""
+        body = self._goal_bodies.get(atoms)
+        if body is None:
+            body = self._goal_bodies[atoms] = self.solver.new_var()
+            ordered = sorted(atoms)
+            pending.extend([-body, atom] for atom in ordered)
+            pending.append([body] + [-atom for atom in ordered])
+        return body
+
     def new_selector(self) -> int:
         """A fresh *selector literal*: a raw solver variable outside the
         atom universe, used to guard steering clauses.
@@ -512,15 +595,18 @@ class StableModelEngine:
         return self.solver.new_var()
 
     def add_guarded_clause(self, selector: int, literals: Sequence[int]) -> None:
-        """Install ``selector → (l₁ ∨ … ∨ lₙ)`` over atom ids.
+        """Install ``selector → (l₁ ∨ … ∨ lₙ)`` over atom and goal ids.
 
         The clause is inert unless ``selector`` is assumed true, so
         per-candidate steering constraints (which are *not* valid in all
         stable models) can share one solver without poisoning each other.
         """
         for literal in literals:
-            if abs(literal) > self.num_atoms:
-                raise ValueError(f"literal {literal} is not an atom id")
+            var = abs(literal)
+            if var > self.num_atoms and var not in self._goal_vars:
+                raise ValueError(
+                    f"literal {literal} is not an atom or goal id"
+                )
         if not self.solver.add_clause([-selector] + list(literals)):
             self._exhausted = True
 
@@ -557,6 +643,10 @@ class StableModelEngine:
         Callers drive enumeration themselves via guarded steering
         clauses (:meth:`add_guarded_clause`).
 
+        The model is its true head atoms plus its true goal variables
+        (:meth:`define_goal`); stability is tested on the head atoms
+        alone, which fix every goal's value.
+
         After None, :attr:`failed_assumptions` holds the failed
         assumption core when the database stays satisfiable ([] when the
         program has no stable models at all); the engine remains usable
@@ -584,15 +674,20 @@ class StableModelEngine:
             if self.is_normal:
                 least = self._least_model_of_reduct(candidate)
                 if least == candidate:
-                    self._models_found += 1
-                    return candidate
+                    return self._stable(candidate, values)
                 self._refine_with_unfounded(frozenset(candidate - least))
             else:
                 witness = self._minimality_witness(candidate)
                 if witness is None:
-                    self._models_found += 1
-                    return candidate
+                    return self._stable(candidate, values)
                 self._refine_with_unfounded(frozenset(candidate - witness))
+
+    def _stable(self, candidate: frozenset[int], values: list[bool]) -> frozenset[int]:
+        """A found stable model, with the goals it makes true."""
+        self._models_found += 1
+        if not self._goal_vars:
+            return candidate
+        return candidate | {goal for goal in self._goal_vars if values[goal]}
 
     def next_stable_model(self) -> frozenset[int] | None:
         """The next stable model (a frozenset of atom ids), or None.

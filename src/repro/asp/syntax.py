@@ -159,9 +159,13 @@ class AtomTable:
         return range(1, len(self._by_id))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundRule:
-    """A ground rule over interned atom ids (head may be empty)."""
+    """A ground rule over interned atom ids (head may be empty).
+
+    Slotted: a family engine holds its program's rules for as long as it
+    is kept, and a slotted instance is 40 bytes smaller.
+    """
 
     head: tuple[int, ...]
     body_pos: tuple[int, ...] = ()

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Sequence
+from typing import AbstractSet, Any, Callable, Iterable, Sequence
 
 from repro.dependencies.egds import EGD
 from repro.dependencies.tgds import TGD, SkolemTerm
@@ -257,12 +257,14 @@ def _probe_tracked(
     step: _AtomStep,
     index: dict[Any, dict[Fact, tuple]],
     rows: list[tuple[tuple, tuple]],
+    skip: AbstractSet[Fact] | None = None,
 ) -> list[tuple[tuple, tuple]]:
     """Like :func:`_probe`, but rows are ``(values, provenance facts)``.
 
     Provenance rows let grounding enumeration emit the matched body facts
     without re-instantiating them by substitution — the contributing
-    stored fact rides along with every probe extension.
+    stored fact rides along with every probe extension.  Stored facts in
+    ``skip`` are not matched.
     """
     key_of_row = step.key_of_row
     out: list[tuple[tuple, tuple]] = []
@@ -270,9 +272,15 @@ def _probe_tracked(
     get = index.get
     for values, facts in rows:
         bucket = get(key_of_row(values))
-        if bucket:
+        if not bucket:
+            continue
+        if skip is None:
             for fact, extension in bucket.items():
                 append((values + extension, facts + (fact,)))
+        else:
+            for fact, extension in bucket.items():
+                if fact not in skip:
+                    append((values + extension, facts + (fact,)))
     return out
 
 
@@ -474,7 +482,7 @@ class _PivotPlan:
     """A body join whose pivot atom's rows come straight from given
     facts: the semi-naive step of the batch chase and the delta-chase."""
 
-    __slots__ = ("pivot", "steps", "layout", "body_order")
+    __slots__ = ("pivot", "steps", "layout", "body_order", "before_pivot")
 
     def __init__(
         self, instance: Instance, body: Sequence[Atom], position: int
@@ -490,20 +498,36 @@ class _PivotPlan:
         )
         self.steps = [seed_step] + [_AtomStep(body[i], self.layout) for i in rest]
         self.body_order = _body_order([position] + rest)
+        #: Per joined step (after the pivot's): does its atom stand
+        #: before the pivot in the body?
+        self.before_pivot = tuple(i < position for i in rest)
 
     def rows(
-        self, cache: _IndexCache, facts: Iterable[Fact], tracked: bool = False
+        self,
+        cache: _IndexCache,
+        facts: Iterable[Fact],
+        tracked: bool = False,
+        skip_before: AbstractSet[Fact] | None = None,
     ) -> list:
         """Every row of the body with the pivot matched to one of
         ``facts``; tracked rows carry the matched facts in join order
-        (pivot first, see :attr:`body_order`)."""
+        (pivot first, see :attr:`body_order`).  Atoms before the pivot in
+        the body match no fact of ``skip_before`` (tracked rows only)."""
         admit = self.steps[0].admit
         rows = []
         for fact in facts:
             entry = admit(fact)
             if entry is not None:
                 rows.append((entry[1], (fact,)) if tracked else entry[1])
-        return _join(self.steps[1:], cache, rows, tracked)
+        if skip_before is None or not any(self.before_pivot):
+            return _join(self.steps[1:], cache, rows, tracked)
+        for step, before in zip(self.steps[1:], self.before_pivot):
+            if not rows:
+                break
+            rows = _probe_tracked(
+                step, cache.index_for(step), rows, skip_before if before else None
+            )
+        return rows
 
 
 # -------------------------------------------------------------------- chase
@@ -513,10 +537,9 @@ class ChasePlans:
     """The semi-naive joins of one mapping, compiled once per exchange.
 
     Per pivot relation: one :class:`_PivotPlan` per (tgd, body position)
-    with the rule, the position, the head grounder and the body-order
-    projector, and one per (egd, body position) with its violations
-    builder.  Join order is planned against ``instance`` (relation sizes
-    break ties).
+    with the rule, the head grounder and the body-order projector, and
+    one per (egd, body position) with its violations builder.  Join
+    order is planned against ``instance`` (relation sizes break ties).
     """
 
     __slots__ = ("tgds", "egds")
@@ -533,7 +556,6 @@ class ChasePlans:
                 self.tgds.setdefault(plan.pivot.relation, []).append(
                     (
                         rule,
-                        position,
                         plan,
                         compile_slot_head(rule, plan.layout),
                         _tuple_projector(plan.body_order),
@@ -567,8 +589,9 @@ def chase_insert(
 
     Every provenance-tracked row is a grounding ``(rule, body facts, head
     fact)`` with a new body fact.  It is found in the round of its newest
-    body fact, by the pivot at each body position holding a fact of that
-    round; only the first such position keeps it, so each grounding is
+    body fact, by the pivot at the first body position holding a fact of
+    that round: the positions before the pivot match no fact of the round
+    (the join skips them at the probe), so each grounding is built and
     emitted once.  Tautologies (head in body) are dropped.  Returns the
     facts the instance gained and the groundings, both in no fixed order;
     the instance and every index of ``cache`` are kept exact.
@@ -594,15 +617,13 @@ def chase_insert(
             delta_by_relation.setdefault(fact.relation, []).append(fact)
         pending: set[Fact] = set()
         for relation, relation_delta in delta_by_relation.items():
-            for rule, position, plan, ground, body_of in plans.tgds.get(
+            for rule, plan, ground, body_of in plans.tgds.get(
                 relation, ()
             ):
                 for values, provenance in plan.rows(
-                    cache, relation_delta, tracked=True
+                    cache, relation_delta, tracked=True, skip_before=fresh
                 ):
                     body_facts = body_of(provenance)
-                    if position and not fresh.isdisjoint(body_facts[:position]):
-                        continue  # the pivot at an earlier new fact has it
                     head_fact = ground(values)
                     if head_fact in body_facts:
                         continue  # tautological; never a real derivation

@@ -17,7 +17,11 @@ instance:
 - the safe source split and the safe chase;
 - XR-certain *and* XR-possible answers to the scenario's query — the
   warm engine answers through its maintained cache, so a stale cache
-  entry surviving an invalidation shows up here.
+  entry surviving an invalidation shows up here;
+- the same answers again with the cache's answer layers dropped and its
+  engine store kept, so every candidate is decided on the family engines
+  that survived the step's invalidation, plus the store's invariant that
+  no kept engine names a retired cluster.
 
 Failures shrink with ddmin over the update stream (drop steps, then thin
 individual steps fact-by-fact, then ddmin the scenario's base facts with
@@ -276,18 +280,45 @@ def check_update_stream(scenario: Scenario, deltas: list[Delta]) -> list[str]:
                     for cluster in reference.analysis.clusters
                 )
                 if not solver_hard:
+                    certain = reference.answer(scenario.query)
+                    possible = reference.possible_answers(scenario.query)
                     checks += [
                         (
                             "certain-answers",
                             engine.answer(scenario.query),
-                            reference.answer(scenario.query),
+                            certain,
                         ),
                         (
                             "possible-answers",
                             engine.possible_answers(scenario.query),
-                            reference.possible_answers(scenario.query),
+                            possible,
                         ),
                     ]
+                    engine.cache.clear_answers()
+                    checks += [
+                        (
+                            "kept-engine-certain-answers",
+                            engine.answer(scenario.query),
+                            certain,
+                        ),
+                        (
+                            "kept-engine-possible-answers",
+                            engine.possible_answers(scenario.query),
+                            possible,
+                        ),
+                    ]
+                live = {cluster.index for cluster in engine.analysis.clusters}
+                checks.append(
+                    (
+                        "engine-store",
+                        {
+                            key
+                            for key in engine.cache.engine_keys()
+                            if not live.issuperset(key[0])
+                        },
+                        set(),
+                    )
+                )
                 for kind, incremental, scratch in checks:
                     if incremental != scratch:
                         missing = sorted(

@@ -4,13 +4,14 @@ The per-family programs of Section 6.4 are pairwise-independent by
 cluster independence (Definition 8 / Propositions 5–6).  This package
 provides:
 
-- :mod:`repro.runtime.executor` — "solve this batch of ground programs"
+- :mod:`repro.runtime.executor` — "decide this batch of family goals"
   in the calling process (:class:`SequentialExecutor`), one outcome per
   task, in task order;
 - :mod:`repro.runtime.cache` — a cross-query result cache for signature
   programs plus a coarser per-cluster decision memo, so a warm engine
   answering repeated or structurally-similar queries skips redundant
-  solving entirely;
+  solving entirely, and the store of cluster-family engines, so each
+  family's repair encoding is translated once for every query and mode;
 - :mod:`repro.runtime.budget` — resource governance: wall-clock deadlines
   and per-task timeouts (:class:`SolveBudget`), enforced cooperatively
   inside the CDCL loop, with :class:`SolveBudgetExceeded` →

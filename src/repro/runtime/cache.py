@@ -39,12 +39,28 @@ and mints fresh ids for their replacements; :meth:`invalidate_clusters`
 then drops exactly the entries whose signature meets the retired set,
 so decisions about *unaffected* clusters survive the update.
 
+**Family engine store.**  Keyed by ``(sorted cluster ids, encoding)``:
+one :class:`~repro.xr.program.FamilyEngine` per cluster family — the
+family's repair part, translated to a stable-model engine once.  The
+repairs a family ranges over do not depend on the query, so every query
+and mode asked of the family adds its candidates to that engine as goal
+definitions and decides on it; what the solver learned stays.  Engines
+are *checked out* (:meth:`checkout_engine`): a reader takes the engine
+out of the store and returns it after a clean solve
+(:meth:`return_engine`), so concurrent readers never share one — a
+reader that finds it checked out builds a private one.  An engine cut
+off by a budget, or caught in an exception, is never returned.  The
+store is LRU-bounded by the total clauses its engines hold
+(``max_engine_clauses``); eviction is answer-neutral (the next query
+rebuilds).  :meth:`invalidate_clusters` and :meth:`clear` drop engines
+too, and an engine checked out before either is dropped on return.
+
 **Thread safety.**  One cache is shared by every query running on a warm
 engine — under the serving tier (:mod:`repro.serve`) those queries run on
 *concurrent threads*.  LRU recency maintenance mutates the underlying
 dicts on **lookup** (delete + re-insert), so even the read path writes;
-all four operations (lookup/store/invalidate/clear) therefore take one
-internal ``threading.Lock``.  The critical sections are a few dict
+every operation (lookup/store/checkout/return/invalidate/clear)
+therefore takes one internal ``threading.Lock``.  The critical sections are a few dict
 operations each, so the single-threaded overhead is one uncontended
 acquire per call — negligible next to program construction, and far
 cheaper than the torn-LRU ``KeyError`` crashes (or silently corrupted
@@ -55,7 +71,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Container, Iterable
+from typing import Any, Container, Iterable
 
 from repro.relational.instance import Fact
 
@@ -65,6 +81,14 @@ DecisionKey = frozenset[frozenset[Fact]]
 ProgramKey = tuple[
     frozenset[int], str, str, frozenset[tuple[Fact, tuple[Fact, ...]]]
 ]
+#: A cluster family's engine: its sorted cluster ids and the encoding.
+EngineKey = tuple[tuple[int, ...], str]
+
+#: Default bound of the engine store, in clauses held.  After their
+#: warm-up the benchmark workloads hold ~46k clauses (serve-rw, 8
+#: engines) and ~7.7k (tpch-sf1, ~110 engines); the default leaves room
+#: for twice the larger plus what the engines learn.
+DEFAULT_MAX_ENGINE_CLAUSES = 100_000
 
 
 def decision_key(
@@ -98,6 +122,11 @@ class CacheStats:
     program_evictions: int = 0
     decision_evictions: int = 0
     invalidated: int = 0
+    # The engine store: checkouts that found an engine, engines evicted
+    # by the clause bound, and engines dropped by invalidate/clear.
+    engine_reuses: int = 0
+    engine_evictions: int = 0
+    engines_invalidated: int = 0
 
 
 class SignatureProgramCache:
@@ -109,24 +138,33 @@ class SignatureProgramCache:
     Re-running the exchange from scratch (a new engine) must still start
     from an empty cache.
 
-    ``max_programs`` / ``max_decisions`` bound each layer; ``None`` (the
-    default) keeps the historical unbounded behavior.  Eviction is LRU
+    ``max_programs`` / ``max_decisions`` bound each answer layer;
+    ``None`` (the default) keeps them unbounded.  ``max_engine_clauses``
+    bounds the engine store by the clauses its engines hold (engines
+    are the heaviest entries, so it is always bounded).  Eviction is LRU
     and answer-neutral.  An optional ``metrics``
     (:class:`~repro.obs.metrics.Metrics`) registry receives eviction
-    counters so long-lived processes can watch cache pressure.
+    counters and the ``solve_engine_clauses`` gauge so long-lived
+    processes can watch cache pressure.
     """
 
     def __init__(
         self,
         max_programs: int | None = None,
         max_decisions: int | None = None,
+        max_engine_clauses: int = DEFAULT_MAX_ENGINE_CLAUSES,
     ) -> None:
         if max_programs is not None and max_programs < 1:
             raise ValueError(f"max_programs must be >= 1, got {max_programs}")
         if max_decisions is not None and max_decisions < 1:
             raise ValueError(f"max_decisions must be >= 1, got {max_decisions}")
+        if max_engine_clauses < 1:
+            raise ValueError(
+                f"max_engine_clauses must be >= 1, got {max_engine_clauses}"
+            )
         self.max_programs = max_programs
         self.max_decisions = max_decisions
+        self.max_engine_clauses = max_engine_clauses
         # One lock for both layers and the counters: lookups mutate the
         # dicts too (LRU delete + re-insert), so readers and writers must
         # exclude each other.  Never held while calling out — the metrics
@@ -139,6 +177,13 @@ class SignatureProgramCache:
         self._decisions: dict[
             tuple[frozenset[int], str, str, DecisionKey], bool
         ] = {}
+        # The engines not checked out, oldest first, each with the clauses
+        # it held when returned, and their total.
+        self._engines: dict[EngineKey, tuple[Any, int]] = {}
+        self._engine_clauses = 0
+        # Bumped by invalidate_clusters and clear: an engine checked out
+        # under an older epoch is dropped when it comes back.
+        self._epoch = 0
         self.stats = CacheStats()
         self.metrics = None  # optional repro.obs Metrics registry
 
@@ -219,6 +264,72 @@ class SignatureProgramCache:
         if evicted and self.metrics is not None:
             self.metrics.inc("cache_decision_evictions_total")
 
+    # ----------------------------------------------------- engine store
+
+    def checkout_engine(self, key: EngineKey) -> tuple[Any | None, int]:
+        """Take the family engine of ``key`` out of the store.
+
+        Returns ``(engine or None, epoch)``; hand both back to
+        :meth:`return_engine` after a clean solve.  On None the caller
+        builds its own — the engine may exist but be checked out by a
+        concurrent reader, and readers never share one.
+        """
+        with self._lock:
+            entry = self._engines.pop(key, None)
+            epoch = self._epoch
+            if entry is None:
+                return None, epoch
+            self._engine_clauses -= entry[1]
+            self.stats.engine_reuses += 1
+            held = self._engine_clauses
+        self._gauge_clauses(held)
+        return entry[0], epoch
+
+    def return_engine(self, key: EngineKey, engine: Any, epoch: int) -> None:
+        """Put a cleanly solved engine back (the most recently used).
+
+        Dropped instead when the store was invalidated or cleared since
+        its checkout (``epoch``); replaces an engine returned for the
+        same key meanwhile.  Then evicts the least recently used engines
+        until the clauses held fit ``max_engine_clauses``.
+        """
+        clauses = engine.clauses
+        evicted = 0
+        with self._lock:
+            if epoch != self._epoch:
+                return
+            previous = self._engines.pop(key, None)
+            if previous is not None:
+                self._engine_clauses -= previous[1]
+            self._engines[key] = (engine, clauses)
+            self._engine_clauses += clauses
+            while self._engine_clauses > self.max_engine_clauses:
+                _engine, dropped = self._engines.pop(next(iter(self._engines)))
+                self._engine_clauses -= dropped
+                evicted += 1
+            self.stats.engine_evictions += evicted
+            held = self._engine_clauses
+        if evicted and self.metrics is not None:
+            self.metrics.inc("solve_engines_evicted_total", evicted)
+        self._gauge_clauses(held)
+
+    def engine_keys(self) -> list[EngineKey]:
+        """The keys of the engines in the store (not checked out)."""
+        with self._lock:
+            return list(self._engines)
+
+    def _gauge_clauses(self, held: int) -> None:
+        if self.metrics is not None:
+            self.metrics.gauge("solve_engine_clauses").set(held)
+
+    def _drop_engines(self, keys: Iterable[EngineKey]) -> None:
+        """Drop ``keys``' engines and start a new epoch (lock held)."""
+        self._epoch += 1
+        for key in list(keys):
+            _engine, clauses = self._engines.pop(key)
+            self._engine_clauses -= clauses
+            self.stats.engines_invalidated += 1
+
     # -------------------------------------------------- invalidation
 
     def invalidate_clusters(self, cluster_ids: Iterable[int]) -> int:
@@ -228,12 +339,19 @@ class SignatureProgramCache:
         update retired (touched clusters get fresh ids).  Entries whose
         signature is disjoint from the retired set describe clusters whose
         repair structure is object-identical after the update, so they
-        stay valid and survive.  Returns the number of entries dropped.
+        stay valid and survive; so do the engines of families holding no
+        retired id.  Returns the number of answer entries (program and
+        decision) dropped; dropped engines count in
+        ``stats.engines_invalidated``.
         """
         retired = frozenset(cluster_ids)
         if not retired:
             return 0
         with self._lock:
+            self._drop_engines(
+                [key for key in self._engines if not retired.isdisjoint(key[0])]
+            )
+            held = self._engine_clauses
             dead_programs = [
                 key for key in self._programs if not retired.isdisjoint(key[0])
             ]
@@ -250,11 +368,22 @@ class SignatureProgramCache:
             self.stats.invalidated += dropped
         if self.metrics is not None and dropped:
             self.metrics.inc("cache_invalidated_entries_total", dropped)
+        self._gauge_clauses(held)
         return dropped
 
     # ------------------------------------------------------------ misc
 
     def clear(self) -> None:
+        with self._lock:
+            self._programs.clear()
+            self._decisions.clear()
+            self._drop_engines(self._engines)
+        self._gauge_clauses(0)
+
+    def clear_answers(self) -> None:
+        """Drop both answer layers and keep the engine store: the next
+        query decides every candidate again, on the kept engines (the
+        update fuzzer's way to reach them)."""
         with self._lock:
             self._programs.clear()
             self._decisions.clear()

@@ -1,13 +1,17 @@
-"""The solve executor: the query phase's family programs, in process.
+"""The solve executor: the query phase's family solves, in process.
 
-A :class:`SolveTask` is one self-contained unit of query-phase work — a
-cluster family's ground program plus the query-atom ids to decide
-cautiously or bravely, and the :class:`~repro.runtime.budget.SolveBudget`
-governing the solve.  :class:`SequentialExecutor` takes a batch of tasks
-and returns one :class:`SolveOutcome` per task, *in task order*, solving
-each in the calling process.  Every solve is a pure function of its task
-(the CDCL search is deterministic), so a batch's outcomes do not depend
-on which thread runs it or what else runs beside it.
+A :class:`SolveTask` is one unit of query-phase work — a cluster
+family's engine (:class:`~repro.xr.program.FamilyEngine`) plus the goal
+ids to decide cautiously or bravely, and the
+:class:`~repro.runtime.budget.SolveBudget` governing the solve.
+:class:`SequentialExecutor` takes a batch of tasks and returns one
+:class:`SolveOutcome` per task, *in task order*, solving each in the
+calling process.  Every solve's *verdicts* are a pure function of its
+task: they are the quantifier's answer over the family's stable models.
+Its search counters are not — a kept engine carries what earlier solves
+learned, so the same task searches less the second time.  A task's
+engine is never shared: the engine store hands each one to one reader
+at a time (:meth:`~repro.runtime.SignatureProgramCache.checkout_engine`).
 
 Budgets are enforced cooperatively: the batch deadline and the task's
 ``task_timeout`` become one :class:`~repro.runtime.budget.Deadline` that
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.asp.reasoning import decide_family
 from repro.asp.syntax import GroundProgram, GroundRule
@@ -33,8 +37,10 @@ class PackedProgram:
     """A ground program reduced to rules plus atom-universe size.
 
     Duck-types the two attributes the stable-model engine reads
-    (``rules`` and ``num_atoms``); the atom table stays with the caller,
-    which keeps the fact↔id mapping and decodes the returned atom ids.
+    (``rules`` and ``num_atoms``); the atom table stays with the caller.
+    The query phase no longer ships programs (a :class:`SolveTask`
+    carries a family engine); the class stays for the benchmark's layer
+    tracer, which wraps :meth:`pack`.
     """
 
     num_atoms: int
@@ -49,11 +55,14 @@ class PackedProgram:
 
 @dataclass(frozen=True)
 class SolveTask:
-    """Decide which of ``query_atom_ids`` hold under ``mode`` in ``program``.
+    """Decide which of ``goal_ids`` hold under ``mode`` on ``family``.
 
-    ``mode`` is ``"certain"`` (cautious: true in every stable model) or
-    ``"possible"`` (brave: true in some stable model).  All query atoms
-    are decided on one engine with shared learned clauses
+    ``family`` is a :class:`~repro.xr.program.FamilyEngine` (anything
+    with an ``engine`` attribute holding a
+    :class:`~repro.asp.stable.StableModelEngine`); ``goal_ids`` are its
+    goal variables or atom ids.  ``mode`` is ``"certain"`` (cautious:
+    true in every stable model) or ``"possible"`` (brave: true in some
+    stable model).  All goals are decided on the one engine
     (:func:`repro.asp.reasoning.decide_family`).  ``budget`` carries the
     per-task timeout; the default :data:`~repro.runtime.budget.NO_BUDGET`
     changes nothing.  A budget cutoff degrades per candidate: the outcome
@@ -61,8 +70,8 @@ class SolveTask:
     ``undecided`` remainder.
     """
 
-    program: PackedProgram
-    query_atom_ids: tuple[int, ...]
+    family: Any
+    goal_ids: tuple[int, ...]
     mode: str = "certain"
     budget: SolveBudget = NO_BUDGET
 
@@ -106,27 +115,34 @@ def solve_task(
     ``status="timeout"`` with the atoms still lacking a verdict in
     ``undecided``.
 
-    The solve runs inside a ``solve.task`` span of ``tracer`` (program
-    size tags, the status, and the solver's statistics as counters), so
+    The deadline is installed on the family's engine for this solve
+    only, and the outcome's ``solver_stats`` are this solve's growth of
+    the engine's counters (its sizes as they stand), so a reused engine
+    reports its own work per solve.
+
+    The solve runs inside a ``solve.task`` span of ``tracer`` (engine
+    size tags, the status, and the solve's statistics as counters), so
     it nests under whatever span the caller has open.
     """
     started = time.perf_counter()
     deadline = Deadline.tightest(
         timeout=task.budget.task_timeout, at=deadline_at
     )
+    engine = task.family.engine
     with tracer.span(
         "solve.task",
         mode=task.mode,
-        atoms=task.program.num_atoms,
-        rules=len(task.program.rules),
-        query_atoms=len(task.query_atom_ids),
+        atoms=engine.num_atoms,
+        rules=len(engine.rules),
+        query_atoms=len(task.goal_ids),
     ) as span:
         # A budget cutoff is caught inside decide_family: the verdicts
         # reached before it are exact and come back with the remainder.
         verdicts = decide_family(
-            task.program,
-            task.query_atom_ids,
+            None,
+            task.goal_ids,
             mode="cautious" if task.mode == "certain" else "possible",
+            engine=engine,
             deadline=deadline,
         )
         status = "timeout" if verdicts.undecided else "ok"

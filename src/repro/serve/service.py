@@ -7,7 +7,8 @@ It owns exactly one of everything expensive:
   materialized **once at construction** (so the first request pays no
   exchange cost and concurrent first requests cannot race to build it);
 - one shared :class:`~repro.runtime.SignatureProgramCache`, bounded so a
-  long-lived process has a bounded footprint;
+  long-lived process has a bounded footprint — its answer layers by
+  entries, its store of cluster-family engines by the clauses they hold;
 - one :class:`~repro.incremental.UpdateSession` applying every write;
 - one live :class:`~repro.obs.Metrics` registry, exported at
   ``/metrics`` (the tracer stays NOOP — span trees grow without bound
@@ -46,7 +47,7 @@ from repro.obs.tracing import NOOP_TRACER
 from repro.reduction.reduce import ReducedMapping
 from repro.relational.instance import Instance
 from repro.runtime.budget import NO_BUDGET, SolveBudget
-from repro.runtime.cache import SignatureProgramCache
+from repro.runtime.cache import DEFAULT_MAX_ENGINE_CLAUSES, SignatureProgramCache
 from repro.xr.segmentary import SegmentaryEngine
 
 from repro.serve.admission import AdmissionController, AdmissionRejected
@@ -74,6 +75,8 @@ class ServiceConfig:
     # Cache bounds (entries per layer); None = unbounded.
     max_programs: int | None = 4096
     max_decisions: int | None = 65536
+    # Engine store bound: clauses held by the kept family engines.
+    max_engine_clauses: int = DEFAULT_MAX_ENGINE_CLAUSES
 
     def budget_ceiling(self) -> SolveBudget:
         if self.deadline is None and self.task_timeout is None:
@@ -143,6 +146,7 @@ class QueryService:
         self.cache = SignatureProgramCache(
             max_programs=self.config.max_programs,
             max_decisions=self.config.max_decisions,
+            max_engine_clauses=self.config.max_engine_clauses,
         )
         self.cache.metrics = self.metrics
         self.engine = SegmentaryEngine(

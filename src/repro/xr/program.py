@@ -49,8 +49,9 @@ touches (:class:`_LazyAtoms`), not in arrays over the fact universe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Iterable
+from typing import AbstractSet, Callable, Iterable, Iterator
 
+from repro.asp.stable import StableModelEngine
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
 from repro.relational.instance import Fact
 from repro.xr.exchange import ExchangeData, Violation
@@ -69,6 +70,66 @@ class XRProgram:
     query_atoms: dict[Fact, int] = field(default_factory=dict)
     # Candidates accepted outright (an entirely-safe support set).
     trivially_certain: set[Fact] = field(default_factory=set)
+    # The scope the program was built for, and fact id -> atom id of the
+    # "remains" copies it interned: what a query part needs
+    # (:func:`family_query_part`).
+    focus_ids: AbstractSet[int] = frozenset()
+    remains_atoms: dict[int, int] = field(default_factory=dict)
+
+
+@dataclass(eq=False)
+class FamilyEngine:
+    """A cluster family's repair part, translated to a solver once.
+
+    Holds only what later queries need: the
+    :class:`~repro.asp.stable.StableModelEngine`, fact id → atom id of
+    the "remains" copies in the family's focus, the focus ids, and the
+    repair part's size.  The :class:`~repro.asp.syntax.GroundProgram`
+    and its fact-keyed atom table are not kept.  Each query is added as
+    goal definitions (:func:`family_query_part`,
+    :meth:`~repro.asp.stable.StableModelEngine.define_goal`), so one
+    engine decides every query and mode asked of its family.
+    """
+
+    engine: StableModelEngine
+    remains_atoms: dict[int, int] = field(default_factory=dict)
+    focus_ids: AbstractSet[int] = frozenset()
+    repair_rules: int = 0
+    repair_atoms: int = 0
+
+    @classmethod
+    def of(cls, repair: XRProgram) -> "FamilyEngine":
+        """Translate a family's repair part (no query rules)."""
+        program = repair.program
+        return cls(
+            engine=StableModelEngine(program),
+            remains_atoms=dict(repair.remains_atoms),
+            focus_ids=repair.focus_ids,
+            repair_rules=len(program),
+            repair_atoms=program.num_atoms,
+        )
+
+    @property
+    def clauses(self) -> int:
+        """Clauses the engine's solver holds (the store's size measure)."""
+        return len(self.engine.solver.clauses)
+
+
+@dataclass
+class QueryPart:
+    """One query's candidates over a family, as goal bodies.
+
+    ``bodies`` maps each in-scope candidate to its support bodies, each a
+    tuple of remains-atom ids (a body naming a fact the repair part has
+    no remains atom for never holds and is left out); ``trivially_certain``
+    holds the candidates with an entirely-safe support; ``rules`` counts
+    the query rules a standalone program would carry, one per distinct
+    (candidate, support body).
+    """
+
+    bodies: dict[Fact, list[tuple[int, ...]]] = field(default_factory=dict)
+    trivially_certain: set[Fact] = field(default_factory=set)
+    rules: int = 0
 
 
 class _Emitter:
@@ -76,14 +137,18 @@ class _Emitter:
 
     Hashes three int tuples per rule instead of a :class:`GroundRule`
     dataclass (whose ``__hash__`` re-derives the same tuple hash through
-    dataclass machinery on every probe).
+    dataclass machinery on every probe).  Equal head and body tuples are
+    shared: an atom heads ~5 rules on the XR programs, a remains atom
+    feeds one copy rule per suspect whose influence holds it, and a
+    family engine keeps its rules.
     """
 
-    __slots__ = ("program", "seen")
+    __slots__ = ("program", "seen", "tuples")
 
     def __init__(self, program: GroundProgram):
         self.program = program
         self.seen: set[tuple] = set()
+        self.tuples: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def __call__(
         self,
@@ -94,6 +159,9 @@ class _Emitter:
         key = (head, body_pos, body_neg)
         if key not in self.seen:
             self.seen.add(key)
+            share = self.tuples.setdefault
+            head = share(head, head)
+            body_pos = share(body_pos, body_pos)
             self.program.add_rule(
                 GroundRule(head=head, body_pos=body_pos, body_neg=body_neg)
             )
@@ -189,6 +257,32 @@ def _normalize_violations(
     return [(v, data.violation_body_ids(v)) for v in violations]
 
 
+def _query_supports(
+    data: ExchangeData,
+    query_groundings,
+    focus_ids: AbstractSet[int],
+    safe_ids: AbstractSet[int],
+) -> Iterator[tuple[Fact, tuple[int, ...]]]:
+    """The query part's one scan: each grounding whose support lies in
+    focus ∪ safe, as ``(candidate, focus body ids)`` in grounding order
+    (safe facts are *true* and drop out; an empty body is an entirely
+    safe support)."""
+    id_of = data.fact_ids.get
+    for query_fact, body_facts in query_groundings or ():
+        body_ids = []
+        for fact in body_facts:
+            fact_id = id_of(fact)
+            if fact_id is None or (
+                fact_id not in focus_ids and fact_id not in safe_ids
+            ):
+                break
+            body_ids.append(fact_id)
+        else:
+            yield query_fact, tuple(
+                dict.fromkeys(i for i in body_ids if i not in safe_ids)
+            )
+
+
 def _emit_query_rules(
     result: XRProgram,
     emit: _Emitter,
@@ -198,25 +292,11 @@ def _emit_query_rules(
     focus_ids: AbstractSet[int],
     safe_ids: AbstractSet[int],
 ) -> None:
-    """Shared query-rule emission: ``q ← remains(support set)``."""
+    """A standalone program's query rules: ``q ← remains(support set)``."""
     atoms = result.program.atoms
-    id_of = data.fact_ids.get
-    for query_fact, body_facts in query_groundings or ():
-        body_ids = []
-        in_scope = True
-        for fact in body_facts:
-            fact_id = id_of(fact)
-            if fact_id is None or (
-                fact_id not in focus_ids and fact_id not in safe_ids
-            ):
-                in_scope = False
-                break
-            body_ids.append(fact_id)
-        if not in_scope:
-            continue
-        focus_body = tuple(
-            dict.fromkeys(i for i in body_ids if i not in safe_ids)
-        )
+    for query_fact, focus_body in _query_supports(
+        data, query_groundings, focus_ids, safe_ids
+    ):
         query_id = atoms.intern(query_fact)
         result.query_atoms[query_fact] = query_id
         if not focus_body:
@@ -224,6 +304,39 @@ def _emit_query_rules(
             emit((query_id,))
             continue
         emit((query_id,), tuple(remains_atom(i) for i in focus_body))
+
+
+def family_query_part(
+    family: FamilyEngine,
+    data: ExchangeData,
+    query_groundings: list[tuple[Fact, tuple[Fact, ...]]],
+    safe_ids: AbstractSet[int],
+) -> QueryPart:
+    """A query's part over a kept family engine (see :class:`QueryPart`).
+
+    The same scan as a standalone program's query rules, with the
+    remains atoms looked up in the family's map instead of interned:
+    a fact the repair part never interned heads no rule, so a body
+    naming it is false in every stable model and is left out.
+    """
+    part = QueryPart()
+    remains_atoms = family.remains_atoms
+    seen: set[tuple] = set()
+    for query_fact, focus_body in _query_supports(
+        data, query_groundings, family.focus_ids, safe_ids
+    ):
+        bodies = part.bodies.setdefault(query_fact, [])
+        if (query_fact, focus_body) in seen:
+            continue
+        seen.add((query_fact, focus_body))
+        if not focus_body:
+            part.trivially_certain.add(query_fact)
+            continue
+        atoms = tuple(map(remains_atoms.get, focus_body))
+        if None not in atoms:
+            bodies.append(atoms)
+    part.rules = len(seen)
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +404,8 @@ def build_repair_program(
     emit = _Emitter(program)
 
     # Lazily interned atom ids of the "remains" copies.
-    remains_atom = _LazyAtoms(atoms, facts_by_id, remains).__getitem__
+    remains_ids = _LazyAtoms(atoms, facts_by_id, remains)
+    remains_atom = remains_ids.__getitem__
 
     suspects = _suspect_source_ids(
         data, (body for _v, body in scoped_violations), focus_ids
@@ -394,7 +508,11 @@ def build_repair_program(
             (conflict_id,),
         )
 
-    result = XRProgram(program=program)
+    result = XRProgram(
+        program=program,
+        focus_ids=focus_ids,
+        remains_atoms=remains_ids,
+    )
     _emit_query_rules(
         result, emit, data, remains_atom, query_groundings, focus_ids, safe_ids
     )
@@ -438,7 +556,8 @@ def build_figure1_program(
         return _LazyAtoms(atoms, facts_by_id, wrap).__getitem__
 
     fact_atom = lazy(lambda fact: fact)
-    remains_atom = lazy(remains)
+    remains_ids = _LazyAtoms(atoms, facts_by_id, remains)
+    remains_atom = remains_ids.__getitem__
     deleted_atom = lazy(deleted)
     incidental_atom = lazy(incidental)
 
@@ -505,7 +624,11 @@ def build_figure1_program(
             ),
         )
 
-    result = XRProgram(program=program)
+    result = XRProgram(
+        program=program,
+        focus_ids=focus_ids,
+        remains_atoms=remains_ids,
+    )
     _emit_query_rules(
         result, emit, data, remains_atom, query_groundings, focus_ids, safe_ids
     )
@@ -520,13 +643,12 @@ ENCODINGS = {
 
 def build_family_program(
     data: ExchangeData,
-    query_groundings: list[tuple[Fact, tuple[Fact, ...]]],
     clusters: Iterable,
     safe_ids: AbstractSet[int],
     encoding: str = "repair",
     builder=None,
 ) -> XRProgram:
-    """One shared ground program for a whole cluster *family*.
+    """The repair part of a whole cluster *family*: no query rules.
 
     A family is a set of signature groups whose signatures overlap on
     violation clusters; ``clusters`` is the union of those clusters
@@ -535,9 +657,11 @@ def build_family_program(
     union focus — sound because clusters are pairwise independent
     (Definition 8): restricting a stable model of the union program to
     one member signature's focus yields exactly a stable model of that
-    member's program built alone, so cautious/brave verdicts of the
-    query atoms coincide.  All candidates of the family then share one
-    solver, and everything it learns transfers across them.
+    member's program built alone, so cautious/brave verdicts coincide.
+    Its stable models are the family's repairs, which no query changes
+    (arXiv:1509.06390), so one translation (:class:`FamilyEngine`)
+    serves every query and mode: each adds its candidates as goals
+    (:func:`family_query_part`).
     """
     focus_ids: set[int] = set()
     violations: list[Violation] = []
@@ -554,7 +678,6 @@ def build_family_program(
         builder = build_xr_program
     return builder(
         data,
-        query_groundings=query_groundings,
         violations=violations,
         encoding=encoding,
         focus_ids=focus_ids,

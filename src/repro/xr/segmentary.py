@@ -9,19 +9,21 @@ Query answering in two phases:
   to obtain candidate answers; accept immediately those with an all-safe
   support set; group the rest by *signature* (the set of violation clusters
   whose influences meet their supports); merge signature groups that share
-  a cluster into *families*, and decide each family with one small ground
-  disjunctive program — the Figure 1 program restricted to the family's
-  focus, with safe facts represented by *true* — on one solver
-  (:func:`~repro.asp.reasoning.decide_family`).
+  a cluster into *families*, and decide each family on one solver
+  (:func:`~repro.asp.reasoning.decide_family`): the repair program
+  restricted to the family's focus, with safe facts represented by
+  *true*, plus the query's candidates as goals.
 
 Many small hard problems instead of one large one (Theorem 4).
 
 Because distinct clusters are pairwise-independent (Definition 8 /
-Propositions 5–6), the family programs are too: the query phase *builds*
-all of them first, then solves the batch in process through the
-:mod:`repro.runtime` executor.  A cross-query cache
-(:class:`~repro.runtime.SignatureProgramCache`), keyed per signature,
-makes repeated queries over a warm engine skip redundant solving
+Propositions 5–6), the families are too: the query phase *prepares* all
+of them first, then solves the batch in process through the
+:mod:`repro.runtime` executor.  A family's repair part does not depend
+on the query, so its engine is translated once and kept in the
+cross-query cache (:class:`~repro.runtime.SignatureProgramCache`) for
+every later query and mode; the cache's answer layers, keyed per
+signature, make repeated queries over a warm engine skip solving
 entirely.  Cached and uncached runs return identical answers.
 """
 
@@ -40,11 +42,16 @@ from repro.relational.instance import Fact, Instance, fact_order
 from repro.relational.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.runtime.budget import NO_BUDGET, SolveBudget, SolveBudgetExceeded
 from repro.runtime.cache import SignatureProgramCache, decision_key, program_key
-from repro.runtime.executor import PackedProgram, SequentialExecutor, SolveTask
+from repro.runtime.executor import SequentialExecutor, SolveTask
 from repro.runtime.heap import long_lived_build
 from repro.xr.envelope import EnvelopeAnalysis, analyze_envelopes
 from repro.xr.exchange import ExchangeData, build_exchange_data
-from repro.xr.program import build_family_program, build_xr_program
+from repro.xr.program import (
+    FamilyEngine,
+    build_family_program,
+    build_xr_program,
+    family_query_part,
+)
 from repro.xr.queries import answers_from_facts, ground_query
 
 
@@ -96,6 +103,10 @@ class QueryPhaseStats:
     family_candidates: int = 0
     core_skips: int = 0
     carried_clauses: int = 0
+    # Family engines: translated for this query, and taken from the
+    # cache's engine store instead.
+    engines_built: int = 0
+    engine_reuses: int = 0
 
     def copy(self) -> "QueryPhaseStats":
         """An independent deep copy (no shared mutable containers).
@@ -144,6 +155,17 @@ class _SignatureGroup:
     # search), and the query atoms it sends to the family solver.
     trivially_certain: set[Fact] = field(default_factory=set)
     solve_atoms: dict[Fact, int] = field(default_factory=dict)
+
+
+@dataclass
+class _FamilyBatch:
+    """One family's solve: its member groups and the engine's store key
+    and checkout epoch (for :meth:`SignatureProgramCache.return_engine`)."""
+
+    members: list[_SignatureGroup]
+    family: FamilyEngine
+    key: tuple
+    epoch: int
 
 
 def _merge_by_shared_clusters(
@@ -503,7 +525,7 @@ class SegmentaryEngine:
             # pairwise independent, so any execution order or interleaving
             # is valid).
             pending: list[_SignatureGroup] = []
-            family_batches: list[list[_SignatureGroup]] = []
+            family_batches: list[_FamilyBatch] = []
             tasks: list[SolveTask] = []
             build_started = time.perf_counter()
             with tracer.span("query.build"):
@@ -569,7 +591,7 @@ class SegmentaryEngine:
 
     def _handle_family_outcomes(
         self,
-        family_batches: list[list[_SignatureGroup]],
+        family_batches: list[_FamilyBatch],
         outcomes,
         mode: str,
         stats: QueryPhaseStats,
@@ -585,9 +607,14 @@ class SegmentaryEngine:
         verdict, only the ``undecided`` remainder degrades to unknown —
         and a member group is cached only when every one of its
         candidates got a verdict, so the caches never hold half-truths.
+        A family engine goes back to the store only after a clean solve;
+        one a budget cut is dropped.
         """
-        for members, outcome in zip(family_batches, outcomes):
+        for batch, outcome in zip(family_batches, outcomes):
+            members = batch.members
             family_size = sum(len(m.solve_atoms) for m in members)
+            if outcome.ok and self.cache is not None:
+                self.cache.return_engine(batch.key, batch.family, batch.epoch)
             if not outcome.ok and outcome.decided is None:
                 # The batch deadline passed before the family started:
                 # the whole family is unknown.
@@ -665,6 +692,8 @@ class SegmentaryEngine:
         metrics.inc("query_family_candidates_total", stats.family_candidates)
         metrics.inc("solve_core_skips_total", stats.core_skips)
         metrics.inc("solve_carried_clauses_total", stats.carried_clauses)
+        metrics.inc("solve_engines_built_total", stats.engines_built)
+        metrics.inc("solve_engine_reuses_total", stats.engine_reuses)
         metrics.inc(
             "query_unknown_candidates_total", len(stats.unknown_candidates)
         )
@@ -753,26 +782,29 @@ class SegmentaryEngine:
         clock,
         allow_partial: bool,
         budget: SolveBudget,
-    ) -> tuple[list[list[_SignatureGroup]], list[SolveTask]]:
-        """Merge pending signature groups into cluster families, one shared
-        program (and one :class:`SolveTask`) per family.
+    ) -> tuple[list[_FamilyBatch], list[SolveTask]]:
+        """Merge pending signature groups into cluster families, one
+        engine (and one :class:`SolveTask`) per family.
 
         Two groups belong to the same family when their signatures share a
         violation cluster (transitively — union-find over cluster ids).
-        Each family's program is built once over the union focus
-        (:func:`~repro.xr.program.build_family_program`); its members'
-        ``solve_atoms`` are filled from the *shared* atom table, and every
-        member keeps only its **own** trivially-certain candidates — a
-        family-wide set in a member's cache entry would leak foreign facts
-        into warm hits.  A family is one task, so its candidates share one
-        solver's learned clauses.
+        A family's engine is its repair part translated once
+        (:func:`~repro.xr.program.build_family_program`,
+        :class:`~repro.xr.program.FamilyEngine`), checked out of the
+        cache's engine store when a query built it before.  This query's
+        candidates become goals on it
+        (:func:`~repro.xr.program.family_query_part`); every member keeps
+        only its **own** trivially-certain candidates — a family-wide set
+        in a member's cache entry would leak foreign facts into warm
+        hits.  A family is one task, so its candidates share one solver's
+        learned clauses.
         """
         assert self.analysis is not None and self.data is not None
         analysis, data = self.analysis, self.data
 
         families = _merge_by_shared_clusters(pending)
 
-        family_batches: list[list[_SignatureGroup]] = []
+        family_batches: list[_FamilyBatch] = []
         tasks: list[SolveTask] = []
         for root in sorted(families):
             members = families[root]
@@ -786,60 +818,77 @@ class SegmentaryEngine:
                 for member in members:
                     unknown.update(member.unresolved)
                 continue
-            cluster_ids = sorted(
-                set().union(*(member.signature for member in members))
+            cluster_ids = tuple(
+                sorted(set().union(*(member.signature for member in members)))
             )
-            query_groundings = [
-                (candidate, support)
-                for member in members
-                for candidate in member.unresolved
-                for support in supports_by_candidate[candidate]
-            ]
-            # `builder` resolves through this module's globals: one
-            # program-builder seam that tests can stub.
-            family_program = build_family_program(
+            key = (cluster_ids, self.encoding)
+            family, epoch = None, 0
+            if self.cache is not None:
+                family, epoch = self.cache.checkout_engine(key)
+            if family is None:
+                # `builder` resolves through this module's globals: one
+                # program-builder seam that tests can stub.
+                family = FamilyEngine.of(
+                    build_family_program(
+                        data,
+                        clusters=[analysis.cluster(i) for i in cluster_ids],
+                        safe_ids=analysis.safe_ids,
+                        encoding=self.encoding,
+                        builder=build_xr_program,
+                    )
+                )
+                stats.engines_built += 1
+            else:
+                stats.engine_reuses += 1
+            part = family_query_part(
+                family,
                 data,
-                query_groundings=query_groundings,
-                clusters=[analysis.cluster(i) for i in cluster_ids],
-                safe_ids=analysis.safe_ids,
-                encoding=self.encoding,
-                builder=build_xr_program,
+                [
+                    (candidate, support)
+                    for member in members
+                    for candidate in member.unresolved
+                    for support in supports_by_candidate[candidate]
+                ],
+                analysis.safe_ids,
             )
             stats.largest_program_atoms = max(
-                stats.largest_program_atoms, family_program.program.num_atoms
+                stats.largest_program_atoms,
+                family.repair_atoms + len(part.bodies),
             )
-            stats.total_rules += len(family_program.program)
+            stats.total_rules += family.repair_rules + part.rules
 
             batch: list[_SignatureGroup] = []
-            batch_atoms: set[int] = set()
+            goals: set[int] = set()
             for member in members:
                 member_trivial = {
                     candidate
                     for candidate in member.unresolved
-                    if candidate in family_program.trivially_certain
+                    if candidate in part.trivially_certain
                 }
                 accepted |= member_trivial
                 member.trivially_certain = member_trivial
                 member.solve_atoms = {
-                    candidate: family_program.query_atoms[candidate]
+                    candidate: family.engine.define_goal(part.bodies[candidate])
                     for candidate in member.unresolved
-                    if candidate in family_program.query_atoms
+                    if candidate in part.bodies
                     and candidate not in member_trivial
                 }
                 if member.solve_atoms:
                     batch.append(member)
-                    batch_atoms.update(member.solve_atoms.values())
+                    goals.update(member.solve_atoms.values())
                 else:
                     # Fully decided without search (trivially certain or
                     # out of scope): cacheable right now.
                     self._finalize_group(member, set(), mode)
             if not batch:
+                if self.cache is not None:
+                    self.cache.return_engine(key, family, epoch)
                 continue
-            family_batches.append(batch)
+            family_batches.append(_FamilyBatch(batch, family, key, epoch))
             tasks.append(
                 SolveTask(
-                    program=PackedProgram.pack(family_program.program),
-                    query_atom_ids=tuple(sorted(batch_atoms)),
+                    family=family,
+                    goal_ids=tuple(sorted(goals)),
                     mode=mode,
                     budget=budget,
                 )

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.asp.reasoning import FamilyVerdicts, decide_family
+from repro.asp.stable import StableModelEngine
 from repro.asp.syntax import GroundRule
 from repro.runtime.budget import SolveBudgetExceeded
 from tests.test_asp.reference import (
@@ -190,3 +191,43 @@ def test_family_matches_reference_implementations(data):
     assert family_b.accepted == brave
     assert family_b.rejected == frozenset(atoms) - brave
     assert not family_c.undecided and not family_b.undecided
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_goals_on_one_engine_match_the_reference(data):
+    """Goal definitions (``q ↔ ∨ body``) added to one engine between
+    solves, decided in both modes one after another, agree with brute
+    force: the kept engine's learned clauses and earlier goals never
+    change a later verdict."""
+    num_atoms = data.draw(st.integers(1, 5))
+    atom = st.integers(1, num_atoms)
+    rules = [
+        GroundRule(
+            tuple(data.draw(st.lists(atom, min_size=1, max_size=2, unique=True))),
+            tuple(data.draw(st.lists(atom, max_size=2, unique=True))),
+            tuple(data.draw(st.lists(atom, max_size=2, unique=True))),
+        )
+        for _ in range(data.draw(st.integers(0, 8)))
+    ]
+    questions = data.draw(
+        st.lists(
+            st.lists(st.lists(atom, max_size=3), max_size=3),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    models = brute_stable(num_atoms, rules)
+    engine = StableModelEngine(program_over(num_atoms, rules))
+    for bodies in questions:
+        goal = engine.define_goal(bodies)
+        assert engine.define_goal(list(reversed(bodies))) == goal
+        holds = [any(set(body) <= model for body in bodies) for model in models]
+        for mode in ("cautious", "brave"):
+            verdicts = decide_family(None, [goal], mode=mode, engine=engine)
+            if not models:
+                assert verdicts.no_model
+                continue
+            expected = all(holds) if mode == "cautious" else any(holds)
+            assert (goal in verdicts.accepted) == expected
+            assert (goal in verdicts.rejected) != expected

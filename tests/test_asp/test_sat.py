@@ -237,3 +237,38 @@ class TestDecisionHeap:
         assert result == expected
         if result:
             assert model_satisfies(solver.model(), clauses)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_compaction_keeps_every_decision(self, seed):
+        """A kept solver drops its heap between solves (``compact``) and
+        rebuilds it on the next solve: the same models, conflicts and
+        decisions as a solver that kept its lazy heap, solve after solve
+        (new clauses and variables in between included)."""
+        rng = random.Random(seed)
+        num_vars = 30
+
+        def clause():
+            return [
+                rng.choice([-1, 1]) * v
+                for v in rng.sample(range(1, num_vars + 1), 3)
+            ]
+
+        base = [clause() for _ in range(110)]
+        compacted, lazy = SatSolver(num_vars), SatSolver(num_vars)
+        for solver in (compacted, lazy):
+            solver.add_clauses(base)
+        for _round in range(8):
+            assumptions = [
+                rng.choice([-1, 1]) * v for v in rng.sample(range(1, num_vars + 1), 2)
+            ]
+            results = [s.solve(assumptions) for s in (compacted, lazy)]
+            assert results[0] == results[1]
+            if results[0]:
+                assert compacted.model() == lazy.model()
+            assert compacted.statistics == lazy.statistics
+            compacted.compact()
+            assert compacted._order is None
+            extra = clause()
+            for solver in (compacted, lazy):
+                solver.new_var()
+                solver.add_clause(extra)

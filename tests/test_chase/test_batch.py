@@ -19,6 +19,7 @@ import pytest
 from repro.chase.batch import (
     ChasePlans,
     _AtomStep,
+    _PivotPlan,
     _IndexCache,
     chase_insert,
     find_violations_batch,
@@ -236,6 +237,37 @@ class TestGroundings:
         reference = self.reference_of(rules, source)
         assert self.groundings_of(rules, source) == reference
         assert reference  # every case must exercise some join
+
+    @pytest.mark.parametrize("case", sorted(GROUNDING_CASES))
+    def test_every_row_built_is_emitted(self, case, monkeypatch):
+        """No join row is built to be thrown away: the atoms before the
+        pivot skip the round's facts at the probe, so the chase emits
+        every row it builds, tautologies (head in body) aside."""
+        rules, source = GROUNDING_CASES[case]
+        plans = ChasePlans(source, rules)
+        compiled = {
+            id(plan): (rule, ground, body_of)
+            for entries in plans.tgds.values()
+            for rule, plan, ground, body_of in entries
+        }
+        built = []
+        real_rows = _PivotPlan.rows
+
+        def recording(plan, *args, **kwargs):
+            rows = real_rows(plan, *args, **kwargs)
+            rule, ground, body_of = compiled[id(plan)]
+            built.extend(
+                (rule, body_of(provenance), ground(values))
+                for values, provenance in rows
+            )
+            return rows
+
+        monkeypatch.setattr(_PivotPlan, "rows", recording)
+        _added, groundings = chase_insert(
+            plans, _IndexCache(Instance()), sorted(source, key=fact_order)
+        )
+        emitted = [row for row in built if row[2] not in row[1]]
+        assert grounding_list(emitted) == grounding_list(groundings)
 
     def test_tautological_groundings_dropped(self):
         loop = Instance([f("P", 1, 1)])

@@ -21,7 +21,7 @@ from repro.fuzz.updates import (
     shrink_update_stream,
 )
 from repro.incremental import Delta, apply_delta
-from repro.relational import Fact
+from repro.relational import Fact, Instance
 
 UPDATES_CORPUS = Path(__file__).resolve().parents[1] / "corpus" / "updates"
 
@@ -125,6 +125,49 @@ class TestDifferentialSmoke:
         monkeypatch.setattr(updates_module, "apply_delta", corrupted)
         problems = check_update_stream(scenario, deltas)
         assert problems, "harness failed to notice a corrupted reference"
+
+
+    def test_detects_engines_kept_past_invalidation(self, monkeypatch):
+        """Sensitivity check for the engine store: a cache whose
+        ``invalidate_clusters`` forgets to drop the engines of retired
+        clusters must fail the replay (``engine-store``); the real one
+        passes it.  Retired ids never come back, so such an engine cannot
+        answer again — the check catches the leak itself."""
+        from repro.fuzz.render import Scenario
+        from repro.parser import parse_mapping, parse_program
+        from repro.runtime.cache import SignatureProgramCache
+
+        scenario = Scenario(
+            mapping=parse_mapping(
+                """
+                SOURCE R/2. TARGET P/2.
+                R(x, y) -> P(x, y).
+                P(x, y), P(x, z) -> y = z.
+                """
+            ),
+            instance=Instance(
+                [
+                    Fact("R", ("a", "b")), Fact("R", ("a", "c")),
+                    Fact("R", ("d", "e")), Fact("R", ("d", "g")),
+                ]
+            ),
+            query=parse_program("q(x, y) :- P(x, y)."),
+        )
+        # Step 0 warms the store (the 'a' family's engine); step 1 retires
+        # the 'a' cluster.
+        deltas = [
+            Delta(retracts=frozenset({Fact("R", ("d", "g"))})),
+            Delta(retracts=frozenset({Fact("R", ("a", "c"))})),
+        ]
+        assert check_update_stream(scenario, deltas) == []
+
+        monkeypatch.setattr(
+            SignatureProgramCache, "_drop_engines", lambda self, keys: None
+        )
+        problems = check_update_stream(scenario, deltas)
+        assert any(p.startswith("engine-store mismatch") for p in problems), (
+            problems
+        )
 
 
 class TestSolverHardSeeds:

@@ -16,7 +16,8 @@ from repro.runtime.budget import (
     SolveBudget,
     SolveBudgetExceeded,
 )
-from repro.runtime.executor import PackedProgram, SolveTask, solve_task
+from repro.runtime.executor import SolveTask, solve_task
+from tests.test_runtime.test_executor import family_of
 
 
 def tiny_program() -> GroundProgram:
@@ -122,7 +123,7 @@ class TestCooperativeInterrupt:
 
 class TestSolveTaskBudget:
     def test_expired_batch_deadline_times_out(self):
-        task = SolveTask(PackedProgram.pack(tiny_program()), (1, 2))
+        task = SolveTask(family_of(tiny_program()), (1, 2))
         outcome = solve_task(task, deadline_at=time.monotonic() - 1.0)
         # The family contract: the cutoff is caught inside the solve, so
         # the outcome is partial — nothing decided, every atom undecided.
@@ -133,7 +134,7 @@ class TestSolveTaskBudget:
 
     def test_generous_task_timeout_solves_normally(self):
         task = SolveTask(
-            PackedProgram.pack(tiny_program()),
+            family_of(tiny_program()),
             (1, 2),
             budget=SolveBudget(task_timeout=60.0),
         )

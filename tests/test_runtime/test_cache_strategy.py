@@ -146,7 +146,7 @@ class _PartialExecutor:
     def run(self, tasks, deadline=None, tracer=None):
         outcomes = []
         for task in tasks:
-            atoms = sorted(task.query_atom_ids)
+            atoms = sorted(task.goal_ids)
             outcomes.append(
                 SolveOutcome(
                     decided=frozenset(),
@@ -177,3 +177,5 @@ class TestPartialFamiliesNeverCached:
         # only partially decided, left no trace in either cache layer.
         assert ("d", "e") in answers
         assert len(cache) == 0
+        # ... and the cut family's engine did not go back to the store.
+        assert cache.engine_keys() == []

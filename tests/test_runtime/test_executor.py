@@ -3,6 +3,7 @@
 import pickle
 import time
 
+from repro.asp.stable import StableModelEngine
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
 from repro.relational import Fact, SkolemValue
 from repro.runtime import (
@@ -14,6 +15,12 @@ from repro.runtime import (
     SolveTask,
     solve_task,
 )
+from repro.xr.program import FamilyEngine
+
+
+def family_of(program: GroundProgram) -> FamilyEngine:
+    """A task's family engine over a plain program (goals are its atoms)."""
+    return FamilyEngine(StableModelEngine(program))
 
 
 def chain_program(length: int) -> GroundProgram:
@@ -39,16 +46,16 @@ def guess_program() -> GroundProgram:
 def a_batch(budget: SolveBudget = NO_BUDGET) -> list[SolveTask]:
     tasks = [
         SolveTask(
-            PackedProgram.pack(chain_program(n)), tuple(range(1, n + 1)),
+            family_of(chain_program(n)), tuple(range(1, n + 1)),
             budget=budget,
         )
         for n in (2, 3, 4)
     ]
     tasks.append(
-        SolveTask(PackedProgram.pack(guess_program()), (1, 2), "certain", budget)
+        SolveTask(family_of(guess_program()), (1, 2), "certain", budget)
     )
     tasks.append(
-        SolveTask(PackedProgram.pack(guess_program()), (1, 2), "possible", budget)
+        SolveTask(family_of(guess_program()), (1, 2), "possible", budget)
     )
     return tasks
 

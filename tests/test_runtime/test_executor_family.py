@@ -16,11 +16,11 @@ from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
 from repro.relational import Fact
 from repro.runtime import (
     Deadline,
-    PackedProgram,
     SequentialExecutor,
     SolveTask,
     solve_task,
 )
+from tests.test_runtime.test_executor import family_of
 from repro.obs.tracing import Tracer, validate_span_tree
 from repro.runtime import executor as executor_module
 
@@ -47,7 +47,7 @@ def unsat_program() -> GroundProgram:
 
 def family_task(mode: str = "certain", **kwargs) -> SolveTask:
     return SolveTask(
-        PackedProgram.pack(family_program()), (1, 2, 3, 4), mode, **kwargs
+        family_of(family_program()), (1, 2, 3, 4), mode, **kwargs
     )
 
 
@@ -75,7 +75,7 @@ class TestFamilyWorkerPath:
     def test_no_stable_model_reports_decided_none(self):
         outcome = solve_task(
             SolveTask(
-                PackedProgram.pack(unsat_program()), (1,), "certain"
+                family_of(unsat_program()), (1,), "certain"
             )
         )
         assert outcome.ok

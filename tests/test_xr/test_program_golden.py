@@ -1,13 +1,16 @@
 """Bit-identity golden for the family program builder.
 
-Every family program the segmentary engine builds on two fixed scenarios —
-TPC-H SF 0.01 r0.2 seed 0 and genomics S3; the repair encoding in certain
-and possible mode, the literal Figure 1 encoding in certain mode — is
-hashed (rule tuples in order, the atom table in id order, the query atoms
-and the trivially-certain set) and compared with
+Every family repair part the segmentary engine builds on two fixed
+scenarios — TPC-H SF 0.01 r0.2 seed 0 and genomics S3; the repair
+encoding in certain and possible mode, the literal Figure 1 encoding in
+certain mode — is hashed (rule tuples in order, the atom table in id
+order, and the query atoms and trivially-certain set, which a repair part
+leaves empty: queries become goals on its engine) and compared with
 ``tests/corpus/family_programs.golden.json``.  Rule order and atom
 numbering steer the solver's search, so a builder rewrite must reproduce
-these programs exactly, not just the answers.
+these programs exactly, not just the answers.  The recording runs
+uncached, so every (query, mode) builds its families afresh and the
+family counts are those of the query phase.
 
 Nothing a program sees depends on ``Fact`` hashes, which are salted per
 interpreter: the exchange interns in canonical order and the query phase

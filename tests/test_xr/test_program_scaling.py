@@ -1,10 +1,11 @@
 """A family's program costs what its focus costs, not what the exchange costs.
 
-The segmentary engine builds one program per cluster family, hundreds per
-query on instances with many small clusters.  These tests pad a small
-exchange with ~10k groundings unrelated to a one-cluster family and check
-that the family's program does not change and that building it neither
-scans the grounding list nor allocates anything sized to the exchange.
+The segmentary engine builds one repair part per cluster family, hundreds
+on instances with many small clusters, and adds each query's part to its
+engine.  These tests pad a small exchange with ~10k groundings unrelated
+to a one-cluster family and check that neither part changes and that
+building them neither scans the grounding list nor allocates anything
+sized to the exchange.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ from repro.reduction import reduce_mapping
 from repro.relational import Fact, Instance
 from repro.xr.envelope import analyze_envelopes
 from repro.xr.exchange import build_exchange_data
-from repro.xr.program import build_family_program
+from repro.xr.program import (
+    FamilyEngine,
+    build_family_program,
+    family_query_part,
+)
 
 MAPPING = parse_mapping(
     """
@@ -57,24 +62,34 @@ def _analysis(padding: int):
     return data, analyze_envelopes(data)
 
 
-def _family_program(data, analysis, encoding):
+def _repair_part(data, analysis, encoding):
     (cluster,) = analysis.clusters
     return build_family_program(
         data,
-        query_groundings=QUERY_GROUNDINGS,
         clusters=[cluster],
         safe_ids=analysis.safe_ids,
         encoding=encoding,
     )
 
 
-def _shape(xr_program):
-    program = xr_program.program
+def _query_part(family, data, analysis):
+    return family_query_part(family, data, QUERY_GROUNDINGS, analysis.safe_ids)
+
+
+def _family_program(data, analysis, encoding):
+    """The family's repair part, and a query's part over its engine."""
+    repair = _repair_part(data, analysis, encoding)
+    return repair, _query_part(FamilyEngine.of(repair), data, analysis)
+
+
+def _shape(parts):
+    repair, query_part = parts
+    program = repair.program
     return (
         [(r.head, r.body_pos, r.body_neg) for r in program.rules],
         [program.atoms.fact_of(i) for i in program.atoms.ids()],
-        xr_program.query_atoms,
-        xr_program.trivially_certain,
+        query_part.bodies,
+        query_part.trivially_certain,
     )
 
 
@@ -101,10 +116,20 @@ def test_family_build_allocates_nothing_exchange_sized(encoding):
     # The smallest exchange-sized structure: one pointer per fact id.
     exchange_sized = 8 * len(data.facts_by_id)
     assert len(analysis.safe_ids) > PADDING
+    # Both parts are traced; the engine between them (family-sized, but
+    # the solver's own business) is not.
     tracemalloc.start()
     try:
-        _family_program(data, analysis, encoding)
-        _current, peak = tracemalloc.get_traced_memory()
+        repair = _repair_part(data, analysis, encoding)
+        _current, repair_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    family = FamilyEngine.of(repair)
+    tracemalloc.start()
+    try:
+        _query_part(family, data, analysis)
+        _current, query_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak = max(repair_peak, query_peak)
     assert peak < exchange_sized // 2, (peak, exchange_sized)

@@ -158,23 +158,22 @@ class TestWarmCache:
 class TestTriviallyCertainHoist:
     def test_accepted_even_with_loosened_invariant(self, monkeypatch):
         """Regression for the ordering bug: trivially-certain candidates
-        must be folded into the answer *before* any empty-``query_atoms``
-        guard, so they survive even if ``_emit_query_rules`` ever loosens
-        the invariant ``trivially_certain ⊆ query_atoms``."""
+        must be folded into the answer *before* any empty-goals guard, so
+        they survive even if the query part (``family_query_part``) ever
+        loosens the invariant ``trivially_certain ⊆ bodies``."""
         import repro.xr.segmentary as seg
 
-        real_build = seg.build_xr_program
+        real_part = seg.family_query_part
 
         def loosened(*args, **kwargs):
-            result = real_build(*args, **kwargs)
-            if result.query_atoms:
-                # Pretend every candidate was recognized as trivially
-                # certain and stripped from the solvable query atoms.
-                result.trivially_certain.update(result.query_atoms)
-                result.query_atoms.clear()
-            return result
+            part = real_part(*args, **kwargs)
+            # Pretend every candidate was recognized as trivially certain
+            # and stripped from the solvable candidates.
+            part.trivially_certain.update(part.bodies)
+            part.bodies.clear()
+            return part
 
-        monkeypatch.setattr(seg, "build_xr_program", loosened)
+        monkeypatch.setattr(seg, "family_query_part", loosened)
         mapping = parse_mapping(
             """
             SOURCE R/2. TARGET P/2.
