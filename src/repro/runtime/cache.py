@@ -122,11 +122,10 @@ class CacheStats:
     program_evictions: int = 0
     decision_evictions: int = 0
     invalidated: int = 0
-    # The engine store: checkouts that found an engine, engines evicted
-    # by the clause bound, and engines dropped by invalidate/clear.
+    # The engine store: checkouts that found an engine, and engines
+    # evicted by the clause bound.
     engine_reuses: int = 0
     engine_evictions: int = 0
-    engines_invalidated: int = 0
 
 
 class SignatureProgramCache:
@@ -328,7 +327,6 @@ class SignatureProgramCache:
         for key in list(keys):
             _engine, clauses = self._engines.pop(key)
             self._engine_clauses -= clauses
-            self.stats.engines_invalidated += 1
 
     # -------------------------------------------------- invalidation
 
@@ -341,8 +339,7 @@ class SignatureProgramCache:
         repair structure is object-identical after the update, so they
         stay valid and survive; so do the engines of families holding no
         retired id.  Returns the number of answer entries (program and
-        decision) dropped; dropped engines count in
-        ``stats.engines_invalidated``.
+        decision) dropped.
         """
         retired = frozenset(cluster_ids)
         if not retired:
