@@ -177,9 +177,12 @@ class SignatureProgramCache:
             tuple[frozenset[int], str, str, DecisionKey], bool
         ] = {}
         # The engines not checked out, oldest first, each with the clauses
-        # it held when returned, and their total.
+        # it held when returned; their total; and cluster id -> the keys
+        # naming it, so an update's invalidation costs what it retires,
+        # not a scan of the store.
         self._engines: dict[EngineKey, tuple[Any, int]] = {}
         self._engine_clauses = 0
+        self._engine_keys_of: dict[int, set[EngineKey]] = {}
         # Bumped by invalidate_clusters and clear: an engine checked out
         # under an older epoch is dropped when it comes back.
         self._epoch = 0
@@ -274,11 +277,10 @@ class SignatureProgramCache:
         concurrent reader, and readers never share one.
         """
         with self._lock:
-            entry = self._engines.pop(key, None)
+            entry = self._take_engine(key)
             epoch = self._epoch
             if entry is None:
                 return None, epoch
-            self._engine_clauses -= entry[1]
             self.stats.engine_reuses += 1
             held = self._engine_clauses
         self._gauge_clauses(held)
@@ -297,14 +299,13 @@ class SignatureProgramCache:
         with self._lock:
             if epoch != self._epoch:
                 return
-            previous = self._engines.pop(key, None)
-            if previous is not None:
-                self._engine_clauses -= previous[1]
+            self._take_engine(key)
             self._engines[key] = (engine, clauses)
             self._engine_clauses += clauses
+            for cluster_id in key[0]:
+                self._engine_keys_of.setdefault(cluster_id, set()).add(key)
             while self._engine_clauses > self.max_engine_clauses:
-                _engine, dropped = self._engines.pop(next(iter(self._engines)))
-                self._engine_clauses -= dropped
+                self._take_engine(next(iter(self._engines)))
                 evicted += 1
             self.stats.engine_evictions += evicted
             held = self._engine_clauses
@@ -321,12 +322,23 @@ class SignatureProgramCache:
         if self.metrics is not None:
             self.metrics.gauge("solve_engine_clauses").set(held)
 
+    def _take_engine(self, key: EngineKey) -> tuple[Any, int] | None:
+        """Remove ``key``'s entry from the store, if any (lock held)."""
+        entry = self._engines.pop(key, None)
+        if entry is not None:
+            self._engine_clauses -= entry[1]
+            for cluster_id in key[0]:
+                keys = self._engine_keys_of[cluster_id]
+                keys.discard(key)
+                if not keys:
+                    del self._engine_keys_of[cluster_id]
+        return entry
+
     def _drop_engines(self, keys: Iterable[EngineKey]) -> None:
         """Drop ``keys``' engines and start a new epoch (lock held)."""
         self._epoch += 1
         for key in list(keys):
-            _engine, clauses = self._engines.pop(key)
-            self._engine_clauses -= clauses
+            self._take_engine(key)
 
     # -------------------------------------------------- invalidation
 
@@ -346,7 +358,11 @@ class SignatureProgramCache:
             return 0
         with self._lock:
             self._drop_engines(
-                [key for key in self._engines if not retired.isdisjoint(key[0])]
+                {
+                    key
+                    for cluster_id in retired
+                    for key in self._engine_keys_of.get(cluster_id, ())
+                }
             )
             held = self._engine_clauses
             dead_programs = [

@@ -210,11 +210,37 @@ class TestEviction:
                 cache.clear_answers()
                 held = [count for _f, count in cache._engines.values()]
                 assert sum(held) == cache._engine_clauses <= bound
+                indexed = {k for ks in cache._engine_keys_of.values() for k in ks}
+                assert indexed == set(cache._engines)
         if bound == 1:
             assert cache.stats.engine_evictions > 0
             assert cache.engine_keys() == []
         if bound == 10**9:
             assert cache.stats.engine_evictions == 0
+
+    def test_invalidation_drops_exactly_the_retired_families(self):
+        class Held:
+            clauses = 10
+
+        cache = SignatureProgramCache()
+        keys = [((1, 2), "repair"), ((3,), "repair"), ((2, 4), "figure1")]
+        for key in keys:
+            _engine, epoch = cache.checkout_engine(key)
+            cache.return_engine(key, Held(), epoch)
+        checked_out, stale_epoch = cache.checkout_engine(((3,), "repair"))
+        cache.invalidate_clusters([2, 9])
+        assert cache.engine_keys() == []
+        # Checked out before the invalidation: dropped on return.
+        cache.return_engine(((3,), "repair"), checked_out, stale_epoch)
+        assert cache.engine_keys() == []
+        for key in keys:
+            _engine, epoch = cache.checkout_engine(key)
+            cache.return_engine(key, Held(), epoch)
+        cache.invalidate_clusters([2])
+        assert cache.engine_keys() == [((3,), "repair")]
+        assert cache._engine_clauses == 10
+        indexed = {k for ks in cache._engine_keys_of.values() for k in ks}
+        assert indexed == {((3,), "repair")}
 
     def test_bound_is_validated(self):
         with pytest.raises(ValueError):
