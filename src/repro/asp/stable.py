@@ -572,8 +572,11 @@ class StableModelEngine:
         self._goal_vars.add(goal)
         return goal
 
-    def _goal_body(self, atoms: frozenset[int], pending: list[list[int]]) -> int:
-        """The definition variable ``d ↔ ∧ atoms`` (clauses to ``pending``)."""
+    def _goal_body(
+        self, atoms: frozenset[int], pending: list[list[int]]
+    ) -> int:
+        """The definition variable ``d ↔ ∧ atoms`` (clauses to
+        ``pending``)."""
         body = self._goal_bodies.get(atoms)
         if body is None:
             body = self._goal_bodies[atoms] = self.solver.new_var()
@@ -682,7 +685,9 @@ class StableModelEngine:
                     return self._stable(candidate, values)
                 self._refine_with_unfounded(frozenset(candidate - witness))
 
-    def _stable(self, candidate: frozenset[int], values: list[bool]) -> frozenset[int]:
+    def _stable(
+        self, candidate: frozenset[int], values: list[bool]
+    ) -> frozenset[int]:
         """A found stable model, with the goals it makes true."""
         self._models_found += 1
         if not self._goal_vars:

@@ -524,9 +524,8 @@ class _PivotPlan:
         for step, before in zip(self.steps[1:], self.before_pivot):
             if not rows:
                 break
-            rows = _probe_tracked(
-                step, cache.index_for(step), rows, skip_before if before else None
-            )
+            skip = skip_before if before else None
+            rows = _probe_tracked(step, cache.index_for(step), rows, skip)
         return rows
 
 

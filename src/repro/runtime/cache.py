@@ -60,11 +60,11 @@ engine — under the serving tier (:mod:`repro.serve`) those queries run on
 *concurrent threads*.  LRU recency maintenance mutates the underlying
 dicts on **lookup** (delete + re-insert), so even the read path writes;
 every operation (lookup/store/checkout/return/invalidate/clear)
-therefore takes one internal ``threading.Lock``.  The critical sections are a few dict
-operations each, so the single-threaded overhead is one uncontended
-acquire per call — negligible next to program construction, and far
-cheaper than the torn-LRU ``KeyError`` crashes (or silently corrupted
-recency chains) concurrent unlocked lookups produce.
+therefore takes one internal ``threading.Lock``.  The critical sections
+are a few dict operations each, so the single-threaded overhead is one
+uncontended acquire per call — negligible next to program construction,
+and far cheaper than the torn-LRU ``KeyError`` crashes (or silently
+corrupted recency chains) concurrent unlocked lookups produce.
 """
 
 from __future__ import annotations

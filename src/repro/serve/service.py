@@ -47,7 +47,10 @@ from repro.obs.tracing import NOOP_TRACER
 from repro.reduction.reduce import ReducedMapping
 from repro.relational.instance import Instance
 from repro.runtime.budget import NO_BUDGET, SolveBudget
-from repro.runtime.cache import DEFAULT_MAX_ENGINE_CLAUSES, SignatureProgramCache
+from repro.runtime.cache import (
+    DEFAULT_MAX_ENGINE_CLAUSES,
+    SignatureProgramCache,
+)
 from repro.xr.segmentary import SegmentaryEngine
 
 from repro.serve.admission import AdmissionController, AdmissionRejected

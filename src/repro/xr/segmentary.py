@@ -867,8 +867,9 @@ class SegmentaryEngine:
                 }
                 accepted |= member_trivial
                 member.trivially_certain = member_trivial
+                define_goal = family.engine.define_goal
                 member.solve_atoms = {
-                    candidate: family.engine.define_goal(part.bodies[candidate])
+                    candidate: define_goal(part.bodies[candidate])
                     for candidate in member.unresolved
                     if candidate in part.bodies
                     and candidate not in member_trivial
