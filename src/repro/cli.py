@@ -33,7 +33,6 @@ from typing import Sequence
 from repro.obs import Recorder, write_prometheus, write_trace_json
 from repro.parser import parse_instance, parse_mapping, parse_program
 from repro.runtime.budget import NO_BUDGET, SolveBudget, is_positive_finite
-from repro.runtime.cache import DEFAULT_MAX_ENGINE_CLAUSES
 from repro.xr.monolithic import MonolithicEngine
 from repro.xr.segmentary import SegmentaryEngine
 from repro.xr.solutions import xr_solutions
@@ -74,19 +73,6 @@ def _budget_seconds(text: str) -> float:
     if not is_positive_finite(value):
         raise argparse.ArgumentTypeError(
             f"must be a positive finite number, got {text}"
-        )
-    return value
-
-
-def _positive_count(text: str) -> int:
-    """argparse type of a bound counted in items: a positive integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text}"
         )
     return value
 
@@ -305,7 +291,6 @@ def _command_serve(arguments) -> int:
         max_inflight=arguments.max_inflight,
         max_queue=arguments.max_queue,
         queue_timeout=arguments.queue_timeout,
-        max_engine_clauses=arguments.max_engine_clauses,
     )
     started = time.perf_counter()
     service = QueryService(mapping, instance, config)
@@ -526,11 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="max wait for an execution slot before 429 "
                        "(default 2.0)")
-    serve.add_argument("--max-engine-clauses", type=_positive_count,
-                       default=DEFAULT_MAX_ENGINE_CLAUSES, metavar="N",
-                       help="bound on the clauses the kept cluster-family "
-                       "solvers hold; least recently used go first "
-                       f"(default {DEFAULT_MAX_ENGINE_CLAUSES})")
     serve.set_defaults(run=_command_serve)
 
     bench = commands.add_parser(

@@ -51,7 +51,7 @@ out of the store and returns it after a clean solve
 reader that finds it checked out builds a private one.  An engine cut
 off by a budget, or caught in an exception, is never returned.  The
 store is LRU-bounded by the total clauses its engines hold
-(``max_engine_clauses``); eviction is answer-neutral (the next query
+(:data:`DEFAULT_MAX_ENGINE_CLAUSES`); eviction is answer-neutral (the next query
 rebuilds).  :meth:`invalidate_clusters` and :meth:`clear` drop engines
 too, and an engine checked out before either is dropped on return.
 
@@ -138,9 +138,10 @@ class SignatureProgramCache:
     from an empty cache.
 
     ``max_programs`` / ``max_decisions`` bound each answer layer;
-    ``None`` (the default) keeps them unbounded.  ``max_engine_clauses``
-    bounds the engine store by the clauses its engines hold (engines
-    are the heaviest entries, so it is always bounded).  Eviction is LRU
+    ``None`` (the default) keeps them unbounded.  The engine store is
+    bounded by the clauses its engines hold,
+    :data:`DEFAULT_MAX_ENGINE_CLAUSES` (engines are the heaviest
+    entries, so it is always bounded).  Eviction is LRU
     and answer-neutral.  An optional ``metrics``
     (:class:`~repro.obs.metrics.Metrics`) registry receives eviction
     counters and the ``solve_engine_clauses`` gauge so long-lived
@@ -151,19 +152,14 @@ class SignatureProgramCache:
         self,
         max_programs: int | None = None,
         max_decisions: int | None = None,
-        max_engine_clauses: int = DEFAULT_MAX_ENGINE_CLAUSES,
     ) -> None:
         if max_programs is not None and max_programs < 1:
             raise ValueError(f"max_programs must be >= 1, got {max_programs}")
         if max_decisions is not None and max_decisions < 1:
             raise ValueError(f"max_decisions must be >= 1, got {max_decisions}")
-        if max_engine_clauses < 1:
-            raise ValueError(
-                f"max_engine_clauses must be >= 1, got {max_engine_clauses}"
-            )
         self.max_programs = max_programs
         self.max_decisions = max_decisions
-        self.max_engine_clauses = max_engine_clauses
+        self.max_engine_clauses = DEFAULT_MAX_ENGINE_CLAUSES
         # One lock for both layers and the counters: lookups mutate the
         # dicts too (LRU delete + re-insert), so readers and writers must
         # exclude each other.  Never held while calling out — the metrics

@@ -47,10 +47,7 @@ from repro.obs.tracing import NOOP_TRACER
 from repro.reduction.reduce import ReducedMapping
 from repro.relational.instance import Instance
 from repro.runtime.budget import NO_BUDGET, SolveBudget
-from repro.runtime.cache import (
-    DEFAULT_MAX_ENGINE_CLAUSES,
-    SignatureProgramCache,
-)
+from repro.runtime.cache import SignatureProgramCache
 from repro.xr.segmentary import SegmentaryEngine
 
 from repro.serve.admission import AdmissionController, AdmissionRejected
@@ -78,8 +75,6 @@ class ServiceConfig:
     # Cache bounds (entries per layer); None = unbounded.
     max_programs: int | None = 4096
     max_decisions: int | None = 65536
-    # Engine store bound: clauses held by the kept family engines.
-    max_engine_clauses: int = DEFAULT_MAX_ENGINE_CLAUSES
 
     def budget_ceiling(self) -> SolveBudget:
         if self.deadline is None and self.task_timeout is None:
@@ -149,7 +144,6 @@ class QueryService:
         self.cache = SignatureProgramCache(
             max_programs=self.config.max_programs,
             max_decisions=self.config.max_decisions,
-            max_engine_clauses=self.config.max_engine_clauses,
         )
         self.cache.metrics = self.metrics
         self.engine = SegmentaryEngine(
