@@ -142,7 +142,7 @@ def decide_family(
 
     engine.set_deadline(deadline)
     try:
-        first = engine.solve_under()
+        first = engine.solve_under(goals=undecided)
         if first is None:
             undecided.clear()
             return verdicts(no_model=True)
@@ -173,7 +173,7 @@ def decide_family(
                 engine.add_guarded_clause(
                     selector, [-atom for atom in sorted(undecided)]
                 )
-            model = engine.solve_under([selector])
+            model = engine.solve_under([selector], goals=undecided)
             engine.retire_selector(selector)
             if model is None:
                 # No stable model can steer further: every remaining atom

@@ -147,6 +147,8 @@ class StableModelEngine:
         self.failed_assumptions: list[int] | None = None
         #: Goal variables (:meth:`define_goal`), keyed by their body set.
         self._goals: dict[frozenset, int] = {}
+        #: The same variables as a set: :meth:`add_guarded_clause`'s
+        #: bounds check tests each literal against it.
         self._goal_vars: set[int] = set()
         self._goal_bodies: dict[frozenset[int], int] = {}
         self._build_encoding()
@@ -635,7 +637,9 @@ class StableModelEngine:
         """
         return self.solver.top_level_value(atom)
 
-    def solve_under(self, assumptions: Sequence[int] = ()) -> frozenset[int] | None:
+    def solve_under(
+        self, assumptions: Sequence[int] = (), goals: Iterable[int] = ()
+    ) -> frozenset[int] | None:
         """One stable model consistent with ``assumptions``, or None.
 
         Unlike :meth:`next_stable_model` the found model is **not**
@@ -646,9 +650,11 @@ class StableModelEngine:
         Callers drive enumeration themselves via guarded steering
         clauses (:meth:`add_guarded_clause`).
 
-        The model is its true head atoms plus its true goal variables
-        (:meth:`define_goal`); stability is tested on the head atoms
-        alone, which fix every goal's value.
+        The model is its true head atoms plus those of ``goals`` (goal
+        variables of :meth:`define_goal`) that it makes true; stability
+        is tested on the head atoms alone, which fix every goal's value.
+        Only the goals asked about are read, so a kept engine's cost per
+        model does not grow with the goals earlier questions defined.
 
         After None, :attr:`failed_assumptions` holds the failed
         assumption core when the database stays satisfiable ([] when the
@@ -656,6 +662,7 @@ class StableModelEngine:
         either way unless the database itself became unsatisfiable.
         """
         self.failed_assumptions = None
+        goals = tuple(goals)
         if self._exhausted:
             self.failed_assumptions = []
             return None
@@ -677,22 +684,25 @@ class StableModelEngine:
             if self.is_normal:
                 least = self._least_model_of_reduct(candidate)
                 if least == candidate:
-                    return self._stable(candidate, values)
+                    return self._stable(candidate, values, goals)
                 self._refine_with_unfounded(frozenset(candidate - least))
             else:
                 witness = self._minimality_witness(candidate)
                 if witness is None:
-                    return self._stable(candidate, values)
+                    return self._stable(candidate, values, goals)
                 self._refine_with_unfounded(frozenset(candidate - witness))
 
     def _stable(
-        self, candidate: frozenset[int], values: list[bool]
+        self,
+        candidate: frozenset[int],
+        values: list[bool],
+        goals: tuple[int, ...],
     ) -> frozenset[int]:
-        """A found stable model, with the goals it makes true."""
+        """A found stable model, with those of ``goals`` it makes true."""
         self._models_found += 1
-        if not self._goal_vars:
+        if not goals:
             return candidate
-        return candidate | {goal for goal in self._goal_vars if values[goal]}
+        return candidate | {goal for goal in goals if values[goal]}
 
     def next_stable_model(self) -> frozenset[int] | None:
         """The next stable model (a frozenset of atom ids), or None.

@@ -83,6 +83,19 @@ class TestSolveUnder:
         assert engine.solve_under([1]) is None
         assert engine.solve_under() == frozenset()
 
+    def test_model_reports_only_the_goals_asked_about(self):
+        engine = StableModelEngine(choice_program())
+        first = engine.define_goal([[1]])
+        second = engine.define_goal([[1, 2], [3]])
+        model = engine.solve_under([1, 2])
+        assert model == frozenset({1, 2})
+        model = engine.solve_under([1, 2], goals=[first])
+        assert model == frozenset({1, 2, first})
+        model = engine.solve_under([1, 2], goals=[first, second])
+        assert model == frozenset({1, 2, first, second})
+        model = engine.solve_under([3, 4], goals=[first, second])
+        assert model == frozenset({3, 4, second})
+
     def test_statistics_track_carried_clauses(self):
         engine = StableModelEngine(choice_program())
         assert engine.statistics["carried_clauses"] == 0
