@@ -429,14 +429,26 @@ def _body_order(join_order: Sequence[int]) -> tuple[int, ...]:
 
 
 def _join(
-    steps, cache: _IndexCache, rows: list, tracked: bool, transient: bool = False
+    steps,
+    cache: _IndexCache,
+    rows: list,
+    tracked: bool,
+    transient: bool = False,
+    skips: Sequence[AbstractSet[Fact] | None] | None = None,
 ) -> list:
-    """Probe ``rows`` through ``steps``; tracked rows are ``(values, facts)``."""
+    """Probe ``rows`` through ``steps``; tracked rows are ``(values, facts)``.
+
+    ``skips`` (tracked rows only) gives per step the stored facts it
+    does not match, None for a step that matches every fact."""
     probe = _probe_tracked if tracked else _probe
-    for step in steps:
+    for position, step in enumerate(steps):
         if not rows:
             break
-        rows = probe(step, cache.index_for(step, transient), rows)
+        index = cache.index_for(step, transient)
+        if skips is None or skips[position] is None:
+            rows = probe(step, index, rows)
+        else:
+            rows = _probe_tracked(step, index, rows, skips[position])
     return rows
 
 
@@ -519,14 +531,12 @@ class _PivotPlan:
             entry = admit(fact)
             if entry is not None:
                 rows.append((entry[1], (fact,)) if tracked else entry[1])
-        if skip_before is None or not any(self.before_pivot):
-            return _join(self.steps[1:], cache, rows, tracked)
-        for step, before in zip(self.steps[1:], self.before_pivot):
-            if not rows:
-                break
-            skip = skip_before if before else None
-            rows = _probe_tracked(step, cache.index_for(step), rows, skip)
-        return rows
+        skips = None
+        if skip_before is not None:
+            skips = [
+                skip_before if before else None for before in self.before_pivot
+            ]
+        return _join(self.steps[1:], cache, rows, tracked, skips=skips)
 
 
 # -------------------------------------------------------------------- chase
