@@ -317,13 +317,6 @@ class StableModelEngine:
             )
             pending.append(clause)
 
-        # One int object per literal: ``-x`` allocates a fresh int on
-        # every evaluation, and a kept engine holds its clauses for good.
-        canonical: dict[int, int] = {}
-        intern = canonical.setdefault
-        for clause in pending:
-            for position, literal in enumerate(clause):
-                clause[position] = intern(literal, literal)
         solver.add_clauses_raw(pending)
         # Bias the first candidates toward small models.
         for var in range(1, solver.num_vars + 1):
