@@ -1,6 +1,6 @@
 """Shared state for the benchmark suite.
 
-One :class:`~repro.bench.runner.BenchmarkContext` per session memoizes the
+One :class:`~benchmarks.harness.BenchmarkContext` per session memoizes the
 reduced genome mapping, the generated instances, and the warm segmentary
 engines, so each table/figure benchmark pays only for what it measures.
 
@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.runner import BenchmarkContext
+from benchmarks.harness import BenchmarkContext
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

@@ -1,15 +1,18 @@
-"""Benchmark execution helpers.
+"""What the paper-figure suite shares: engines, timing and formatting.
 
 ``BenchmarkContext`` memoizes the expensive shared artifacts (the reduced
 genome mapping, generated instances, warm segmentary engines) across
 benchmark functions within one pytest session, so each table/figure bench
-only pays for what it measures.
+only pays for what it measures.  :func:`format_table` and
+:func:`format_series` print the rows and series the paper's tables and
+figures report, aligned and diff-friendly.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.genomics.instances import INSTANCE_PROFILES, build_instance
 from repro.genomics.generator import GeneratedInstance
@@ -20,6 +23,35 @@ from repro.reduction.reduce import ReducedMapping, reduce_mapping
 from repro.runtime.budget import SolveBudget
 from repro.xr.monolithic import MonolithicEngine
 from repro.xr.segmentary import SegmentaryEngine
+
+
+def format_table(
+    headers: Sequence[str],
+    rows: Sequence[Sequence[object]],
+    title: str | None = None,
+) -> str:
+    """Render an aligned plain-text table."""
+    cells = [[str(h) for h in headers]] + [[str(c) for c in row] for row in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(headers))]
+    lines = []
+    if title:
+        lines.append(title)
+    header_line = "  ".join(h.ljust(w) for h, w in zip(cells[0], widths))
+    lines.append(header_line)
+    lines.append("-" * len(header_line))
+    for row in cells[1:]:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def format_series(
+    name: str,
+    points: Sequence[tuple[object, float]],
+    unit: str = "s",
+) -> str:
+    """Render one figure series as ``name: x=y`` pairs (one per point)."""
+    body = "  ".join(f"{x}={y:.3f}{unit}" for x, y in points)
+    return f"{name}: {body}"
 
 
 @dataclass

@@ -11,8 +11,8 @@
 
 import time
 
+from benchmarks.harness import format_table
 from repro.asp.stable import StableModelEngine
-from repro.bench.reporting import format_table
 from repro.genomics.queries import query_by_name
 from repro.xr.monolithic import MonolithicEngine
 from repro.xr.program import build_repair_program

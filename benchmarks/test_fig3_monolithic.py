@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.bench.reporting import format_series, format_table
+from benchmarks.harness import format_series, format_table
 from repro.genomics.instances import SUSPECT_SWEEP
 from repro.genomics.queries import query_by_name
 

@@ -9,7 +9,7 @@ eleven-query suite runs everywhere.
 
 import time
 
-from repro.bench.reporting import format_series, format_table
+from benchmarks.harness import format_series, format_table
 from repro.genomics.instances import SIZE_SWEEP, SUSPECT_SWEEP
 from repro.genomics.queries import QUERY_SUITE, query_by_name
 

@@ -9,7 +9,7 @@ relation copies (DESIGN.md §6), so the blow-up profile differs; this bench
 records ours next to the paper's.
 """
 
-from repro.bench.reporting import format_table
+from benchmarks.harness import format_table
 from repro.genomics.queries import query_by_name
 from repro.genomics.schema import genome_mapping
 from repro.reduction import reduce_mapping

@@ -6,7 +6,7 @@ synthetic instance (absolute tuple counts are scaled; the relational shape
 is identical — see EXPERIMENTS.md).
 """
 
-from repro.bench.reporting import format_table
+from benchmarks.harness import format_table
 from repro.genomics.schema import source_schema
 
 GROUPS = {

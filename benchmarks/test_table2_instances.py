@@ -7,7 +7,7 @@ exchanged target), the suspect-transcript rate, and the suspect-tuple rate
 
 import pytest
 
-from repro.bench.reporting import format_table
+from benchmarks.harness import format_table
 from repro.genomics.instances import SIZE_SWEEP, SUSPECT_SWEEP
 
 

@@ -7,8 +7,7 @@ respect the structural relationships between the queries (ep3 ≥ ep2,
 xr6 ≥ xr5, projection-free xr3 ≤ xr2, ...).
 """
 
-from repro.bench.reporting import format_table
-from repro.bench.runner import run_query_suite
+from benchmarks.harness import format_table, run_query_suite
 from repro.genomics.queries import QUERY_SUITE
 
 

@@ -9,7 +9,7 @@ at fixed size, and with size at a fixed rate.
 
 import pytest
 
-from repro.bench.reporting import format_table
+from benchmarks.harness import format_table
 from repro.genomics.instances import SIZE_SWEEP, SUSPECT_SWEEP
 from repro.reduction import reduce_mapping
 from repro.xr.segmentary import SegmentaryEngine

@@ -10,7 +10,7 @@ Uses a fresh engine (not ``ctx``'s warm ones), because those may already
 be cache-warm from other benchmarks in the same session.
 """
 
-from repro.bench.reporting import format_table
+from benchmarks.harness import format_table
 from repro.genomics.queries import QUERY_SUITE, query_by_name
 from repro.xr.segmentary import SegmentaryEngine
 

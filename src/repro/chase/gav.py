@@ -7,8 +7,8 @@ smallest reference that pins them: the semi-naive :func:`gav_chase`,
 :func:`enumerate_groundings` (Definition 4) and :func:`find_violations`
 (Definition 5), assembled by :func:`reference_exchange_data`, and
 :func:`reference_ground_query`.  The fuzzer, the bit-identity tests and
-the micro-benchmark's batch-vs-reference series use it; no production
-module imports it.
+the batch-vs-reference exchange gate (``benchmarks/gates.py``) use it;
+no production module imports it.
 """
 
 from __future__ import annotations

@@ -65,7 +65,8 @@ def _write_observability(arguments, obs: Recorder | None) -> None:
 
 
 def _budget_seconds(text: str) -> float:
-    """argparse type of ``--deadline``/``--task-timeout``: the HTTP 400 rule."""
+    """argparse type of ``--deadline``/``--task-timeout``/``--queue-timeout``:
+    the HTTP 400 rule."""
     try:
         value = float(text)
     except ValueError:
@@ -75,6 +76,23 @@ def _budget_seconds(text: str) -> float:
             f"must be a positive finite number, got {text}"
         )
     return value
+
+
+def _count_from(minimum: int):
+    """argparse type of an integer flag that must be at least ``minimum``."""
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {minimum}, got {text}"
+            )
+        return value
+
+    return count
 
 
 def _scenario(name: str):
@@ -301,87 +319,6 @@ def _command_serve(arguments) -> int:
     return run_serve(service, host=arguments.host, port=arguments.port)
 
 
-def _command_bench(arguments) -> int:
-    from repro.bench.micro import (
-        MICRO_QUERIES,
-        format_micro_table,
-        run_micro,
-    )
-    from repro.bench.reporting import print_flush, write_benchmark_json
-
-    if arguments.serve:
-        from repro.bench.serve import (
-            SERVE_QUERIES,
-            SERVE_SCENARIOS,
-            format_serve_table,
-            run_serve_bench,
-        )
-
-        scenarios = (
-            tuple(arguments.scenarios.split(","))
-            if arguments.scenarios else SERVE_SCENARIOS
-        )
-        queries = (
-            tuple(arguments.queries.split(",")) if arguments.queries
-            else SERVE_QUERIES
-        )
-        payload = run_serve_bench(
-            scenarios=scenarios,
-            clients=arguments.clients,
-            duration=arguments.duration,
-            warmup=arguments.warmup,
-            queries=queries,
-            url=arguments.url,
-            log=print_flush,
-        )
-        print(format_serve_table(payload))
-        if arguments.json:
-            path = write_benchmark_json(arguments.json, payload)
-            print(f"% artifact written to {path}")
-        total_errors = sum(
-            row["errors"] for row in payload["scenarios"].values()
-        )
-        if total_errors:
-            print(f"% FAIL: {total_errors} non-degraded error(s)",
-                  file=sys.stderr)
-            return 1
-        if arguments.qps_floor is not None:
-            below = {
-                name: row["qps"]
-                for name, row in payload["scenarios"].items()
-                if row["qps"] < arguments.qps_floor
-            }
-            if below:
-                print(f"% FAIL: qps below floor {arguments.qps_floor}: "
-                      f"{below}", file=sys.stderr)
-                return 1
-        return 0
-    if not arguments.micro:
-        print("nothing to do: pass --micro or --serve (paper-style "
-              "tables live in benchmarks/, run them with pytest)",
-              file=sys.stderr)
-        return 2
-    scenarios = arguments.scenarios.split(",") if arguments.scenarios else None
-    queries = (
-        tuple(arguments.queries.split(",")) if arguments.queries
-        else MICRO_QUERIES
-    )
-    obs = _recorder_from(arguments)
-    payload = run_micro(
-        scenarios=scenarios,
-        repeats=arguments.repeats,
-        queries=queries,
-        log=print_flush,
-        obs=obs,
-    )
-    print(format_micro_table(payload))
-    if arguments.json:
-        path = write_benchmark_json(arguments.json, payload)
-        print(f"% artifact written to {path}")
-    _write_observability(arguments, obs)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -501,61 +438,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--task-timeout", type=_budget_seconds, default=None,
                        metavar="SECONDS",
                        help="per-family-program solve ceiling")
-    serve.add_argument("--max-inflight", type=int, default=8, metavar="N",
+    serve.add_argument("--max-inflight", type=_count_from(1), default=8,
+                       metavar="N",
                        help="concurrent query executions admitted "
                        "(default 8)")
-    serve.add_argument("--max-queue", type=int, default=16, metavar="N",
+    serve.add_argument("--max-queue", type=_count_from(0), default=16,
+                       metavar="N",
                        help="requests allowed to wait for a slot; beyond "
                        "this, immediate 429 (default 16)")
-    serve.add_argument("--queue-timeout", type=float, default=2.0,
+    serve.add_argument("--queue-timeout", type=_budget_seconds, default=2.0,
                        metavar="SECONDS",
                        help="max wait for an execution slot before 429 "
                        "(default 2.0)")
     serve.set_defaults(run=_command_serve)
-
-    bench = commands.add_parser(
-        "bench", help="micro-benchmarks of the deterministic hot paths"
-    )
-    bench.add_argument("--micro", action="store_true",
-                       help="run the exchange/program-build/solve "
-                       "micro-benchmark grid")
-    bench.add_argument("--scenarios", metavar="S0,M9,...",
-                       help="comma-separated scenario names: genomics cells "
-                       "(size letter + suspect percent) and/or TPC-H cells "
-                       "(tpch-sfS-rR); default: S/M/L × 0/3/9/20 plus the "
-                       "small TPC-H cells")
-    bench.add_argument("--repeats", type=int, default=3, metavar="N",
-                       help="repeats per scenario; medians are reported "
-                       "(default 3)")
-    bench.add_argument("--queries", metavar="ep2,xr2,...",
-                       help="comma-separated Table 3 query names for the "
-                       "query-phase stages (default ep2,xr2,xr4)")
-    bench.add_argument("--json", metavar="PATH",
-                       help="write the artifact payload to PATH")
-    bench.add_argument("--serve", action="store_true",
-                       help="load-test the serving tier: N client threads "
-                       "over the genomics grid, p50/p99 latency + "
-                       "sustained QPS (BENCH_PR9.json)")
-    bench.add_argument("--clients", type=int, default=8, metavar="N",
-                       help="concurrent client threads for --serve "
-                       "(default 8)")
-    bench.add_argument("--duration", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="measured window per scenario for --serve "
-                       "(default 5.0)")
-    bench.add_argument("--warmup", type=float, default=1.0,
-                       metavar="SECONDS",
-                       help="warmup excluded from --serve percentiles "
-                       "(default 1.0)")
-    bench.add_argument("--url", metavar="http://HOST:PORT",
-                       help="target an externally-booted server instead "
-                       "of in-process ones (--serve only; CI smoke)")
-    bench.add_argument("--qps-floor", type=float, default=None,
-                       metavar="QPS",
-                       help="exit non-zero when any --serve scenario "
-                       "sustains less than this (CI enforcement)")
-    observability(bench)
-    bench.set_defaults(run=_command_bench)
     return parser
 
 

@@ -60,7 +60,7 @@ def query_by_name(name: str) -> ConjunctiveQuery:
 
 def query_text_by_name(name: str) -> str:
     """The surface-syntax text of a Table 3 query (for wire protocols —
-    ``repro bench --serve`` clients send query *text*, not objects)."""
+    HTTP load clients send query *text*, not objects)."""
     for candidate, text in _QUERY_TEXTS:
         if candidate == name:
             return text

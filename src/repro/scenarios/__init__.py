@@ -21,7 +21,6 @@ from repro.scenarios.tpch import (
     TPCH_FUZZ_SCALES,
     TPCHScenario,
     parse_tpch_name,
-    tpch_cell_name,
     tpch_mapping,
     tpch_scenario,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "TPCH_FUZZ_SCALES",
     "TPCHScenario",
     "parse_tpch_name",
-    "tpch_cell_name",
     "tpch_mapping",
     "tpch_scenario",
 ]

@@ -244,13 +244,9 @@ def tpch_scenario(scale: float, ratio: float, seed: int) -> TPCHScenario:
 _TPCH_NAME_RE = re.compile(r"^tpch-sf(?P<scale>[0-9.]+)-r(?P<ratio>[0-9.]+)$")
 
 
-def tpch_cell_name(scale: float, ratio: float) -> str:
-    """The benchmark scenario name of a grid cell, e.g. ``tpch-sf0.01-r0.2``."""
-    return f"tpch-sf{scale:g}-r{ratio:g}"
-
-
 def parse_tpch_name(name: str) -> tuple[float, float]:
-    """Invert :func:`tpch_cell_name`; raises ``ValueError`` otherwise."""
+    """``(scale, ratio)`` of a grid cell named like ``tpch-sf0.01-r0.2``;
+    raises ``ValueError`` otherwise."""
     match = _TPCH_NAME_RE.match(name)
     if match is None:
         raise ValueError(

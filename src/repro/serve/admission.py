@@ -24,6 +24,8 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
+from repro.runtime.budget import is_positive_finite
+
 
 class AdmissionRejected(Exception):
     """The server is over capacity; retry after ``retry_after`` seconds."""
@@ -47,9 +49,10 @@ class AdmissionController:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
-        if queue_timeout <= 0:
+        if not is_positive_finite(queue_timeout):
             raise ValueError(
-                f"queue_timeout must be positive, got {queue_timeout}"
+                "queue_timeout must be positive and finite, "
+                f"got {queue_timeout}"
             )
         self.max_inflight = max_inflight
         self.max_queue = max_queue

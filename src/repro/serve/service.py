@@ -59,6 +59,12 @@ from repro.serve.protocol import (
 )
 from repro.serve.rwlock import RWLock
 
+#: Entry bounds of the serving process's two answer layers (programs,
+#: decisions); the engine store has its own clause bound
+#: (:data:`~repro.runtime.cache.DEFAULT_MAX_ENGINE_CLAUSES`).
+MAX_CACHED_PROGRAMS = 4096
+MAX_CACHED_DECISIONS = 65536
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -72,9 +78,6 @@ class ServiceConfig:
     max_inflight: int = 8
     max_queue: int = 16
     queue_timeout: float = 2.0
-    # Cache bounds (entries per layer); None = unbounded.
-    max_programs: int | None = 4096
-    max_decisions: int | None = 65536
 
     def budget_ceiling(self) -> SolveBudget:
         if self.deadline is None and self.task_timeout is None:
@@ -142,8 +145,8 @@ class QueryService:
         self.metrics = Metrics()
         self.obs = Recorder(tracer=NOOP_TRACER, metrics=self.metrics)
         self.cache = SignatureProgramCache(
-            max_programs=self.config.max_programs,
-            max_decisions=self.config.max_decisions,
+            max_programs=MAX_CACHED_PROGRAMS,
+            max_decisions=MAX_CACHED_DECISIONS,
         )
         self.cache.metrics = self.metrics
         self.engine = SegmentaryEngine(

@@ -301,7 +301,7 @@ def build_exchange_data(
 
     When ``timings`` is a dict, per-stage wall-clock seconds are recorded
     into it under ``chase`` / ``groundings`` (now empty: the chase emits
-    them) / ``violations`` / ``index`` (used by the micro-benchmarks;
+    them) / ``violations`` / ``index`` (read by the benchmarks;
     answer-neutral).  ``obs`` (a
     :class:`~repro.obs.Recorder`) additionally records one child span per
     stage plus the deterministic work counters (chase rounds, chased

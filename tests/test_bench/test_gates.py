@@ -1,0 +1,98 @@
+"""The CI gates of ``benchmarks/gates.py``, each run small enough for tier-1."""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from benchmarks import gates
+from repro.genomics.instances import build_instance, parse_scenario_name
+from repro.genomics.schema import genome_mapping
+from repro.reduction import reduce_mapping
+from tests.test_serve.test_http import serving
+
+
+def _report(ready_s: float, pipeline_s: float, update_ms: float = 30.0) -> dict:
+    """The part of a perfbench report the ceilings read."""
+    return {"metrics": {
+        "ready_s": {"value": ready_s},
+        "pipeline_s": {"value": pipeline_s},
+        "update_p50_ms": {"value": update_ms},
+    }}
+
+
+@pytest.fixture
+def reports() -> dict:
+    """Reports at the accepted medians, with tpch-sf1's update at 0.2 ms."""
+    built = {
+        workload: _report(medians["ready_s"], medians["pipeline_s"])
+        for workload, medians in gates.ACCEPTED_MEDIANS.items()
+    }
+    built["tpch-sf1"]["metrics"]["update_p50_ms"]["value"] = 0.2
+    return built
+
+
+def verdicts(reports: dict) -> list[bool]:
+    return [ok for ok, _line in gates.check_ceilings(reports)]
+
+
+class TestCeilings:
+    def test_accepted_medians_pass(self, reports):
+        assert verdicts(reports) == [True] * 5
+
+    @pytest.mark.parametrize("workload", ["tpch-sf1", "serve-rw"])
+    def test_tripled_ready_s_fails(self, reports, workload):
+        metric = reports[workload]["metrics"]["ready_s"]
+        metric["value"] = metric["value"] * 3 + 0.001
+        assert verdicts(reports).count(False) == 1
+
+    def test_update_as_slow_as_a_cold_start_fails(self, reports):
+        metrics = reports["tpch-sf1"]["metrics"]
+        metrics["update_p50_ms"]["value"] = metrics["ready_s"]["value"] * 1000
+        assert verdicts(reports) == [True] * 4 + [False]
+
+    @pytest.mark.parametrize("workload", ["tpch-sf1", "serve-rw"])
+    def test_missing_report_fails(self, reports, workload):
+        reports[workload] = None
+        assert False in verdicts(reports)
+
+    def test_missing_metric_fails(self, reports):
+        del reports["serve-rw"]["metrics"]["pipeline_s"]
+        assert verdicts(reports).count(False) == 1
+
+
+class TestExchangeReference:
+    def test_tpch_cell_is_bit_identical_with_a_finite_ratio(self):
+        row = gates.reference_ratio("tpch-sf0.01-r0.2", repeats=1)
+        assert row["mismatches"] == []
+        assert row["batch_s"] > 0 and row["reference_s"] > 0
+        assert math.isfinite(row["ratio"])
+
+
+@pytest.fixture(scope="module")
+def genomics_server():
+    """A server over genomics S0, the schema the load's queries are over."""
+    mapping = reduce_mapping(genome_mapping())
+    instance = build_instance(parse_scenario_name("S0")).instance
+    with serving(mapping, instance) as (host, port, _service):
+        yield f"http://{host}:{port}"
+
+
+class TestServeLoad:
+    def test_counts_completed_requests_and_no_errors(self, genomics_server):
+        counts = gates.serve_load(genomics_server, window_s=1.0, warmup_s=0.2)
+        assert counts["errors"] == 0
+        assert counts["completed"] > 0
+
+    def test_wrong_path_counts_errors(self, genomics_server):
+        counts = gates.serve_load(
+            genomics_server + "/nowhere", window_s=0.5, warmup_s=0.0
+        )
+        assert counts["completed"] == 0
+        assert counts["errors"] > 0
+
+
+def test_usage_error_exits_2(capsys):
+    assert gates.main(["serve-load"]) == 2
+    assert "usage" in capsys.readouterr().err

@@ -1,7 +1,11 @@
-"""Tests for the benchmark harness and reporting helpers."""
+"""Tests for the paper-figure suite's shared harness (``benchmarks/harness.py``)."""
 
-from repro.bench.reporting import format_series, format_table
-from repro.bench.runner import BenchmarkContext, run_query_suite
+from benchmarks.harness import (
+    BenchmarkContext,
+    format_series,
+    format_table,
+    run_query_suite,
+)
 
 
 class TestReporting:
@@ -42,54 +46,3 @@ class TestBenchmarkContext:
         assert all(r.seconds >= 0 for r in results)
         assert results[0].answers == 1  # boolean query true
 
-
-class TestMicroPayloadMetadata:
-    """Every benchmark row is self-describing — scenario family and the
-    stage labels observed in that run."""
-
-    @classmethod
-    def setup_class(cls):
-        from repro.bench.micro import run_micro
-
-        cls.payload = run_micro(
-            scenarios=["S0", "tpch-sf0.01-r0"], repeats=1
-        )
-
-    def test_every_row_has_meta(self):
-        for name, row in self.payload["scenarios"].items():
-            meta = row["meta"]
-            assert set(meta) == {"scenario_family", "stages"}, name
-            assert meta["scenario_family"] in ("genomics", "tpch"), name
-            # Stage labels are derived from the run, not hardcoded, and
-            # must match the medians actually reported.
-            assert set(meta["stages"]) == set(row["exchange_s"]), name
-            assert {"chase", "groundings", "violations", "total"} <= set(
-                meta["stages"]
-            ), name
-
-    def test_families_assigned_correctly(self):
-        scenarios = self.payload["scenarios"]
-        assert scenarios["S0"]["meta"]["scenario_family"] == "genomics"
-        assert scenarios["tpch-sf0.01-r0"]["meta"]["scenario_family"] == "tpch"
-
-    def test_exchange_strategy_series(self):
-        for name, row in self.payload["scenarios"].items():
-            series = row["exchange_vs_reference_s"]
-            assert series["stages"] == ["chase", "groundings", "violations"]
-            assert series["batch"] > 0 and series["reference"] > 0, name
-            assert series["speedup"] > 0, name
-
-    def test_tpch_rows_skip_query_stages(self):
-        row = self.payload["scenarios"]["tpch-sf0.01-r0"]
-        assert "query_s" not in row
-        assert "incremental_s" not in row
-        assert row["counts"]["injected_facts"] == 0  # ratio 0 cell
-
-    def test_table_and_compare_handle_mixed_families(self):
-        from repro.bench.micro import compare_payloads, format_micro_table
-
-        table = format_micro_table(self.payload)
-        assert "tpch-sf0.01-r0" in table
-        speedups = compare_payloads(self.payload, self.payload)
-        assert speedups["S0"]["exchange"] == 1.0
-        assert speedups["tpch-sf0.01-r0"] == {"exchange": 1.0}

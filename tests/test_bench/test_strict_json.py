@@ -3,22 +3,22 @@
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import pytest
 
-from repro.bench.reporting import (
-    format_speedup,
-    read_benchmark_json,
-    speedup,
-    write_benchmark_json,
-)
-
 REPO = Path(__file__).resolve().parents[2]
+HISTORICAL = REPO / "benchmarks" / "results" / "historical"
 ARTIFACTS = sorted(
     [*REPO.glob("BENCH*.json"), *(REPO / "benchmarks").glob("**/*.json")]
 )
+
+
+def _artifact_id(path: Path) -> str:
+    """Archived artifacts go by file name, the name they were recorded under."""
+    if path.parent == HISTORICAL:
+        return path.name
+    return path.relative_to(REPO).as_posix()
 
 
 def _reject(constant: str):
@@ -26,26 +26,15 @@ def _reject(constant: str):
 
 
 def test_artifacts_found():
-    names = {path.name for path in ARTIFACTS}
-    assert {"BENCH_PR10.json", "BENCH_PR8.json"} <= names
+    names = {path.relative_to(REPO).as_posix() for path in ARTIFACTS}
+    assert {
+        "BENCHMARK.json",
+        "benchmarks/BENCH_PR8.json",
+        "benchmarks/results/historical/BENCH_PR10.json",
+        "benchmarks/results/historical/bench_pr3_before.json",
+    } <= names
 
 
-@pytest.mark.parametrize(
-    "path", ARTIFACTS, ids=[str(p.relative_to(REPO)) for p in ARTIFACTS]
-)
+@pytest.mark.parametrize("path", ARTIFACTS, ids=[_artifact_id(p) for p in ARTIFACTS])
 def test_artifact_is_strict_json(path):
     json.loads(path.read_text(), parse_constant=_reject)
-
-
-def test_zero_time_speedup_is_null():
-    assert speedup(1.0, 0.0) is None
-    assert speedup(3.0, 2.0) == 1.5
-    assert format_speedup(None) == "-"
-    assert format_speedup(1.5, ".1f") == "1.5x"
-
-
-def test_writer_refuses_non_finite(tmp_path):
-    with pytest.raises(ValueError):
-        write_benchmark_json(tmp_path / "bad.json", {"speedup": math.inf})
-    path = write_benchmark_json(tmp_path / "ok.json", {"speedup": None})
-    assert read_benchmark_json(path)["speedup"] is None

@@ -100,3 +100,31 @@ class TestExchangePhase:
         assert segmentary.exchange_stats.clusters == len(
             small_instance.conflicted_transcripts
         )
+
+
+class TestSuspectRateProfiles:
+    """The S-size scenario cells scale their conflicts with the suspect rate."""
+
+    @staticmethod
+    def engine(reduced, name):
+        from repro.genomics.instances import build_instance, parse_scenario_name
+
+        instance = build_instance(parse_scenario_name(name)).instance
+        engine = SegmentaryEngine(reduced, instance, cache=False)
+        engine.exchange()
+        return engine
+
+    def test_suspect_free_profile_solves_nothing(self, reduced):
+        engine = self.engine(reduced, "S0")
+        assert engine.exchange_stats.source_facts > 0
+        assert engine.exchange_stats.suspect_source_facts == 0
+        for name in ("ep2", "xr2", "xr4"):
+            _answers, stats = engine.answer_with_stats(query_by_name(name))
+            assert stats.programs_solved == 0, name
+
+    def test_suspect_rate_scales_counts(self, reduced):
+        s9, s20 = (
+            self.engine(reduced, name).exchange_stats for name in ("S9", "S20")
+        )
+        assert s20.suspect_source_facts > s9.suspect_source_facts > 0
+        assert s20.violations > 0

@@ -18,7 +18,6 @@ from repro.reduction.reduce import reduce_mapping
 from repro.scenarios.tpch import (
     _KEYED,
     parse_tpch_name,
-    tpch_cell_name,
     tpch_mapping,
     tpch_scenario,
 )
@@ -129,9 +128,8 @@ class TestInjection:
 
 class TestNames:
     def test_round_trip(self):
-        assert tpch_cell_name(0.01, 0.2) == "tpch-sf0.01-r0.2"
         assert parse_tpch_name("tpch-sf0.01-r0.2") == (0.01, 0.2)
-        assert parse_tpch_name(tpch_cell_name(0.05, 0.0)) == (0.05, 0.0)
+        assert parse_tpch_name("tpch-sf0.05-r0") == (0.05, 0.0)
 
     def test_bad_names_rejected(self):
         for bad in ("tpch", "tpch-sf-r0.2", "M9", "tpch-sf0.01"):

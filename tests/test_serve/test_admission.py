@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 
@@ -114,6 +115,12 @@ def test_validation():
         AdmissionController(max_queue=-1)
     with pytest.raises(ValueError):
         AdmissionController(queue_timeout=0)
+
+
+@pytest.mark.parametrize("timeout", [math.nan, math.inf, -1.0])
+def test_non_finite_or_negative_queue_timeout_is_rejected(timeout):
+    with pytest.raises(ValueError, match="queue_timeout"):
+        AdmissionController(queue_timeout=timeout)
 
 
 def test_concurrent_inflight_never_exceeds_bound():

@@ -43,3 +43,41 @@ class TestScenario:
         err = capsys.readouterr().err
         assert "argument --scenario" in err
         assert "Traceback" not in err
+
+
+class TestAdmissionFlags:
+    """Each admission flag is checked by argparse, so a bad value never
+    reaches :class:`~repro.serve.admission.AdmissionController`."""
+
+    RULES = {
+        "--max-inflight": "must be an integer >= 1",
+        "--max-queue": "must be an integer >= 0",
+        "--queue-timeout": "must be a positive finite number",
+    }
+
+    def test_defaults_and_valid_values(self):
+        parse = build_parser().parse_args
+        defaults = parse(["serve", "--scenario", "S3"])
+        assert (defaults.max_inflight, defaults.max_queue,
+                defaults.queue_timeout) == (8, 16, 2.0)
+        given = parse(["serve", "--scenario", "S3", "--max-inflight", "1",
+                       "--max-queue", "0", "--queue-timeout", "0.5"])
+        assert (given.max_inflight, given.max_queue,
+                given.queue_timeout) == (1, 0, 0.5)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-inflight", "0"),
+        ("--max-inflight", "-3"),
+        ("--max-inflight", "two"),
+        ("--max-queue", "-1"),
+        ("--max-queue", "1.5"),
+        ("--queue-timeout", "nan"),
+        ("--queue-timeout", "inf"),
+        ("--queue-timeout", "-1"),
+        ("--queue-timeout", "0"),
+    ])
+    def test_bad_value_exits_2(self, capsys, flag, value):
+        assert exit_code(["serve", "--scenario", "S3", f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {self.RULES[flag]}, got {value}" in err
+        assert "Traceback" not in err
