@@ -15,8 +15,12 @@ Usage, from the repository root (every threshold is a constant below)::
   1 / :data:`INCREMENTAL_FLOOR` of a cold start.
 - ``exchange-reference`` times the production exchange against the
   nested-loop :func:`~repro.chase.gav.reference_exchange_data` on each of
-  :data:`REFERENCE_CELLS`.  It fails on any artifact that differs, or
-  when the reference is less than :data:`REFERENCE_FLOOR` times slower.
+  :data:`REFERENCE_CELLS`.  It fails on any artifact that differs, when
+  the reference is less than :data:`REFERENCE_FLOOR` times slower, or
+  when the production exchange's host-speed-scaled stage time exceeds
+  :data:`STAGE_CEILING_FACTOR` times its recorded median (a regression
+  the ratio misses: one in code both sides share, or one too small to
+  bring the batch exchange near the nested loop).
 - ``serve-load URL`` drives a running ``repro serve --scenario S3`` with
   :data:`SERVE_CLIENTS` keep-alive clients.  It fails on any error, or
   when completed requests per second fall below :data:`SERVE_QPS_FLOOR`.
@@ -49,11 +53,12 @@ Check = tuple[bool, str]
 
 #: The medians at which commit 0a9445a (one solver per cluster family)
 #: was accepted, over the paired 30 s ``perfbench/run.py`` runs that
-#: judged it; like every perfbench time, scaled to the reference host
-#: speed.
+#: judged it — except serve-rw ``pipeline_s``, which the stored-model
+#: harvest moved for good (the median of its ten seed-1 pairs); like
+#: every perfbench time, scaled to the reference host speed.
 ACCEPTED_MEDIANS = {
     "tpch-sf1": {"ready_s": 0.428, "pipeline_s": 0.609},
-    "serve-rw": {"ready_s": 0.579, "pipeline_s": 2.436},
+    "serve-rw": {"ready_s": 0.579, "pipeline_s": 1.526},
 }
 #: A fresh run may take this many times an accepted median: far above
 #: shared-runner noise, far below what a quadratic scan costs.
@@ -122,6 +127,26 @@ REFERENCE_REPEATS = 5
 REFERENCE_STAGES = ("chase", "groundings", "violations")
 #: Reference over production, ratio of the medians of those stages.
 REFERENCE_FLOOR = 1.5
+#: The production exchange's median time in those stages per cell, in
+#: seconds at the host speed at which :mod:`perfbench.hostspeed`'s kernel
+#: takes its ``REFERENCE_S`` (:func:`stage_median`): the median of three
+#: runs of this gate on commit e4b3315, whose exchange code is unchanged
+#: since.
+STAGE_MEDIANS = {
+    "M0": 0.041,
+    "M9": 0.042,
+    "M20": 0.043,
+    "tpch-sf0.01-r0.2": 0.0019,
+    "tpch-sf0.03-r0.2": 0.0052,
+}
+#: A fresh run's scaled stage median may take this many times the
+#: recorded one.  On one host the scaled medians of unchanged code
+#: already spread up to 1.23x the recorded ones, and scaling by a kernel
+#: transfers between hosts only roughly; a quadratic membership test in
+#: ``Instance.add`` read 2.8-10x.
+STAGE_CEILING_FACTOR = 2.0
+#: Timed production builds per cell for the ceiling.
+STAGE_REPEATS = 7
 
 
 def _cell(name: str):
@@ -140,6 +165,43 @@ def _cell(name: str):
     return reduce_mapping(genome_mapping()).gav, instance
 
 
+def _stage_seconds(timings: dict[str, float]) -> float:
+    return sum(timings.get(stage, 0.0) for stage in REFERENCE_STAGES)
+
+
+def stage_median(gav, instance, repeats: int = STAGE_REPEATS) -> float:
+    """The production exchange's median stage time, scaled to the
+    reference host speed.
+
+    Each build starts from a collected heap and runs with the collector
+    paused, as :class:`~repro.xr.segmentary.SegmentaryEngine` builds the
+    exchange: a full collection another build triggered cannot land in
+    it.  Each is scaled by ``REFERENCE_S`` over the CPU time of one run
+    of the benchmark's host-speed kernel taken just before it, so a
+    slower stretch of a shared host moves both alike.
+    """
+    from repro.xr.exchange import build_exchange_data
+
+    if str(ROOT) not in sys.path:
+        sys.path.insert(0, str(ROOT))
+    from perfbench.hostspeed import REFERENCE_S, _kernel
+
+    scaled = []
+    for _ in range(repeats):
+        started = time.process_time()
+        _kernel()
+        kernel_s = time.process_time() - started
+        timings: dict[str, float] = {}
+        gc.collect()
+        gc.disable()
+        try:
+            build_exchange_data(gav, instance, timings=timings)
+        finally:
+            gc.enable()
+        scaled.append(_stage_seconds(timings) * REFERENCE_S / kernel_s)
+    return statistics.median(scaled)
+
+
 def reference_ratio(name: str, repeats: int = REFERENCE_REPEATS) -> dict:
     """Production and reference stage medians on one cell, their ratio and
     the artifacts in which the two exchanges differ."""
@@ -155,7 +217,7 @@ def reference_ratio(name: str, repeats: int = REFERENCE_REPEATS) -> dict:
         for side, build in builders.items():
             timings: dict[str, float] = {}
             built[side] = build(gav, instance, timings=timings)
-            seconds[side].append(sum(timings.get(s, 0.0) for s in REFERENCE_STAGES))
+            seconds[side].append(_stage_seconds(timings))
     batch_s = statistics.median(seconds["batch"])
     reference_s = statistics.median(seconds["reference"])
     return {
@@ -163,6 +225,7 @@ def reference_ratio(name: str, repeats: int = REFERENCE_REPEATS) -> dict:
         "batch_s": batch_s,
         "reference_s": reference_s,
         "ratio": reference_s / batch_s if batch_s > 0 else math.inf,
+        "scaled_s": stage_median(gav, instance),
     }
 
 
@@ -174,6 +237,12 @@ def check_exchange_reference() -> Iterator[Check]:
             f"{name}: batch {row['batch_s']:.4f} s, reference "
             f"{row['reference_s']:.4f} s, {row['ratio']:.2f}x "
             f"(floor {REFERENCE_FLOOR:g}x), mismatches {row['mismatches']}",
+        )
+        ceiling = STAGE_CEILING_FACTOR * STAGE_MEDIANS[name]
+        yield (
+            row["scaled_s"] <= ceiling,
+            f"{name}: batch stages {row['scaled_s']:.4f} s scaled, "
+            f"ceiling {ceiling:.4f} s",
         )
 
 

@@ -21,7 +21,7 @@ segmentary engine's family programs — decides through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Container, Iterable
 
 from repro.asp.stable import StableModelEngine
 from repro.asp.syntax import GroundProgram
@@ -77,12 +77,21 @@ def decide_family(
     - **Model harvesting.**  Every stable model found decides *all*
       still-undecided atoms it can (cautious: false-in-model rejects;
       brave: true-in-model accepts), not just the atom that prompted
-      the search.
+      the search.  The engine remembers the models its searches found
+      (:meth:`~repro.asp.stable.StableModelEngine.known_truths`), and a
+      call harvests them before any search: on a kept engine most
+      verdicts come from models earlier questions found, and when one
+      exists the existence solve is skipped.
     - **Guarded steering.**  Each refinement round demands a
       counterexample model through a selector-guarded clause activated
       via ``solve(assumptions=[selector])`` and retired afterwards, so
       the unsound-in-general steering constraint never pollutes the
-      shared clause database.
+      shared clause database.  Each steering model is new (it breaks
+      the agreement of every harvested model on the undecided atoms),
+      and the verdicts the last, unsatisfiable round proves hold in
+      every stable model, so they are installed as unit clauses
+      (:meth:`~repro.asp.stable.StableModelEngine.add_consequences`):
+      asking the same question again takes no search.
 
     ``engine`` is an engine already built for ``program`` (a kept family
     engine; ``program`` is then unused), and ``goal_atoms`` may name its
@@ -90,7 +99,10 @@ def decide_family(
     atoms.  ``deadline`` is installed on the engine for this call only,
     and the verdicts' ``stats`` count this call's work alone: the
     solver's sizes (``vars``, ``clauses``) are reported as they stand,
-    every other counter as its growth during the call.
+    every other counter as its growth during the call.  Two counters
+    are the call's own: ``family_models`` (models its searches found)
+    and ``known_models`` (stored models it harvested), next to
+    ``core_skips`` (atoms the entailment pass settled).
 
     A :class:`~repro.runtime.budget.SolveBudgetExceeded` raised by
     ``deadline`` degrades per-candidate: verdicts reached before the
@@ -111,6 +123,7 @@ def decide_family(
     rejected: set[int] = set()
     core_skips = 0
     models_found = 0
+    known_models = 0
 
     def verdicts(no_model: bool = False) -> FamilyVerdicts:
         stats = {
@@ -119,6 +132,7 @@ def decide_family(
         }
         stats["core_skips"] = core_skips
         stats["family_models"] = models_found
+        stats["known_models"] = known_models
         return FamilyVerdicts(
             accepted=frozenset(accepted),
             rejected=frozenset(rejected),
@@ -127,11 +141,12 @@ def decide_family(
             stats=stats,
         )
 
-    def harvest(model: frozenset[int]) -> None:
+    def harvest(model: Container[int]) -> None:
         # One model decides every undecided atom it can: under cautious a
         # false atom cannot be in all models; under brave a true atom is
         # witnessed.  This is what makes non-excluding search complete —
-        # no model's evidence is ever thrown away.
+        # no model's evidence is ever thrown away.  ``model`` holds the
+        # atoms it makes true among those still undecided.
         if brave:
             decided = {atom for atom in undecided if atom in model}
             accepted.update(decided)
@@ -142,14 +157,26 @@ def decide_family(
 
     engine.set_deadline(deadline)
     try:
-        first = engine.solve_under(goals=undecided)
-        if first is None:
-            undecided.clear()
-            return verdicts(no_model=True)
-        models_found += 1
+        # Stored models first: each is a stable model of the program, so
+        # it decides goals as well as a fresh search would — and once
+        # one exists the program has a stable model, so the existence
+        # solve is skipped.
+        for truths in engine.known_truths(sorted(undecided)):
+            known_models += 1
+            harvest(truths)
+            if not undecided:
+                break
+        first = None
+        if not known_models:
+            first = engine.solve_under(goals=undecided)
+            if first is None:
+                undecided.clear()
+                return verdicts(no_model=True)
+            models_found += 1
         # Level-0 entailment pass (after existence is established): the
         # clause database alone settles atoms the search never needs to
-        # touch — on warm engines, cores learned from earlier candidates.
+        # touch — on warm engines, cores learned from earlier candidates
+        # and the consequences earlier calls proved.
         for atom in sorted(undecided):
             value = engine.entailed_value(atom)
             if value == 1:
@@ -160,11 +187,15 @@ def decide_family(
                 rejected.add(atom)
                 undecided.discard(atom)
                 core_skips += 1
-        harvest(first)
+        if first is not None:
+            harvest(first)
         while undecided:
             if deadline is not None:
                 deadline.check()
             selector = engine.new_selector()
+            # Every model harvested so far agrees on the undecided atoms
+            # (cautious: all true; brave: all false), so a model meeting
+            # the steering clause is none of them.
             if brave:
                 # Demand a model witnessing some still-unwitnessed atom.
                 engine.add_guarded_clause(selector, sorted(undecided))
@@ -177,11 +208,14 @@ def decide_family(
             engine.retire_selector(selector)
             if model is None:
                 # No stable model can steer further: every remaining atom
-                # resolves to the quantifier's default.
+                # resolves to the quantifier's default, which then holds
+                # in every stable model — a unit clause for later calls.
                 if brave:
                     rejected.update(undecided)
+                    engine.add_consequences(-atom for atom in sorted(undecided))
                 else:
                     accepted.update(undecided)
+                    engine.add_consequences(sorted(undecided))
                 undecided.clear()
                 break
             models_found += 1

@@ -53,6 +53,9 @@ class SatSolver:
         self.reason: list[list[int] | None] = [None]
         self.activity: list[float] = [0.0]
         self.phase: list[int] = [0]  # saved phase: 0 false, 1 true
+        # Conflict analysis marks: all False between analyses (each
+        # analysis clears the marks it set).
+        self._seen: list[bool] = [False]
         # Watches: literal index -> list of clauses.
         self.watches: list[list[list[int]]] = [[], []]
         self.clauses: list[list[int]] = []
@@ -98,6 +101,7 @@ class SatSolver:
         self.reason.extend([None] * count)
         self.activity.extend([0.0] * count)
         self.phase.extend([0] * count)
+        self._seen.extend([False] * count)
         self.watches.extend([] for _ in range(2 * count))
         if self._order is not None:
             for var in range(first, self.num_vars + 1):
@@ -295,49 +299,79 @@ class SatSolver:
         return True
 
     def propagate(self) -> list[int] | None:
-        """Unit propagation; returns a conflicting clause or None."""
-        while self.propagate_head < len(self.trail):
-            lit = self.trail[self.propagate_head]
-            self.propagate_head += 1
-            self._propagations_total += 1
-            watch_list = self.watches[_lit_index(lit)]
+        """Unit propagation; returns a conflicting clause or None.
+
+        The solver's hot loop, so it reads literal values straight from
+        ``assign`` (``l`` is true when ``assign[|l|]`` is 1 for ``l > 0``,
+        0 for ``l < 0``; -1 is unassigned) and writes implied literals in
+        place of :meth:`_enqueue`.  Watch lists are visited in order:
+        which clause propagates first decides the implication graph, and
+        with it every later conflict and decision.
+        """
+        trail = self.trail
+        assign = self.assign
+        level = self.level
+        reason = self.reason
+        watches = self.watches
+        decision_level = len(self.trail_lim)
+        start = head = self.propagate_head
+        conflict: list[int] | None = None
+        while conflict is None and head < len(trail):
+            lit = trail[head]
+            head += 1
+            false_lit = -lit
+            watch_list = watches[(lit << 1) if lit > 0 else (false_lit << 1) | 1]
             kept: list[list[int]] = []
-            conflict: list[int] | None = None
-            index = 0
-            while index < len(watch_list):
-                clause = watch_list[index]
-                index += 1
-                # Normalize: watched literals are clause[0], clause[1].
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+            for index, clause in enumerate(watch_list):
+                # Normalize: the watched literals are clause[0] and
+                # clause[1], and clause[1] is the one just made false.
                 first = clause[0]
-                if self.value_of(first) == 1:
+                if first == false_lit:
+                    first = clause[0] = clause[1]
+                    clause[1] = false_lit
+                if (assign[first] == 1) if first > 0 else (assign[-first] == 0):
                     kept.append(clause)
                     continue
-                # Look for a replacement watch.
-                found = False
+                # Look for a replacement watch: a literal not false.
                 for position in range(2, len(clause)):
                     candidate = clause[position]
-                    if self.value_of(candidate) != 0:
-                        # Swap the watch out (clause[1] is ``-lit``; moving
-                        # it allocates nothing, ``-lit`` would).
-                        clause[1], clause[position] = candidate, clause[1]
-                        self.watches[_lit_index(-candidate)].append(clause)
-                        found = True
+                    if (
+                        (assign[candidate] != 0)
+                        if candidate > 0
+                        else (assign[-candidate] != 1)
+                    ):
+                        # Swap the watch out (moving clause[1] allocates
+                        # nothing, ``-lit`` would).
+                        clause[1] = candidate
+                        clause[position] = false_lit
+                        watches[
+                            (candidate << 1) | 1
+                            if candidate > 0
+                            else (-candidate) << 1
+                        ].append(clause)
                         break
-                if found:
-                    continue
-                kept.append(clause)
-                if self.value_of(first) == 0:
-                    # Conflict: keep the remaining watchers and report.
-                    kept.extend(watch_list[index:])
-                    conflict = clause
-                    break
-                self._enqueue(first, clause)
+                else:
+                    kept.append(clause)
+                    if first > 0:
+                        value = assign[first]
+                        var = first
+                    else:
+                        value = assign[-first]
+                        var = -first
+                    if value != -1:
+                        # ``first`` is false: conflict.  Keep the
+                        # remaining watchers and report.
+                        kept.extend(watch_list[index + 1:])
+                        conflict = clause
+                        break
+                    assign[var] = 1 if first > 0 else 0
+                    level[var] = decision_level
+                    reason[var] = clause
+                    trail.append(first)
             watch_list[:] = kept
-            if conflict is not None:
-                return conflict
-        return None
+        self.propagate_head = head
+        self._propagations_total += head - start
+        return conflict
 
     # ----------------------------------------------------- conflict analysis
 
@@ -356,7 +390,7 @@ class SatSolver:
         """First-UIP analysis; returns (learned clause, backjump level)."""
         current_level = len(self.trail_lim)
         learned: list[int] = [0]  # placeholder for the asserting literal
-        seen = [False] * (self.num_vars + 1)
+        seen = self._seen
         counter = 0
         lit = 0
         trail_pos = len(self.trail) - 1
@@ -389,6 +423,10 @@ class SatSolver:
             assert var_reason is not None
             reason = var_reason
         learned[0] = lit
+        # Resolved variables were unmarked on the way; the learned
+        # clause's lower-level literals are the marks left.
+        for clause_lit in learned[1:]:
+            seen[abs(clause_lit)] = False
 
         if len(learned) == 1:
             return learned, 0
@@ -417,7 +455,7 @@ class SatSolver:
         core = {failed}
         if not self.trail_lim:
             return [failed]  # falsified by top-level propagation alone
-        seen = [False] * (self.num_vars + 1)
+        seen = self._seen
         seen[abs(failed)] = True
         for position in range(len(self.trail) - 1, self.trail_lim[0] - 1, -1):
             lit = self.trail[position]
@@ -436,6 +474,9 @@ class SatSolver:
                     if self.level[abs(clause_lit)] > 0:
                         seen[abs(clause_lit)] = True
             seen[var] = False
+        # Every mark on a variable of the walked trail suffix was cleared
+        # above; ``failed`` may sit below it (level 0).
+        seen[abs(failed)] = False
         # Report in assumption order (deduplicated) for deterministic
         # consumers.
         ordered: list[int] = []

@@ -44,6 +44,18 @@ from repro.asp.graphs import nontrivial_sccs, tarjan_scc
 from repro.asp.sat import SatSolver
 from repro.asp.syntax import GroundProgram, GroundRule
 
+#: How many stable models an engine remembers (:meth:`StableModelEngine.
+#: known_truths`).  A bound, not a knob: a full list only means later
+#: questions harvest fewer models, never a different verdict.  Each model
+#: is held as a bitmask over the atom ids, so a full list costs at most
+#: four bytes per atom — less than any one of the solver's seven
+#: per-variable arrays (eight bytes per entry, and every atom is a
+#: variable) — and the engine store's clause bound
+#: (:data:`repro.runtime.cache.DEFAULT_MAX_ENGINE_CLAUSES`) still sizes
+#: what an engine holds.  The benchmark workloads' family engines have
+#: 1 to 9 distinct stable models each.
+MAX_KNOWN_MODELS = 32
+
 
 def _positive_adjacency(rules: Iterable[GroundRule]) -> dict[int, list[int]]:
     """head atom -> positive body atoms, over all rules (dependency graph)."""
@@ -106,9 +118,10 @@ class StableModelEngine:
     The engine is incremental.  :meth:`next_stable_model` resumes
     enumeration; :meth:`solve_under` finds a model under assumptions
     without excluding it, :meth:`add_guarded_clause` installs
-    selector-guarded steering clauses between calls, and
+    selector-guarded steering clauses between calls,
     :meth:`define_goal` adds a question (a disjunction of conjunctions
-    of atoms) as a goal variable (the primitives of
+    of atoms) as a goal variable, and :meth:`known_truths` answers goals
+    on the stable models found so far (the primitives of
     :func:`repro.asp.reasoning.decide_family`).  An engine may be kept
     and asked about new goals for as long as its program holds; it does
     not keep the :class:`~repro.asp.syntax.GroundProgram` it was built
@@ -145,12 +158,15 @@ class StableModelEngine:
         #: Failed-assumption core of the last :meth:`solve_under` that
         #: returned None (mirrors ``SatSolver.failed_assumptions``).
         self.failed_assumptions: list[int] | None = None
-        #: Goal variables (:meth:`define_goal`), keyed by their body set.
+        #: Goal variables (:meth:`define_goal`), keyed by their body set,
+        #: and the inverse: each goal's body set.
         self._goals: dict[frozenset, int] = {}
-        #: The same variables as a set: :meth:`add_guarded_clause`'s
-        #: bounds check tests each literal against it.
-        self._goal_vars: set[int] = set()
+        self._goal_keys: dict[int, frozenset[frozenset[int]]] = {}
         self._goal_bodies: dict[frozenset[int], int] = {}
+        #: The stable models found so far (at most
+        #: :data:`MAX_KNOWN_MODELS`), each its head-atom set as a bitmask
+        #: over atom ids (:meth:`known_truths`).
+        self._known: list[int] = []
         self._build_encoding()
         self._add_upfront_loop_formulas()
         # Everything added past this point (loop refinements, CDCL learned
@@ -531,13 +547,16 @@ class StableModelEngine:
         A goal occurs in no rule, so the definition is a conservative
         extension: every model of the encoding extends to exactly one
         value of ``q``, which is true iff some body holds.  Loop formulas,
-        learned clauses and :meth:`entailed_value` therefore stay valid
-        for every later question, on whatever goals it is asked.
+        learned clauses, :meth:`entailed_value` and the stored models of
+        :meth:`known_truths` therefore stay valid for every later
+        question, on whatever goals it is asked.
 
         A body naming an atom that heads no rule is dropped (the generator
         forces that atom false, so the body never holds), multi-atom
         bodies share one hash-consed definition variable, and goals are
         deduplicated by their body set: equal questions get one variable.
+        The goal's new variables (one per new multi-atom body, then the
+        goal) are allocated in one step.
         """
         heads_of = self.heads_of
         kept = {
@@ -549,36 +568,38 @@ class StableModelEngine:
         goal = self._goals.get(key)
         if goal is not None:
             return goal
+        ordered = sorted(kept, key=sorted)
+        body_vars = self._goal_bodies
+        fresh = [
+            atoms
+            for atoms in ordered
+            if len(atoms) > 1 and atoms not in body_vars
+        ]
+        solver = self.solver
+        first = solver.num_vars + 1
+        solver.add_vars(len(fresh) + 1)
+        goal = solver.num_vars
         pending: list[list[int]] = []
+        for body, atoms in zip(range(first, goal), fresh):
+            body_vars[atoms] = body
+            atom_list = sorted(atoms)
+            pending.extend([-body, atom] for atom in atom_list)
+            pending.append([body] + [-atom for atom in atom_list])
         literals: list[int] = []
-        for atoms in sorted(kept, key=sorted):
+        for atoms in ordered:
             if not atoms:
                 literals.append(self.true_var)
             elif len(atoms) == 1:
                 literals.append(next(iter(atoms)))
             else:
-                literals.append(self._goal_body(atoms, pending))
-        goal = self.solver.new_var()
+                literals.append(body_vars[atoms])
         pending.append([-goal] + literals)
         pending.extend([-literal, goal] for literal in literals)
-        if not self.solver.add_clauses(pending):
+        if not solver.add_clauses(pending):
             self._exhausted = True
         self._goals[key] = goal
-        self._goal_vars.add(goal)
+        self._goal_keys[goal] = key
         return goal
-
-    def _goal_body(
-        self, atoms: frozenset[int], pending: list[list[int]]
-    ) -> int:
-        """The definition variable ``d ↔ ∧ atoms`` (clauses to
-        ``pending``)."""
-        body = self._goal_bodies.get(atoms)
-        if body is None:
-            body = self._goal_bodies[atoms] = self.solver.new_var()
-            ordered = sorted(atoms)
-            pending.extend([-body, atom] for atom in ordered)
-            pending.append([body] + [-atom for atom in ordered])
-        return body
 
     def new_selector(self) -> int:
         """A fresh *selector literal*: a raw solver variable outside the
@@ -601,7 +622,7 @@ class StableModelEngine:
         """
         for literal in literals:
             var = abs(literal)
-            if var > self.num_atoms and var not in self._goal_vars:
+            if var > self.num_atoms and var not in self._goal_keys:
                 raise ValueError(
                     f"literal {literal} is not an atom or goal id"
                 )
@@ -691,11 +712,67 @@ class StableModelEngine:
         values: list[bool],
         goals: tuple[int, ...],
     ) -> frozenset[int]:
-        """A found stable model, with those of ``goals`` it makes true."""
+        """A found stable model, with those of ``goals`` it makes true.
+
+        The model's head atoms are remembered while fewer than
+        :data:`MAX_KNOWN_MODELS` are (:meth:`known_truths`).
+        """
         self._models_found += 1
+        if len(self._known) < MAX_KNOWN_MODELS:
+            bits = bytearray((self.num_atoms >> 3) + 1)
+            for atom in candidate:
+                bits[atom >> 3] |= 1 << (atom & 7)
+            self._known.append(int.from_bytes(bits, "little"))
         if not goals:
             return candidate
         return candidate | {goal for goal in goals if values[goal]}
+
+    def known_truths(self, goals: Iterable[int]) -> Iterator[set[int]]:
+        """For each remembered stable model, in the order found, those of
+        ``goals`` (atom ids and :meth:`define_goal` variables) it makes
+        true.
+
+        Every model a search returned is remembered, up to
+        :data:`MAX_KNOWN_MODELS`.  It is a stable model of the program
+        the engine was built for, and nothing added since changes that
+        (goal definitions, loop formulas, learned clauses and proven
+        consequences are conservative; steering clauses are guarded and
+        retired), so it answers any goal, including goals defined after
+        it was found: an atom holds iff it is one of the model's head
+        atoms, a goal iff one of its bodies lies inside them.
+        """
+        if not self._known:
+            return
+        # Each goal's bodies as bitmasks (an atom is its own one body).
+        masks = []
+        for goal in goals:
+            if goal <= self.num_atoms:
+                bodies = (1 << goal,)
+            else:
+                bodies = tuple(
+                    sum(1 << atom for atom in body)
+                    for body in self._goal_keys[goal]
+                )
+            masks.append((goal, bodies))
+        for model in self._known:
+            yield {
+                goal
+                for goal, bodies in masks
+                if any(model & body == body for body in bodies)
+            }
+
+    def add_consequences(self, literals: Iterable[int]) -> None:
+        """Install each literal (over atom and goal ids) as a unit clause.
+
+        The caller vouches that every literal holds in **every** stable
+        model — :func:`~repro.asp.reasoning.decide_family` passes the
+        verdicts its final steering search proved.  Such a clause keeps
+        every stable model, so the database's models still
+        overapproximate them, and later questions read the literals off
+        :meth:`entailed_value` without search.
+        """
+        if not self.solver.add_clauses([literal] for literal in literals):
+            self._exhausted = True
 
     def next_stable_model(self) -> frozenset[int] | None:
         """The next stable model (a frozenset of atom ids), or None.

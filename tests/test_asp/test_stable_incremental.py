@@ -203,3 +203,35 @@ class TestEntailedValue:
                 assert all(atom in m for m in models)
             elif value == 0:
                 assert all(atom not in m for m in models)
+
+
+class TestDefineGoal:
+    def test_variables_are_allocated_in_one_step(self, monkeypatch):
+        """One ``add_vars`` per new goal: a definition variable per new
+        multi-atom body, in sorted body order, then the goal."""
+        engine = StableModelEngine(choice_program())
+        shared = engine.define_goal([[1, 2]])
+        grown = []
+        real = engine.solver.add_vars
+
+        def counted(count):
+            grown.append(count)
+            real(count)
+
+        monkeypatch.setattr(engine.solver, "add_vars", counted)
+        start = engine.solver.num_vars
+        goal = engine.define_goal([[3, 4], [1], [2, 3], [1, 2]])
+        assert grown == [3]
+        # [1, 2] reuses its definition; [2, 3] and [3, 4] get new ones.
+        assert goal == start + 3
+        assert engine._goal_bodies[frozenset({2, 3})] == start + 1
+        assert engine._goal_bodies[frozenset({3, 4})] == start + 2
+        assert engine.define_goal([[1, 2]]) == shared
+        assert grown == [3]
+        # The goal holds in a model exactly when one of its bodies does.
+        models = list(engine.stable_models())
+        for model, truths in zip(
+            models, engine.known_truths([goal]), strict=True
+        ):
+            bodies = ({3, 4}, {1}, {2, 3}, {1, 2})
+            assert (goal in truths) == any(b <= model for b in bodies)

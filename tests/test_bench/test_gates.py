@@ -68,6 +68,20 @@ class TestExchangeReference:
         assert row["mismatches"] == []
         assert row["batch_s"] > 0 and row["reference_s"] > 0
         assert math.isfinite(row["ratio"])
+        assert 0 < row["scaled_s"] < math.inf
+
+    def test_stage_ceiling_fails_exactly_the_slow_cell(self, monkeypatch):
+        def row(name):
+            ceiling = gates.STAGE_CEILING_FACTOR * gates.STAGE_MEDIANS[name]
+            return {
+                "mismatches": [], "batch_s": 1.0, "reference_s": 3.0,
+                "ratio": 3.0,
+                "scaled_s": ceiling * (1.01 if name == "M9" else 0.99),
+            }
+
+        monkeypatch.setattr(gates, "reference_ratio", row)
+        failed = [line for ok, line in gates.check_exchange_reference() if not ok]
+        assert len(failed) == 1 and failed[0].startswith("M9: batch stages")
 
 
 @pytest.fixture(scope="module")

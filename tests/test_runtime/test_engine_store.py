@@ -283,3 +283,97 @@ class TestPerSolveStats:
         assert rounds[2].solver_stats["propagations"] <= (
             rounds[0].solver_stats["propagations"]
         )
+
+
+def stored(engine) -> int:
+    """How many stable models ``engine`` holds."""
+    return sum(1 for _truths in engine.known_truths(()))
+
+
+class TestStoredModels:
+    """A family engine's stored stable models live and die with it: a
+    reused engine harvests them, and an engine dropped by a budget cut
+    or an invalidation takes them along."""
+
+    @staticmethod
+    def spy_solves(monkeypatch) -> list:
+        solves = []
+        real_solve = executor_module.solve_task
+
+        def spy(task, *args, **kwargs):
+            outcome = real_solve(task, *args, **kwargs)
+            solves.append((task.family, outcome))
+            return outcome
+
+        monkeypatch.setattr(executor_module, "solve_task", spy)
+        return solves
+
+    @staticmethod
+    def first_solves(solves) -> dict:
+        first = {}
+        for family, outcome in solves:
+            first.setdefault(family, outcome)
+        return first
+
+    def test_reused_engine_harvests_its_models(self, exact, monkeypatch):
+        solves = self.spy_solves(monkeypatch)
+        with SegmentaryEngine(MAPPING, INSTANCE, cache=True) as engine:
+            assert answer_all(engine) == exact
+        first = self.first_solves(solves)
+        # A new engine has nothing stored; a reused one harvests.
+        assert all(o.solver_stats["known_models"] == 0 for o in first.values())
+        assert all(o.solver_stats["family_models"] > 0 for o in first.values())
+        assert any(o.solver_stats["known_models"] > 0 for _f, o in solves)
+
+    def test_invalidation_drops_the_models(self, exact, monkeypatch):
+        cache = SignatureProgramCache()
+        with SegmentaryEngine(MAPPING, INSTANCE, cache=cache) as engine:
+            assert answer_all(engine) == exact
+            held = {family for family, _c in cache._engines.values()}
+            assert held and all(stored(f.engine) for f in held)
+            cache.invalidate_clusters(
+                {cluster for key in cache.engine_keys() for cluster in key[0]}
+            )
+            assert cache.engine_keys() == []
+            solves = self.spy_solves(monkeypatch)
+            assert answer_all(engine) == exact
+        first = self.first_solves(solves)
+        assert first and held.isdisjoint(first)
+        assert all(o.solver_stats["known_models"] == 0 for o in first.values())
+
+    def test_budget_cut_drops_the_models(self, exact, monkeypatch):
+        cache = SignatureProgramCache()
+        with SegmentaryEngine(MAPPING, INSTANCE, cache=cache) as engine:
+            engine.answer_with_stats(QUERIES[0])
+            held = {family for family, _c in cache._engines.values()}
+            assert held and all(stored(f.engine) for f in held)
+            real_deadline = executor_module.Deadline
+            fired = []
+
+            class CutFirst:
+                @staticmethod
+                def tightest(timeout=None, at=None):
+                    if fired:
+                        return real_deadline.tightest(timeout, at)
+                    fired.append(True)
+                    return CutoffAfterChecks(passes=0).single_solve_deadline()
+
+            solves = self.spy_solves(monkeypatch)
+            monkeypatch.setattr(executor_module, "Deadline", CutFirst)
+            # Its first family needs a steering search: the cut fires.
+            engine.answer_with_stats(
+                QUERIES[0], mode="possible", allow_partial=True
+            )
+            monkeypatch.setattr(executor_module, "Deadline", real_deadline)
+            (cut, outcome), *_rest = solves
+            assert outcome.status == "timeout"
+            # A reused engine, holding models, that never goes back.
+            assert cut in held
+            assert cut not in {f for f, _c in cache._engines.values()}
+            solves.clear()
+            cache.clear_answers()
+            assert answer_all(engine) == exact
+        first = self.first_solves(solves)
+        assert cut not in first
+        rebuilt = [o for f, o in first.items() if f.focus_ids == cut.focus_ids]
+        assert rebuilt and rebuilt[0].solver_stats["known_models"] == 0
