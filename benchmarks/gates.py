@@ -20,10 +20,18 @@ Usage, from the repository root (every threshold is a constant below)::
   when the production exchange's host-speed-scaled stage time exceeds
   :data:`STAGE_CEILING_FACTOR` times its recorded median (a regression
   the ratio misses: one in code both sides share, or one too small to
-  bring the batch exchange near the nested loop).
-- ``serve-load URL`` drives a running ``repro serve --scenario S3`` with
-  :data:`SERVE_CLIENTS` keep-alive clients.  It fails on any error, or
-  when completed requests per second fall below :data:`SERVE_QPS_FLOOR`.
+  bring the batch exchange near the nested loop).  The same ceiling
+  holds each cell's scaled retract/re-insert of one source fact against
+  :data:`UPDATE_MEDIANS` (an update that costs its relation instead of
+  its delta).
+- ``serve-load URL`` first sends :data:`SERVE_CLOSED_LOOP_REQUESTS`
+  back-to-back requests on one keep-alive connection to a running
+  ``repro serve --scenario S3``, and fails when their median latency
+  exceeds :data:`SERVE_CLOSED_LOOP_P50_MS` (a per-response transport
+  stall, which a paced load does not see).  Then it drives the server
+  with :data:`SERVE_CLIENTS` keep-alive clients, and fails on any error
+  or when completed requests per second fall below
+  :data:`SERVE_QPS_FLOOR`.
 
 Each check prints one ``ok``/``FAIL`` line; the exit status is 1 when any
 check fails and 2 on a usage error.
@@ -53,12 +61,13 @@ Check = tuple[bool, str]
 
 #: The medians at which commit 0a9445a (one solver per cluster family)
 #: was accepted, over the paired 30 s ``perfbench/run.py`` runs that
-#: judged it — except serve-rw ``pipeline_s``, which the stored-model
-#: harvest moved for good (the median of its ten seed-1 pairs); like
-#: every perfbench time, scaled to the reference host speed.
+#: judged it — except serve-rw ``pipeline_s``, which removing the
+#: per-response delayed-ACK stall from ``repro serve`` moved for good
+#: (the median of that change's ten seed-1 pairs); like every perfbench
+#: time, scaled to the reference host speed.
 ACCEPTED_MEDIANS = {
     "tpch-sf1": {"ready_s": 0.428, "pipeline_s": 0.609},
-    "serve-rw": {"ready_s": 0.579, "pipeline_s": 1.526},
+    "serve-rw": {"ready_s": 0.579, "pipeline_s": 0.989},
 }
 #: A fresh run may take this many times an accepted median: far above
 #: shared-runner noise, far below what a quadratic scan costs.
@@ -147,50 +156,79 @@ STAGE_MEDIANS = {
 STAGE_CEILING_FACTOR = 2.0
 #: Timed production builds per cell for the ceiling.
 STAGE_REPEATS = 7
+#: Each cell's median retract/re-insert of one source fact
+#: (:func:`update_median`), in seconds at the reference host speed: the
+#: median of three runs of this gate over the update code of commit
+#: 73c0a11.  Held to :data:`STAGE_CEILING_FACTOR` times these, which
+#: unchanged code read 0.98-1.06x of; an ``_IndexCache.index_for`` that
+#: forgets its indexes read 2.5-2.8x on the M cells and 2.6x on
+#: ``tpch-sf0.03-r0.2`` (1.6x on the smaller TPC-H cell).
+UPDATE_MEDIANS = {
+    "M0": 0.0046,
+    "M9": 0.0050,
+    "M20": 0.0050,
+    "tpch-sf0.01-r0.2": 0.00045,
+    "tpch-sf0.03-r0.2": 0.00049,
+}
+#: Timed retract/re-insert cycles per cell, after one untimed cycle.
+UPDATE_REPEATS = 15
+#: The source relation whose middle fact (in fact order) a cell's update
+#: moves, by scenario family: relations other rules join on, so a delta
+#: that probes whole relations costs visibly more (a TPC-H ``lineitem``
+#: fact, which nothing joins on, read only 1.1-1.5x under the forgetful
+#: index).
+UPDATE_RELATIONS = {"genomics": "UniProt", "tpch": "orders"}
 
 
 def _cell(name: str):
-    """The reduced GAV mapping and source instance of a named cell."""
+    """The reduced mapping, source instance and update relation of a
+    named cell."""
     from repro.reduction.reduce import reduce_mapping
 
     if name.startswith("tpch-"):
         from repro.scenarios.tpch import parse_tpch_name, tpch_scenario
 
         scenario = tpch_scenario(*parse_tpch_name(name), seed=0)
-        return reduce_mapping(scenario.mapping).gav, scenario.instance
+        return (reduce_mapping(scenario.mapping), scenario.instance,
+                UPDATE_RELATIONS["tpch"])
     from repro.genomics.instances import build_instance, parse_scenario_name
     from repro.genomics.schema import genome_mapping
 
     instance = build_instance(parse_scenario_name(name)).instance
-    return reduce_mapping(genome_mapping()).gav, instance
+    return reduce_mapping(genome_mapping()), instance, UPDATE_RELATIONS["genomics"]
 
 
 def _stage_seconds(timings: dict[str, float]) -> float:
     return sum(timings.get(stage, 0.0) for stage in REFERENCE_STAGES)
 
 
-def stage_median(gav, instance, repeats: int = STAGE_REPEATS) -> float:
-    """The production exchange's median stage time, scaled to the
-    reference host speed.
-
-    Each build starts from a collected heap and runs with the collector
-    paused, as :class:`~repro.xr.segmentary.SegmentaryEngine` builds the
-    exchange: a full collection another build triggered cannot land in
-    it.  Each is scaled by ``REFERENCE_S`` over the CPU time of one run
-    of the benchmark's host-speed kernel taken just before it, so a
-    slower stretch of a shared host moves both alike.
-    """
-    from repro.xr.exchange import build_exchange_data
-
+def _host_scale() -> float:
+    """``REFERENCE_S`` over the CPU time of one run of the benchmark's
+    host-speed kernel: multiplied into a time taken just after it, so a
+    slower stretch of a shared host moves both alike."""
     if str(ROOT) not in sys.path:
         sys.path.insert(0, str(ROOT))
     from perfbench.hostspeed import REFERENCE_S, _kernel
 
+    started = time.process_time()
+    _kernel()
+    return REFERENCE_S / (time.process_time() - started)
+
+
+def stage_median(gav, instance, repeats: int = STAGE_REPEATS) -> float:
+    """The production exchange's median stage time, scaled to the
+    reference host speed (:func:`_host_scale`).
+
+    Each build starts from a collected heap and runs with the collector
+    paused, as :class:`~repro.xr.segmentary.SegmentaryEngine` builds the
+    exchange: a full collection another build triggered cannot land in
+    it.
+    """
+    from repro.xr.exchange import build_exchange_data
+
     scaled = []
     for _ in range(repeats):
-        started = time.process_time()
-        _kernel()
-        kernel_s = time.process_time() - started
+        scale = _host_scale()
         timings: dict[str, float] = {}
         gc.collect()
         gc.disable()
@@ -198,17 +236,52 @@ def stage_median(gav, instance, repeats: int = STAGE_REPEATS) -> float:
             build_exchange_data(gav, instance, timings=timings)
         finally:
             gc.enable()
-        scaled.append(_stage_seconds(timings) * REFERENCE_S / kernel_s)
+        scaled.append(_stage_seconds(timings) * scale)
+    return statistics.median(scaled)
+
+
+def update_median(
+    reduced, instance, relation: str, repeats: int = UPDATE_REPEATS
+) -> float:
+    """The median time, scaled as :func:`stage_median`'s, of retracting
+    the middle fact of ``relation`` (in fact order) and inserting it back
+    through the update session of an exchanged engine (delta-chase,
+    cluster maintenance and cache invalidation), each cycle from a
+    collected heap with the collector paused."""
+    from repro.incremental.delta import Delta
+    from repro.relational.instance import fact_order
+    from repro.xr.segmentary import SegmentaryEngine
+
+    facts = sorted(instance.facts_of(relation), key=fact_order)
+    fact = frozenset({facts[len(facts) // 2]})
+    cycle = (Delta(retracts=fact), Delta(inserts=fact))
+    scaled = []
+    with SegmentaryEngine(reduced, instance.copy()) as engine:
+        session = engine.update_session()
+        session.apply_stream(cycle)
+        for _ in range(repeats):
+            scale = _host_scale()
+            gc.collect()
+            gc.disable()
+            try:
+                started = time.perf_counter()
+                session.apply_stream(cycle)
+                seconds = time.perf_counter() - started
+            finally:
+                gc.enable()
+            scaled.append(seconds * scale)
     return statistics.median(scaled)
 
 
 def reference_ratio(name: str, repeats: int = REFERENCE_REPEATS) -> dict:
-    """Production and reference stage medians on one cell, their ratio and
-    the artifacts in which the two exchanges differ."""
+    """Production and reference stage medians on one cell, their ratio,
+    the artifacts in which the two exchanges differ, and the scaled
+    production stage and update medians."""
     from repro.chase.gav import exchange_mismatches, reference_exchange_data
     from repro.xr.exchange import build_exchange_data
 
-    gav, instance = _cell(name)
+    reduced, instance, relation = _cell(name)
+    gav = reduced.gav
     builders = {"batch": build_exchange_data, "reference": reference_exchange_data}
     built = {side: build(gav, instance) for side, build in builders.items()}
     gc.collect()
@@ -226,6 +299,7 @@ def reference_ratio(name: str, repeats: int = REFERENCE_REPEATS) -> dict:
         "reference_s": reference_s,
         "ratio": reference_s / batch_s if batch_s > 0 else math.inf,
         "scaled_s": stage_median(gav, instance),
+        "update_s": update_median(reduced, instance, relation),
     }
 
 
@@ -244,6 +318,12 @@ def check_exchange_reference() -> Iterator[Check]:
             f"{name}: batch stages {row['scaled_s']:.4f} s scaled, "
             f"ceiling {ceiling:.4f} s",
         )
+        ceiling = STAGE_CEILING_FACTOR * UPDATE_MEDIANS[name]
+        yield (
+            row["update_s"] <= ceiling,
+            f"{name}: update {row['update_s'] * 1000:.3f} ms scaled, "
+            f"ceiling {ceiling * 1000:.3f} ms",
+        )
 
 
 # --------------------------------------------------------- serve-load
@@ -255,6 +335,58 @@ SERVE_QUERIES = ("ep2", "xr2")
 SERVE_WARMUP_S = 2.0
 SERVE_WINDOW_S = 30.0
 SERVE_QPS_FLOOR = 5.0
+#: Back-to-back ``GET /healthz`` requests on one keep-alive connection,
+#: sent before the load starts: the route does no solving, so their
+#: latency is the transport's.
+SERVE_CLOSED_LOOP_REQUESTS = 50
+#: Ceiling on their median.  A response held back by Nagle until the
+#: client's delayed ACK reads ~44 ms; a healthy round trip ~0.3 ms.
+SERVE_CLOSED_LOOP_P50_MS = 20.0
+
+
+def _endpoint(url: str) -> tuple[str, int, str]:
+    """Host, port and base path of a server URL."""
+    parsed = urlparse(url)
+    if parsed.hostname is None or parsed.port is None:
+        raise ValueError(f"url must include host and port, got {url!r}")
+    return parsed.hostname, parsed.port, parsed.path.rstrip("/")
+
+
+def closed_loop_latencies(
+    url: str, requests: int = SERVE_CLOSED_LOOP_REQUESTS
+) -> list[float]:
+    """Milliseconds per ``GET /healthz``, each sent as soon as the last
+    one was answered, on one connection; a request that fails reads
+    ``inf``."""
+    host, port, base = _endpoint(url)
+    connection = http.client.HTTPConnection(host, port, timeout=30.0)
+    latencies = []
+    try:
+        for _ in range(requests):
+            started = time.perf_counter()
+            try:
+                connection.request("GET", base + "/healthz")
+                response = connection.getresponse()
+                response.read()
+            except (OSError, http.client.HTTPException):
+                connection.close()
+                latencies.append(math.inf)
+                continue
+            elapsed_ms = (time.perf_counter() - started) * 1000
+            latencies.append(elapsed_ms if response.status == 200 else math.inf)
+    finally:
+        connection.close()
+    return latencies
+
+
+def check_closed_loop(latencies_ms: list[float]) -> Check:
+    p50 = statistics.median(latencies_ms)
+    failed = sum(not math.isfinite(ms) for ms in latencies_ms)
+    return failed == 0 and p50 <= SERVE_CLOSED_LOOP_P50_MS, (
+        f"closed loop: {len(latencies_ms)} back-to-back requests on one "
+        f"connection, p50 {p50:.2f} ms, ceiling "
+        f"{SERVE_CLOSED_LOOP_P50_MS:g} ms, {failed} failed"
+    )
 
 
 def _client(
@@ -313,10 +445,8 @@ def serve_load(
     the window after the warm-up."""
     from repro.genomics.queries import query_text_by_name
 
-    parsed = urlparse(url)
-    if parsed.hostname is None or parsed.port is None:
-        raise ValueError(f"url must include host and port, got {url!r}")
-    path = parsed.path.rstrip("/") + "/query"
+    host, port, base = _endpoint(url)
+    path = base + "/query"
     bodies = [
         json.dumps({"query": query_text_by_name(name)}).encode("utf-8")
         for name in SERVE_QUERIES
@@ -327,7 +457,7 @@ def serve_load(
     threads = [
         threading.Thread(
             target=_client,
-            args=(parsed.hostname, parsed.port, path, bodies,
+            args=(host, port, path, bodies,
                   measure_from, stop_at, tally, offset),
             daemon=True,
         )
@@ -341,6 +471,7 @@ def serve_load(
 
 
 def check_serve_load(url: str) -> Iterator[Check]:
+    yield check_closed_loop(closed_loop_latencies(url))
     counts = serve_load(url)
     qps = counts["completed"] / SERVE_WINDOW_S
     yield counts["errors"] == 0, (

@@ -6,6 +6,25 @@ underneath) wrapping one :class:`~repro.serve.service.QueryService`.
 HTTP/1.1 with explicit ``Content-Length`` on every response, so clients
 keep connections alive across requests — the load harness depends on it.
 
+Connections:
+
+- **One no-delay write per response.**  The accepted socket has
+  ``TCP_NODELAY`` set and the handler's writer is buffered
+  (:data:`WRITE_BUFFER_BYTES`); ``handle_one_request`` and ``finish``
+  flush it, so a response that fits the buffer leaves as one write.
+  Written as a head and then a body on a Nagle socket, the body waited
+  for the client's delayed ACK of the head: ~40 ms on every request a
+  kept-alive client sent right after the previous answer.
+- **Bounded threads.**  At most :data:`MAX_CONNECTIONS` connections are
+  served at once, one thread each.  The listening thread answers any
+  connection over the cap itself, with ``503`` and ``Connection:
+  close``, and starts no thread for it.
+- **Idle timeout.**  A connection that sits idle (or stalls mid-request)
+  for :data:`IDLE_TIMEOUT_S` is closed and its thread exits.
+- A ``400`` sent before the request body was read (a missing, malformed
+  or oversize ``Content-Length``) closes the connection, since the
+  unread body would otherwise be parsed as the next request.
+
 Routes:
 
 ========  =========  ====================================================
@@ -34,7 +53,9 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
@@ -49,10 +70,36 @@ from repro.serve.service import QueryService
 #: Refuse bodies above this size before reading them (a parse-time
 #: memory bound, not a capacity knob).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+#: Connections served at once, each on its own thread.  Above the
+#: default admission bound (``max_inflight + max_queue`` = 24), so
+#: admission, not this cap, sheds load first.
+MAX_CONNECTIONS = 64
+#: Seconds a connection may wait on its client (idle between requests,
+#: or mid-request) before the server closes it.  Far above any gap a
+#: working keep-alive client leaves between requests.
+IDLE_TIMEOUT_S = 60.0
+#: Per-connection write buffer: a response that fits leaves in one write.
+WRITE_BUFFER_BYTES = 64 * 1024
+#: After answering an over-cap connection, the listening thread reads
+#: what the client still sends for at most about this long before it
+#: closes the socket: closing on unread bytes would reset the connection
+#: and could drop the 503 before the client reads it.
+REFUSAL_LINGER_S = 0.5
+
+_BUSY = json.dumps({"error": "too many connections"}).encode("utf-8")
+#: The whole over-cap response, sent in one write.
+REFUSAL = (
+    b"HTTP/1.1 503 Service Unavailable\r\n"
+    b"Content-Type: application/json\r\n"
+    b"Content-Length: %d\r\n"
+    b"Connection: close\r\n"
+    b"Retry-After: 1\r\n\r\n%s" % (len(_BUSY), _BUSY)
+)
 
 
 class ReproServer(ThreadingHTTPServer):
-    """One listening socket, one shared :class:`QueryService`."""
+    """One listening socket, one shared :class:`QueryService`, at most
+    :data:`MAX_CONNECTIONS` connection threads."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -60,11 +107,49 @@ class ReproServer(ThreadingHTTPServer):
     def __init__(self, address: tuple[str, int], service: QueryService):
         super().__init__(address, ServeHandler)
         self.service = service
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def process_request(self, request, client_address) -> None:
+        # Runs on the listening thread, once per accepted connection.
+        if not self._slots.acquire(blocking=False):
+            self._refuse(request)
+            self.shutdown_request(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except BaseException:
+            self._slots.release()  # no thread took the slot
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+    @staticmethod
+    def _refuse(request: socket.socket) -> None:
+        """Send :data:`REFUSAL`, half-close, and read until the client
+        closes or :data:`REFUSAL_LINGER_S` passes."""
+        deadline = time.monotonic() + REFUSAL_LINGER_S
+        try:
+            request.settimeout(REFUSAL_LINGER_S)
+            request.sendall(REFUSAL)
+            request.shutdown(socket.SHUT_WR)
+            while time.monotonic() < deadline and request.recv(65536):
+                pass
+        except OSError:
+            pass
 
 
 class ServeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # One no-delay write per response, and a bounded wait on the client:
+    # see "Connections" in the module docstring.
+    disable_nagle_algorithm = True
+    wbufsize = WRITE_BUFFER_BYTES
+    timeout = IDLE_TIMEOUT_S
 
     # The default handler logs every request to stderr; a load test at a
     # few hundred QPS would drown the console.
@@ -74,6 +159,13 @@ class ServeHandler(BaseHTTPRequestHandler):
     @property
     def service(self) -> QueryService:
         return self.server.service  # type: ignore[attr-defined]
+
+    def handle_expect_100(self) -> bool:
+        # The client holds the body back until it reads the interim
+        # response, which the buffered writer would otherwise keep.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     # -------------------------------------------------------------- GET
 
@@ -115,6 +207,9 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _read_json_body(self) -> object:
         length = self.headers.get("Content-Length")
+        # An error before the body is read would leave it on the
+        # connection as the next request: answer it, then close.
+        close_after, self.close_connection = self.close_connection, True
         if length is None:
             raise ProtocolError("Content-Length required")
         try:
@@ -124,6 +219,7 @@ class ServeHandler(BaseHTTPRequestHandler):
         if size < 0 or size > MAX_BODY_BYTES:
             raise ProtocolError(f"body size {size} out of range")
         raw = self.rfile.read(size)
+        self.close_connection = close_after
         try:
             return json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -157,6 +253,8 @@ class ServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(encoded)))
         for name, value in (extra_headers or {}).items():
             self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(encoded)
 

@@ -69,19 +69,39 @@ class TestExchangeReference:
         assert row["batch_s"] > 0 and row["reference_s"] > 0
         assert math.isfinite(row["ratio"])
         assert 0 < row["scaled_s"] < math.inf
+        assert 0 < row["update_s"] < math.inf
 
-    def test_stage_ceiling_fails_exactly_the_slow_cell(self, monkeypatch):
+    @staticmethod
+    def rows(slow: str, metric: str):
+        """A ``reference_ratio`` stand-in: every cell just under its
+        ceilings, except ``metric`` of cell ``slow``, just over."""
+        medians = {"scaled_s": gates.STAGE_MEDIANS, "update_s": gates.UPDATE_MEDIANS}
+
         def row(name):
-            ceiling = gates.STAGE_CEILING_FACTOR * gates.STAGE_MEDIANS[name]
             return {
                 "mismatches": [], "batch_s": 1.0, "reference_s": 3.0,
                 "ratio": 3.0,
-                "scaled_s": ceiling * (1.01 if name == "M9" else 0.99),
+                **{
+                    key: gates.STAGE_CEILING_FACTOR * recorded[name]
+                    * (1.01 if (name, key) == (slow, metric) else 0.99)
+                    for key, recorded in medians.items()
+                },
             }
 
-        monkeypatch.setattr(gates, "reference_ratio", row)
+        return row
+
+    def test_stage_ceiling_fails_exactly_the_slow_cell(self, monkeypatch):
+        monkeypatch.setattr(gates, "reference_ratio", self.rows("M9", "scaled_s"))
         failed = [line for ok, line in gates.check_exchange_reference() if not ok]
         assert len(failed) == 1 and failed[0].startswith("M9: batch stages")
+
+    def test_update_ceiling_fails_exactly_the_slow_cell(self, monkeypatch):
+        monkeypatch.setattr(
+            gates, "reference_ratio", self.rows("tpch-sf0.03-r0.2", "update_s")
+        )
+        failed = [line for ok, line in gates.check_exchange_reference() if not ok]
+        assert len(failed) == 1
+        assert failed[0].startswith("tpch-sf0.03-r0.2: update")
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +125,23 @@ class TestServeLoad:
         )
         assert counts["completed"] == 0
         assert counts["errors"] > 0
+
+    def test_closed_loop_passes_on_a_healthy_server(self, genomics_server):
+        latencies = gates.closed_loop_latencies(genomics_server)
+        assert len(latencies) == gates.SERVE_CLOSED_LOOP_REQUESTS
+        ok, line = gates.check_closed_loop(latencies)
+        assert ok, line
+
+    def test_closed_loop_fails_on_a_delayed_ack_stall(self):
+        stalled = [44.0] * gates.SERVE_CLOSED_LOOP_REQUESTS
+        assert gates.check_closed_loop(stalled)[0] is False
+
+    def test_closed_loop_fails_on_a_failed_request(self, genomics_server):
+        latencies = gates.closed_loop_latencies(
+            genomics_server + "/nowhere", requests=2
+        )
+        assert latencies == [math.inf, math.inf]
+        assert gates.check_closed_loop([0.3] * 9 + [math.inf])[0] is False
 
 
 def test_usage_error_exits_2(capsys):

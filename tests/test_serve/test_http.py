@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 from contextlib import contextmanager
 
@@ -20,6 +21,8 @@ from repro.fuzz.render import RenderError, render_query
 from repro.parser import parse_mapping, parse_program
 from repro.relational import Fact, Instance
 from repro.serve import QueryService, ReproServer, ServiceConfig
+from repro.serve import http as serve_http
+from repro.serve.http import ServeHandler
 from repro.serve.protocol import serialize_rows
 from repro.xr.segmentary import SegmentaryEngine
 
@@ -29,10 +32,15 @@ def f(rel, *args):
 
 
 @contextmanager
-def serving(mapping, instance, config: ServiceConfig | None = None):
-    """Boot a real server on an ephemeral port; yield (host, port)."""
+def serving(mapping, instance, config: ServiceConfig | None = None,
+            handler: type[ServeHandler] | None = None):
+    """Boot a real server on an ephemeral port; yield (host, port, service).
+
+    ``handler`` replaces :class:`ServeHandler` for every connection."""
     service = QueryService(mapping, instance, config or ServiceConfig())
     server = ReproServer(("127.0.0.1", 0), service)
+    if handler is not None:
+        server.RequestHandlerClass = handler
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -207,6 +215,173 @@ class TestRoutes:
         status, body, _ = post(host, port, "/update", {"updates": "+R(7)."})
         assert status == 400
         assert "arity 2" in body["error"]
+
+
+class Recording(ServeHandler):
+    """Records, per connection, its handler thread, whether ``TCP_NODELAY``
+    is set on the accepted socket, and the size of every socket write."""
+
+    threads: list[threading.Thread]
+    nodelay: list[int]
+    writes: list[int]
+
+    def setup(self) -> None:
+        super().setup()
+        self.threads.append(threading.current_thread())
+        self.nodelay.append(
+            self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        )
+        raw = self.wfile.raw  # an unbuffered writer has none: fails loudly
+        write = raw.write
+
+        def counted(data):
+            self.writes.append(len(data))
+            return write(data)
+
+        raw.write = counted
+
+
+def recording(**attributes) -> type[Recording]:
+    """A fresh :class:`Recording` subclass with its own logs."""
+    return type("Recorded", (Recording,), {
+        "threads": [], "nodelay": [], "writes": [], **attributes,
+    })
+
+
+@pytest.fixture
+def one_fact():
+    mapping = parse_mapping("SOURCE R/1. TARGET P/1. R(x) -> P(x).")
+    return mapping, Instance([f("R", "a")])
+
+
+def exchange_raw(address, data: bytes) -> bytes:
+    """Send ``data`` on a fresh socket and read until the server closes
+    it; a server that keeps it open fails the read by timeout."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(data)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    return received
+
+
+class TestTransport:
+    def test_accepted_socket_has_nodelay(self, one_fact):
+        handler = recording()
+        with serving(*one_fact, handler=handler) as (host, port, _service):
+            assert get(host, port, "/healthz")[0] == 200
+        assert handler.nodelay == [1]
+
+    def test_small_json_response_leaves_in_one_write(self, one_fact):
+        handler = recording()
+        with serving(*one_fact, handler=handler) as (host, port, _service):
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                for request in range(1, 4):
+                    status, body, _ = post(
+                        host, port, "/query", {"query": "q(x) :- P(x)."},
+                        connection=conn,
+                    )
+                    assert status == 200 and body["rows"] == [["'a'"]]
+                    assert len(handler.writes) == request
+            finally:
+                conn.close()
+        assert len(handler.threads) == 1  # one kept-alive connection
+
+    def test_malformed_request_line_is_400(self, one_fact):
+        with serving(*one_fact) as (host, port, _service):
+            reply = exchange_raw((host, port), b"GET / x HTTP/1.1\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in reply
+        assert reply.endswith(b"</html>\n")
+
+    def test_unknown_method_is_501(self, one_fact):
+        with serving(*one_fact) as (host, port, _service):
+            reply = exchange_raw(
+                (host, port), b"BREW /pot HTTP/1.1\r\nHost: x\r\n\r\n"
+            )
+        assert reply.startswith(b"HTTP/1.1 501 ")
+        assert reply.endswith(b"</html>\n")
+
+    @pytest.mark.parametrize("header, error", [
+        (b"Content-Length: 999999999", "out of range"),
+        (b"Content-Length: ten", "bad Content-Length"),
+        (b"Transfer-Encoding: chunked", "Content-Length required"),
+    ])
+    def test_unread_body_is_400_and_closes(self, one_fact, header, error):
+        """The body was not read, so the connection cannot carry another
+        request: the 400 says ``Connection: close`` and the server closes."""
+        with serving(*one_fact) as (host, port, _service):
+            reply = exchange_raw(
+                (host, port),
+                b"POST /query HTTP/1.1\r\nHost: x\r\n%s\r\n\r\n" % header,
+            )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert error in json.loads(body)["error"]
+
+    def test_expect_100_continue_is_answered_before_the_body(self, one_fact):
+        body = json.dumps({"query": "q(x) :- P(x)."}).encode()
+        with serving(*one_fact) as (host, port, _service):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(
+                    b"POST /query HTTP/1.1\r\nHost: x\r\n"
+                    b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n"
+                    % len(body)
+                )
+                assert sock.recv(65536).startswith(b"HTTP/1.1 100 ")
+                sock.sendall(body)
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+
+
+class TestBoundedConnections:
+    def test_connection_over_the_cap_gets_503_and_closes(
+        self, one_fact, monkeypatch
+    ):
+        monkeypatch.setattr(serve_http, "MAX_CONNECTIONS", 2)
+        handler = recording()
+        with serving(*one_fact, handler=handler) as (host, port, _service):
+            held = [http.client.HTTPConnection(host, port, timeout=30)
+                    for _ in range(2)]
+            try:
+                for conn in held:
+                    status, _, _ = post(host, port, "/query",
+                                        {"query": "q(x) :- P(x)."}, conn)
+                    assert status == 200
+                third = http.client.HTTPConnection(host, port, timeout=30)
+                status, body, response = post(
+                    host, port, "/query", {"query": "q(x) :- P(x)."}, third
+                )
+                assert status == 503
+                assert response.getheader("Connection") == "close"
+                assert body == {"error": "too many connections"}
+                assert third.sock is None  # http.client saw the close
+                assert len(handler.threads) == 2  # no thread for it
+                held[0].close()
+                handler.threads[0].join(timeout=10)
+                assert not handler.threads[0].is_alive()
+                status, body, _ = post(host, port, "/query",
+                                       {"query": "q(x) :- P(x)."})
+                assert status == 200 and body["rows"] == [["'a'"]]
+            finally:
+                for conn in held:
+                    conn.close()
+
+    def test_idle_connection_is_closed_and_its_thread_exits(self, one_fact):
+        handler = recording(timeout=0.2)
+        with serving(*one_fact, handler=handler) as (host, port, _service):
+            with socket.create_connection((host, port), timeout=5) as sock:
+                sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+                assert sock.recv(65536) == b""  # closed by the server
+                handler.threads[0].join(timeout=10)
+                assert not handler.threads[0].is_alive()
+
+    def test_real_bounds_clear_the_admission_bound_and_workload_gaps(self):
+        config = ServiceConfig()
+        assert serve_http.MAX_CONNECTIONS > config.max_inflight + config.max_queue
+        assert ServeHandler.timeout == serve_http.IDLE_TIMEOUT_S >= 60.0
 
 
 DIFFERENTIAL_SEEDS = 10
