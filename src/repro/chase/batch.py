@@ -15,8 +15,9 @@ is only the test reference they are checked against.
 
 A :class:`_BodyPlan` joins a whole body; a :class:`_PivotPlan` seeds one
 body atom with given facts (the semi-naive step).  *Tracked* rows carry
-the matched facts along, so groundings and supports need no
-re-instantiation.  Row order follows the join; callers canonicalize.
+the matched facts' slots along (ints: the index cache numbers every fact
+it holds), so groundings and supports need no re-instantiation and no
+fact hashing.  Row order follows the join; callers canonicalize.
 
 :func:`chase_insert` is the one semi-naive chase, and its rows are the
 groundings: the exchange build inserts the source into an empty
@@ -28,7 +29,8 @@ from __future__ import annotations
 
 import threading
 from operator import itemgetter
-from typing import AbstractSet, Any, Callable, Iterable, Sequence
+from collections.abc import Mapping
+from typing import AbstractSet, Any, Callable, Iterable, Iterator, Sequence
 
 from repro.dependencies.egds import EGD
 from repro.dependencies.tgds import TGD, SkolemTerm
@@ -153,15 +155,55 @@ class _AtomStep:
         return (self.key_of_args(args), self.ext_of_args(args))
 
 
-class _IndexCache:
-    """Hash indexes over one instance, kept exact as the instance changes.
+class FactIds(Mapping):
+    """Fact -> id over an :class:`_IndexCache`'s universe: its slot map
+    read through ``id_at``, so renumbering ids rehashes no fact."""
 
-    Keyed by step *signature*: plans that join a relation the same way —
-    e.g. the two self-join atoms of a key egd — share one index.  An index
-    maps a key to a bucket ``{fact: extension}``; it is built lazily from
-    the extension and then maintained by :meth:`add_fact` and
-    :meth:`discard_fact`, a discard being one dict deletion, never a
-    bucket scan (a key-less step's one bucket holds the whole relation).
+    __slots__ = ("_slots", "_id_at")
+
+    def __init__(self, slots: dict[Fact, int], id_at: list[int]) -> None:
+        self._slots = slots
+        self._id_at = id_at
+
+    def __getitem__(self, fact: Fact) -> int:
+        return self._id_at[self._slots[fact]]
+
+    def get(self, fact: Fact, default: Any = None) -> Any:
+        slot = self._slots.get(fact)
+        return default if slot is None else self._id_at[slot]
+
+    def __contains__(self, fact: object) -> bool:
+        return fact in self._slots
+
+    def __iter__(self) -> Iterator[Fact]:
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+
+class _IndexCache:
+    """Hash indexes over one instance, kept exact as the instance changes,
+    and the dense id universe of the instance's facts.
+
+    **Ids and slots.**  Every fact that enters the instance is interned:
+    it gets a *slot* — ``slots`` is the one map keyed by facts — and a
+    dense id, and ``facts_by_id`` lists the facts by id.  The indexes and
+    tracked rows address facts by slot.  Owners may renumber ids
+    (:meth:`renumber`: the exchange puts them in canonical order) without
+    touching an index or rehashing a fact, because slots never change:
+    ``slot_of`` maps an id to its slot and ``id_at`` a slot to its id
+    (:meth:`ids`, :attr:`fact_ids`).  A fact keeps its id and slot after
+    it leaves the instance, so a re-inserted fact gets both back.  A new
+    fact's id equals its slot until the next renumbering.
+
+    **Indexes.**  Keyed by step *signature*: plans that join a relation
+    the same way — e.g. the two self-join atoms of a key egd — share one
+    index.  An index maps a key to a bucket ``{slot: extension}``; it is
+    built lazily from the extension and then maintained by
+    :meth:`add_fact` and :meth:`discard_fact`, a discard being one dict
+    deletion, never a bucket scan (a key-less step's one bucket holds the
+    whole relation).
 
     Readers may build indexes concurrently (queries under the serving
     tier's read lock): registration runs under a lock, so a signature gets
@@ -170,14 +212,62 @@ class _IndexCache:
     Writers must exclude readers.
     """
 
-    __slots__ = ("instance", "_by_signature", "_by_relation", "_transient", "_lock")
+    __slots__ = (
+        "instance",
+        "slots",
+        "facts_by_id",
+        "slot_of",
+        "id_at",
+        "fact_ids",
+        "_by_signature",
+        "_by_relation",
+        "_transient",
+        "_lock",
+    )
 
     def __init__(self, instance: Instance) -> None:
         self.instance = instance
+        self.slots: dict[Fact, int] = {}
+        self.facts_by_id: list[Fact] = []
+        self.slot_of: list[int] = []
+        self.id_at: list[int] = []
+        self.fact_ids = FactIds(self.slots, self.id_at)
         self._by_signature: dict[tuple, dict] = {}
         self._by_relation: dict[str, list[tuple[_AtomStep, dict]]] = {}
         self._transient: dict[tuple, None] = {}  # oldest first
         self._lock = threading.Lock()
+        for fact in instance:
+            self.intern(fact)
+
+    # --------------------------------------------------------- the universe
+
+    def intern(self, fact: Fact) -> int:
+        """The slot of ``fact``, giving it the next slot and id if new."""
+        slot = self.slots.setdefault(fact, len(self.id_at))
+        if slot == len(self.id_at):
+            self.facts_by_id.append(fact)
+            self.slot_of.append(slot)
+            self.id_at.append(slot)
+        return slot
+
+    def ids(self, slots: Iterable[int]) -> tuple[int, ...]:
+        """The ids of the facts at ``slots``."""
+        return tuple(map(self.id_at.__getitem__, slots))
+
+    def renumber(self, start: int, order: Sequence[int]) -> None:
+        """Give the facts of ids ``order`` (every id from ``start`` on,
+        each once) the ids ``start, start + 1, ...`` in that order.
+
+        Slots stay, so no index changes and no fact is hashed; rows
+        holding slots translate to the new ids through :meth:`ids`."""
+        facts_by_id, slot_of, id_at = self.facts_by_id, self.slot_of, self.id_at
+        slots = [slot_of[old] for old in order]
+        facts_by_id[start:] = [facts_by_id[old] for old in order]
+        slot_of[start:] = slots
+        for new_id, slot in enumerate(slots, start):
+            id_at[slot] = new_id
+
+    # -------------------------------------------------------------- indexes
 
     def index_for(self, step: _AtomStep, transient: bool = False) -> dict:
         index = self._by_signature.get(step.signature)
@@ -195,14 +285,16 @@ class _IndexCache:
             return index
         index: dict = {}
         admit = step.admit
+        slots = self.slots
         for fact in self.instance.facts_of(step.relation):
             entry = admit(fact)
             if entry is not None:
+                slot = slots[fact]
                 bucket = index.get(entry[0])
                 if bucket is None:  # no throwaway default dict per fact
-                    index[entry[0]] = {fact: entry[1]}
+                    index[entry[0]] = {slot: entry[1]}
                 else:
-                    bucket[fact] = entry[1]
+                    bucket[slot] = entry[1]
         self._by_relation.setdefault(step.relation, []).append((step, index))
         self._by_signature[signature] = index
         if transient:
@@ -217,29 +309,33 @@ class _IndexCache:
                 ]
         return index
 
-    def add_fact(self, fact: Fact) -> None:
+    def add_fact(self, fact: Fact, slot: int) -> None:
+        """Index a fact the instance just gained, at its slot."""
         for step, index in self._by_relation.get(fact.relation, ()):
             entry = step.admit(fact)
             if entry is not None:
                 bucket = index.get(entry[0])
                 if bucket is None:
-                    index[entry[0]] = {fact: entry[1]}
+                    index[entry[0]] = {slot: entry[1]}
                 else:
-                    bucket[fact] = entry[1]
+                    bucket[slot] = entry[1]
 
-    def discard_fact(self, fact: Fact) -> None:
-        """Drop a fact the indexes hold (one added or indexed before)."""
+    def discard_fact(self, fact_id: int) -> None:
+        """Drop the fact of ``fact_id`` from the indexes (one added or
+        indexed before)."""
+        fact = self.facts_by_id[fact_id]
+        slot = self.slot_of[fact_id]
         for step, index in self._by_relation.get(fact.relation, ()):
             entry = step.admit(fact)
             if entry is not None:
                 bucket = index[entry[0]]
-                del bucket[fact]
+                del bucket[slot]
                 if not bucket:
                     del index[entry[0]]
 
 
 def _probe(
-    step: _AtomStep, index: dict[Any, dict[Fact, tuple]], rows: list[tuple]
+    step: _AtomStep, index: dict[Any, dict[int, tuple]], rows: list[tuple]
 ) -> list[tuple]:
     key_of_row = step.key_of_row
     out: list[tuple] = []
@@ -255,36 +351,37 @@ def _probe(
 
 def _probe_tracked(
     step: _AtomStep,
-    index: dict[Any, dict[Fact, tuple]],
+    index: dict[Any, dict[int, tuple]],
     rows: list[tuple[tuple, tuple]],
-    skip: AbstractSet[Fact] | None = None,
+    skip: AbstractSet[int] | None = None,
 ) -> list[tuple[tuple, tuple]]:
-    """Like :func:`_probe`, but rows are ``(values, provenance facts)``.
+    """Like :func:`_probe`, but rows are ``(values, provenance slots)``.
 
     Provenance rows let grounding enumeration emit the matched body facts
     without re-instantiating them by substitution — the contributing
-    stored fact rides along with every probe extension.  Stored facts in
+    stored fact's slot rides along with every probe extension.  Slots in
     ``skip`` are not matched.
     """
     key_of_row = step.key_of_row
     out: list[tuple[tuple, tuple]] = []
     append = out.append
     get = index.get
-    for values, facts in rows:
+    for values, slots in rows:
         bucket = get(key_of_row(values))
         if not bucket:
             continue
         if skip is None:
-            for fact, extension in bucket.items():
-                append((values + extension, facts + (fact,)))
+            for slot, extension in bucket.items():
+                append((values + extension, slots + (slot,)))
         else:
-            for fact, extension in bucket.items():
-                if fact not in skip:
-                    append((values + extension, facts + (fact,)))
+            for slot, extension in bucket.items():
+                if slot not in skip:
+                    append((values + extension, slots + (slot,)))
     return out
 
 
 _VAR, _CONST, _SKOLEM = 0, 1, 2
+_FIRST = itemgetter(0)
 
 
 def compile_slot_head(
@@ -434,12 +531,12 @@ def _join(
     rows: list,
     tracked: bool,
     transient: bool = False,
-    skips: Sequence[AbstractSet[Fact] | None] | None = None,
+    skips: Sequence[AbstractSet[int] | None] | None = None,
 ) -> list:
-    """Probe ``rows`` through ``steps``; tracked rows are ``(values, facts)``.
+    """Probe ``rows`` through ``steps``; tracked rows are ``(values, slots)``.
 
-    ``skips`` (tracked rows only) gives per step the stored facts it
-    does not match, None for a step that matches every fact."""
+    ``skips`` (tracked rows only) gives per step the slots it does not
+    match, None for a step that matches every fact."""
     probe = _probe_tracked if tracked else _probe
     for position, step in enumerate(steps):
         if not rows:
@@ -484,8 +581,9 @@ class _BodyPlan:
         return _join(self.steps, cache, [self.initial], False, self.transient)
 
     def rows_hash_tracked(self, cache: _IndexCache) -> list[tuple[tuple, tuple]]:
-        """Rows as ``(values, facts-in-join-order)``; reorder the facts
-        through :attr:`body_order` to recover the body-order tuple."""
+        """Rows as ``(values, slots-in-join-order)``; reorder the slots
+        through :attr:`body_order` to recover the body-order tuple, and
+        translate them with :meth:`_IndexCache.ids`."""
         rows = [(self.initial, ())]
         return _join(self.steps, cache, rows, True, self.transient)
 
@@ -514,29 +612,35 @@ class _PivotPlan:
         #: before the pivot in the body?
         self.before_pivot = tuple(i < position for i in rest)
 
-    def rows(
-        self,
-        cache: _IndexCache,
-        facts: Iterable[Fact],
-        tracked: bool = False,
-        skip_before: AbstractSet[Fact] | None = None,
-    ) -> list:
+    def rows(self, cache: _IndexCache, facts: Iterable[Fact]) -> list:
         """Every row of the body with the pivot matched to one of
-        ``facts``; tracked rows carry the matched facts in join order
-        (pivot first, see :attr:`body_order`).  Atoms before the pivot in
-        the body match no fact of ``skip_before`` (tracked rows only)."""
+        ``facts``."""
         admit = self.steps[0].admit
         rows = []
         for fact in facts:
             entry = admit(fact)
             if entry is not None:
-                rows.append((entry[1], (fact,)) if tracked else entry[1])
-        skips = None
-        if skip_before is not None:
-            skips = [
-                skip_before if before else None for before in self.before_pivot
-            ]
-        return _join(self.steps[1:], cache, rows, tracked, skips=skips)
+                rows.append(entry[1])
+        return _join(self.steps[1:], cache, rows, False)
+
+    def rows_tracked(
+        self,
+        cache: _IndexCache,
+        facts: Iterable[tuple[int, Fact]],
+        skip_before: AbstractSet[int],
+    ) -> list[tuple[tuple, tuple]]:
+        """Every row of the body with the pivot matched to one of the
+        ``(slot, fact)`` pairs ``facts``, carrying the matched slots in
+        join order (pivot first, see :attr:`body_order`).  Atoms before
+        the pivot in the body match no slot of ``skip_before``."""
+        admit = self.steps[0].admit
+        rows = []
+        for slot, fact in facts:
+            entry = admit(fact)
+            if entry is not None:
+                rows.append((entry[1], (slot,)))
+        skips = [skip_before if before else None for before in self.before_pivot]
+        return _join(self.steps[1:], cache, rows, True, skips=skips)
 
 
 # -------------------------------------------------------------------- chase
@@ -546,25 +650,26 @@ class ChasePlans:
     """The semi-naive joins of one mapping, compiled once per exchange.
 
     Per pivot relation: one :class:`_PivotPlan` per (tgd, body position)
-    with the rule, the head grounder and the body-order projector, and
-    one per (egd, body position) with its violations builder.  Join
-    order is planned against ``instance`` (relation sizes break ties).
+    with the rule's position in :attr:`rules`, the head grounder and the
+    body-order projector, and one per (egd, body position) with its
+    violations builder.  Join order is planned against ``instance``
+    (relation sizes break ties).
     """
 
-    __slots__ = ("tgds", "egds")
+    __slots__ = ("rules", "tgds", "egds")
 
     def __init__(
         self, instance: Instance, rules: Iterable[TGD], egds: Iterable[EGD] = ()
     ) -> None:
-        rules = list(rules)
-        check_gav_rules(rules)
+        self.rules = tuple(rules)
+        check_gav_rules(self.rules)
         self.tgds: dict[str, list[tuple]] = {}
-        for rule in rules:
+        for rule_position, rule in enumerate(self.rules):
             for position in range(len(rule.body)):
                 plan = _PivotPlan(instance, rule.body, position)
                 self.tgds.setdefault(plan.pivot.relation, []).append(
                     (
-                        rule,
+                        rule_position,
                         plan,
                         compile_slot_head(rule, plan.layout),
                         _tuple_projector(plan.body_order),
@@ -585,7 +690,7 @@ def chase_insert(
     facts: Iterable[Fact],
     max_rounds: int = 1_000_000,
     stats: dict[str, int] | None = None,
-) -> tuple[list[Fact], list[tuple[TGD, tuple[Fact, ...], Fact]]]:
+) -> tuple[dict[str, list[int]], list[tuple[int, int, tuple[int, ...]]]]:
     """Insert ``facts`` into ``cache.instance`` and chase to the fixpoint.
 
     Strict-round semi-naive evaluation: round ``k`` pivots the facts new
@@ -596,53 +701,69 @@ def chase_insert(
     and the ``rounds``/``derived_facts`` counters equal the reference
     :func:`repro.chase.gav.gav_chase`'s.
 
-    Every provenance-tracked row is a grounding ``(rule, body facts, head
-    fact)`` with a new body fact.  It is found in the round of its newest
-    body fact, by the pivot at the first body position holding a fact of
-    that round: the positions before the pivot match no fact of the round
-    (the join skips them at the probe), so each grounding is built and
-    emitted once.  Tautologies (head in body) are dropped.  Returns the
-    facts the instance gained and the groundings, both in no fixed order;
-    the instance and every index of ``cache`` are kept exact.
+    A fact is interned in ``cache`` when first derived (or inserted), so
+    the chase works on slots (:class:`_IndexCache`).  Every
+    provenance-tracked row is a grounding ``(rule position, head slot,
+    body slots)`` with a new body fact.  It is found in the round of its
+    newest body fact, by the pivot at the first body position holding a
+    fact of that round: the positions before the pivot match no fact of
+    the round (the join skips them at the probe), so each grounding is
+    built and emitted once.  Tautologies (head in body) are dropped.
+    Returns the slots of the facts the instance gained, by relation, and
+    the groundings, both in no fixed order; the instance and every index
+    of ``cache`` are kept exact.
     """
     instance = cache.instance
     add_fact = cache.add_fact
-    fresh = {fact for fact in facts if fact not in instance}  # this round's
+    intern = cache.slots.setdefault
+    facts_by_id, slot_of, id_at = cache.facts_by_id, cache.slot_of, cache.id_at
+    fresh: dict[int, Fact] = {}  # this round's, by slot
+    for fact in facts:
+        if fact not in instance:
+            fresh[cache.intern(fact)] = fact
     inserted = len(fresh)
-    added: list[Fact] = []
-    groundings: list[tuple[TGD, tuple[Fact, ...], Fact]] = []
+    added: dict[str, list[int]] = {}
+    groundings: list[tuple[int, int, tuple[int, ...]]] = []
     append = groundings.append
     rounds = 0
     while fresh:
-        for fact in fresh:
+        delta_by_relation: dict[str, list[tuple[int, Fact]]] = {}
+        for slot, fact in fresh.items():
             instance.add(fact)
-            add_fact(fact)
-        added += fresh
+            add_fact(fact, slot)
+            delta_by_relation.setdefault(fact.relation, []).append((slot, fact))
+        for relation, relation_delta in delta_by_relation.items():
+            added.setdefault(relation, []).extend(map(_FIRST, relation_delta))
         rounds += 1
         if rounds > max_rounds:
             raise RuntimeError(f"the chase exceeded {max_rounds} rounds")
-        delta_by_relation: dict[str, list[Fact]] = {}
-        for fact in fresh:
-            delta_by_relation.setdefault(fact.relation, []).append(fact)
-        pending: set[Fact] = set()
+        pending: dict[int, Fact] = {}
         for relation, relation_delta in delta_by_relation.items():
-            for rule, plan, ground, body_of in plans.tgds.get(
+            for rule_position, plan, ground, body_of in plans.tgds.get(
                 relation, ()
             ):
-                for values, provenance in plan.rows(
-                    cache, relation_delta, tracked=True, skip_before=fresh
+                for values, provenance in plan.rows_tracked(
+                    cache, relation_delta, fresh
                 ):
-                    body_facts = body_of(provenance)
+                    body = body_of(provenance)
                     head_fact = ground(values)
-                    if head_fact in body_facts:
-                        continue  # tautological; never a real derivation
-                    append((rule, body_facts, head_fact))
-                    if head_fact not in instance:
-                        pending.add(head_fact)
+                    new = len(id_at)
+                    head = intern(head_fact, new)
+                    if head == new:  # first derived: a new slot and id
+                        facts_by_id.append(head_fact)
+                        slot_of.append(new)
+                        id_at.append(new)
+                        pending[head] = head_fact
+                    else:
+                        if head in body:
+                            continue  # tautological; never a real derivation
+                        if head not in pending and head_fact not in instance:
+                            pending[head] = head_fact
+                    append((rule_position, head, body))
         fresh = pending
     if stats is not None:
         stats["rounds"] = rounds
-        stats["derived_facts"] = len(added) - inserted
+        stats["derived_facts"] = sum(map(len, added.values())) - inserted
     return added, groundings
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.chase.batch import check_gav_rules
+from repro.chase.batch import _IndexCache, check_gav_rules
 from repro.dependencies.tgds import TGD, SkolemTerm
 from repro.relational.instance import Fact, Instance
 from repro.relational.queries import (
@@ -261,8 +261,20 @@ def reference_exchange_data(
     grounded_at = clock()
     violations = find_violations(mapping, chased)
     violations_at = clock()
+    # A fresh universe numbers the facts in iteration order, with every
+    # slot equal to its id; the assembly renumbers them canonically.
+    cache = _IndexCache(chased)
+    slot = cache.slots.__getitem__
+    added: dict[str, list[int]] = {}
+    for fact in chased:
+        added.setdefault(fact.relation, []).append(slot(fact))
+    position = {id(rule): index for index, rule in enumerate(tgds)}
+    rows = [
+        (position[id(rule)], slot(head), tuple(map(slot, body)))
+        for rule, body, head in groundings
+    ]
     data = assemble_exchange_data(
-        mapping, source_instance, chased, groundings, violations
+        mapping, source_instance, chased, added, rows, violations, cache
     )
     if timings is not None:
         timings["chase"] = chased_at - started

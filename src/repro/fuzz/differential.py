@@ -302,7 +302,11 @@ def _reference_discrepancies(reduced, instance, query, data) -> list[Discrepancy
     try:
         reference = reference_exchange_data(reduced.gav, instance)
         rewritten = reduced.rewrite(query)
-        grounded = set(ground_query(rewritten, data))
+        fact_of = data.facts_by_id.__getitem__
+        grounded = {
+            (candidate, tuple(map(fact_of, support)))
+            for candidate, support in ground_query(rewritten, data)
+        }
         expected = set(reference_ground_query(rewritten, reference.chased))
     except Exception as error:  # noqa: BLE001 — a crash IS a finding
         detail = f"{type(error).__name__}: {error}"

@@ -168,9 +168,13 @@ def load_update_corpus(
 
 
 def _grounding_keys(data) -> Counter:
-    """The groundings as a multiset: a duplicated grounding counts twice."""
+    """The groundings as a multiset of facts (ids differ between an
+    updated exchange and a fresh one): a duplicated grounding counts
+    twice."""
+    fact_of = data.facts_by_id.__getitem__
     return Counter(
-        (rule.label, body, head) for rule, body, head in data.groundings
+        (position, tuple(map(fact_of, body)), fact_of(head))
+        for position, head, body in data.groundings
     )
 
 

@@ -23,10 +23,12 @@ into the live chased instance, over the pivot plans the build compiled
 query grounding), which every added or dropped chased fact updates.  Its
 strict rounds find every grounding with a body fact the delta added —
 exactly the groundings the delta adds, since every surviving one has an
-all-old body.  After the chase settles, the new facts are interned in
+all-old body.  The chase interns each new fact as it derives it; once
+it settles, the ids it appended are renumbered in
 :func:`~repro.relational.instance.fact_order` and the new groundings
-appended in the build's canonical order, so ids and positions do not
-depend on the hash seed.  New violations are found by pivoting each new
+appended in the build's canonical order — the build's own two steps,
+over the delta's tail — so ids and positions do not depend on the hash
+seed.  New violations are found by pivoting each new
 fact through the egd bodies, deduplicated against the live set by the
 canonical :func:`~repro.xr.exchange.violation_key`.
 
@@ -44,14 +46,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.chase.batch import chase_insert
-from repro.relational.instance import fact_order
 from repro.xr.envelope import influence_ids, rederive_ids
 from repro.xr.exchange import (
     ExchangeData,
     Violation,
-    append_grounding,
+    append_groundings,
     append_violation,
-    canonical_groundings,
+    canonicalize_ids,
     canonicalize_violations,
     remove_groundings,
     remove_violations,
@@ -131,7 +132,9 @@ def apply_delta_chase(
         dead_violation_positions: set[int] = set()
         for fact_id in dead:
             dead_grounding_positions.update(data.occurs_in_body[fact_id])
-            dead_violation_positions.update(data.violations_by_fact[fact_id])
+            dead_violation_positions.update(
+                data.violations_by_fact.get(fact_id, ())
+            )
         for index in dead_grounding_positions:
             report.removed_groundings += 1
             report.removed_grounding_head_ids.add(data.grounding_heads[index])
@@ -144,9 +147,8 @@ def apply_delta_chase(
 
         facts_by_id = data.facts_by_id
         for fact_id in dead:
-            fact = facts_by_id[fact_id]
-            chased.discard(fact)
-            cache.discard_fact(fact)
+            chased.discard(facts_by_id[fact_id])
+            cache.discard_fact(fact_id)
     for fact in delta.retracts:
         source.discard(fact)
 
@@ -154,20 +156,25 @@ def apply_delta_chase(
     if delta.inserts:
         for fact in delta.inserts:
             source.add(fact)
-        added, groundings = chase_insert(data.plans, cache, delta.inserts)
-        # Intern the new facts in the canonical order once the chase has
-        # settled, so their ids do not depend on the order the rounds
-        # found them in (set and bucket iteration, i.e. the hash seed).
-        for fact in sorted(added, key=fact_order):
-            report.new_ids.add(data.intern_fact(fact))
+        start = len(data.facts_by_id)
+        added, rows = chase_insert(data.plans, cache, delta.inserts)
+        # Renumber the ids the chase appended in the canonical order, so
+        # they do not depend on the order the rounds found the facts in
+        # (set and bucket iteration, i.e. the hash seed).  Re-inserted
+        # facts keep their ids.
+        canonicalize_ids(cache, start, added)
+        data.extend_rows()
+        for slots in added.values():
+            report.new_ids.update(cache.ids(slots))
 
         # Every grounding the chase emits has a body fact the delta added,
         # so none repeats one that survived the retraction.
-        for _key, grounding in canonical_groundings(data, groundings):
-            head_id, body_ids = append_grounding(data, grounding)
-            report.added_groundings += 1
-            report.added_grounding_fact_ids.add(head_id)
-            report.added_grounding_fact_ids.update(body_ids)
+        first = append_groundings(data, rows)
+        report.added_groundings = len(data.groundings) - first
+        touched = report.added_grounding_fact_ids
+        for index in range(first, len(data.groundings)):
+            touched.add(data.grounding_heads[index])
+            touched.update(data.grounding_bodies[index])
 
         # New violations: every violation gaining a new body fact is found
         # by pivoting that fact (the whole body is present now the chase

@@ -208,10 +208,9 @@ class UpdateSession:
         """Stable ids of the clusters whose influence holds one of
         ``fact_ids`` (through the fact → cluster membership index)."""
         membership = self.analysis.cluster_membership
-        facts_by_id = self.data.facts_by_id
         found: set[int] = set()
         for fact_id in fact_ids:
-            clusters = membership.get(facts_by_id[fact_id])
+            clusters = membership.get(fact_id)
             if clusters:
                 found |= clusters
         return found
@@ -348,24 +347,20 @@ class UpdateSession:
         # The fact → cluster-id membership index, patched for the
         # re-clustered and renumbered clusters only.
         membership = analysis.cluster_membership
-        facts_by_id = data.facts_by_id
         for cluster in gone:
             for fact_id in cluster.influence_ids:
-                fact = facts_by_id[fact_id]
-                cluster_ids = membership[fact]
+                cluster_ids = membership[fact_id]
                 cluster_ids.discard(cluster.index)
                 if not cluster_ids:
-                    del membership[fact]
+                    del membership[fact_id]
         for old_id, cluster in renamed:
             for fact_id in cluster.influence_ids:
-                cluster_ids = membership[facts_by_id[fact_id]]
+                cluster_ids = membership[fact_id]
                 cluster_ids.discard(old_id)
                 cluster_ids.add(cluster.index)
         for cluster in fresh:
             for fact_id in cluster.influence_ids:
-                membership.setdefault(facts_by_id[fact_id], set()).add(
-                    cluster.index
-                )
+                membership.setdefault(fact_id, set()).add(cluster.index)
 
         removed = {id(cluster) for cluster in gone}
         clusters = [c for c in analysis.clusters if id(c) not in removed]

@@ -8,9 +8,8 @@ joins of :func:`~repro.relational.queries.match_atoms`.
 
 from __future__ import annotations
 
-from itertools import zip_longest
 from operator import attrgetter
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator, Sequence
 
 from repro.relational.terms import is_null_value, value_order
 
@@ -73,25 +72,32 @@ _ARGS = attrgetter("args")
 _NATIVE_COLUMNS = (frozenset({str}), frozenset({int, float, bool}))
 
 
-def sorted_facts(instance: "Instance") -> list[Fact]:
-    """The facts of ``instance`` sorted by :func:`fact_order`.
+def _native(rows: list[tuple]) -> bool:
+    """True iff the argument tuples ``rows`` (one relation's) have one
+    arity and each column holds only strings or only numbers, so they
+    order natively as their :func:`fact_order` keys do."""
+    if len(set(map(len, rows))) > 1:
+        return False
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if not any(kinds <= native for native in _NATIVE_COLUMNS):
+            return False
+    return True
 
-    Relation by relation.  A relation whose columns each hold only
-    strings or only numbers (every relation of a TPC-H exchange) sorts
-    on the raw argument tuples, which order like their keys without
-    building any; other relations sort on :func:`fact_order`.
+
+def fact_order_argsort(facts: Sequence[Fact]) -> list[int]:
+    """The positions of ``facts``, distinct facts of one relation, in
+    :func:`fact_order`.
+
+    Facts whose columns each hold only strings or only numbers (every
+    relation of a TPC-H exchange) sort on their raw argument tuples,
+    which order like their keys without building any; others sort on
+    :func:`fact_order`.
     """
-    ordered: list[Fact] = []
-    for relation in sorted(instance.relations()):
-        facts = list(instance.facts_of(relation))
-        columns = zip_longest(*map(_ARGS, facts))
-        native = all(
-            any(set(map(type, column)) <= kinds for kinds in _NATIVE_COLUMNS)
-            for column in columns
-        )
-        facts.sort(key=_ARGS if native else fact_order)
-        ordered += facts
-    return ordered
+    keys = list(map(_ARGS, facts))
+    if not _native(keys):
+        keys = list(map(fact_order, facts))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
 class Instance:
@@ -126,9 +132,10 @@ class Instance:
         if ext is None:
             ext = set()
             self._extensions[fact.relation] = ext
-        if fact in ext:
+        size = len(ext)
+        ext.add(fact)  # one hash: a fact already present leaves the size
+        if len(ext) == size:
             return False
-        ext.add(fact)
         self._size += 1
         if self._indexes:  # only the nested-loop lookup() builds them
             for pos in range(len(fact.args)):

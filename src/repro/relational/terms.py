@@ -122,12 +122,13 @@ class SkolemValue:
     depth).
     """
 
-    __slots__ = ("function", "args", "_hash")
+    __slots__ = ("function", "args", "_hash", "_order")
 
     def __init__(self, function: str, args: tuple[Any, ...]):
         self.function = function
         self.args = args
         self._hash = hash(("skolem", function, args))
+        self._order: tuple | None = None  # value_order's key, once built
 
     def __repr__(self) -> str:
         inner = ",".join(repr(a) for a in self.args)
@@ -199,8 +200,15 @@ def value_order(value: Any) -> tuple:
     if isinstance(value, Null):
         return (2, value_order(value.label))
     if isinstance(value, SkolemValue):
-        return (3, value.function, tuple(map(value_order, value.args)))
+        # Nested terms share their inner values: build each key once.
+        if value._order is None:
+            value._order = (3, value.function, tuple(map(value_order, value.args)))
+        return value._order
     return (4, type(value).__qualname__, repr(value))
+
+
+#: The types of the values that are not constants (no subclasses exist).
+NULL_TYPES = frozenset({Null, SkolemValue})
 
 
 def is_constant_value(value: Any) -> bool:

@@ -144,6 +144,10 @@ class ReproServer(ThreadingHTTPServer):
 
 class ServeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # A request line without a version (``GET /x`` or one word) is
+    # answered with a status line and headers, never as HTTP/0.9: a bare
+    # body is indistinguishable from a truncated response.
+    default_request_version = "HTTP/1.1"
     server_version = "repro-serve"
     # One no-delay write per response, and a bounded wait on the client:
     # see "Connections" in the module docstring.

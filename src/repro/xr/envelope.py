@@ -24,7 +24,7 @@ wrappers kept for callers that hold facts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet
+from typing import AbstractSet, Iterable
 
 from repro.relational.instance import Fact
 from repro.xr.exchange import ExchangeData, Violation
@@ -99,18 +99,6 @@ class ViolationCluster:
     influence_ids: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
-class SafeFacts:
-    """``fact in view`` iff the fact's interned id is in ``safe_ids``: the
-    safe chase as a :class:`Fact` container, read without a copy."""
-
-    fact_ids: dict[Fact, int]
-    safe_ids: set[int]
-
-    def __contains__(self, fact: object) -> bool:
-        return self.fact_ids.get(fact) in self.safe_ids
-
-
 @dataclass
 class EnvelopeAnalysis:
     """The exchange-phase artifacts: safe/suspect split and clusters."""
@@ -123,8 +111,8 @@ class EnvelopeAnalysis:
     # lie in the chased universe: the safe chase is a sub-chase of the
     # full one).  Update sessions maintain the set in place.
     safe_ids: set[int] = field(default_factory=set)
-    # fact -> stable ids of clusters whose influence contains it.
-    cluster_membership: dict[Fact, set[int]] = field(default_factory=dict)
+    # fact id -> stable ids of clusters whose influence contains it.
+    cluster_membership: dict[int, set[int]] = field(default_factory=dict)
     # Next fresh stable cluster id (monotonic; never reused).
     next_cluster_id: int = 0
     _cluster_lookup: dict[int, ViolationCluster] | None = field(
@@ -143,23 +131,16 @@ class EnvelopeAnalysis:
         """Drop the memoized id → cluster map after mutating ``clusters``."""
         self._cluster_lookup = None
 
-    def signature(self, support_facts: set[Fact]) -> frozenset[int]:
-        """The signature (§6.4) of a candidate given its support-set facts."""
+    def signature(self, support_ids: Iterable[int]) -> frozenset[int]:
+        """The signature (§6.4) of a candidate given the ids of its
+        support-set facts."""
         clusters: set[int] = set()
         membership = self.cluster_membership
-        for fact in support_facts:
-            found = membership.get(fact)
+        for fact_id in support_ids:
+            found = membership.get(fact_id)
             if found is not None:
                 clusters |= found
         return frozenset(clusters)
-
-    @property
-    def safe_facts(self) -> SafeFacts:
-        """The safe chase as a fact container over :attr:`safe_ids`."""
-        return SafeFacts(self.data.fact_ids, self.safe_ids)
-
-    def is_safe_fact(self, fact: Fact) -> bool:
-        return self.data.fact_ids.get(fact) in self.safe_ids
 
 
 class _UnionFind:
@@ -189,7 +170,9 @@ def derivable_ids(seed_ids: set[int], data: ExchangeData) -> set[int]:
     (Dowling–Gallier).  Equals ``chase(seed)`` restricted to the universe:
     every chase derivation from a sub-instance of the chased instance is a
     recorded grounding, and the tautological groundings dropped by the
-    grounder never contribute a new fact.
+    grounder never contribute a new fact.  The whole-chase reference for
+    :func:`analyze_envelopes`' safe set, which rederives only the
+    suspects' cone.
     """
     remaining = [len(body) for body in data.grounding_bodies]
     heads = data.grounding_heads
@@ -364,24 +347,28 @@ def analyze_envelopes(data: ExchangeData) -> EnvelopeAnalysis:
             )
         )
 
-    # Isafe ∪ chase(Isafe), via grounding propagation instead of re-chasing
-    # the safe sources (the chase re-runs the pattern-matching joins; the
-    # propagation walks the adjacency already in hand).
-    safe_source_ids = {
-        data.fact_ids[fact] for fact in data.source_instance
-    } - suspect_ids
+    # Isafe ∪ chase(Isafe).  A fact outside the suspects' forward cone
+    # has no derivation through a suspect, so the safe sources derive
+    # it; inside, the count-down decides, with everything outside held.
+    # The cone holds no safe source (sources head no grounding), so
+    # nothing inside it is seeded.
+    cone = influence_ids(suspect_ids, data)
+    if len(facts_by_id) == len(data.chased):
+        safe_ids = set(range(len(facts_by_id)))
+    else:  # the universe keeps facts an update removed
+        safe_ids = {data.fact_ids[fact] for fact in data.chased}
+    safe_ids -= cone
+    safe_ids |= rederive_ids(cone, set(), data)
     analysis = EnvelopeAnalysis(
         data=data,
         suspect_source=suspect_source,
         safe_source=safe_source,
         clusters=clusters,
-        safe_ids=derivable_ids(safe_source_ids, data),
+        safe_ids=safe_ids,
         next_cluster_id=len(clusters),
     )
     membership = analysis.cluster_membership
     for cluster in clusters:
         for fact_id in cluster.influence_ids:
-            membership.setdefault(facts_by_id[fact_id], set()).add(
-                cluster.index
-            )
+            membership.setdefault(fact_id, set()).add(cluster.index)
     return analysis

@@ -15,8 +15,9 @@ Both engines start the same way (for a reduced ``gav+(gav, egd)`` mapping):
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter
 
 from repro.chase.batch import (
     ChasePlans,
@@ -28,9 +29,17 @@ from repro.dependencies.egds import EGD
 from repro.obs.recorder import NOOP_RECORDER, Recorder
 from repro.dependencies.mapping import SchemaMapping
 from repro.dependencies.tgds import TGD
-from repro.relational.instance import Fact, Instance, fact_order, sorted_facts
+from repro.relational.instance import (
+    Fact,
+    Instance,
+    fact_order,
+    fact_order_argsort,
+)
 from repro.relational.schema import Schema
 from repro.relational.terms import value_order
+
+
+_RELATION = attrgetter("relation")
 
 
 @dataclass(frozen=True)
@@ -53,36 +62,47 @@ class Violation:
 class ExchangeData:
     """The query-independent exchange computation for a gav mapping.
 
-    Besides the fact-level artifacts (chase, groundings, violations), the
-    exchange data owns an **interned integer universe**: every chased fact
-    gets a dense id, and all adjacency needed by the closures and program
-    builders is precomputed as int-keyed arrays — ``groundings_by_head``
-    (grounding indexes with the fact as head; support sets flowing
-    *backward*), ``occurs_in_body`` (grounding indexes with the fact in
-    the body; influence flowing *forward*), and ``violations_by_fact``.
-    Downstream hot loops traverse these arrays instead of re-hashing
-    :class:`Fact` tuples or rescanning the grounding/violation lists.
+    Everything is stated over one **dense id universe**: every chased
+    fact has an id, ``fact_ids`` (the one :class:`Fact`-keyed map) and
+    ``facts_by_id`` translate, and the ids follow :func:`fact_order`
+    within each build and each delta's additions.  The chase interns a
+    fact when it first derives it (:class:`~repro.chase.batch._IndexCache`
+    owns the universe and shares its two maps), and one renumbering puts
+    the new ids in canonical order.
+
+    - ``groundings`` — the support sets of Definition 4, as ``(rule
+      position in mapping.all_tgds(), head id, body ids in body order)``,
+      which is also their canonical sort key;
+    - ``grounding_bodies`` / ``grounding_heads`` — per grounding, its
+      deduplicated body ids (first-occurrence order) and its head id;
+    - ``groundings_by_head`` / ``occurs_in_body`` — per fact id, the
+      groundings it heads (support flowing *backward*) and the ones whose
+      body holds it (influence flowing *forward*);
+    - ``violations`` / ``violation_bodies`` — the violations of
+      Definition 5 and their deduplicated body ids; ``violations_by_fact``
+      maps only the facts of some violation body to those violations.
+
+    Downstream hot loops (closures, envelopes, program builders, query
+    grounding) traverse these int arrays instead of hashing facts.
     """
 
     mapping: SchemaMapping
     source_instance: Instance
     chased: Instance  # I ∪ J: source facts plus the canonical quasi-solution
-    groundings: list[tuple[TGD, tuple[Fact, ...], Fact]]
-    violations: list[Violation]
+    groundings: list[tuple[int, int, tuple[int, ...]]] = field(
+        default_factory=list
+    )
+    violations: list[Violation] = field(default_factory=list)
     # ----------------------------------------------- interned universe
-    # fact -> dense id (0-based) and its inverse.
-    fact_ids: dict[Fact, int] = field(default_factory=dict)
-    facts_by_id: list[Fact] = field(default_factory=list)
-    # Per grounding: deduplicated body fact ids (first-occurrence order)
-    # and the head fact id.
+    # fact -> dense id (0-based) and its inverse: index_cache's.
+    fact_ids: Mapping[Fact, int] = field(init=False)
+    facts_by_id: list[Fact] = field(init=False)
     grounding_bodies: list[tuple[int, ...]] = field(default_factory=list)
     grounding_heads: list[int] = field(default_factory=list)
-    # fact id -> grounding indexes (head side / body side).
     groundings_by_head: list[list[int]] = field(default_factory=list)
     occurs_in_body: list[list[int]] = field(default_factory=list)
-    # Per violation: deduplicated body fact ids; fact id -> violation idxs.
     violation_bodies: list[tuple[int, ...]] = field(default_factory=list)
-    violations_by_fact: list[list[int]] = field(default_factory=list)
+    violations_by_fact: dict[int, list[int]] = field(default_factory=dict)
     # fact id -> True iff the fact belongs to a source relation.
     source_id_mask: list[bool] = field(default_factory=list)
     # Memoized per-fact forward closures (influence of a single fact);
@@ -92,7 +112,8 @@ class ExchangeData:
         default_factory=frozenset, init=False, repr=False
     )
     # The build's pivot plans and hash indexes over ``chased`` (kept
-    # exact by the delta-chase; query grounding reads them too).
+    # exact by the delta-chase; query grounding reads them too), and the
+    # owner of the id universe.
     index_cache: _IndexCache = field(default=None, repr=False, compare=False)
     plans: ChasePlans = field(default=None, repr=False, compare=False)
 
@@ -101,7 +122,8 @@ class ExchangeData:
         if self.plans is None:  # not built by build_exchange_data
             tgds, egds = self.mapping.all_tgds(), self.mapping.target_egds
             self.plans = ChasePlans(self.source_instance, tgds, egds)
-            self.index_cache = _IndexCache(self.chased)
+        self.fact_ids = self.index_cache.fact_ids
+        self.facts_by_id = self.index_cache.facts_by_id
 
     @property
     def source_facts(self) -> set[Fact]:
@@ -127,20 +149,18 @@ class ExchangeData:
         """
         fact_id = self.fact_ids.get(fact)
         if fact_id is None:
-            fact_id = len(self.facts_by_id)
-            self.fact_ids[fact] = fact_id
-            self.facts_by_id.append(fact)
-            self.groundings_by_head.append([])
-            self.occurs_in_body.append([])
-            self.violations_by_fact.append([])
-            self.source_id_mask.append(fact.relation in self._source_names)
+            fact_id = self.index_cache.intern(fact)  # a new fact's slot is its id
+            self.extend_rows()
         return fact_id
 
-    def id_of(self, fact: Fact) -> int | None:
-        return self.fact_ids.get(fact)
-
-    def fact_of(self, fact_id: int) -> Fact:
-        return self.facts_by_id[fact_id]
+    def extend_rows(self) -> None:
+        """Give every id the universe gained an empty adjacency row."""
+        new = self.facts_by_id[len(self.source_id_mask):]
+        self.groundings_by_head += [[] for _ in new]
+        self.occurs_in_body += [[] for _ in new]
+        self.source_id_mask += map(
+            self._source_names.__contains__, map(_RELATION, new)
+        )
 
     def id_set(self, facts) -> set[int]:
         """Intern a collection of facts into a set of ids."""
@@ -292,12 +312,13 @@ def build_exchange_data(
     Building the exchange is inserting the source into an empty one: one
     :func:`~repro.chase.batch.chase_insert` over pivot plans compiled here
     once (``data.plans``, reused by updates) and one index cache, which
-    becomes ``data.index_cache``.  The chase's rows are the groundings;
-    the violations are one hash join per egd over the same cache.  The
-    lists and the interned id universe are put in canonical (sorted)
-    order regardless of the evaluation order that found them, so the
-    result is **bit-identical** to the nested-loop
-    :func:`~repro.chase.gav.reference_exchange_data`.
+    becomes ``data.index_cache`` and owns the id universe.  The chase
+    interns each fact as it derives it, and its rows are the groundings,
+    over slots; the violations are one hash join per egd over the same
+    cache.  The index stage renumbers the ids in :func:`fact_order` and
+    puts the groundings in canonical (sorted) order regardless of the
+    evaluation order that found them, so the result is **bit-identical**
+    to the nested-loop :func:`~repro.chase.gav.reference_exchange_data`.
 
     When ``timings`` is a dict, per-stage wall-clock seconds are recorded
     into it under ``chase`` / ``groundings`` (now empty: the chase emits
@@ -318,7 +339,7 @@ def build_exchange_data(
     chase_stats: dict[str, int] | None = {} if metrics.enabled else None
     started = clock()
     with tracer.span("exchange.chase"):
-        _added, groundings = chase_insert(
+        added, rows = chase_insert(
             plans, cache, source_instance, stats=chase_stats
         )
     chased_at = clock()
@@ -332,7 +353,7 @@ def build_exchange_data(
     violations_at = clock()
     with tracer.span("exchange.index"):
         data = assemble_exchange_data(
-            mapping, source_instance, chased, groundings, violations,
+            mapping, source_instance, chased, added, rows, violations,
             index_cache=cache, plans=plans,
         )
     if timings is not None:
@@ -350,7 +371,7 @@ def build_exchange_data(
         )
         metrics.counter("exchange_source_facts_total").inc(len(source_instance))
         metrics.counter("exchange_chased_facts_total").inc(len(chased))
-        metrics.counter("exchange_groundings_total").inc(len(groundings))
+        metrics.counter("exchange_groundings_total").inc(len(rows))
         metrics.counter("exchange_violations_total").inc(len(violations))
     return data
 
@@ -359,83 +380,85 @@ def assemble_exchange_data(
     mapping: SchemaMapping,
     source_instance: Instance,
     chased: Instance,
-    groundings: list[tuple[TGD, tuple[Fact, ...], Fact]],
+    added: dict[str, list[int]],
+    rows: list[tuple[int, int, tuple[int, ...]]],
     violations: list[Violation],
-    index_cache: _IndexCache | None = None,
+    index_cache: _IndexCache,
     plans: ChasePlans | None = None,
 ) -> ExchangeData:
-    """The exchange data of computed artifacts (``violations`` already
-    canonical), with the chased facts interned in :func:`fact_order` and
-    the groundings sorted by rule position, then head id and body ids:
-    every list and id is a pure function of the computed *sets*, however
-    they were found, and of no hash seed.  ``index_cache`` (over
-    ``chased``) and ``plans`` are the build's, when it has them."""
+    """The exchange data of computed artifacts: ``index_cache`` holds the
+    universe of ``chased``, ``added`` its slots by relation, ``rows`` the
+    groundings as ``(rule position in mapping.all_tgds(), head slot, body
+    slots)`` over it, and ``violations`` is canonical.  The ids are
+    renumbered in :func:`fact_order` and the groundings sorted by rule
+    position, then head id and body ids: every list and id is a pure
+    function of the computed *sets*, however they were found, and of no
+    hash seed.  ``plans`` are the build's, when it has them."""
     data = ExchangeData(
         mapping=mapping,
         source_instance=source_instance,
         chased=chased,
-        groundings=groundings,
-        violations=violations,
         index_cache=index_cache,
         plans=plans,
     )
-    _build_fact_indexes(data)
+    canonicalize_ids(index_cache, 0, added)
+    data.extend_rows()
+    append_groundings(data, rows)
+    for violation in violations:
+        append_violation(data, violation)
     return data
 
 
-def canonical_groundings(
-    data: ExchangeData, groundings: list[tuple[TGD, tuple[Fact, ...], Fact]]
-) -> list[tuple[tuple, tuple[TGD, tuple[Fact, ...], Fact]]]:
-    """``groundings`` (over interned facts) as ``(key, grounding)`` pairs
-    sorted by ``key = (rule position, head id, body ids)``: the one
-    canonical grounding order of the build and of every delta's
-    additions.  A key is unique (rule and body fix the head)."""
-    rule_positions = {
-        id(rule): index for index, rule in enumerate(data.mapping.all_tgds())
-    }
-    id_of = data.fact_ids.__getitem__
+def canonicalize_ids(
+    cache: _IndexCache, start: int, added: dict[str, list[int]]
+) -> None:
+    """Renumber the ids ``cache`` gave from ``start`` on in
+    :func:`fact_order`: the whole universe after a build, a delta's new
+    tail after an update.  ``added`` holds, by relation, the slots of
+    the facts the chase added, which include every fact it interned (a
+    fact keeps the id equal to its slot until renumbered); re-inserted
+    facts, which keep their ids, lie below ``start``."""
+    facts_by_id = cache.facts_by_id
+    order: list[int] = []
+    for relation in sorted(added):
+        new_ids = [slot for slot in added[relation] if slot >= start]
+        facts = [facts_by_id[fact_id] for fact_id in new_ids]
+        order += map(new_ids.__getitem__, fact_order_argsort(facts))
+    cache.renumber(start, order)
+
+
+def append_groundings(
+    data: ExchangeData, rows: list[tuple[int, int, tuple[int, ...]]]
+) -> int:
+    """Append chase rows ``(rule position, head slot, body slots)`` as
+    groundings, translated to ids and in canonical order — by rule
+    position, head id, body ids, a unique key (rule and body fix the
+    head) — indexing each; returns the position of the first.  The one
+    grounding order of the build and of every delta's additions."""
+    id_at = data.index_cache.id_at.__getitem__
     keyed = [
-        ((rule_positions[id(g[0])], id_of(g[2]), tuple(map(id_of, g[1]))), g)
-        for g in groundings
+        (position, id_at(head), tuple(map(id_at, body)))
+        for position, head, body in rows
     ]
-    keyed.sort(key=itemgetter(0))
-    return keyed
-
-
-def _build_fact_indexes(data: ExchangeData) -> None:
-    """Intern the chased facts, put the groundings in canonical order and
-    build every int-keyed adjacency index.
-
-    One sort of the chase, one of the groundings (by int keys), one pass
-    over the violations; everything downstream (closures, envelopes,
-    program builders) then works on dense ids.
-    """
-    facts = sorted_facts(data.chased)
-    ids = {fact: fact_id for fact_id, fact in enumerate(facts)}
-    data.facts_by_id = facts
-    data.fact_ids = ids
-    data.groundings_by_head = groundings_by_head = [[] for _ in facts]
-    data.occurs_in_body = occurs_in_body = [[] for _ in facts]
-    data.violations_by_fact = violations_by_fact = [[] for _ in facts]
-    source_names = data._source_names
-    data.source_id_mask = [fact.relation in source_names for fact in facts]
-
-    keyed = canonical_groundings(data, data.groundings)
-    data.groundings[:] = [grounding for _key, grounding in keyed]
-    for index, ((_rule, head_id, body_ids), _grounding) in enumerate(keyed):
-        body_ids = tuple(dict.fromkeys(body_ids))
-        data.grounding_bodies.append(body_ids)
-        data.grounding_heads.append(head_id)
-        groundings_by_head[head_id].append(index)
-        for body_id in body_ids:
-            occurs_in_body[body_id].append(index)
-
-    id_of = ids.__getitem__
-    for index, violation in enumerate(data.violations):
-        body_ids = tuple(dict.fromkeys(map(id_of, violation.body_facts)))
-        data.violation_bodies.append(body_ids)
-        for body_id in body_ids:
-            violations_by_fact[body_id].append(index)
+    keyed.sort()
+    first = len(data.groundings)
+    data.groundings += keyed
+    heads = [head_id for _position, head_id, _body in keyed]
+    bodies = [
+        body
+        if len(body) < 2 or len(set(body)) == len(body)
+        else tuple(dict.fromkeys(body))
+        for _position, _head, body in keyed
+    ]
+    data.grounding_heads += heads
+    data.grounding_bodies += bodies
+    by_head, occurs = data.groundings_by_head, data.occurs_in_body
+    for index, head_id in enumerate(heads, first):
+        by_head[head_id].append(index)
+    for index, body in enumerate(bodies, first):
+        for body_id in body:
+            occurs[body_id].append(index)
+    return first
 
 
 def remove_groundings(data: ExchangeData, positions: set[int]) -> None:
@@ -479,7 +502,10 @@ def remove_violations(data: ExchangeData, positions: set[int]) -> None:
     by_fact = data.violations_by_fact
     for index in sorted(positions, reverse=True):
         for body_id in bodies[index]:
-            by_fact[body_id].remove(index)
+            row = by_fact[body_id]
+            row.remove(index)
+            if not row:
+                del by_fact[body_id]
         last = len(violations) - 1
         if index != last:
             violations[index] = violations[last]
@@ -491,23 +517,6 @@ def remove_violations(data: ExchangeData, positions: set[int]) -> None:
         bodies.pop()
 
 
-def append_grounding(
-    data: ExchangeData, grounding: tuple[TGD, tuple[Fact, ...], Fact]
-) -> tuple[int, tuple[int, ...]]:
-    """Append one grounding, indexing it; returns ``(head_id, body_ids)``."""
-    _rule, body_facts, head_fact = grounding
-    index = len(data.groundings)
-    data.groundings.append(grounding)
-    head_id = data.intern_fact(head_fact)
-    body_ids = tuple(dict.fromkeys(data.intern_fact(f) for f in body_facts))
-    data.grounding_bodies.append(body_ids)
-    data.grounding_heads.append(head_id)
-    data.groundings_by_head[head_id].append(index)
-    for body_id in body_ids:
-        data.occurs_in_body[body_id].append(index)
-    return head_id, body_ids
-
-
 def append_violation(data: ExchangeData, violation: Violation) -> None:
     """Append one violation, indexing its body facts."""
     index = len(data.violations)
@@ -515,4 +524,4 @@ def append_violation(data: ExchangeData, violation: Violation) -> None:
     data.violations.append(violation)
     data.violation_bodies.append(body_ids)
     for body_id in body_ids:
-        data.violations_by_fact[body_id].append(index)
+        data.violations_by_fact.setdefault(body_id, []).append(index)

@@ -57,6 +57,10 @@ from repro.relational.instance import Fact
 from repro.xr.exchange import ExchangeData, Violation
 from repro.xr.subscripts import deleted, incidental, remains
 
+#: ``(candidate fact, support fact ids)`` pairs, as
+#: :func:`~repro.xr.queries.ground_query` yields them.
+QueryGroundings = Iterable[tuple[Fact, tuple[int, ...]]]
+
 WITH_FACT = "__with__"  # copy-layer relation: fact g in chase(remains ∪ {f})
 CONFLICT = "__conflict__"  # adding f back would violate an egd
 
@@ -258,8 +262,7 @@ def _normalize_violations(
 
 
 def _query_supports(
-    data: ExchangeData,
-    query_groundings,
+    query_groundings: QueryGroundings | None,
     focus_ids: AbstractSet[int],
     safe_ids: AbstractSet[int],
 ) -> Iterator[tuple[Fact, tuple[int, ...]]]:
@@ -267,17 +270,8 @@ def _query_supports(
     focus ∪ safe, as ``(candidate, focus body ids)`` in grounding order
     (safe facts are *true* and drop out; an empty body is an entirely
     safe support)."""
-    id_of = data.fact_ids.get
-    for query_fact, body_facts in query_groundings or ():
-        body_ids = []
-        for fact in body_facts:
-            fact_id = id_of(fact)
-            if fact_id is None or (
-                fact_id not in focus_ids and fact_id not in safe_ids
-            ):
-                break
-            body_ids.append(fact_id)
-        else:
+    for query_fact, body_ids in query_groundings or ():
+        if _within(body_ids, focus_ids, safe_ids):
             yield query_fact, tuple(
                 dict.fromkeys(i for i in body_ids if i not in safe_ids)
             )
@@ -286,7 +280,6 @@ def _query_supports(
 def _emit_query_rules(
     result: XRProgram,
     emit: _Emitter,
-    data: ExchangeData,
     remains_atom,
     query_groundings,
     focus_ids: AbstractSet[int],
@@ -295,7 +288,7 @@ def _emit_query_rules(
     """A standalone program's query rules: ``q ← remains(support set)``."""
     atoms = result.program.atoms
     for query_fact, focus_body in _query_supports(
-        data, query_groundings, focus_ids, safe_ids
+        query_groundings, focus_ids, safe_ids
     ):
         query_id = atoms.intern(query_fact)
         result.query_atoms[query_fact] = query_id
@@ -308,8 +301,7 @@ def _emit_query_rules(
 
 def family_query_part(
     family: FamilyEngine,
-    data: ExchangeData,
-    query_groundings: list[tuple[Fact, tuple[Fact, ...]]],
+    query_groundings: QueryGroundings,
     safe_ids: AbstractSet[int],
 ) -> QueryPart:
     """A query's part over a kept family engine (see :class:`QueryPart`).
@@ -323,7 +315,7 @@ def family_query_part(
     remains_atoms = family.remains_atoms
     seen: set[tuple] = set()
     for query_fact, focus_body in _query_supports(
-        data, query_groundings, family.focus_ids, safe_ids
+        query_groundings, family.focus_ids, safe_ids
     ):
         bodies = part.bodies.setdefault(query_fact, [])
         if (query_fact, focus_body) in seen:
@@ -377,7 +369,7 @@ def _suspect_source_ids(
 
 def build_repair_program(
     data: ExchangeData,
-    query_groundings: list[tuple[Fact, tuple[Fact, ...]]] | None = None,
+    query_groundings: QueryGroundings | None = None,
     focus: set[Fact] | None = None,
     safe: set[Fact] | None = None,
     violations: list[Violation] | None = None,
@@ -514,7 +506,7 @@ def build_repair_program(
         remains_atoms=remains_ids,
     )
     _emit_query_rules(
-        result, emit, data, remains_atom, query_groundings, focus_ids, safe_ids
+        result, emit, remains_atom, query_groundings, focus_ids, safe_ids
     )
     return result
 
@@ -526,7 +518,7 @@ def build_repair_program(
 
 def build_figure1_program(
     data: ExchangeData,
-    query_groundings: list[tuple[Fact, tuple[Fact, ...]]] | None = None,
+    query_groundings: QueryGroundings | None = None,
     focus: set[Fact] | None = None,
     safe: set[Fact] | None = None,
     violations: list[Violation] | None = None,
@@ -630,7 +622,7 @@ def build_figure1_program(
         remains_atoms=remains_ids,
     )
     _emit_query_rules(
-        result, emit, data, remains_atom, query_groundings, focus_ids, safe_ids
+        result, emit, remains_atom, query_groundings, focus_ids, safe_ids
     )
     return result
 
@@ -687,7 +679,7 @@ def build_family_program(
 
 def build_xr_program(
     data: ExchangeData,
-    query_groundings: list[tuple[Fact, tuple[Fact, ...]]] | None = None,
+    query_groundings: QueryGroundings | None = None,
     focus: set[Fact] | None = None,
     safe: set[Fact] | None = None,
     violations: list[Violation] | None = None,

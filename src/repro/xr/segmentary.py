@@ -32,7 +32,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Container
+from typing import AbstractSet
 
 from repro.dependencies.mapping import SchemaMapping
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS
@@ -474,8 +474,8 @@ class SegmentaryEngine:
                 rewritten = self.reduced.rewrite(query)
                 groundings = ground_query(rewritten, data)
 
-                # Group support sets per candidate fact.
-                supports_by_candidate: dict[Fact, list[tuple[Fact, ...]]] = {}
+                # Group support sets (fact id tuples) per candidate fact.
+                supports_by_candidate: dict[Fact, list[tuple[int, ...]]] = {}
                 for candidate, support in groundings:
                     supports_by_candidate.setdefault(candidate, []).append(
                         support
@@ -484,11 +484,9 @@ class SegmentaryEngine:
 
                 accepted: set[Fact] = set()
                 unsafe: list[Fact] = []
+                all_safe = analysis.safe_ids.issuperset
                 for candidate, supports in supports_by_candidate.items():
-                    if any(
-                        all(analysis.is_safe_fact(fact) for fact in support)
-                        for support in supports
-                    ):
+                    if any(map(all_safe, supports)):
                         # An all-safe support set: certain.
                         accepted.add(candidate)
                     else:
@@ -497,15 +495,12 @@ class SegmentaryEngine:
                 # (rule order, atom numbering) see the unsafe candidates
                 # and their supports in canonical order instead, so they
                 # are the same under every hash seed.
-                id_of = data.fact_ids.__getitem__
                 by_signature: dict[frozenset[int], list[Fact]] = {}
                 for candidate in sorted(unsafe, key=fact_order):
                     supports = supports_by_candidate[candidate]
-                    supports.sort(
-                        key=lambda support: tuple(map(id_of, support))
-                    )
+                    supports.sort()
                     signature = analysis.signature(
-                        {fact for support in supports for fact in support}
+                        {fact_id for support in supports for fact_id in support}
                     )
                     if not signature:
                         raise RuntimeError(
@@ -515,10 +510,6 @@ class SegmentaryEngine:
                     by_signature.setdefault(signature, []).append(candidate)
                 stats.safe_candidates = len(accepted)
                 stats.signatures = len(by_signature)
-
-            # A view over ``safe_ids``, not a copy: a copy would cost the
-            # whole safe chase on every query.
-            safe_facts = analysis.safe_facts
 
             # Build every still-undecided family program first, then solve
             # the whole batch through the executor (the programs are
@@ -544,7 +535,7 @@ class SegmentaryEngine:
                         continue
                     group = self._resolve_group(
                         signature, candidates, supports_by_candidate,
-                        safe_facts, mode, stats,
+                        analysis.safe_ids, mode, stats,
                     )
                     accepted |= group.accepted_so_far
                     if group.unresolved:
@@ -711,8 +702,8 @@ class SegmentaryEngine:
         self,
         signature: frozenset[int],
         candidates: list[Fact],
-        supports_by_candidate: dict[Fact, list[tuple[Fact, ...]]],
-        safe_facts: Container[Fact],
+        supports_by_candidate: dict[Fact, list[tuple[int, ...]]],
+        safe_ids: AbstractSet[int],
         mode: str,
         stats: QueryPhaseStats,
     ) -> _SignatureGroup:
@@ -748,7 +739,7 @@ class SegmentaryEngine:
         group_accept: set[Fact] = set()
         decision_keys: dict[Fact, frozenset] = {}
         for candidate in candidates:
-            memo_key = decision_key(supports_by_candidate[candidate], safe_facts)
+            memo_key = decision_key(supports_by_candidate[candidate], safe_ids)
             decision_keys[candidate] = memo_key
             verdict = None
             if self.cache is not None:
@@ -774,7 +765,7 @@ class SegmentaryEngine:
     def _assemble_families(
         self,
         pending: list[_SignatureGroup],
-        supports_by_candidate: dict[Fact, list[tuple[Fact, ...]]],
+        supports_by_candidate: dict[Fact, list[tuple[int, ...]]],
         mode: str,
         stats: QueryPhaseStats,
         accepted: set[Fact],
@@ -842,7 +833,6 @@ class SegmentaryEngine:
                 stats.engine_reuses += 1
             part = family_query_part(
                 family,
-                data,
                 [
                     (candidate, support)
                     for member in members

@@ -58,8 +58,20 @@ def chase_source(source, rules, **kwargs):
 def chase_with_groundings(source, rules, **kwargs):
     cache = _IndexCache(Instance())
     plans = ChasePlans(source, rules)
-    _added, groundings = chase_insert(plans, cache, source, **kwargs)
-    return cache.instance, groundings
+    _added, rows = chase_insert(plans, cache, source, **kwargs)
+    return cache.instance, as_facts(cache, plans, rows)
+
+
+def as_facts(cache, plans, rows):
+    """Chase rows ``(rule position, head slot, body slots)`` as
+    ``(rule, body facts, head fact)``."""
+    def fact_at(slot):
+        return cache.facts_by_id[cache.id_at[slot]]
+
+    return [
+        (plans.rules[position], tuple(map(fact_at, body)), fact_at(head))
+        for position, head, body in rows
+    ]
 
 
 def grounding_list(groundings):
@@ -226,7 +238,8 @@ class TestGroundings:
         cache = _IndexCache(Instance())
         _added, first = chase_insert(plans, cache, facts[:split])
         _added, second = chase_insert(plans, cache, facts[split:])
-        assert grounding_list(first + second) == self.reference_of(
+        groundings = as_facts(cache, plans, first + second)
+        assert grounding_list(groundings) == self.reference_of(
             TC_RULES, chain()
         )
         assert set(cache.instance) == set(gav_chase(chain(), TC_RULES))
@@ -245,29 +258,39 @@ class TestGroundings:
         every row it builds, tautologies (head in body) aside."""
         rules, source = GROUNDING_CASES[case]
         plans = ChasePlans(source, rules)
+        cache = _IndexCache(Instance())
         compiled = {
-            id(plan): (rule, ground, body_of)
+            id(plan): (position, ground, body_of)
             for entries in plans.tgds.values()
-            for rule, plan, ground, body_of in entries
+            for position, plan, ground, body_of in entries
         }
         built = []
-        real_rows = _PivotPlan.rows
+        real_rows = _PivotPlan.rows_tracked
 
         def recording(plan, *args, **kwargs):
             rows = real_rows(plan, *args, **kwargs)
-            rule, ground, body_of = compiled[id(plan)]
+            position, ground, body_of = compiled[id(plan)]
             built.extend(
-                (rule, body_of(provenance), ground(values))
+                (position, body_of(provenance), ground(values))
                 for values, provenance in rows
             )
             return rows
 
-        monkeypatch.setattr(_PivotPlan, "rows", recording)
-        _added, groundings = chase_insert(
-            plans, _IndexCache(Instance()), sorted(source, key=fact_order)
+        monkeypatch.setattr(_PivotPlan, "rows_tracked", recording)
+        _added, rows = chase_insert(
+            plans, cache, sorted(source, key=fact_order)
         )
-        emitted = [row for row in built if row[2] not in row[1]]
-        assert grounding_list(emitted) == grounding_list(groundings)
+        def fact_at(slot):
+            return cache.facts_by_id[cache.id_at[slot]]
+
+        emitted = [
+            (plans.rules[position], tuple(map(fact_at, body)), head)
+            for position, body, head in built
+        ]
+        emitted = [row for row in emitted if row[2] not in row[1]]
+        assert grounding_list(emitted) == grounding_list(
+            as_facts(cache, plans, rows)
+        )
 
     def test_tautological_groundings_dropped(self):
         loop = Instance([f("P", 1, 1)])
@@ -318,6 +341,6 @@ class TestIndexSharing:
         step = _AtomStep(Atom("T", (X, Y)), layout)
         cache = _IndexCache(instance)
         before = sum(len(bucket) for bucket in cache.index_for(step).values())
-        cache.add_fact(f("T", 3, 4))
+        cache.add_fact(f("T", 3, 4), cache.intern(f("T", 3, 4)))
         after = sum(len(bucket) for bucket in cache.index_for(step).values())
         assert after == before + 1

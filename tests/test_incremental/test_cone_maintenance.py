@@ -50,12 +50,10 @@ def assert_matches_scratch(engine, label: str = "") -> None:
     safe_ids = derivable_ids(source_ids - suspect_ids, data)
     assert analysis.safe_ids == safe_ids, label
     # The membership index that finds touched clusters is exact.
-    membership: dict[Fact, set[int]] = {}
+    membership: dict[int, set[int]] = {}
     for cluster in analysis.clusters:
         for fact_id in cluster.influence_ids:
-            membership.setdefault(data.facts_by_id[fact_id], set()).add(
-                cluster.index
-            )
+            membership.setdefault(fact_id, set()).add(cluster.index)
     assert analysis.cluster_membership == membership, label
     # And a fresh exchange of the current source agrees.
     source = data.source_instance.copy()

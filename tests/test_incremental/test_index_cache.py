@@ -43,6 +43,16 @@ def registered(cache: _IndexCache) -> list[tuple[_AtomStep, dict]]:
     ]
 
 
+def by_fact(cache: _IndexCache, index: dict) -> dict:
+    """An index with its buckets keyed by fact instead of slot (two
+    caches give one fact different slots)."""
+    facts_by_id, id_at = cache.facts_by_id, cache.id_at
+    return {
+        key: {facts_by_id[id_at[slot]]: ext for slot, ext in bucket.items()}
+        for key, bucket in index.items()
+    }
+
+
 def assert_cache_exact(cache: _IndexCache, label: str) -> None:
     """Every registered index equals a from-scratch rebuild, and the two
     registries agree (one index per signature, no orphan)."""
@@ -52,8 +62,11 @@ def assert_cache_exact(cache: _IndexCache, label: str) -> None:
     assert set(signatures) == set(cache._by_signature), label
     for step, index in entries:
         assert cache._by_signature[step.signature] is index, label
-        fresh = _IndexCache(cache.instance).index_for(step)
-        assert index == fresh, f"{label}: {step.signature}"
+        scratch = _IndexCache(cache.instance)
+        fresh = scratch.index_for(step)
+        assert by_fact(cache, index) == by_fact(scratch, fresh), (
+            f"{label}: {step.signature}"
+        )
 
 
 def replay_checking_cache(scenario, deltas, label):
@@ -112,9 +125,9 @@ class TestConcurrency:
                 )
             )
             chased = engine.data.chased
-        data = SimpleNamespace(
-            chased=chased, index_cache=_IndexCache(_SlowFacts(chased))
-        )
+        cache = _IndexCache(chased)
+        cache.instance = _SlowFacts(chased)
+        data = SimpleNamespace(chased=chased, index_cache=cache)
         barrier = threading.Barrier(self.K)
         results: list = [None] * self.K
 
@@ -170,7 +183,7 @@ class TestBound:
         assert pinned.signature in cache._by_signature
         # Dropped indexes are no longer maintained; kept ones stay exact.
         cache.instance.add(Fact("R", (99, 3)))
-        cache.add_fact(Fact("R", (99, 3)))
+        cache.add_fact(Fact("R", (99, 3)), cache.intern(Fact("R", (99, 3))))
         assert_cache_exact(cache, "capped")
 
     def test_a_pinned_request_keeps_a_query_index(self):
@@ -194,6 +207,6 @@ def test_discard_is_not_a_bucket_scan():
     assert len(bucket) == len(facts)
     started = time.perf_counter()
     for fact in facts:
-        cache.discard_fact(fact)
+        cache.discard_fact(cache.fact_ids[fact])
     assert time.perf_counter() - started < 5.0
     assert cache.index_for(step) == {}

@@ -142,7 +142,8 @@ def _state_snapshot(engine):
     return (
         frozenset(engine.data.chased),
         frozenset(
-            (rule.label, body, head) for rule, body, head in engine.data.groundings
+            (position, body, head)
+            for position, head, body in engine.data.groundings
         ),
         frozenset(violation_key(v) for v in engine.data.violations),
         frozenset(

@@ -295,6 +295,24 @@ class TestTransport:
         assert b"Connection: close" in reply
         assert reply.endswith(b"</html>\n")
 
+    def test_one_word_request_line_is_400_with_a_status_line(self, one_fact):
+        """A line with no version is not answered as HTTP/0.9 (a bare
+        body a client cannot tell from a truncated response)."""
+        with serving(*one_fact) as (host, port, _service):
+            reply = exchange_raw((host, port), b"NONSENSE\r\n\r\n")
+        head, _, _body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+
+    def test_versionless_get_is_answered_with_headers(self, one_fact):
+        with serving(*one_fact) as (host, port, _service):
+            reply = exchange_raw((host, port), b"GET /healthz\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"Content-Type: application/json" in head
+        assert b"Connection: close" in head
+        assert json.loads(body)["status"] == "ok"
+
     def test_unknown_method_is_501(self, one_fact):
         with serving(*one_fact) as (host, port, _service):
             reply = exchange_raw(

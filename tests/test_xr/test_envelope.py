@@ -76,12 +76,12 @@ class TestSuspectSafeSplit:
             assert deleted <= analysis.suspect_source
 
     def test_safe_chased_contains_safe_derivations(self):
-        _, analysis = analyzed(
+        data, analysis = analyzed(
             key_mapping(),
             [f("R", "a", "b"), f("R", "a", "c"), f("R", "z", "w")],
         )
-        assert analysis.is_safe_fact(f("P", "z", "w"))
-        assert not analysis.is_safe_fact(f("P", "a", "b"))
+        assert data.fact_ids[f("P", "z", "w")] in analysis.safe_ids
+        assert data.fact_ids[f("P", "a", "b")] not in analysis.safe_ids
 
     def test_no_violations_everything_safe(self):
         _, analysis = analyzed(key_mapping(), [f("R", "a", "b")])
@@ -124,7 +124,7 @@ class TestViolationClusters:
             S(x, y), S(x, y2) -> y = y2.
             """
         )
-        _, analysis = analyzed(
+        data, analysis = analyzed(
             mapping,
             [
                 f("P", "a1", "a2"), f("P", "a1", "a3"),
@@ -140,4 +140,4 @@ class TestViolationClusters:
         )
         # T-facts carry both clusters in their signature.
         t_fact = next(fact for fact in shared if fact.relation == "T")
-        assert analysis.signature({t_fact}) == frozenset({0, 1})
+        assert analysis.signature({data.fact_ids[t_fact]}) == frozenset({0, 1})

@@ -37,15 +37,15 @@ class TestBuildExchangeData:
         head_id = key_setup.fact_ids[f("P", "a", "b")]
         supports = key_setup.groundings_by_head[head_id]
         assert len(supports) == 1
-        _rule, body, head = key_setup.groundings[supports[0]]
-        assert body == (f("R", "a", "b"),)
-        assert head == f("P", "a", "b")
+        _rule, head, body = key_setup.groundings[supports[0]]
+        assert body == (key_setup.fact_ids[f("R", "a", "b")],)
+        assert head == head_id
 
     def test_occurs_in_body_index(self, key_setup):
         body_id = key_setup.fact_ids[f("R", "a", "b")]
         indexes = key_setup.occurs_in_body[body_id]
-        heads = {key_setup.groundings[i][2] for i in indexes}
-        assert f("P", "a", "b") in heads
+        heads = {key_setup.groundings[i][1] for i in indexes}
+        assert key_setup.fact_ids[f("P", "a", "b")] in heads
 
     def test_violations_found(self, key_setup):
         assert len(key_setup.violations) == 1

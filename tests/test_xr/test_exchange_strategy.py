@@ -152,7 +152,10 @@ class TestEngineCross:
         broken = reference_exchange_data(gav, scenario.instance)
         for name in COMPARED_FIELDS:
             value = getattr(broken, name)
-            value.pop() if isinstance(value, list) else value.popitem()
+            if isinstance(value, list):
+                value.pop()
+            else:  # the fact -> id map: an empty one differs
+                setattr(broken, name, {})
         broken.chased.discard(next(iter(broken.chased)))
         assert exchange_mismatches(broken, reference) == [
             "chased", *COMPARED_FIELDS

@@ -4,7 +4,7 @@ The chased facts are interned in :func:`~repro.relational.instance.fact_order`
 order, groundings are sorted by int keys and violations by
 :func:`~repro.xr.exchange.violation_order`.  These tests check that the
 order is total on every kind of value a fact can hold, that the native
-sort of :func:`~repro.relational.instance.sorted_facts` agrees with the
+sort of :func:`~repro.relational.instance.fact_order_argsort` agrees with the
 key, and that two interpreters with different ``PYTHONHASHSEED`` values
 number the same exchange identically, before and after an update.
 """
@@ -17,7 +17,7 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from repro.relational.instance import Fact, Instance, fact_order, sorted_facts
+from repro.relational.instance import Fact, fact_order, fact_order_argsort
 from repro.relational.terms import Null, SkolemValue, value_order
 
 REPO = Path(__file__).resolve().parents[2]
@@ -57,15 +57,18 @@ def test_fact_order_is_total_on_mixed_columns(rows, rng):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(values, values), max_size=8), homogeneous_rows,
        st.lists(st.tuples(st.integers(0, 3)), max_size=4))
-def test_sorted_facts_matches_fact_order(mixed, native, unary):
-    instance = Instance(
-        [Fact("M", row) for row in mixed]
-        + [Fact("N", row) for row in native]
-        + [Fact("N", ("ragged",))] * bool(native and len(mixed) % 2)
-        + [Fact("A", row) for row in unary]
-        + [Fact("Z", ())]
-    )
-    assert sorted_facts(instance) == sorted(instance, key=fact_order)
+def test_fact_order_argsort_matches_fact_order(mixed, native, unary):
+    relations = {
+        "M": [Fact("M", row) for row in mixed],
+        "N": [Fact("N", row) for row in native]
+        + [Fact("N", ("ragged",))] * bool(native and len(mixed) % 2),
+        "A": [Fact("A", row) for row in unary],
+        "Z": [Fact("Z", ())],
+    }
+    for facts in relations.values():
+        facts = list(dict.fromkeys(facts))
+        ordered = [facts[i] for i in fact_order_argsort(facts)]
+        assert ordered == sorted(facts, key=fact_order)
 
 
 def test_value_order_ranks_kinds():
@@ -91,8 +94,7 @@ data = build_exchange_data(
 print(json.dumps({
     "facts": [repr(fact) for fact in data.facts_by_id],
     "groundings": [
-        [rule.label, data.fact_ids[head], [data.fact_ids[f] for f in body]]
-        for rule, body, head in data.groundings
+        [position, head, list(body)] for position, head, body in data.groundings
     ],
     "violations": [repr(violation) for violation in data.violations],
     "violation_bodies": data.violation_bodies,
@@ -138,8 +140,7 @@ data.update_session().apply(Delta(inserts=frozenset(inserts)))
 print(json.dumps({
     "facts": [repr(fact) for fact in data.facts_by_id],
     "groundings": [
-        [rule.label, data.fact_ids[head], [data.fact_ids[f] for f in body]]
-        for rule, body, head in data.groundings
+        [position, head, list(body)] for position, head, body in data.groundings
     ],
     "grounding_heads": data.grounding_heads,
     "grounding_bodies": data.grounding_bodies,

@@ -20,6 +20,12 @@ def f(rel, *args):
     return Fact(rel, args)
 
 
+def ids(data, *facts):
+    """A support set as :func:`~repro.xr.queries.ground_query` yields it:
+    the facts' ids."""
+    return tuple(map(data.fact_ids.__getitem__, facts))
+
+
 def key_data(facts):
     mapping = parse_mapping(
         """
@@ -71,8 +77,8 @@ class TestRepairProgram:
         xr = build_repair_program(
             data,
             query_groundings=[
-                (candidate, (f("P", "a", "b"),)),
-                (candidate, (f("P", "a", "c"),)),
+                (candidate, ids(data, f("P", "a", "b"))),
+                (candidate, ids(data, f("P", "a", "c"))),
             ],
         )
         verdicts = decide_family(xr.program, xr.query_atoms.values())
@@ -84,7 +90,7 @@ class TestRepairProgram:
         candidate = f("__q_q", ("a",))
         xr = build_repair_program(
             data,
-            query_groundings=[(candidate, (f("P", "a", "b"),))],
+            query_groundings=[(candidate, ids(data, f("P", "a", "b")))],
             focus=set(),
             safe=set(data.chased),
         )
@@ -132,17 +138,17 @@ class TestQueryAtomInvariants:
     acceptance relies on: every trivially-certain candidate also appears in
     ``query_atoms`` (it is registered first, then classified)."""
 
-    def groundings(self):
+    def groundings(self, data):
         candidate = f("__q_q", ("a",))
         return candidate, [
-            (candidate, (f("P", "a", "b"),)),
-            (candidate, (f("P", "a", "c"),)),
+            (candidate, ids(data, f("P", "a", "b"))),
+            (candidate, ids(data, f("P", "a", "c"))),
         ]
 
     @pytest.mark.parametrize("encoding", ["repair", "figure1"])
     def test_trivially_certain_subset_of_query_atoms(self, encoding):
         data = key_data([f("R", "a", "b"), f("R", "a", "c")])
-        _, groundings = self.groundings()
+        _, groundings = self.groundings(data)
         xr = build_xr_program(data, query_groundings=groundings, encoding=encoding)
         assert xr.trivially_certain <= set(xr.query_atoms)
 
@@ -151,7 +157,7 @@ class TestQueryAtomInvariants:
         candidate = f("__q_q", ("a",))
         xr = build_repair_program(
             data,
-            query_groundings=[(candidate, (f("P", "a", "b"),))],
+            query_groundings=[(candidate, ids(data, f("P", "a", "b")))],
             focus=set(),
             safe=set(data.chased),
         )

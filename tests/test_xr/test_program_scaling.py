@@ -73,7 +73,11 @@ def _repair_part(data, analysis, encoding):
 
 
 def _query_part(family, data, analysis):
-    return family_query_part(family, data, QUERY_GROUNDINGS, analysis.safe_ids)
+    groundings = [
+        (candidate, tuple(map(data.fact_ids.__getitem__, support)))
+        for candidate, support in QUERY_GROUNDINGS
+    ]
+    return family_query_part(family, groundings, analysis.safe_ids)
 
 
 def _family_program(data, analysis, encoding):
