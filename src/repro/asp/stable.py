@@ -33,16 +33,16 @@ body-only "remains" copies of safe context facts, and the full-universe
 clauses dominated solve time.  The ``heads_of`` index built during
 generation is reused to visit only the relevant rules in the loop-formula
 steps, and SCCs come from the in-repo iterative Tarjan
-(:mod:`repro.asp.graphs`) rather than ``networkx``.
+(:mod:`repro.graphs`), which needs no graph object per program build.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from repro.asp.graphs import nontrivial_sccs, tarjan_scc
 from repro.asp.sat import SatSolver
 from repro.asp.syntax import GroundProgram, GroundRule
+from repro.graphs import nontrivial_sccs, tarjan_scc
 
 #: How many stable models an engine remembers (:meth:`StableModelEngine.
 #: known_truths`).  A bound, not a knob: a full list only means later

@@ -580,6 +580,29 @@ class _BodyPlan:
     def rows_hash(self, cache: _IndexCache) -> list[tuple]:
         return _join(self.steps, cache, [self.initial], False, self.transient)
 
+    def rows_of_fact_pairs(self, cache: _IndexCache) -> list[tuple]:
+        """The rows of a two-atom body (not transient) whose atoms match
+        two different facts."""
+        first, second = self.steps
+        # Nothing is bound before the first step: its one bucket, keyed
+        # ``()``, holds its rows by slot.  (Queries over the relation
+        # probe the same index, so building it here is not wasted.)
+        starts = cache.index_for(first).get(())
+        if not starts:
+            return []
+        get = cache.index_for(second).get
+        key_of_row = second.key_of_row
+        rows: list[tuple] = []
+        append = rows.append
+        for slot, row in starts.items():
+            matches = get(key_of_row(row))
+            if matches is None or (len(matches) == 1 and slot in matches):
+                continue
+            for other, extension in matches.items():
+                if other != slot:
+                    append(row + extension)
+        return rows
+
     def rows_hash_tracked(self, cache: _IndexCache) -> list[tuple[tuple, tuple]]:
         """Rows as ``(values, slots-in-join-order)``; reorder the slots
         through :attr:`body_order` to recover the body-order tuple, and
@@ -770,18 +793,40 @@ def chase_insert(
 # ------------------------------------------------------------ violations
 
 
+def _one_fact_satisfies(egd: EGD) -> bool:
+    """Whether a row matching one fact at both atoms of the two-atom body
+    of ``egd`` always satisfies it: ``lhs`` and ``rhs`` stand at the same
+    position of the two atoms (a key egd ``R(k, a), R(k, b) -> a = b``, or
+    a symmetric one), so such a row reads both from one argument."""
+    first, second = egd.body
+    return first.relation == second.relation and any(
+        {left, right} == {egd.lhs, egd.rhs}
+        for left, right in zip(first.terms, second.terms)
+    )
+
+
 def find_violations_batch(egds: Sequence[EGD], cache: _IndexCache) -> list:
-    """All grounded-egd violations over ``cache.instance``, one batch hash
-    join per egd, probing the indexes of ``cache``.
+    """All grounded-egd violations over ``cache.instance``: one batch hash
+    join per distinct egd body, probing the indexes of ``cache``, whose
+    rows every egd of that body checks.  A two-atom body all of whose egds
+    a single fact satisfies (:func:`_one_fact_satisfies`; the key egds)
+    joins only pairs of distinct facts.
 
     Returns raw :class:`~repro.xr.exchange.Violation` objects including
     both orientations of symmetric egds; callers dedup through
     :func:`repro.xr.exchange.canonicalize_violations`.
     """
-    violations = []
+    by_body: dict[tuple[Atom, ...], list[EGD]] = {}
     for egd in egds:
-        plan = _BodyPlan(cache.instance, egd.body)
-        rows = plan.rows_hash(cache)
+        by_body.setdefault(egd.body, []).append(egd)
+    violations = []
+    for body, group in by_body.items():
+        plan = _BodyPlan(cache.instance, body)
+        if len(body) == 2 and all(map(_one_fact_satisfies, group)):
+            rows = plan.rows_of_fact_pairs(cache)
+        else:
+            rows = plan.rows_hash(cache)
         if rows:
-            violations += compile_violations(egd, plan.layout)(rows)
+            for egd in group:
+                violations += compile_violations(egd, plan.layout)(rows)
     return violations

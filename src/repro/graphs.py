@@ -1,20 +1,26 @@
-"""Minimal graph algorithms for the ASP engine.
+"""Strongly connected components, the one graph primitive the package needs.
 
-The stable-model engine needs exactly one graph primitive — strongly
-connected components of the positive dependency graph — on int-keyed
-adjacency it already has in hand.  An in-repo iterative Tarjan avoids
-materializing a ``networkx`` graph object per program build (node/edge
-dict-of-dicts churn) and keeps the solver hot path dependency-free.
+The stable-model engine (:mod:`repro.asp.stable`) takes the SCCs of a
+program's positive dependency graph on int-keyed adjacency it already has
+in hand, and the weak-acyclicity check
+(:mod:`repro.dependencies.acyclicity`) the SCCs of a position graph.  One
+iterative Tarjan serves both, so no graph object is materialized per
+program build and importing ``repro`` loads no third-party graph library.
+
+This module imports nothing from ``repro``: the dependency layer loads it
+while ``repro.dependencies`` is still half-initialized.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Hashable, Mapping, Sequence, TypeVar
 
-_NO_EDGES: tuple[int, ...] = ()
+Node = TypeVar("Node", bound=Hashable)
+
+_NO_EDGES: tuple = ()
 
 
-def tarjan_scc(adjacency: Mapping[int, Sequence[int]]) -> list[list[int]]:
+def tarjan_scc(adjacency: Mapping[Node, Sequence[Node]]) -> list[list[Node]]:
     """Strongly connected components of a directed graph.
 
     ``adjacency`` maps a node to its successors.  Nodes appearing only as
@@ -23,17 +29,17 @@ def tarjan_scc(adjacency: Mapping[int, Sequence[int]]) -> list[list[int]]:
     as Tarjan's algorithm produces them; the traversal is iterative, so
     deep chains do not hit the recursion limit.
     """
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
+    index_of: dict[Node, int] = {}
+    lowlink: dict[Node, int] = {}
+    on_stack: set[Node] = set()
+    stack: list[Node] = []
+    components: list[list[Node]] = []
     counter = 0
 
     for root in adjacency:
         if root in index_of:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work: list[tuple[Node, int]] = [(root, 0)]
         while work:
             node, edge_index = work.pop()
             if edge_index == 0:
@@ -56,7 +62,7 @@ def tarjan_scc(adjacency: Mapping[int, Sequence[int]]) -> list[list[int]]:
             if descended:
                 continue
             if lowlink[node] == index_of[node]:
-                component: list[int] = []
+                component: list[Node] = []
                 while True:
                     member = stack.pop()
                     on_stack.remove(member)
@@ -71,7 +77,7 @@ def tarjan_scc(adjacency: Mapping[int, Sequence[int]]) -> list[list[int]]:
     return components
 
 
-def nontrivial_sccs(adjacency: Mapping[int, Sequence[int]]) -> list[list[int]]:
+def nontrivial_sccs(adjacency: Mapping[Node, Sequence[Node]]) -> list[list[Node]]:
     """The SCCs of size >= 2 (the only ones that can carry a positive loop).
 
     A self-loop (``a ← a``) also forms a loop, but the callers here operate

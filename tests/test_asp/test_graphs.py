@@ -6,7 +6,7 @@ import sys
 import networkx as nx
 import pytest
 
-from repro.asp.graphs import nontrivial_sccs, tarjan_scc
+from repro.graphs import nontrivial_sccs, tarjan_scc
 
 
 def as_partition(components):

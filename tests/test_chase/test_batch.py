@@ -21,6 +21,7 @@ from repro.chase.batch import (
     _AtomStep,
     _PivotPlan,
     _IndexCache,
+    _one_fact_satisfies,
     chase_insert,
     find_violations_batch,
 )
@@ -148,8 +149,33 @@ P(x, x), Q(x, y) -> y = 'b'.
 Q(x, 'b'), P(x, y) -> x = y.
 """
 
+#: Egds sharing bodies: one body whose egds a single fact satisfies (a
+#: key on position 0), one mixing such an egd with ``y = v``, which a
+#: single fact violates.
+SHARED_BODIES = """
+SOURCE R/3. TARGET T/3.
+R(k, a, b) -> T(k, a, b).
+T(k, a, b), T(k, c, d) -> a = c.
+T(k, a, b), T(k, c, d) -> b = d.
+T(x, y, z), T(x, u, v) -> y = u.
+T(x, y, z), T(x, u, v) -> y = v.
+"""
+
 #: name -> (mapping text, source instance).
 VIOLATION_CASES = {
+    "shared-bodies": (
+        SHARED_BODIES,
+        Instance(
+            [
+                f("R", 1, "a", "b"),
+                f("R", 1, "a", "c"),
+                f("R", 2, "d", "e"),
+                f("R", 3, "f", "f"),
+                f("R", 4, "g", "h"),
+                f("R", 4, "i", "h"),
+            ]
+        ),
+    ),
     "tiny-body": (
         KEY_MAPPING,
         Instance([f("E", "a", "b"), f("E", "a", "c")]),
@@ -319,6 +345,16 @@ class TestViolations:
         reference = find_violations(gav, chased)
         assert batch == reference
         assert reference  # every case must contain a violation
+
+
+    def test_one_fact_rows_skipped_only_where_harmless(self):
+        egds = parse_mapping(SHARED_BODIES).target_egds
+        assert [_one_fact_satisfies(egd) for egd in egds] == [
+            True,
+            True,
+            True,
+            False,
+        ]
 
 
 class TestIndexSharing:

@@ -46,12 +46,19 @@ class TestPositionGraph:
     def test_edges_kinds(self):
         graph = position_graph([tgd("E(x, y) -> F(y, z).")])
         kinds = {
-            (src, dst): data["kind"]
-            for src, dst, data in graph.edges(data=True)
+            (src, dst): kind
+            for src, successors in graph.items()
+            for dst, kind in successors.items()
         }
         assert kinds[("E", 1), ("F", 0)] == "regular"
         # Special edges from every frontier-variable position.
         assert kinds[("E", 1), ("F", 1)] == "special"
+
+    def test_special_edge_wins_over_regular(self):
+        copy = tgd("E(x) -> F(x).")
+        invent = tgd("E(x) -> G(x, z), F(z).")
+        for tgds in ([copy, invent], [invent, copy]):
+            assert position_graph(tgds)[("E", 0)][("F", 0)] == "special"
 
 
 class TestExistentialRank:
