@@ -16,6 +16,14 @@ Query answering in two phases:
 
 Many small hard problems instead of one large one (Theorem 4).
 
+Every candidate past the safety check ends with one :class:`Decision`:
+its verdict and where the verdict came from (the cross-query caches, a
+trivially-certain support, the family solve, or a budget cutoff).  The
+all-safe candidates stay one bulk set.  The answers, the unknown report,
+the cache writes, :class:`QueryPhaseStats` and the one budget raise are
+all read off the list of decisions and the per-family
+:class:`FamilySolve` entries at the end of the call.
+
 Because distinct clusters are pairwise-independent (Definition 8 /
 Propositions 5–6), the families are too: the query phase *prepares* all
 of them first, then solves the batch in process through the
@@ -32,7 +40,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import AbstractSet
 
 from repro.dependencies.mapping import SchemaMapping
 from repro.obs.metrics import DEFAULT_TIME_BUCKETS
@@ -42,7 +49,7 @@ from repro.relational.instance import Fact, Instance, fact_order
 from repro.relational.queries import ConjunctiveQuery, UnionOfConjunctiveQueries
 from repro.runtime.budget import NO_BUDGET, SolveBudget, SolveBudgetExceeded
 from repro.runtime.cache import SignatureProgramCache, decision_key, program_key
-from repro.runtime.executor import SequentialExecutor, SolveTask
+from repro.runtime.executor import SequentialExecutor, SolveOutcome, SolveTask
 from repro.runtime.heap import long_lived_build
 from repro.xr.envelope import EnvelopeAnalysis, analyze_envelopes
 from repro.xr.exchange import ExchangeData, build_exchange_data
@@ -54,14 +61,84 @@ from repro.xr.program import (
 )
 from repro.xr.queries import answers_from_facts, ground_query
 
+#: Where a :class:`Decision`'s verdict came from.
+PROGRAM_CACHE = "program-cache"  # the signature group's cached answers
+MEMO = "memo"  # the per-candidate decision memo
+TRIVIALLY_CERTAIN = "trivially-certain"  # a support safe inside the family
+SOLVED = "solved"  # the family solve
+CUTOFF = "cutoff"  # the budget cut it off: no verdict
+
+
+@dataclass(frozen=True, slots=True)
+class Decision:
+    """How one candidate without an all-safe support was decided.
+
+    ``verdict`` is None (unknown) exactly when ``source`` is
+    :data:`CUTOFF`.  ``family`` is the sorted cluster ids of the family
+    it went to, None when the caches decided it or the budget cut its
+    signature group before resolution; ``memo_key`` is its decision-memo
+    key, None when it never reached the memo.
+    """
+
+    candidate: Fact
+    signature: frozenset[int]
+    verdict: bool | None
+    source: str
+    family: tuple[int, ...] | None = None
+    memo_key: frozenset | None = None
+
+
+@dataclass(slots=True)
+class FamilySolve:
+    """One family's part in a query: its engine (built for this query or
+    checked out of the store at ``epoch``), the size of the program it
+    decides, the candidates it sends to the solver as ``(candidate,
+    signature, memo key, goal id)``, and the solve's outcome (None when
+    no candidate needed one)."""
+
+    cluster_ids: tuple[int, ...]
+    engine: FamilyEngine
+    epoch: int
+    built: bool
+    atoms: int
+    rules: int
+    goals: list[tuple] = field(default_factory=list)
+    outcome: SolveOutcome | None = None
+
+    def goal_ids(self) -> tuple[int, ...]:
+        return tuple(sorted({goal for *_, goal in self.goals}))
+
+    @property
+    def ran(self) -> bool:
+        """Whether the solve started (a batch deadline can skip it)."""
+        return self.outcome is not None and self.outcome.decided is not None
+
+    def settle(self, outcome: SolveOutcome) -> list[Decision]:
+        """Keep ``outcome`` and read the goals' decisions off it: a goal
+        the budget cut off (or a solve that never started) is unknown,
+        every other verdict is exact."""
+        if outcome.ok and outcome.decided is None:
+            raise RuntimeError("a family program has no stable model")
+        self.outcome = outcome
+        decisions = []
+        for candidate, signature, memo_key, goal in self.goals:
+            cut = outcome.decided is None or goal in outcome.undecided
+            verdict = None if cut else goal in outcome.decided
+            decisions.append(Decision(
+                candidate, signature, verdict, CUTOFF if cut else SOLVED,
+                self.cluster_ids, memo_key,
+            ))
+        return decisions
+
 
 @dataclass
 class QueryPhaseStats:
     """Diagnostics from one :meth:`SegmentaryEngine.answer` call.
 
-    Built locally during the call and published to
-    ``engine.last_query_stats`` in a single assignment at the end, so
-    concurrent readers never observe a half-filled object.
+    A fold over the call's :class:`Decision` records and
+    :class:`FamilySolve` entries (:meth:`fold`), built once at the end of
+    the call and published to ``engine.last_query_stats`` in a single
+    assignment, so concurrent readers never observe a half-filled object.
     """
 
     candidates: int = 0
@@ -87,10 +164,12 @@ class QueryPhaseStats:
     # The SatSolver statistics summed over every program solved by this
     # call.
     solver_stats: dict[str, int] = field(default_factory=dict)
-    # Resource governance: groups cut off by the budget (their candidates
-    # are *unknown*, listed below as answer tuples) and whether any
-    # degradation happened at all.  With no budget configured these stay
-    # at their defaults.
+    # Resource governance: one ``timeouts`` unit per family the budget
+    # cut (at assembly, before its solve started, or mid-solve) and per
+    # signature group it cut during resolution, before the group had a
+    # family.  Their candidates are *unknown*, listed below as answer
+    # tuples; ``degraded`` says whether there is any.  With no budget
+    # configured these stay at their defaults.
     timeouts: int = 0
     degraded: bool = False
     unknown_candidates: set[tuple] = field(default_factory=set)
@@ -107,6 +186,60 @@ class QueryPhaseStats:
     # cache's engine store instead.
     engines_built: int = 0
     engine_reuses: int = 0
+
+    @classmethod
+    def fold(
+        cls,
+        decisions: list[Decision],
+        families: list[FamilySolve],
+        cached: bool,
+        **fields,
+    ) -> "QueryPhaseStats":
+        """The stats of one call from its decisions and family entries
+        (``cached``: whether the engine has a cache to miss); ``fields``
+        carries what the records do not hold (candidate counts, timings).
+        """
+        solved = [family for family in families if family.ran]
+        solver_stats: dict[str, int] = {}
+        for family in solved:
+            for key, value in family.outcome.solver_stats.items():
+                solver_stats[key] = solver_stats.get(key, 0) + value
+        memo_hits = sum(d.source == MEMO for d in decisions)
+        memo_probes = sum(d.memo_key is not None for d in decisions)
+        unknown = {d.candidate for d in decisions if d.verdict is None}
+        built = sum(family.built for family in families)
+        return cls(
+            programs_solved=len(solved),
+            families_solved=len(solved),
+            family_candidates=sum(len(family.goals) for family in solved),
+            largest_program_atoms=max(
+                (family.atoms for family in families), default=0
+            ),
+            total_rules=sum(family.rules for family in families),
+            solve_seconds=sum(family.outcome.seconds for family in solved),
+            program_seconds=[family.outcome.seconds for family in solved],
+            cache_hits=len(
+                {d.signature for d in decisions if d.source == PROGRAM_CACHE}
+            ),
+            # Every group that missed the program cache probed the memo.
+            cache_misses=len(
+                {d.signature for d in decisions if d.memo_key is not None}
+            ) if cached else 0,
+            memo_hits=memo_hits,
+            memo_misses=memo_probes - memo_hits,
+            solver_stats=solver_stats,
+            core_skips=solver_stats.get("core_skips", 0),
+            carried_clauses=solver_stats.get("carried_clauses", 0),
+            # One unit per cut family, or per group cut before it had one.
+            timeouts=len(
+                {d.family or d.signature for d in decisions if d.source == CUTOFF}
+            ),
+            degraded=bool(unknown),
+            unknown_candidates=answers_from_facts(unknown),
+            engines_built=built,
+            engine_reuses=len(families) - built,
+            **fields,
+        )
 
     def copy(self) -> "QueryPhaseStats":
         """An independent deep copy (no shared mutable containers).
@@ -136,44 +269,27 @@ class ExchangePhaseStats:
     suspect_source_facts: int = 0
     safe_source_facts: int = 0
 
-
-@dataclass
-class _SignatureGroup:
-    """One signature group's work unit in the query phase."""
-
-    key: tuple
-    signature: frozenset[int]
-    # Candidate -> decision-memo key, for the candidates the solver decides.
-    decision_keys: dict[Fact, frozenset]
-    # Group candidates accepted before solving: program-cache hits and
-    # memo hits.
-    accepted_so_far: set[Fact]
-    # Candidates the caches could not decide; they ride into the family
-    # program, which fills in the two fields below.
-    unresolved: list[Fact] = field(default_factory=list)
-    # This group's own trivially-certain candidates (accepted without
-    # search), and the query atoms it sends to the family solver.
-    trivially_certain: set[Fact] = field(default_factory=set)
-    solve_atoms: dict[Fact, int] = field(default_factory=dict)
-
-
-@dataclass
-class _FamilyBatch:
-    """One family's solve: its member groups and the engine's store key
-    and checkout epoch (for :meth:`SignatureProgramCache.return_engine`)."""
-
-    members: list[_SignatureGroup]
-    family: FamilyEngine
-    key: tuple
-    epoch: int
+    @classmethod
+    def of(
+        cls, seconds: float, instance: Instance, data: ExchangeData,
+        analysis: EnvelopeAnalysis,
+    ) -> "ExchangePhaseStats":
+        """The counts of an exchange state, with its build time."""
+        return cls(
+            seconds=seconds, source_facts=len(instance),
+            chased_facts=len(data.chased), groundings=len(data.groundings),
+            violations=len(data.violations), clusters=len(analysis.clusters),
+            suspect_source_facts=len(analysis.suspect_source),
+            safe_source_facts=len(analysis.safe_source),
+        )
 
 
 def _merge_by_shared_clusters(
-    groups: list[_SignatureGroup],
-) -> dict[int, list[_SignatureGroup]]:
-    """Groups keyed by family root: two groups share a family when their
-    signatures share a violation cluster, transitively (union-find over
-    cluster ids)."""
+    signatures: list[frozenset[int]],
+) -> list[list[frozenset[int]]]:
+    """The signatures grouped into families, in order of family root: two
+    signatures share a family when they share a violation cluster,
+    transitively (union-find over cluster ids)."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -184,18 +300,18 @@ def _merge_by_shared_clusters(
             parent[x], x = root, parent[x]
         return root
 
-    for group in groups:
-        ids = sorted(group.signature)
+    for signature in signatures:
+        ids = sorted(signature)
         for cluster_id in ids:
             parent.setdefault(cluster_id, cluster_id)
         anchor = find(ids[0])
         for cluster_id in ids[1:]:
             parent[find(cluster_id)] = anchor
 
-    families: dict[int, list[_SignatureGroup]] = {}
-    for group in groups:
-        families.setdefault(find(min(group.signature)), []).append(group)
-    return families
+    families: dict[int, list[frozenset[int]]] = {}
+    for signature in signatures:
+        families.setdefault(find(min(signature)), []).append(signature)
+    return [families[root] for root in sorted(families)]
 
 
 class SegmentaryEngine:
@@ -330,15 +446,8 @@ class SegmentaryEngine:
             )
             with tracer.span("exchange.envelope"):
                 analysis = analyze_envelopes(data)
-        self.exchange_stats = ExchangePhaseStats(
-            seconds=time.perf_counter() - started,
-            source_facts=len(self.instance),
-            chased_facts=len(data.chased),
-            groundings=len(data.groundings),
-            violations=len(data.violations),
-            clusters=len(analysis.clusters),
-            suspect_source_facts=len(analysis.suspect_source),
-            safe_source_facts=len(analysis.safe_source),
+        self.exchange_stats = ExchangePhaseStats.of(
+            time.perf_counter() - started, self.instance, data, analysis
         )
         # Publish only once everything (stats included) is complete: the
         # unlocked fast path above keys on `analysis is not None`.
@@ -389,15 +498,8 @@ class SegmentaryEngine:
         """
         if self.data is None or self.analysis is None:
             return
-        self.exchange_stats = ExchangePhaseStats(
-            seconds=self.exchange_stats.seconds,
-            source_facts=len(self.instance),
-            chased_facts=len(self.data.chased),
-            groundings=len(self.data.groundings),
-            violations=len(self.data.violations),
-            clusters=len(self.analysis.clusters),
-            suspect_source_facts=len(self.analysis.suspect_source),
-            safe_source_facts=len(self.analysis.safe_source),
+        self.exchange_stats = ExchangePhaseStats.of(
+            self.exchange_stats.seconds, self.instance, self.data, self.analysis
         )
 
     # --------------------------------------------------------- query phase
@@ -453,7 +555,8 @@ class SegmentaryEngine:
         answers, and never written to the caches — while ``False`` raises
         :class:`~repro.runtime.SolveBudgetExceeded`.  Degraded certain
         answers are always a subset of the exact ones, degraded possible
-        answers a superset.
+        answers a superset.  Either way, what was decided exactly is
+        cached and every cleanly solved family's engine is kept.
         """
         self.exchange()
         assert self.data is not None and self.analysis is not None
@@ -464,9 +567,7 @@ class SegmentaryEngine:
             # The serving tier passes one per request so concurrent
             # deadlines never share (or mutate) engine state.
             budget = self.budget
-        stats = QueryPhaseStats()
         clock = budget.started()  # None unless a deadline is set
-        unknown: set[Fact] = set()
         tracer, metrics = self.obs.tracer, self.obs.metrics
 
         with tracer.span("query", mode=mode) as query_span:
@@ -480,15 +581,14 @@ class SegmentaryEngine:
                     supports_by_candidate.setdefault(candidate, []).append(
                         support
                     )
-                stats.candidates = len(supports_by_candidate)
 
-                accepted: set[Fact] = set()
+                safe: set[Fact] = set()
                 unsafe: list[Fact] = []
                 all_safe = analysis.safe_ids.issuperset
                 for candidate, supports in supports_by_candidate.items():
                     if any(map(all_safe, supports)):
                         # An all-safe support set: certain.
-                        accepted.add(candidate)
+                        safe.add(candidate)
                     else:
                         unsafe.append(candidate)
                 # The join yields rows in hash order; the family programs
@@ -508,66 +608,56 @@ class SegmentaryEngine:
                             "signature: exchange-phase invariant violated"
                         )
                     by_signature.setdefault(signature, []).append(candidate)
-                stats.safe_candidates = len(accepted)
-                stats.signatures = len(by_signature)
 
             # Build every still-undecided family program first, then solve
             # the whole batch through the executor (the programs are
             # pairwise independent, so any execution order or interleaving
             # is valid).
-            pending: list[_SignatureGroup] = []
-            family_batches: list[_FamilyBatch] = []
-            tasks: list[SolveTask] = []
             build_started = time.perf_counter()
             with tracer.span("query.build"):
-                for signature, candidates in by_signature.items():
-                    if clock is not None and clock.expired():
-                        # Deadline passed during program construction:
-                        # everything still unresolved is unknown — never
-                        # silently dropped, never fabricated.
-                        if not allow_partial:
-                            raise SolveBudgetExceeded(
-                                "query deadline exceeded while building "
-                                "signature programs"
-                            )
-                        stats.timeouts += 1
-                        unknown.update(candidates)
-                        continue
-                    group = self._resolve_group(
-                        signature, candidates, supports_by_candidate,
-                        analysis.safe_ids, mode, stats,
-                    )
-                    accepted |= group.accepted_so_far
-                    if group.unresolved:
-                        pending.append(group)
-                    else:
-                        self._finalize_group(group, set(), mode)
-                if pending:
-                    family_batches, tasks = self._assemble_families(
-                        pending, supports_by_candidate, mode, stats,
-                        accepted, unknown, clock, allow_partial, budget,
-                    )
-            stats.build_seconds = time.perf_counter() - build_started
+                decisions, pending, program_keys = self._resolve_groups(
+                    by_signature, supports_by_candidate, mode, clock
+                )
+                families = self._assemble_families(
+                    pending, supports_by_candidate, clock, decisions
+                )
+            build_seconds = time.perf_counter() - build_started
 
-            if tasks:
+            solving = [family for family in families if family.goals]
+            if solving:
+                tasks = [
+                    SolveTask(family.engine, family.goal_ids(), mode, budget)
+                    for family in solving
+                ]
                 with tracer.span("query.solve"):
                     outcomes = self.executor.run(
                         tasks, deadline=clock, tracer=tracer
                     )
-                    self._handle_family_outcomes(
-                        family_batches, outcomes, mode, stats,
-                        accepted, unknown, allow_partial, metrics,
-                    )
+                for family, outcome in zip(solving, outcomes):
+                    decisions += family.settle(outcome)
 
-            if unknown:
-                stats.degraded = True
-                stats.unknown_candidates = answers_from_facts(unknown)
-                if mode == "possible":
-                    # Conservative over-approximation: a candidate we
-                    # could not decide might hold in some XR-solution, so
-                    # possible answers must include it (exact-possible ⊆
-                    # degraded).
-                    accepted |= unknown
+            self._write_back(decisions, families, program_keys, mode)
+            stats = QueryPhaseStats.fold(
+                decisions,
+                families,
+                cached=self.cache is not None,
+                candidates=len(supports_by_candidate),
+                safe_candidates=len(safe),
+                signatures=len(by_signature),
+                build_seconds=build_seconds,
+            )
+            if stats.degraded and not allow_partial:
+                raise SolveBudgetExceeded(
+                    f"query budget exceeded: {len(stats.unknown_candidates)} "
+                    "candidate(s) undecided"
+                )
+            # Possible mode conservatively includes the unknowns: one
+            # might hold in some XR-solution (exact-possible ⊆ degraded).
+            accepted = safe.union(
+                d.candidate
+                for d in decisions
+                if d.verdict or (d.verdict is None and mode == "possible")
+            )
             query_span.count("candidates", stats.candidates)
             query_span.count("signatures", stats.signatures)
             query_span.count("programs_solved", stats.programs_solved)
@@ -580,94 +670,10 @@ class SegmentaryEngine:
         self._last_query_stats = stats.copy()
         return answers_from_facts(accepted), stats
 
-    def _handle_family_outcomes(
-        self,
-        family_batches: list[_FamilyBatch],
-        outcomes,
-        mode: str,
-        stats: QueryPhaseStats,
-        accepted: set[Fact],
-        unknown: set[Fact],
-        allow_partial: bool,
-        metrics,
-    ) -> None:
-        """Fold family solve outcomes into the answer state.
-
-        A family outcome may be *partial* (``status="timeout"`` with
-        verdicts attached): every decided candidate keeps its exact
-        verdict, only the ``undecided`` remainder degrades to unknown —
-        and a member group is cached only when every one of its
-        candidates got a verdict, so the caches never hold half-truths.
-        A family engine goes back to the store only after a clean solve;
-        one a budget cut is dropped.
-        """
-        for batch, outcome in zip(family_batches, outcomes):
-            members = batch.members
-            family_size = sum(len(m.solve_atoms) for m in members)
-            if outcome.ok and self.cache is not None:
-                self.cache.return_engine(batch.key, batch.family, batch.epoch)
-            if not outcome.ok and outcome.decided is None:
-                # The batch deadline passed before the family started:
-                # the whole family is unknown.
-                if not allow_partial:
-                    raise SolveBudgetExceeded(
-                        f"family solve {outcome.status}: "
-                        f"{family_size} candidate(s) undecided"
-                    )
-                stats.timeouts += 1
-                for member in members:
-                    unknown.update(member.solve_atoms)
-                continue
-            if outcome.decided is None:
-                raise RuntimeError("a family program has no stable model")
-            if outcome.undecided and not allow_partial:
-                raise SolveBudgetExceeded(
-                    f"family solve {outcome.status}: "
-                    f"{len(outcome.undecided)} of {family_size} "
-                    "candidate(s) undecided"
-                )
-            stats.programs_solved += 1
-            stats.families_solved += 1
-            stats.family_candidates += family_size
-            stats.program_seconds.append(outcome.seconds)
-            stats.solve_seconds += outcome.seconds
-            if metrics.enabled:
-                metrics.histogram(
-                    "solve_seconds", DEFAULT_TIME_BUCKETS
-                ).observe(outcome.seconds)
-            for key, value in outcome.solver_stats.items():
-                stats.solver_stats[key] = (
-                    stats.solver_stats.get(key, 0) + value
-                )
-            stats.core_skips += outcome.solver_stats.get("core_skips", 0)
-            stats.carried_clauses += outcome.solver_stats.get(
-                "carried_clauses", 0
-            )
-            if outcome.undecided:
-                stats.timeouts += 1
-            for member in members:
-                newly = {
-                    fact
-                    for fact, atom_id in member.solve_atoms.items()
-                    if atom_id in outcome.decided
-                }
-                accepted |= newly
-                member_unknown = {
-                    fact
-                    for fact, atom_id in member.solve_atoms.items()
-                    if atom_id in outcome.undecided
-                }
-                if member_unknown:
-                    # Partially decided member: its exact verdicts count
-                    # toward the answer, but the caches get nothing (a
-                    # cache entry must cover the whole group).
-                    unknown.update(member_unknown)
-                else:
-                    self._finalize_group(member, newly, mode)
-
     @staticmethod
     def _record_query_metrics(metrics, stats: QueryPhaseStats) -> None:
-        """Fold one query phase's deterministic counters into ``metrics``."""
+        """Fold one query phase's deterministic counters, and its family
+        solve times, into ``metrics``."""
         metrics.inc("queries_total")
         metrics.inc("query_candidates_total", stats.candidates)
         metrics.inc("query_safe_candidates_total", stats.safe_candidates)
@@ -695,87 +701,85 @@ class SegmentaryEngine:
         )
         for key, value in stats.solver_stats.items():
             metrics.inc(f"solver_{key}_total", value)
+        solve_seconds = metrics.histogram("solve_seconds", DEFAULT_TIME_BUCKETS)
+        for seconds in stats.program_seconds:
+            solve_seconds.observe(seconds)
 
     # ------------------------------------------------------------ helpers
 
-    def _resolve_group(
+    def _resolve_groups(
         self,
-        signature: frozenset[int],
-        candidates: list[Fact],
+        by_signature: dict[frozenset[int], list[Fact]],
         supports_by_candidate: dict[Fact, list[tuple[int, ...]]],
-        safe_ids: AbstractSet[int],
         mode: str,
-        stats: QueryPhaseStats,
-    ) -> _SignatureGroup:
-        """Decide what the caches can of a signature group.
+        clock,
+    ) -> tuple[list[Decision], dict, dict]:
+        """Decide what the caches can of each signature group.
 
-        Accepted candidates come back in ``accepted_so_far``; the ones the
-        caches could not decide come back in ``unresolved``, for the family
-        program built later (:meth:`_assemble_families`).
+        Returns the decisions reached, the candidates left for the family
+        programs (signature -> ``(candidate, memo key)`` pairs), and each
+        resolved group's program-cache key.  A group the deadline reaches
+        first is cut off whole — never silently dropped, never fabricated.
         """
-        group_groundings = [
-            (candidate, support)
-            for candidate in candidates
-            for support in supports_by_candidate[candidate]
-        ]
-        key = program_key(signature, self.encoding, mode, group_groundings)
-
-        if self.cache is not None:
-            cached = self.cache.lookup_program(key)
-            if cached is not None:
-                stats.cache_hits += 1
-                return _SignatureGroup(
-                    key=key,
-                    signature=signature,
-                    decision_keys={},
-                    accepted_so_far=set(cached),
+        cache, encoding = self.cache, self.encoding
+        safe_ids = self.analysis.safe_ids
+        decisions: list[Decision] = []
+        pending: dict[frozenset[int], list[tuple[Fact, frozenset]]] = {}
+        program_keys: dict[frozenset[int], tuple] = {}
+        for signature, candidates in by_signature.items():
+            if clock is not None and clock.expired():
+                decisions.extend(
+                    Decision(candidate, signature, None, CUTOFF)
+                    for candidate in candidates
                 )
-            stats.cache_misses += 1
-
-        # Per-candidate decision memo: coarser than the program cache —
-        # it ignores the query's name and answer tuple, so structurally
-        # identical candidates from *different* queries share verdicts.
-        unresolved: list[Fact] = []
-        group_accept: set[Fact] = set()
-        decision_keys: dict[Fact, frozenset] = {}
-        for candidate in candidates:
-            memo_key = decision_key(supports_by_candidate[candidate], safe_ids)
-            decision_keys[candidate] = memo_key
-            verdict = None
-            if self.cache is not None:
-                verdict = self.cache.lookup_decision(
-                    signature, self.encoding, mode, memo_key
+                continue
+            if cache is not None:
+                key = program_keys[signature] = program_key(
+                    signature, encoding, mode,
+                    [
+                        (candidate, support)
+                        for candidate in candidates
+                        for support in supports_by_candidate[candidate]
+                    ],
                 )
-            if verdict is None:
-                stats.memo_misses += 1
-                unresolved.append(candidate)
-            else:
-                stats.memo_hits += 1
-                if verdict:
-                    group_accept.add(candidate)
-
-        return _SignatureGroup(
-            key=key,
-            signature=signature,
-            decision_keys={c: decision_keys[c] for c in unresolved},
-            accepted_so_far=group_accept,
-            unresolved=unresolved,
-        )
+                cached = cache.lookup_program(key)
+                if cached is not None:
+                    decisions.extend(
+                        Decision(candidate, signature, candidate in cached,
+                                 PROGRAM_CACHE)
+                        for candidate in candidates
+                    )
+                    continue
+            # Per-candidate decision memo: coarser than the program cache —
+            # it ignores the query's name and answer tuple, so structurally
+            # identical candidates from *different* queries share verdicts.
+            for candidate in candidates:
+                memo_key = decision_key(
+                    supports_by_candidate[candidate], safe_ids
+                )
+                verdict = None if cache is None else cache.lookup_decision(
+                    signature, encoding, mode, memo_key
+                )
+                if verdict is None:
+                    pending.setdefault(signature, []).append(
+                        (candidate, memo_key)
+                    )
+                else:
+                    decisions.append(Decision(
+                        candidate, signature, verdict, MEMO, memo_key=memo_key
+                    ))
+        return decisions, pending, program_keys
 
     def _assemble_families(
         self,
-        pending: list[_SignatureGroup],
+        pending: dict[frozenset[int], list[tuple[Fact, frozenset]]],
         supports_by_candidate: dict[Fact, list[tuple[int, ...]]],
-        mode: str,
-        stats: QueryPhaseStats,
-        accepted: set[Fact],
-        unknown: set[Fact],
         clock,
-        allow_partial: bool,
-        budget: SolveBudget,
-    ) -> tuple[list[_FamilyBatch], list[SolveTask]]:
-        """Merge pending signature groups into cluster families, one
-        engine (and one :class:`SolveTask`) per family.
+        decisions: list[Decision],
+    ) -> list[FamilySolve]:
+        """Merge the pending signature groups into cluster families, one
+        engine per family, and turn each pending candidate into a goal on
+        it (or a decision, appended to ``decisions``).
 
         Two groups belong to the same family when their signatures share a
         violation cluster (transitively — union-find over cluster ids).
@@ -784,42 +788,35 @@ class SegmentaryEngine:
         :class:`~repro.xr.program.FamilyEngine`), checked out of the
         cache's engine store when a query built it before.  This query's
         candidates become goals on it
-        (:func:`~repro.xr.program.family_query_part`); every member keeps
-        only its **own** trivially-certain candidates — a family-wide set
-        in a member's cache entry would leak foreign facts into warm
-        hits.  A family is one task, so its candidates share one solver's
-        learned clauses.
+        (:func:`~repro.xr.program.family_query_part`); one with a support
+        safe inside the family is certain without search.  A family is
+        one solve, so its candidates share one solver's learned clauses.
         """
-        assert self.analysis is not None and self.data is not None
         analysis, data = self.analysis, self.data
-
-        families = _merge_by_shared_clusters(pending)
-
-        family_batches: list[_FamilyBatch] = []
-        tasks: list[SolveTask] = []
-        for root in sorted(families):
-            members = families[root]
+        families: list[FamilySolve] = []
+        for signatures in _merge_by_shared_clusters(list(pending)):
+            cluster_ids = tuple(sorted(set().union(*signatures)))
+            members = [
+                (candidate, signature, memo_key)
+                for signature in signatures
+                for candidate, memo_key in pending[signature]
+            ]
             if clock is not None and clock.expired():
-                if not allow_partial:
-                    raise SolveBudgetExceeded(
-                        "query deadline exceeded while building family "
-                        "programs"
-                    )
-                stats.timeouts += 1
-                for member in members:
-                    unknown.update(member.unresolved)
+                decisions.extend(
+                    Decision(candidate, signature, None, CUTOFF, cluster_ids,
+                             memo_key)
+                    for candidate, signature, memo_key in members
+                )
                 continue
-            cluster_ids = tuple(
-                sorted(set().union(*(member.signature for member in members)))
-            )
             key = (cluster_ids, self.encoding)
-            family, epoch = None, 0
+            engine, epoch = None, 0
             if self.cache is not None:
-                family, epoch = self.cache.checkout_engine(key)
-            if family is None:
+                engine, epoch = self.cache.checkout_engine(key)
+            built = engine is None
+            if built:
                 # `builder` resolves through this module's globals: one
                 # program-builder seam that tests can stub.
-                family = FamilyEngine.of(
+                engine = FamilyEngine.of(
                     build_family_program(
                         data,
                         clusters=[analysis.cluster(i) for i in cluster_ids],
@@ -828,76 +825,76 @@ class SegmentaryEngine:
                         builder=build_xr_program,
                     )
                 )
-                stats.engines_built += 1
-            else:
-                stats.engine_reuses += 1
             part = family_query_part(
-                family,
+                engine,
                 [
                     (candidate, support)
-                    for member in members
-                    for candidate in member.unresolved
+                    for candidate, _signature, _memo_key in members
                     for support in supports_by_candidate[candidate]
                 ],
                 analysis.safe_ids,
             )
-            stats.largest_program_atoms = max(
-                stats.largest_program_atoms,
-                family.repair_atoms + len(part.bodies),
+            family = FamilySolve(
+                cluster_ids, engine, epoch, built,
+                atoms=engine.repair_atoms + len(part.bodies),
+                rules=engine.repair_rules + part.rules,
             )
-            stats.total_rules += family.repair_rules + part.rules
-
-            batch: list[_SignatureGroup] = []
-            goals: set[int] = set()
-            for member in members:
-                member_trivial = {
-                    candidate
-                    for candidate in member.unresolved
-                    if candidate in part.trivially_certain
-                }
-                accepted |= member_trivial
-                member.trivially_certain = member_trivial
-                define_goal = family.engine.define_goal
-                member.solve_atoms = {
-                    candidate: define_goal(part.bodies[candidate])
-                    for candidate in member.unresolved
-                    if candidate in part.bodies
-                    and candidate not in member_trivial
-                }
-                if member.solve_atoms:
-                    batch.append(member)
-                    goals.update(member.solve_atoms.values())
+            families.append(family)
+            define_goal = engine.engine.define_goal
+            for candidate, signature, memo_key in members:
+                if candidate in part.trivially_certain:
+                    decisions.append(Decision(
+                        candidate, signature, True, TRIVIALLY_CERTAIN,
+                        cluster_ids, memo_key,
+                    ))
+                elif candidate in part.bodies:
+                    family.goals.append(
+                        (candidate, signature, memo_key,
+                         define_goal(part.bodies[candidate]))
+                    )
                 else:
-                    # Fully decided without search (trivially certain or
-                    # out of scope): cacheable right now.
-                    self._finalize_group(member, set(), mode)
-            if not batch:
-                if self.cache is not None:
-                    self.cache.return_engine(key, family, epoch)
-                continue
-            family_batches.append(_FamilyBatch(batch, family, key, epoch))
-            tasks.append(
-                SolveTask(
-                    family=family,
-                    goal_ids=tuple(sorted(goals)),
-                    mode=mode,
-                    budget=budget,
-                )
-            )
-        return family_batches, tasks
+                    # No support inside the family's scope: no repair
+                    # holds it, so the family decides it without a goal.
+                    decisions.append(Decision(
+                        candidate, signature, False, SOLVED, cluster_ids,
+                        memo_key,
+                    ))
+        return families
 
-    def _finalize_group(
-        self, group: _SignatureGroup, solver_accepted: set[Fact], mode: str
+    def _write_back(
+        self,
+        decisions: list[Decision],
+        families: list[FamilySolve],
+        program_keys: dict,
+        mode: str,
     ) -> None:
-        """Record cache entries once a group's verdicts are complete."""
-        if self.cache is None:
+        """Keep what this call decided exactly.
+
+        A signature group's entries are written only when none of its
+        candidates was cut off — a cache entry covers a whole group, and a
+        cutoff is a budget artifact, not a verdict; the memo gets the
+        verdicts the families reached.  A family engine goes back to the
+        store unless the budget cut its solve.
+        """
+        cache = self.cache
+        if cache is None:
             return
-        accepted = (
-            group.accepted_so_far | solver_accepted | group.trivially_certain
-        )
-        for candidate, memo_key in group.decision_keys.items():
-            self.cache.store_decision(
-                group.signature, self.encoding, mode, memo_key,
-                candidate in accepted,
-            )
-        self.cache.store_program(group.key, accepted)
+        for family in families:
+            if family.outcome is None or family.outcome.ok:
+                cache.return_engine(
+                    (family.cluster_ids, self.encoding), family.engine,
+                    family.epoch,
+                )
+        groups: dict[frozenset[int], list[Decision]] = {}
+        for decision in decisions:
+            groups.setdefault(decision.signature, []).append(decision)
+        for signature, key in program_keys.items():
+            group = groups[signature]
+            if any(d.source == CUTOFF for d in group):
+                continue
+            for d in group:
+                if d.source in (TRIVIALLY_CERTAIN, SOLVED):
+                    cache.store_decision(
+                        signature, self.encoding, mode, d.memo_key, d.verdict
+                    )
+            cache.store_program(key, [d.candidate for d in group if d.verdict])

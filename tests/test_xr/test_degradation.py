@@ -139,6 +139,23 @@ class TestSegmentaryDegradation:
             assert clean.last_query_stats.programs_solved >= 1
         assert exact == EXACT
 
+    @pytest.mark.parametrize("allow_partial", [True, False])
+    def test_a_cut_keeps_the_engines_of_cleanly_solved_families(
+        self, allow_partial
+    ):
+        """Cutting the first family drops its engine only: the second
+        family's engine, solved cleanly, goes back to the store whether
+        the call degrades or raises."""
+        query = parse_query(QUERY)
+        cache = SignatureProgramCache()
+        with degraded_engine(cache=cache) as engine:
+            if allow_partial:
+                engine.answer(query, allow_partial=True)
+            else:
+                with pytest.raises(SolveBudgetExceeded):
+                    engine.answer(query)
+        assert len(cache.engine_keys()) == 1
+
     def test_no_budget_is_bit_identical(self):
         query = parse_query(QUERY)
         with SegmentaryEngine(key_mapping(), two_cluster_instance()) as engine:
