@@ -101,13 +101,13 @@ def test_ablation_segmentation_granularity(ctx, report, benchmark):
 
         # Merged: one program containing every cluster.
         started = time.perf_counter()
-        safe = {data.facts_by_id[i] for i in analysis.safe_ids}
-        focus = set()
+        safe_ids = analysis.safe_ids
+        focus_ids = set()
         violations = []
         for cluster in analysis.clusters:
-            focus |= cluster.influence
+            focus_ids |= cluster.influence_ids
             violations.extend(cluster.violations)
-        focus -= safe
+        focus_ids -= safe_ids
         rewritten = reduced.rewrite(query)
         groundings = ground_query(rewritten, data)
         from repro.asp.reasoning import decide_family
@@ -115,8 +115,8 @@ def test_ablation_segmentation_granularity(ctx, report, benchmark):
         from repro.xr.queries import answers_from_facts
 
         xr_program = build_repair_program(
-            data, query_groundings=groundings, focus=focus, safe=safe,
-            violations=violations,
+            data, query_groundings=groundings, violations=violations,
+            focus_ids=focus_ids, safe_ids=safe_ids,
         )
         verdicts = decide_family(
             xr_program.program, xr_program.query_atoms.values()

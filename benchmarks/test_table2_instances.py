@@ -18,9 +18,7 @@ def _row(ctx, profile: str) -> list:
     analysis = engine.analysis
     total = stats.chased_facts
     suspect_target = sum(
-        1
-        for cluster in analysis.clusters
-        for _ in cluster.influence
+        len(cluster.influence_ids) for cluster in analysis.clusters
     )
     suspect_tuples = len(analysis.suspect_source) + suspect_target
     transcripts = len(generated.transcripts)

@@ -103,8 +103,14 @@ def example_3() -> None:
     data = build_exchange_data(reduced.gav, instance)
     analysis = analyze_envelopes(data)
     print(f"    clusters: {len(analysis.clusters)}")
-    shared = analysis.clusters[0].influence & analysis.clusters[1].influence
-    t_facts = sorted(repr(f) for f in shared if f.relation == "T")
+    shared = (
+        analysis.clusters[0].influence_ids & analysis.clusters[1].influence_ids
+    )
+    t_facts = sorted(
+        repr(fact)
+        for fact in map(data.facts_by_id.__getitem__, shared)
+        if fact.relation == "T"
+    )
     print(f"    T-facts in both influences: {t_facts}")
 
     engine = SegmentaryEngine(mapping, instance)

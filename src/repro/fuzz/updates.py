@@ -195,9 +195,12 @@ def _safe_chase(engine) -> set:
     return {facts_by_id[fact_id] for fact_id in engine.analysis.safe_ids}
 
 
-def _cluster_envelopes(analysis) -> set:
+def _cluster_envelopes(engine) -> set:
+    """Each cluster's source envelope as facts: its ids, mapped back."""
+    facts_by_id = engine.data.facts_by_id
     return {
-        frozenset(cluster.source_envelope) for cluster in analysis.clusters
+        frozenset(map(facts_by_id.__getitem__, cluster.source_envelope_ids))
+        for cluster in engine.analysis.clusters
     }
 
 
@@ -265,13 +268,13 @@ def check_update_stream(scenario: Scenario, deltas: list[Delta]) -> list[str]:
                     ),
                     (
                         "cluster-envelopes",
-                        _cluster_envelopes(engine.analysis),
-                        _cluster_envelopes(reference.analysis),
+                        _cluster_envelopes(engine),
+                        _cluster_envelopes(reference),
                     ),
                     (
-                        "safe-source",
-                        set(engine.analysis.safe_source),
-                        set(reference.analysis.safe_source),
+                        "suspect-source",
+                        set(engine.analysis.suspect_source),
+                        set(reference.analysis.suspect_source),
                     ),
                     (
                         "safe-chased",

@@ -192,7 +192,4 @@ def apply_delta_chase(
                 append_violation(data, violation)
                 report.new_violations.append(violation)
 
-    # Memoized forward closures are stale wherever the delta touched the
-    # grounding graph; they repopulate lazily on the next cluster build.
-    data._influence_cache.clear()
     return report

@@ -22,7 +22,7 @@ batches in place:
    (insertions can spawn *and* merge clusters; retraction can split them).
    Touched and pulled-in clusters are found through the fact → cluster
    membership index, which is patched for the re-clustered clusters only.
-   The suspect/safe source split changes only where the touched
+   The suspect source set changes only where the touched
    clusters' envelopes did, and the safe chase ``Isafe ∪ chase(Isafe)``
    only inside the forward cone of the dirty facts and the sources whose
    suspicion flipped: it is rederived there, with the status of every
@@ -327,7 +327,7 @@ class UpdateSession:
         old_envelope = set().union(*(c.source_envelope_ids for c in touched))
         new_envelope = set().union(*(c.source_envelope_ids for c in rebuilt))
         flipped, cone_facts = self._maintain_safe_set(
-            chase_report, dirty, old_envelope, new_envelope
+            dirty, old_envelope, new_envelope
         )
         report.cone_facts += cone_facts
 
@@ -375,12 +375,11 @@ class UpdateSession:
 
     def _maintain_safe_set(
         self,
-        chase_report: DeltaChaseReport,
         dirty: set[int],
         old_envelope: set[int],
         new_envelope: set[int],
     ) -> tuple[set[int], int]:
-        """Maintain the safe/suspect source split and the safe chase.
+        """Maintain the suspect source set and the safe chase.
 
         ``old_envelope``/``new_envelope`` are the source envelopes of the
         touched and of the rebuilt clusters.  Returns the ids whose safety
@@ -391,41 +390,26 @@ class UpdateSession:
         facts_by_id = data.facts_by_id
         source_mask = data.source_id_mask
         source = data.source_instance
-        suspect, safe = analysis.suspect_source, analysis.safe_source
+        suspect = analysis.suspect_source
         for fact_id in old_envelope - new_envelope:
-            fact = facts_by_id[fact_id]
-            suspect.discard(fact)
-            if fact in source:
-                safe.add(fact)
+            suspect.discard(facts_by_id[fact_id])
         for fact_id in new_envelope - old_envelope:
-            fact = facts_by_id[fact_id]
-            suspect.add(fact)
-            safe.discard(fact)
-        # Source facts among the dead/new ones are the retracted/inserted.
-        for fact_id in chase_report.dead_ids:
-            if source_mask[fact_id]:
-                safe.discard(facts_by_id[fact_id])
-        for fact_id in chase_report.new_ids:
-            fact = facts_by_id[fact_id]
-            if source_mask[fact_id] and fact not in suspect:
-                safe.add(fact)
+            suspect.add(facts_by_id[fact_id])
 
         # Outside the forward cone of the dirty facts and the sources whose
         # suspicion flipped, every fact keeps the derivations it had, from
         # sources whose safety is unchanged: its safety is unchanged too.
-        # Inside, the safe chase is rederived with the outside held fixed.
+        # Inside, the safe chase is rederived with the outside held fixed,
+        # seeded by the cone's safe sources: live and not suspect.
         cone = influence_ids(dirty | (old_envelope ^ new_envelope), data)
         safe_ids = analysis.safe_ids
-        rederived = rederive_ids(
-            cone,
-            {
-                fact_id
-                for fact_id in cone
-                if source_mask[fact_id] and facts_by_id[fact_id] in safe
-            },
-            data,
-            held=safe_ids,
-        )
+        seeds: set[int] = set()
+        for fact_id in cone:
+            if source_mask[fact_id]:
+                fact = facts_by_id[fact_id]
+                if fact in source and fact not in suspect:
+                    seeds.add(fact_id)
+        rederived = rederive_ids(cone, seeds, data, held=safe_ids)
         flipped = (cone & safe_ids) ^ rederived
         safe_ids ^= flipped
         return flipped, len(cone)

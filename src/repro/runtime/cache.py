@@ -75,11 +75,13 @@ from typing import Any, Container, Iterable
 
 from repro.relational.instance import Fact
 
-#: A candidate's supports restricted to the focus: a set of support sets.
-DecisionKey = frozenset[frozenset[Fact]]
-#: The full input of one signature program.
+#: A candidate's supports restricted to the focus: a set of support sets,
+#: each a set of fact ids.
+DecisionKey = frozenset[frozenset[int]]
+#: The full input of one signature program: its candidates, each with
+#: the fact ids of one support.
 ProgramKey = tuple[
-    frozenset[int], str, str, frozenset[tuple[Fact, tuple[Fact, ...]]]
+    frozenset[int], str, str, frozenset[tuple[Fact, tuple[int, ...]]]
 ]
 #: A cluster family's engine: its sorted cluster ids and the encoding.
 EngineKey = tuple[tuple[int, ...], str]
@@ -92,11 +94,12 @@ DEFAULT_MAX_ENGINE_CLAUSES = 100_000
 
 
 def decision_key(
-    supports: Iterable[tuple[Fact, ...]], safe: Container[Fact]
+    supports: Iterable[tuple[int, ...]], safe_ids: Container[int]
 ) -> DecisionKey:
-    """The focus-support structure of one candidate (memo key)."""
+    """The focus-support structure of one candidate (memo key): its
+    supports' fact ids, the safe ones dropped."""
     return frozenset(
-        frozenset(fact for fact in support if fact not in safe)
+        frozenset(fact_id for fact_id in support if fact_id not in safe_ids)
         for support in supports
     )
 
@@ -105,7 +108,7 @@ def program_key(
     signature: frozenset[int],
     encoding: str,
     mode: str,
-    query_groundings: Iterable[tuple[Fact, tuple[Fact, ...]]],
+    query_groundings: Iterable[tuple[Fact, tuple[int, ...]]],
 ) -> ProgramKey:
     """The cache key of one signature program."""
     return (signature, encoding, mode, frozenset(query_groundings))

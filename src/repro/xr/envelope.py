@@ -17,8 +17,10 @@ Definitions implemented here (numbers refer to the paper):
 
 All closures run over the interned integer universe of
 :class:`~repro.xr.exchange.ExchangeData` (``groundings_by_head`` /
-``occurs_in_body`` adjacency arrays); the fact-set entry points are thin
-wrappers kept for callers that hold facts.
+``occurs_in_body`` adjacency arrays), and the analysis stores its
+envelopes as ids only.  :func:`support_closure` and :func:`influence`
+translate facts of the exchange to ids and back; a fact outside it
+raises ``KeyError``.
 """
 
 from __future__ import annotations
@@ -64,13 +66,15 @@ def influence_ids(seed_ids: set[int], data: ExchangeData) -> set[int]:
 
 def support_closure(facts: set[Fact], data: ExchangeData) -> set[Fact]:
     """The support closure (Def. 4): smallest superset closed under supports."""
-    closure_ids = support_closure_ids(data.id_set(facts), data)
+    fact_ids = data.fact_ids
+    closure_ids = support_closure_ids({fact_ids[fact] for fact in facts}, data)
     return {data.facts_by_id[fact_id] for fact_id in closure_ids}
 
 
 def influence(seed: set[Fact], data: ExchangeData) -> set[Fact]:
     """The influence (Def. 7): forward closure through support sets."""
-    influenced = influence_ids(data.id_set(seed), data)
+    fact_ids = data.fact_ids
+    influenced = influence_ids({fact_ids[fact] for fact in seed}, data)
     return {data.facts_by_id[fact_id] for fact_id in influenced}
 
 
@@ -78,8 +82,9 @@ def influence(seed: set[Fact], data: ExchangeData) -> set[Fact]:
 class ViolationCluster:
     """A connected component of pairwise-dependent violations.
 
-    The fact-set fields mirror the paper's definitions; the ``*_ids``
-    fields are the interned equivalents the query phase works with.
+    ``closure_ids`` is the union of the violations' support closures,
+    ``source_envelope_ids`` its source facts and ``influence_ids`` their
+    influence, all as fact ids (``data.facts_by_id`` maps them back).
 
     ``index`` is the cluster's **stable id**, not its position in
     ``EnvelopeAnalysis.clusters``: incremental maintenance retires the ids
@@ -91,9 +96,6 @@ class ViolationCluster:
 
     index: int
     violations: list[Violation]
-    closure: set[Fact]  # union of the violations' support closures
-    source_envelope: set[Fact] = field(default_factory=set)
-    influence: set[Fact] = field(default_factory=set)
     closure_ids: frozenset[int] = frozenset()
     source_envelope_ids: frozenset[int] = frozenset()
     influence_ids: frozenset[int] = frozenset()
@@ -101,11 +103,14 @@ class ViolationCluster:
 
 @dataclass
 class EnvelopeAnalysis:
-    """The exchange-phase artifacts: safe/suspect split and clusters."""
+    """The exchange-phase artifacts: safe/suspect split and clusters.
+
+    The safe source facts are the live source facts not in
+    ``suspect_source``.
+    """
 
     data: ExchangeData
     suspect_source: set[Fact]
-    safe_source: set[Fact]
     clusters: list[ViolationCluster]
     # Interned ids of Isafe ∪ chase(Isafe), everything certainly kept (all
     # lie in the chased universe: the safe chase is a sub-chase of the
@@ -262,9 +267,8 @@ def build_cluster(
 
     Shared by the fresh analysis below and the incremental cluster
     maintenance of :mod:`repro.incremental`, so both produce clusters with
-    identical derived fields (envelope, influence, fact-set mirrors).
+    identical derived fields (envelope, influence).
     """
-    facts_by_id = data.facts_by_id
     source_mask = data.source_id_mask
     envelope_ids = frozenset(
         fact_id for fact_id in closure_ids if source_mask[fact_id]
@@ -273,9 +277,6 @@ def build_cluster(
     return ViolationCluster(
         index=cluster_id,
         violations=violations,
-        closure={facts_by_id[i] for i in closure_ids},
-        source_envelope={facts_by_id[i] for i in envelope_ids},
-        influence={facts_by_id[i] for i in cluster_influence_ids},
         closure_ids=frozenset(closure_ids),
         source_envelope_ids=envelope_ids,
         influence_ids=cluster_influence_ids,
@@ -329,7 +330,6 @@ def analyze_envelopes(data: ExchangeData) -> EnvelopeAnalysis:
             if source_mask[fact_id]:
                 suspect_ids.add(fact_id)
     suspect_source = {facts_by_id[fact_id] for fact_id in suspect_ids}
-    safe_source = data.source_facts - suspect_source
 
     clusters: list[ViolationCluster] = []
     for cluster_index, member_indexes in enumerate(
@@ -362,7 +362,6 @@ def analyze_envelopes(data: ExchangeData) -> EnvelopeAnalysis:
     analysis = EnvelopeAnalysis(
         data=data,
         suspect_source=suspect_source,
-        safe_source=safe_source,
         clusters=clusters,
         safe_ids=safe_ids,
         next_cluster_id=len(clusters),

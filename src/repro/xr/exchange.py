@@ -105,9 +105,6 @@ class ExchangeData:
     violations_by_fact: dict[int, list[int]] = field(default_factory=dict)
     # fact id -> True iff the fact belongs to a source relation.
     source_id_mask: list[bool] = field(default_factory=list)
-    # Memoized per-fact forward closures (influence of a single fact);
-    # shared by every program build over this exchange data.
-    _influence_cache: dict[int, frozenset[int]] = field(default_factory=dict)
     _source_names: frozenset[str] = field(
         default_factory=frozenset, init=False, repr=False
     )
@@ -125,10 +122,6 @@ class ExchangeData:
         self.fact_ids = self.index_cache.fact_ids
         self.facts_by_id = self.index_cache.facts_by_id
 
-    @property
-    def source_facts(self) -> set[Fact]:
-        return set(self.source_instance)
-
     def target_facts(self) -> set[Fact]:
         source_names = self.mapping.source.names()
         return {f for f in self.chased if f.relation not in source_names}
@@ -137,21 +130,7 @@ class ExchangeData:
         """The canonical quasi-solution (target restriction of the chase)."""
         return self.chased.restrict(self.mapping.target.names())
 
-    # ------------------------------------------------- interning helpers
-
-    def intern_fact(self, fact: Fact) -> int:
-        """The id of ``fact``, extending the universe if it is new.
-
-        Facts outside the chased instance (only seen when callers pass
-        hand-built focus/safe sets) get fresh ids with empty adjacency, so
-        membership tests against them behave like the old set-of-Fact
-        code paths.
-        """
-        fact_id = self.fact_ids.get(fact)
-        if fact_id is None:
-            fact_id = self.index_cache.intern(fact)  # a new fact's slot is its id
-            self.extend_rows()
-        return fact_id
+    # ------------------------------------------------ id-universe helpers
 
     def extend_rows(self) -> None:
         """Give every id the universe gained an empty adjacency row."""
@@ -162,16 +141,11 @@ class ExchangeData:
             self._source_names.__contains__, map(_RELATION, new)
         )
 
-    def id_set(self, facts) -> set[int]:
-        """Intern a collection of facts into a set of ids."""
-        intern = self.intern_fact
-        return {intern(fact) for fact in facts}
-
     def violation_body_ids(self, violation: Violation) -> tuple[int, ...]:
-        """The deduplicated body fact ids of one violation."""
-        return tuple(
-            dict.fromkeys(self.intern_fact(f) for f in violation.body_facts)
-        )
+        """The deduplicated body fact ids of one violation (its body facts
+        are chased facts, so each has an id)."""
+        fact_ids = self.fact_ids
+        return tuple(dict.fromkeys(fact_ids[f] for f in violation.body_facts))
 
     def update_session(self, analysis=None, cache=None, obs=None):
         """An :class:`~repro.incremental.UpdateSession` over this data.
@@ -182,31 +156,6 @@ class ExchangeData:
         from repro.incremental import UpdateSession
 
         return UpdateSession(self, analysis=analysis, cache=cache, obs=obs)
-
-    def influence_ids_of(self, fact_id: int) -> frozenset[int]:
-        """Forward closure of one fact through support sets, memoized.
-
-        The per-suspect side chases of the repair program and the
-        envelope influences both need these; caching them means each
-        fact's closure is walked at most once per exchange.
-        """
-        cached = self._influence_cache.get(fact_id)
-        if cached is not None:
-            return cached
-        influenced = {fact_id}
-        frontier = [fact_id]
-        occurs = self.occurs_in_body
-        heads = self.grounding_heads
-        while frontier:
-            current = frontier.pop()
-            for index in occurs[current]:
-                head_id = heads[index]
-                if head_id not in influenced:
-                    influenced.add(head_id)
-                    frontier.append(head_id)
-        result = frozenset(influenced)
-        self._influence_cache[fact_id] = result
-        return result
 
 
 def violation_key(

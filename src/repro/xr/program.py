@@ -30,13 +30,12 @@ Definition 1 directly, sized by the repair envelope:
 
 Stable models correspond exactly to source repairs; cautious truth of the
 query atoms is XR-Certain membership.  Both builders accept the segmentary
-``focus``/``safe`` restriction of Section 6.4 (safe facts are represented by
-the value *true*).
+``focus_ids``/``safe_ids`` restriction of Section 6.4 (safe facts are
+represented by the value *true*).
 
 Implementation note: both builders run over the **interned id universe** of
-:class:`~repro.xr.exchange.ExchangeData`.  Focus/safe sets are normalized to
-int sets once (callers holding ids — the segmentary engine — pass
-``focus_ids``/``safe_ids`` directly and skip the conversion).  A build does
+:class:`~repro.xr.exchange.ExchangeData`, and take their scope as id sets
+(with no focus, every chased fact).  A build does
 work in proportion to its focus, the groundings headed there and its
 violations — never to the size of the exchange, since the segmentary
 engine builds one program per cluster family: the caller's id sets are
@@ -54,6 +53,7 @@ from typing import AbstractSet, Callable, Iterable, Iterator
 from repro.asp.stable import StableModelEngine
 from repro.asp.syntax import AtomTable, GroundProgram, GroundRule
 from repro.relational.instance import Fact
+from repro.xr.envelope import influence_ids, support_closure_ids
 from repro.xr.exchange import ExchangeData, Violation
 from repro.xr.subscripts import deleted, incidental, remains
 
@@ -201,25 +201,19 @@ class _LazyAtoms(dict):
 
 def _normalize_scope(
     data: ExchangeData,
-    focus: set[Fact] | None,
-    safe: set[Fact] | None,
     focus_ids: AbstractSet[int] | None,
     safe_ids: AbstractSet[int] | None,
 ) -> tuple[AbstractSet[int], AbstractSet[int]]:
-    """Resolve the focus/safe scope to id sets (interning stray facts).
+    """The focus/safe scope: by default every chased fact, none safe.
 
     Id sets passed in are returned as they are: the builders only read
     them, and a copy would cost the size of the caller's set (the safe
     set spans nearly the whole exchange).
     """
     if focus_ids is None:
-        if focus is None:
-            focus_ids = data.id_set(data.chased)
-        else:
-            focus_ids = data.id_set(focus)
-    if safe_ids is None:
-        safe_ids = data.id_set(safe) if safe else set()
-    return focus_ids, safe_ids
+        fact_ids = data.fact_ids
+        focus_ids = {fact_ids[fact] for fact in data.chased}
+    return focus_ids, set() if safe_ids is None else safe_ids
 
 
 def _within(
@@ -336,54 +330,20 @@ def family_query_part(
 # ---------------------------------------------------------------------------
 
 
-def _suspect_source_ids(
-    data: ExchangeData,
-    violation_bodies: Iterable[tuple[int, ...]],
-    within_ids: AbstractSet[int],
-) -> set[int]:
-    """Source fact ids inside ``within_ids`` lying in a violation's support
-    closure (backward closure walked over the id adjacency)."""
-    closure: set[int] = set()
-    frontier: list[int] = []
-    for body_ids in violation_bodies:
-        for fact_id in body_ids:
-            if fact_id not in closure:
-                closure.add(fact_id)
-                frontier.append(fact_id)
-    groundings_by_head = data.groundings_by_head
-    bodies = data.grounding_bodies
-    while frontier:
-        fact_id = frontier.pop()
-        for index in groundings_by_head[fact_id]:
-            for body_id in bodies[index]:
-                if body_id not in closure:
-                    closure.add(body_id)
-                    frontier.append(body_id)
-    source_mask = data.source_id_mask
-    return {
-        fact_id
-        for fact_id in closure
-        if source_mask[fact_id] and fact_id in within_ids
-    }
-
-
 def build_repair_program(
     data: ExchangeData,
     query_groundings: QueryGroundings | None = None,
-    focus: set[Fact] | None = None,
-    safe: set[Fact] | None = None,
     violations: list[Violation] | None = None,
     focus_ids: AbstractSet[int] | None = None,
     safe_ids: AbstractSet[int] | None = None,
 ) -> XRProgram:
     """Build the repair-guess program (see module docstring).
 
-    ``focus``/``safe`` restrict the program for the segmentary engine:
-    only facts in ``focus`` are modelled, facts in ``safe`` are true, rules
-    touching other facts are dropped (independent clusters).  Callers that
-    already hold interned ids pass ``focus_ids``/``safe_ids`` instead.
+    ``focus_ids``/``safe_ids`` restrict the program for the segmentary
+    engine: only facts in focus are modelled, safe facts are true, rules
+    touching other facts are dropped (independent clusters).
     """
-    focus_ids, safe_ids = _normalize_scope(data, focus, safe, focus_ids, safe_ids)
+    focus_ids, safe_ids = _normalize_scope(data, focus_ids, safe_ids)
     scoped_violations = _normalize_violations(data, violations)
 
     facts_by_id = data.facts_by_id
@@ -399,9 +359,14 @@ def build_repair_program(
     remains_ids = _LazyAtoms(atoms, facts_by_id, remains)
     remains_atom = remains_ids.__getitem__
 
-    suspects = _suspect_source_ids(
-        data, (body for _v, body in scoped_violations), focus_ids
-    )
+    # Suspects: the in-focus source facts of the violations' closure.
+    suspects = {
+        fact_id
+        for fact_id in support_closure_ids(
+            {i for _v, body in scoped_violations for i in body}, data
+        )
+        if source_mask[fact_id] and fact_id in focus_ids
+    }
 
     # --- source layer: guesses for suspects, units for the rest.
     for fact_id in sorted(focus_ids):
@@ -449,7 +414,7 @@ def build_repair_program(
 
     # --- maximality: a deleted suspect must re-create some violation.
     for suspect in sorted(suspects):
-        influence = data.influence_ids_of(suspect) & focus_ids
+        influence = influence_ids({suspect}, data) & focus_ids
         suspect_fact = facts_by_id[suspect]
         conflict_id = atoms.intern(Fact(CONFLICT, (suspect_fact,)))
         copy_atom = _LazyAtoms(
@@ -519,8 +484,6 @@ def build_repair_program(
 def build_figure1_program(
     data: ExchangeData,
     query_groundings: QueryGroundings | None = None,
-    focus: set[Fact] | None = None,
-    safe: set[Fact] | None = None,
     violations: list[Violation] | None = None,
     focus_ids: AbstractSet[int] | None = None,
     safe_ids: AbstractSet[int] | None = None,
@@ -532,7 +495,7 @@ def build_figure1_program(
     key constraints directly over exchanged facts — it agrees with
     :func:`build_repair_program`.
     """
-    focus_ids, safe_ids = _normalize_scope(data, focus, safe, focus_ids, safe_ids)
+    focus_ids, safe_ids = _normalize_scope(data, focus_ids, safe_ids)
     scoped_violations = _normalize_violations(data, violations)
 
     facts_by_id = data.facts_by_id
@@ -680,8 +643,6 @@ def build_family_program(
 def build_xr_program(
     data: ExchangeData,
     query_groundings: QueryGroundings | None = None,
-    focus: set[Fact] | None = None,
-    safe: set[Fact] | None = None,
     violations: list[Violation] | None = None,
     encoding: str = "repair",
     focus_ids: AbstractSet[int] | None = None,
@@ -697,8 +658,6 @@ def build_xr_program(
     return builder(
         data,
         query_groundings=query_groundings,
-        focus=focus,
-        safe=safe,
         violations=violations,
         focus_ids=focus_ids,
         safe_ids=safe_ids,

@@ -280,7 +280,7 @@ class ExchangePhaseStats:
             chased_facts=len(data.chased), groundings=len(data.groundings),
             violations=len(data.violations), clusters=len(analysis.clusters),
             suspect_source_facts=len(analysis.suspect_source),
-            safe_source_facts=len(analysis.safe_source),
+            safe_source_facts=len(instance) - len(analysis.suspect_source),
         )
 
 
@@ -717,9 +717,11 @@ class SegmentaryEngine:
         """Decide what the caches can of each signature group.
 
         Returns the decisions reached, the candidates left for the family
-        programs (signature -> ``(candidate, memo key)`` pairs), and each
-        resolved group's program-cache key.  A group the deadline reaches
-        first is cut off whole — never silently dropped, never fabricated.
+        programs (signature -> ``(candidate, memo key)`` pairs), and the
+        program-cache key of each group the program cache missed (only
+        those get a ``store_program``: a hit's entry is already there).
+        A group the deadline reaches first is cut off whole — never
+        silently dropped, never fabricated.
         """
         cache, encoding = self.cache, self.encoding
         safe_ids = self.analysis.safe_ids
@@ -734,7 +736,7 @@ class SegmentaryEngine:
                 )
                 continue
             if cache is not None:
-                key = program_keys[signature] = program_key(
+                key = program_key(
                     signature, encoding, mode,
                     [
                         (candidate, support)
@@ -750,6 +752,7 @@ class SegmentaryEngine:
                         for candidate in candidates
                     )
                     continue
+                program_keys[signature] = key
             # Per-candidate decision memo: coarser than the program cache —
             # it ignores the query's name and answer tuple, so structurally
             # identical candidates from *different* queries share verdicts.

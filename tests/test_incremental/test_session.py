@@ -71,7 +71,8 @@ class TestUpdateSession:
         assert len(engine.analysis.clusters) == 1
         # The surviving conflict is the one on key 'd'.
         (cluster,) = engine.analysis.clusters
-        assert f("R", "d", "e") in cluster.source_envelope
+        fact_ids = engine.data.fact_ids
+        assert fact_ids[f("R", "d", "e")] in cluster.source_envelope_ids
         answers = engine.answer(parse_query("q(x, y) :- P(x, y)."))
         assert ("a", "b") in answers
 
@@ -127,8 +128,11 @@ class TestUpdateSession:
     def test_cluster_locality_object_identity(self):
         engine = fresh_engine(TWO_CLUSTERS)
         session = engine.update_session()
+        facts_by_id = engine.data.facts_by_id
         by_key = {
-            min(c.source_envelope, key=repr).args[0]: c
+            min(
+                (facts_by_id[i] for i in c.source_envelope_ids), key=repr
+            ).args[0]: c
             for c in engine.analysis.clusters
         }
         untouched_before = by_key["a"]
@@ -150,7 +154,7 @@ def _state_snapshot(engine):
             frozenset(violation_key(v) for v in cluster.violations)
             for cluster in engine.analysis.clusters
         ),
-        frozenset(engine.analysis.safe_source),
+        frozenset(engine.analysis.suspect_source),
         frozenset(engine.data.facts_by_id[i] for i in engine.analysis.safe_ids),
     )
 

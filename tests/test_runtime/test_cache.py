@@ -186,6 +186,27 @@ class TestEngineIntegration:
         assert warm_stats.programs_solved == 0
         assert warm_stats.cache_hits > 0
 
+    def test_warm_program_cache_hit_stores_nothing(self, monkeypatch):
+        """A group the program cache answers is not written back: only a
+        group that missed gets a ``store_program`` call."""
+        stored = []
+        store_program = SignatureProgramCache.store_program
+
+        def spy(cache, key, accepted):
+            stored.append(key)
+            store_program(cache, key, accepted)
+
+        monkeypatch.setattr(SignatureProgramCache, "store_program", spy)
+        engine = SegmentaryEngine(key_mapping(), Instance(CONFLICT_INSTANCE))
+        query = parse_query("q(x) :- P(x, y).")
+        cold = engine.answer(query)
+        assert engine.last_query_stats.signatures == 1
+        assert len(stored) == 1
+        warm = engine.answer(query)
+        assert warm == cold
+        assert engine.last_query_stats.cache_hits > 0
+        assert len(stored) == 1
+
     def test_decision_memo_shared_across_query_names(self):
         engine = SegmentaryEngine(key_mapping(), Instance(CONFLICT_INSTANCE))
         first = engine.answer(parse_query("q(x) :- P(x, y)."))

@@ -38,6 +38,17 @@ class TestSupportClosureAndInfluence:
         closure = support_closure({f("P", "a", "b")}, data)
         assert f("R", "a", "b") in closure
 
+    def test_fact_outside_the_exchange_raises_without_growing_ids(self):
+        data, _ = analyzed(
+            key_mapping(), [f("R", "a", "b"), f("R", "a", "c")]
+        )
+        universe = len(data.facts_by_id)
+        with pytest.raises(KeyError):
+            support_closure({f("P", "z", "z")}, data)
+        with pytest.raises(KeyError):
+            influence({f("R", "z", "z")}, data)
+        assert len(data.facts_by_id) == universe
+
     def test_influence_reaches_targets(self):
         data, _ = analyzed(
             key_mapping(), [f("R", "a", "b"), f("R", "a", "c")]
@@ -58,12 +69,13 @@ class TestSupportClosureAndInfluence:
 
 class TestSuspectSafeSplit:
     def test_conflicting_facts_suspect(self):
-        _, analysis = analyzed(
+        data, analysis = analyzed(
             key_mapping(),
             [f("R", "a", "b"), f("R", "a", "c"), f("R", "z", "w")],
         )
         assert analysis.suspect_source == {f("R", "a", "b"), f("R", "a", "c")}
-        assert analysis.safe_source == {f("R", "z", "w")}
+        safe_source = set(data.source_instance) - analysis.suspect_source
+        assert safe_source == {f("R", "z", "w")}
 
     def test_suspect_is_a_source_repair_envelope(self):
         """Proposition 3: every deleted fact of every repair is suspect."""
@@ -100,7 +112,7 @@ class TestViolationClusters:
             ],
         )
         assert len(analysis.clusters) == 2
-        envelopes = [c.source_envelope for c in analysis.clusters]
+        envelopes = [c.source_envelope_ids for c in analysis.clusters]
         assert envelopes[0].isdisjoint(envelopes[1])
 
     def test_overlapping_closures_merge(self):
@@ -132,11 +144,15 @@ class TestViolationClusters:
             ],
         )
         assert len(analysis.clusters) == 2
-        shared = analysis.clusters[0].influence & analysis.clusters[1].influence
+        shared = {
+            data.facts_by_id[fact_id]
+            for fact_id in analysis.clusters[0].influence_ids
+            & analysis.clusters[1].influence_ids
+        }
         assert any(fact.relation == "T" for fact in shared)
         # Source envelopes remain disjoint (Prop. 5 justification).
-        assert analysis.clusters[0].source_envelope.isdisjoint(
-            analysis.clusters[1].source_envelope
+        assert analysis.clusters[0].source_envelope_ids.isdisjoint(
+            analysis.clusters[1].source_envelope_ids
         )
         # T-facts carry both clusters in their signature.
         t_fact = next(fact for fact in shared if fact.relation == "T")

@@ -65,7 +65,7 @@ class TestBuildExchangeData:
     def test_source_and_target_fact_partition(self, key_setup):
         targets = key_setup.target_facts()
         assert all(fact.relation != "R" for fact in targets)
-        assert key_setup.source_facts == {
+        assert set(key_setup.source_instance) == {
             f("R", "a", "b"), f("R", "a", "c"), f("R", "d", "e"),
         }
 

@@ -95,9 +95,10 @@ def test_clusters_factorize_repair_count(seed):
     analysis = analyze_envelopes(data)
     total = len(source_repairs(instance, mapping))
     product = 1
-    safe = analysis.safe_source
+    safe = set(instance) - analysis.suspect_source
     for cluster in analysis.clusters:
-        context = Instance(safe | cluster.source_envelope)
+        envelope = {data.facts_by_id[i] for i in cluster.source_envelope_ids}
+        context = Instance(safe | envelope)
         product *= len(source_repairs(context, mapping))
     assert total == product
 

@@ -91,15 +91,17 @@ class TestRepairProgram:
         xr = build_repair_program(
             data,
             query_groundings=[(candidate, ids(data, f("P", "a", "b")))],
-            focus=set(),
-            safe=set(data.chased),
+            focus_ids=set(),
+            safe_ids=set(ids(data, *data.chased)),
         )
         assert candidate in xr.trivially_certain
 
     def test_all_safe_violation_rejected(self):
         data = key_data([f("R", "a", "b"), f("R", "a", "c")])
         with pytest.raises(ValueError, match="unrepairable"):
-            build_repair_program(data, focus=set(), safe=set(data.chased))
+            build_repair_program(
+                data, focus_ids=set(), safe_ids=set(ids(data, *data.chased))
+            )
 
 
 class TestFigure1Program:
@@ -158,8 +160,8 @@ class TestQueryAtomInvariants:
         xr = build_repair_program(
             data,
             query_groundings=[(candidate, ids(data, f("P", "a", "b")))],
-            focus=set(),
-            safe=set(data.chased),
+            focus_ids=set(),
+            safe_ids=set(ids(data, *data.chased)),
         )
         # Both registrations happen: the atom exists AND is classified.
         assert candidate in xr.query_atoms
